@@ -1,6 +1,6 @@
 # Discrete operators on a well-centered mesh: diagonal Hodge stars, the
-# codifferential (assembled two independent ways), the Hodge-Laplacian,
-# and Whitney reconstruction of cochains.
+# codifferential and its flux form, the Hodge-Laplacian, and Whitney
+# reconstruction of cochains.
 
 import numpy as np
 
@@ -9,7 +9,6 @@ from declab import (
     PolyForm,
     build_dual,
     codifferential_matrix,
-    codifferential_matrix_stencil,
     de_rham,
     discrete_inner,
     hodge_laplacian_matrix,
@@ -21,13 +20,15 @@ from declab import (
 K = symmetric_mesh(2)
 dual = build_dual(K)
 
-# -- codifferential: transpose route vs stencil route --------------------------
+# -- codifferential: S^-1 D^T S, read as a flux form -----------------------------
 
+# row v of delta_1 collects b_v * sign(v, e) * a_e over the edges e at v
 delta1 = codifferential_matrix(K, dual, 1)
-delta1_stencil = codifferential_matrix_stencil(K, dual, 1)
-gap = (delta1 - delta1_stencil).tocoo()
-print("codifferential two-route agreement: max gap =",
-      0.0 if gap.nnz == 0 else abs(gap.data).max())
+v = int(np.flatnonzero(~K.is_boundary(0))[0])
+signs = K.coboundary_matrix(0)[:, [v]].toarray().ravel()
+flux = dual.hodge_ratio_b[0][v] * signs * dual.hodge_ratio_a[1]
+print("interior vertex row of delta_1 vs flux form: max gap =",
+      abs(delta1[[v]].toarray().ravel() - flux).max())
 
 # -- adjointness of d and delta -------------------------------------------------
 
@@ -43,8 +44,7 @@ print(f"[[d a, b]] = {lhs:.12f}   [[a, delta b]] = {rhs:.12f}")
 # on the uniform mesh with edge length l, an interior vertex row reduces to
 # the classical 6-point stencil scaled by 2 / (3 l^2)
 L0 = hodge_laplacian_matrix(K, dual, 0)
-v = int(np.flatnonzero(~K.is_boundary(0))[0])
-row = L0[v].toarray().ravel()
+row = L0[[v]].toarray().ravel()
 print("interior vertex row: diagonal", row[v], " expected", 6 * 2.0 / (3 * 0.25**2))
 
 # the symmetrized system matrix S L is what the solver sees

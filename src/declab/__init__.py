@@ -9,17 +9,13 @@ equilateral domain, and a manufactured-solution convergence laboratory.
 
 from __future__ import annotations
 
-from .complex import Simplex, SignedIncidence, SimplicialComplex, build_complex
+from .complex import SimplicialComplex, build_complex
 from .dual import (
-    DiamondCell,
     DualComplex,
     build_dual,
     check_centroid_condition,
-    circumcenter,
-    diamond_cells,
     diamond_volumes,
     is_well_centered,
-    primal_volume,
     well_centered_margin,
 )
 from .forms import (
@@ -40,15 +36,10 @@ from .forms import (
 )
 from .operators import (
     codifferential_matrix,
-    codifferential_matrix_stencil,
     commuting_j_check,
     discrete_inner,
     discrete_norm,
-    dual_discrete_inner,
-    dual_discrete_norm,
     hodge_laplacian_matrix,
-    hodge_star_apply,
-    hodge_star_inverse_apply,
     j_interpolant,
     l2_norm_whitney,
     pi_minus_j,
@@ -61,11 +52,6 @@ from .solver import (
     SolverError,
     SolverResult,
     cg_solve,
-    diag_vector,
-    from_coo,
-    spgemm,
-    spmv,
-    transpose,
 )
 from .meshes import (
     MeshError,
@@ -91,19 +77,13 @@ from .experiments import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "Simplex",
-    "SignedIncidence",
     "SimplicialComplex",
     "build_complex",
-    "DiamondCell",
     "DualComplex",
     "build_dual",
     "check_centroid_condition",
-    "circumcenter",
-    "diamond_cells",
     "diamond_volumes",
     "is_well_centered",
-    "primal_volume",
     "well_centered_margin",
     "Poly2",
     "PolyForm",
@@ -120,15 +100,10 @@ __all__ = [
     "manufactured_solution",
     "triangle_rule",
     "codifferential_matrix",
-    "codifferential_matrix_stencil",
     "commuting_j_check",
     "discrete_inner",
     "discrete_norm",
-    "dual_discrete_inner",
-    "dual_discrete_norm",
     "hodge_laplacian_matrix",
-    "hodge_star_apply",
-    "hodge_star_inverse_apply",
     "j_interpolant",
     "l2_norm_whitney",
     "pi_minus_j",
@@ -139,11 +114,6 @@ __all__ = [
     "SolverError",
     "SolverResult",
     "cg_solve",
-    "diag_vector",
-    "from_coo",
-    "spgemm",
-    "spmv",
-    "transpose",
     "MeshError",
     "MeshFamilySpec",
     "build_mesh",

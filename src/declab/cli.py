@@ -8,35 +8,20 @@ diagnostics     centroid/kernel/commuting diagnostics for one mesh
 gen-mesh        generate a mesh and write it in the plain-text format
 dual-report     per-simplex primal/dual volume table as CSV
 dump-operators  assembled sparse operators in coordinate text form
-selftest-forms  invariant battery for the polynomial form algebra
 
-Exit codes: 0 on success, 2 on solver failure, 3 on mesh-generation
-failure, 1 on bad arguments or a failed self test.
+Exit codes: 0 on success, 1 on bad arguments, 2 on solver failure, 3 on
+a mesh-generation or mesh-file failure.
 """
 
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 
 import numpy as np
 
 from .complex import SimplicialComplex
 from .dual import build_dual
-from .forms import (
-    Poly2,
-    PolyForm,
-    codifferential,
-    de_rham,
-    exterior_derivative,
-    gauss_legendre_unit,
-    hodge_laplacian,
-    hodge_star,
-    integrate_over_simplex,
-    manufactured_solution,
-    triangle_rule,
-)
 from .experiments import diagnostics, render_report, run_convergence
 from .meshes import MeshError, MeshFamilySpec, build_mesh, read_mesh, write_mesh
 from .operators import (
@@ -178,109 +163,6 @@ def _cmd_dump_operators(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_selftest_forms(args: argparse.Namespace) -> int:
-    failures = 0
-
-    def check(name: str, ok: bool, detail: str = "") -> None:
-        nonlocal failures
-        if ok:
-            print(f"PASS {name}")
-        else:
-            failures += 1
-            print(f"FAIL {name} {detail}")
-
-    # reference-triangle quadrature against closed-form monomial integrals
-    ref = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
-    worst = 0.0
-    for a in range(21):
-        for b in range(21 - a):
-            exact = (
-                math.factorial(a) * math.factorial(b) / math.factorial(a + b + 2)
-            )
-            form = PolyForm(2, (Poly2.monomial(a, b),))
-            got = integrate_over_simplex(form, ref, triangle_rule(a + b))
-            worst = max(worst, abs(got - exact) / exact)
-    check("triangle quadrature, monomials to degree 20", worst <= 1e-13, f"rel err {worst:.2e}")
-
-    rule = gauss_legendre_unit(6)
-    worst = max(
-        abs(rule.weights @ rule.points**d - 1.0 / (d + 1)) for d in range(12)
-    )
-    check("Gauss-Legendre segment rule, degree 11", worst <= 1e-14, f"{worst:.2e}")
-
-    # d o d and delta o delta vanish on polynomial forms
-    p = Poly2.monomial(3, 2, 1.5) + Poly2.monomial(1, 4, -2.0) + Poly2.monomial(0, 0, 0.25)
-    ddp = exterior_derivative(exterior_derivative(PolyForm(0, (p,))))
-    check("d(d(scalar)) = 0", ddp.components[0].max_abs() <= 1e-15 * p.max_abs())
-    w2 = PolyForm(2, (Poly2.monomial(2, 3, -0.75) + Poly2.monomial(4, 0, 2.0),))
-    dd2 = codifferential(codifferential(w2))
-    check("delta(delta(2-form)) = 0", dd2.components[0].max_abs() <= 1e-15 * w2.components[0].max_abs())
-
-    # pointwise Hodge star: explicit images and the double-star sign
-    star_dx = hodge_star(PolyForm(1, (Poly2.constant(1.0), Poly2.zero())))
-    check(
-        "star(dx) = dy",
-        star_dx.components[0].is_zero()
-        and abs(star_dx.components[1](0.3, 0.7) - 1.0) <= 1e-15,
-    )
-    w1 = PolyForm(1, (Poly2.monomial(1, 1), Poly2.monomial(0, 2, -3.0)))
-    ss = hodge_star(hodge_star(w1))
-    dev = max(
-        (ss.components[i] - Poly2.constant(-1.0) * w1.components[i]).max_abs()
-        for i in range(2)
-    )
-    check("star(star) = -(id) on 1-forms", dev <= 1e-15)
-    pts = np.array([[0.2, 0.1], [0.8, 0.4], [0.5, 0.9]])
-    sw = hodge_star(w1)
-    iso = max(
-        abs(
-            (w1.components[0](x, y) ** 2 + w1.components[1](x, y) ** 2)
-            - (sw.components[0](x, y) ** 2 + sw.components[1](x, y) ** 2)
-        )
-        for x, y in pts
-    )
-    check("star is a pointwise isometry", iso <= 1e-12)
-
-    # codifferential and Laplacian hand examples
-    d1 = codifferential(PolyForm(1, (Poly2.monomial(1, 0), Poly2.zero())))
-    check("delta(x dx) = -1", abs(d1.components[0](0.4, 0.9) + 1.0) <= 1e-15)
-    lap = hodge_laplacian(PolyForm(0, (Poly2.monomial(2, 0) + Poly2.monomial(0, 2),)))
-    check("laplacian(x^2 + y^2) = -4", abs(lap.components[0](0.1, 0.2) + 4.0) <= 1e-14)
-    lap1 = hodge_laplacian(PolyForm(1, (Poly2.zero(), Poly2.monomial(1, 0))))
-    check(
-        "laplacian(x dy) = 0",
-        max(c.max_abs() for c in lap1.components) <= 1e-15,
-    )
-
-    # de Rham map commutes with d on a mesh
-    spec = MeshFamilySpec(family="symmetric", level=3)
-    K = build_mesh(spec)
-    for k, comps in ((0, (p,)), (1, (Poly2.monomial(2, 1), Poly2.monomial(1, 2, 0.5)))):
-        form = PolyForm(k, comps)
-        lhs = K.coboundary_matrix(k) @ de_rham(K, form)
-        rhs = de_rham(K, exterior_derivative(form))
-        rel = np.abs(lhs - rhs).max() / max(np.abs(rhs).max(), 1.0)
-        check(f"coboundary(R(w)) = R(dw), k={k}", rel <= 1e-11, f"{rel:.2e}")
-
-    # manufactured solution: centroid value and zero-mean source
-    u, f = manufactured_solution(0)
-    centroid = (0.5, math.sqrt(3.0) / 6.0)
-    want = 1e8 / 3.0**15
-    got = u.components[0](*centroid)
-    check("u(centroid) = 1e8 / 3^15", abs(got - want) <= 1e-9 * want, f"{got!r}")
-    total = 0.0
-    for row in K.simplices(2):
-        pts = K.vertices[row].copy()
-        e1, e2 = pts[1] - pts[0], pts[2] - pts[0]
-        if e1[0] * e2[1] - e1[1] * e2[0] < 0:
-            pts[[1, 2]] = pts[[2, 1]]  # integrate with positive orientation
-        total += integrate_over_simplex(PolyForm(2, f.components), pts)
-    check("source term integrates to zero over the domain", abs(total) <= 1e-8, f"{total:.2e}")
-
-    print(f"{'OK' if failures == 0 else 'FAILED'}: {failures} failures")
-    return 0 if failures == 0 else 1
-
-
 # -- parser ------------------------------------------------------------------
 
 
@@ -325,9 +207,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mesh", default=None, help="read this mesh file instead of generating")
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_dump_operators)
-
-    p = sub.add_parser("selftest-forms", help="invariant battery for the form algebra")
-    p.set_defaults(func=_cmd_selftest_forms)
 
     return parser
 

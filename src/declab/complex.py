@@ -17,37 +17,10 @@ Stokes pairing <D w, tau> = <w, boundary tau> holds by construction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 import scipy.sparse as sp
 
-__all__ = [
-    "Simplex",
-    "SignedIncidence",
-    "SimplicialComplex",
-    "build_complex",
-]
-
-
-@dataclass(frozen=True)
-class Simplex:
-    """A single simplex: its ascending vertex tuple and table index."""
-
-    vertices: tuple[int, ...]
-    index: int
-
-    @property
-    def dim(self) -> int:
-        return len(self.vertices) - 1
-
-
-@dataclass(frozen=True)
-class SignedIncidence:
-    """Index of an incident simplex together with its relative sign (+1/-1)."""
-
-    index: int
-    sign: int
+__all__ = ["SimplicialComplex", "build_complex"]
 
 
 class SimplicialComplex:
@@ -84,8 +57,6 @@ class SimplicialComplex:
         self.cell_edges = cell_edges
         self._boundary = boundary_flags
         self._coboundary: dict[int, sp.csr_matrix] = {}
-        self._coboundary_csc: dict[int, sp.csc_matrix] = {}
-        self._index_maps: dict[int, dict[tuple[int, ...], int]] = {}
 
     # -- simplex tables ----------------------------------------------------
 
@@ -96,25 +67,6 @@ class SimplicialComplex:
     def simplices(self, k: int) -> np.ndarray:
         """(N_k, k+1) int array of ascending vertex tuples, lex-sorted."""
         return self._table(k)
-
-    def simplex(self, k: int, index: int) -> Simplex:
-        """The k-simplex with the given table index."""
-        row = self._table(k)[index]
-        return Simplex(tuple(int(v) for v in row), int(index))
-
-    def index_of(self, vertices: tuple[int, ...]) -> int:
-        """Table index of the simplex with the given vertex set."""
-        key = tuple(sorted(int(v) for v in vertices))
-        k = len(key) - 1
-        if k not in self._index_maps:
-            table = self._table(k)
-            self._index_maps[k] = {
-                tuple(int(v) for v in row): i for i, row in enumerate(table)
-            }
-        try:
-            return self._index_maps[k][key]
-        except KeyError:
-            raise KeyError(f"no {k}-simplex with vertices {key}") from None
 
     def is_boundary(self, k: int) -> np.ndarray:
         """Boolean mask over Delta_k: True where the simplex lies in the
@@ -169,33 +121,6 @@ class SimplicialComplex:
         mat.sort_indices()
         return mat
 
-    def cofaces(self, k: int, index: int) -> list[SignedIncidence]:
-        """Signed (k+1)-cofaces of the k-simplex `index`.
-
-        The sign is the coefficient of the simplex in the coface's boundary.
-        """
-        if k == self.dim:
-            return []
-        if k not in self._coboundary_csc:
-            self._coboundary_csc[k] = self.coboundary_matrix(k).tocsc()
-        col = self._coboundary_csc[k]
-        lo, hi = col.indptr[index], col.indptr[index + 1]
-        return [
-            SignedIncidence(int(i), int(s))
-            for i, s in zip(col.indices[lo:hi], col.data[lo:hi])
-        ]
-
-    def faces(self, k: int, index: int) -> list[SignedIncidence]:
-        """Signed (k-1)-faces of the k-simplex `index`, in drop-j order."""
-        if k == 0:
-            return []
-        verts = self._table(k)[index]
-        out = []
-        for j in range(k + 1):
-            face = tuple(int(v) for i, v in enumerate(verts) if i != j)
-            out.append(SignedIncidence(self.index_of(face), -1 if j % 2 else 1))
-        return out
-
 
 def build_complex(vertices: np.ndarray, cells: np.ndarray) -> SimplicialComplex:
     """Build a 2-D simplicial complex from vertex coordinates and triangles.
@@ -210,13 +135,16 @@ def build_complex(vertices: np.ndarray, cells: np.ndarray) -> SimplicialComplex:
     Raises
     ------
     ValueError
-        On out-of-range or repeated vertex indices, duplicate cells,
-        degenerate (zero-area) cells, unreferenced vertices, or a
-        non-manifold edge (more than two cofaces).
+        On non-finite coordinates, out-of-range or repeated vertex indices,
+        duplicate cells, degenerate (zero-area) cells, unreferenced
+        vertices, or a non-manifold edge (more than two cofaces).
     """
     vertices = np.ascontiguousarray(np.asarray(vertices, dtype=np.float64))
     if vertices.ndim != 2 or vertices.shape[1] != 2:
         raise ValueError("vertices must have shape (V, 2); this library is two-dimensional")
+    finite = np.isfinite(vertices).all(axis=1)
+    if not finite.all():
+        raise ValueError(f"vertex {int(np.argmin(finite))} has a non-finite coordinate")
     cells = np.asarray(cells, dtype=np.int64)
     if cells.ndim != 2 or cells.shape[1] != 3:
         raise ValueError("cells must have shape (T, 3)")

@@ -24,18 +24,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .complex import Simplex, SimplicialComplex
+from .complex import SimplicialComplex
 
 __all__ = [
-    "circumcenter",
-    "primal_volume",
     "triangle_circumcenters",
     "is_well_centered",
     "well_centered_margin",
     "DualComplex",
-    "DiamondCell",
     "build_dual",
-    "diamond_cells",
     "diamond_volumes",
     "check_centroid_condition",
 ]
@@ -46,47 +42,6 @@ WELL_CENTERED_TOL = 1e-10
 def _cross2(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """z-component of the cross product of stacked planar vectors."""
     return a[..., 0] * b[..., 1] - a[..., 1] * b[..., 0]
-
-
-def circumcenter(points: np.ndarray) -> np.ndarray:
-    """Circumcenter of a k-simplex in R^n.
-
-    Solves 2 V V^T x = diag(V V^T) for the barycentric offsets x along the
-    edge vectors V[i] = p_i - p_0; the returned point lies in the affine
-    span of the inputs and is equidistant from all of them.
-
-    Raises
-    ------
-    ValueError
-        If the points are (nearly) affinely dependent.
-    """
-    pts = np.asarray(points, dtype=np.float64)
-    if pts.ndim != 2:
-        raise ValueError("points must be a (k+1, n) array")
-    if len(pts) == 1:
-        return pts[0].copy()
-    v = pts[1:] - pts[0]
-    gram = 2.0 * (v @ v.T)
-    scale = np.prod(np.diag(gram)) or 1.0
-    if abs(np.linalg.det(gram)) <= 1e-12 * scale:
-        raise ValueError("degenerate simplex: circumcenter system is singular")
-    x = np.linalg.solve(gram, np.einsum("ij,ij->i", v, v))
-    return pts[0] + x @ v
-
-
-def primal_volume(points: np.ndarray) -> float:
-    """Unsigned k-volume of a k-simplex in R^n: sqrt(det(V V^T)) / k!.
-
-    A single point has volume 1 by convention (so that the Hodge ratio
-    formulas are uniform across degrees).  Degenerate simplices get 0.
-    """
-    pts = np.asarray(points, dtype=np.float64)
-    if len(pts) == 1:
-        return 1.0
-    v = pts[1:] - pts[0]
-    det = np.linalg.det(v @ v.T)
-    k = len(pts) - 1
-    return float(np.sqrt(max(det, 0.0)) / np.prod(np.arange(1, k + 1)))
 
 
 def _triangle_circum_bary(pts: np.ndarray) -> np.ndarray:
@@ -129,17 +84,15 @@ def well_centered_margin(K: SimplicialComplex) -> float:
     return float(bary.min())
 
 
-def is_well_centered(
-    K: SimplicialComplex, tol: float = WELL_CENTERED_TOL
-) -> tuple[bool, list[Simplex]]:
+def is_well_centered(K: SimplicialComplex) -> tuple[bool, np.ndarray]:
     """Check that every simplex contains its circumcenter strictly inside.
 
-    Returns (ok, offenders); offenders lists the triangles whose
-    circumcenter has a barycentric coordinate <= tol.
+    Returns (ok, offenders); offenders holds the indices of the triangles
+    whose circumcenter has a barycentric coordinate <= WELL_CENTERED_TOL.
     """
     bary = _triangle_circum_bary(K.vertices[K.simplices(2)])
-    bad = np.where(bary.min(axis=1) <= tol)[0]
-    return len(bad) == 0, [K.simplex(2, int(t)) for t in bad]
+    bad = np.flatnonzero(bary.min(axis=1) <= WELL_CENTERED_TOL)
+    return len(bad) == 0, bad
 
 
 @dataclass
@@ -171,27 +124,6 @@ class DualComplex:
             _cross2(q[:, 1] - q[:, 0], q[:, 2] - q[:, 0])
         )
 
-    def dual_cell_pieces(self, k: int, index: int) -> list[np.ndarray]:
-        """Flag pieces of the dual cell *sigma of the k-simplex `index`.
-
-        Returns a list of coordinate arrays: points (1, 2) for k = 2,
-        segments (2, 2) [c(e), c(T)] for k = 1, and triangles (3, 2)
-        [v, c(e), c(T)] for k = 0.
-        """
-        if k == 2:
-            return [self.centers[2][index][None, :]]
-        if k == 1:
-            mask = self.flag_edge == index
-            # each (e, T) pair appears twice among the flags, once per vertex
-            tris = np.unique(self.flag_tri[mask])
-            return [
-                np.stack([self.centers[1][index], self.centers[2][t]])
-                for t in tris
-            ]
-        if k == 0:
-            return [c for c in self.flag_coords[self.flag_vertex == index]]
-        raise ValueError(f"no {k}-simplices in the plane")
-
 
 def build_dual(K: SimplicialComplex) -> DualComplex:
     """Construct the circumcentric dual of a well-centered complex.
@@ -203,9 +135,11 @@ def build_dual(K: SimplicialComplex) -> DualComplex:
     """
     ok, offenders = is_well_centered(K)
     if not ok:
+        t = offenders[0]
         raise ValueError(
             f"complex is not well-centered: {len(offenders)} triangle(s) do "
-            f"not contain their circumcenter, first {offenders[0].vertices}"
+            f"not contain their circumcenter, first triangle {t} with "
+            f"vertices {K.simplices(2)[t].tolist()}"
         )
 
     tris = K.simplices(2)
@@ -268,40 +202,6 @@ def build_dual(K: SimplicialComplex) -> DualComplex:
     return dual
 
 
-@dataclass(frozen=True)
-class DiamondCell:
-    """Union of full-flag triangles through a k-simplex; contains both the
-    simplex and its dual cell, and over all k-simplices tiles the domain."""
-
-    owner: Simplex
-    pieces: np.ndarray  # (m, 3, 2) flag triangles [v, c(e), c(T)]
-
-    @property
-    def volume(self) -> float:
-        q = self.pieces
-        return float(
-            np.abs(_cross2(q[:, 1] - q[:, 0], q[:, 2] - q[:, 0])).sum() * 0.5
-        )
-
-
-def diamond_cells(
-    K: SimplicialComplex, dual: DualComplex, k: int
-) -> list[DiamondCell]:
-    """Diamond cells dc(sigma) of all k-simplices."""
-    owners = {0: dual.flag_vertex, 1: dual.flag_edge, 2: dual.flag_tri}
-    if k not in owners:
-        raise ValueError(f"no {k}-simplices in the plane")
-    order = np.argsort(owners[k], kind="stable")
-    bounds = np.searchsorted(owners[k][order], np.arange(K.n_simplices(k) + 1))
-    return [
-        DiamondCell(
-            owner=K.simplex(k, i),
-            pieces=dual.flag_coords[order[bounds[i] : bounds[i + 1]]],
-        )
-        for i in range(K.n_simplices(k))
-    ]
-
-
 def diamond_volumes(K: SimplicialComplex, dual: DualComplex, k: int) -> np.ndarray:
     """|dc(sigma)| for every k-simplex sigma (unsigned flag-area sums)."""
     owners = {0: dual.flag_vertex, 1: dual.flag_edge, 2: dual.flag_tri}
@@ -313,7 +213,7 @@ def diamond_volumes(K: SimplicialComplex, dual: DualComplex, k: int) -> np.ndarr
 
 
 def check_centroid_condition(
-    K: SimplicialComplex, dual: DualComplex, k: int, tol: float = 1e-12
+    K: SimplicialComplex, dual: DualComplex, k: int
 ) -> tuple[bool, float]:
     """Compare centroid(sigma) with centroid(*sigma) over interior k-simplices.
 
@@ -327,7 +227,8 @@ def check_centroid_condition(
     Returns
     -------
     (ok, max_deviation) : ok is true iff the maximum Euclidean deviation
-    over interior k-simplices is <= tol (vacuously true if there are none).
+    over interior k-simplices is <= 1e-12 (vacuously true if there are
+    none).
     """
     nk = K.n_simplices(k)
     primal_centroid = K.vertices[K.simplices(k)].mean(axis=1)
@@ -357,4 +258,4 @@ def check_centroid_condition(
         return True, 0.0
     dev = np.linalg.norm((primal_centroid - dual_centroid)[interior], axis=1)
     max_dev = float(dev.max())
-    return max_dev <= tol, max_dev
+    return max_dev <= 1e-12, max_dev

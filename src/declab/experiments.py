@@ -39,7 +39,6 @@ from .meshes import MeshFamilySpec, build_mesh
 from .operators import (
     codifferential_matrix,
     commuting_j_check,
-    discrete_inner,
     discrete_norm,
     hodge_laplacian_matrix,
     j_interpolant,
@@ -260,7 +259,7 @@ def diagnostics(K: SimplicialComplex, dual: DualComplex, k: int) -> str:
     lines = [f"diagnostics for k={k} on {K.n_simplices(2)} triangles"]
 
     interior = (~K.is_boundary(k)).sum()
-    ok, dev = check_centroid_condition(K, dual, k, tol=1e-12)
+    ok, dev = check_centroid_condition(K, dual, k)
     if interior == 0:
         lines.append(
             f"centroid condition: VACUOUS (no interior {k}-simplices)"

@@ -106,8 +106,8 @@ class Poly2:
     def max_abs(self) -> float:
         return float(np.abs(self.coeffs).max())
 
-    def is_zero(self, tol: float = 0.0) -> bool:
-        return self.max_abs() <= tol
+    def is_zero(self) -> bool:
+        return not self.coeffs.any()
 
     def coefficient(self, i: int, j: int) -> float:
         n, m = self.coeffs.shape
@@ -236,8 +236,8 @@ class PolyForm:
     def poly_degree(self) -> int:
         return max(c.degree for c in self.components)
 
-    def is_zero(self, tol: float = 0.0) -> bool:
-        return all(c.is_zero(tol) for c in self.components)
+    def is_zero(self) -> bool:
+        return all(c.is_zero() for c in self.components)
 
 
 def exterior_derivative(form: PolyForm) -> PolyForm:
@@ -415,19 +415,16 @@ def integrate_over_simplex(
 # ---------------------------------------------------------------------------
 
 
-def de_rham(
-    K: SimplicialComplex, form: PolyForm, rule_degree: int | None = None
-) -> np.ndarray:
+def de_rham(K: SimplicialComplex, form: PolyForm) -> np.ndarray:
     """Integrate a k-form over every oriented k-simplex of the complex.
 
     Vertices get point values; edges get line integrals along the
     ascending-vertex tangent; triangles get area integrals signed by the
     orientation of the ascending vertex tuple.  Quadrature is sized to the
-    polynomial degree (or ``rule_degree`` if given), so values are exact
-    up to roundoff.
+    polynomial degree, so values are exact up to roundoff.
     """
     k = form.degree
-    d = form.poly_degree if rule_degree is None else rule_degree
+    d = form.poly_degree
     if k == 0:
         return form.components[0](K.vertices[:, 0], K.vertices[:, 1])
     if k == 1:

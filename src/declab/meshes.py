@@ -200,9 +200,11 @@ def perturbed_mesh(m: int, seed: int, alpha: float = 0.15) -> SimplicialComplex:
     K = build_complex(coords, cells)
     ok, offenders = is_well_centered(K)
     if not ok:
+        t = offenders[0]
         raise MeshError(
             f"perturbed mesh lost well-centeredness at {len(offenders)} "
-            f"triangle(s), first {offenders[0].vertices}"
+            f"triangle(s), first triangle {t} with vertices "
+            f"{K.simplices(2)[t].tolist()}"
         )
     return K
 

@@ -15,9 +15,9 @@ Equivalently, row sigma of delta_k reads off the cofaces of sigma:
     (delta_k u)_sigma = b_sigma * sum_{tau > sigma} sign(sigma, tau)
                                                   * a_tau * u_tau ,
 
-the flux form of the operator on the dual complex;
-`codifferential_matrix_stencil` builds it that way so the two independent
-code paths can be compared entry by entry.
+the flux form of the operator on the dual complex.  The test suite
+assembles that stencil row by row as an oracle and compares it with the
+transpose construction entry by entry.
 
 Boundary conditions are imposed implicitly: the transpose construction
 never references dual cells of boundary simplices "from outside", which is
@@ -53,15 +53,10 @@ from .forms import (
 __all__ = [
     "star_matrix",
     "star_inverse_matrix",
-    "hodge_star_apply",
-    "hodge_star_inverse_apply",
     "codifferential_matrix",
-    "codifferential_matrix_stencil",
     "hodge_laplacian_matrix",
     "discrete_inner",
     "discrete_norm",
-    "dual_discrete_inner",
-    "dual_discrete_norm",
     "j_interpolant",
     "pi_minus_j",
     "commuting_j_check",
@@ -80,22 +75,6 @@ def star_inverse_matrix(dual: DualComplex, k: int) -> sp.csr_matrix:
     return sp.diags(dual.hodge_ratio_b[k], format="csr")
 
 
-def hodge_star_apply(dual: DualComplex, k: int, w: np.ndarray) -> np.ndarray:
-    """Dual-cell values of the starred cochain: <*w, *sigma> = a_sigma w_sigma."""
-    w = np.asarray(w, dtype=np.float64)
-    if w.shape != (dual.complex.n_simplices(k),):
-        raise ValueError(f"cochain length {w.shape} does not match degree {k}")
-    return dual.hodge_ratio_a[k] * w
-
-
-def hodge_star_inverse_apply(dual: DualComplex, k: int, w: np.ndarray) -> np.ndarray:
-    """Inverse star: multiply dual-cell values by b_sigma."""
-    w = np.asarray(w, dtype=np.float64)
-    if w.shape != (dual.complex.n_simplices(k),):
-        raise ValueError(f"cochain length {w.shape} does not match degree {k}")
-    return dual.hodge_ratio_b[k] * w
-
-
 def codifferential_matrix(
     K: SimplicialComplex, dual: DualComplex, k: int
 ) -> sp.csr_matrix:
@@ -106,34 +85,6 @@ def codifferential_matrix(
     return (
         star_inverse_matrix(dual, k - 1) @ (d.T.tocsr() @ star_matrix(dual, k))
     ).tocsr()
-
-
-def codifferential_matrix_stencil(
-    K: SimplicialComplex, dual: DualComplex, k: int
-) -> sp.csr_matrix:
-    """delta_k assembled row by row from coface stencils.
-
-    Independent of the transpose construction: row sigma collects
-    b_sigma * sign(sigma, tau) * a_tau over the cofaces tau of sigma.
-    """
-    if not 1 <= k <= K.dim:
-        raise ValueError(f"codifferential is defined for 1 <= k <= {K.dim}")
-    a = dual.hodge_ratio_a[k]
-    b = dual.hodge_ratio_b[k - 1]
-    rows: list[int] = []
-    cols: list[int] = []
-    vals: list[float] = []
-    for sigma in range(K.n_simplices(k - 1)):
-        for inc in K.cofaces(k - 1, sigma):
-            rows.append(sigma)
-            cols.append(inc.index)
-            vals.append(b[sigma] * (inc.sign * a[inc.index]))
-    mat = sp.csr_matrix(
-        (vals, (rows, cols)),
-        shape=(K.n_simplices(k - 1), K.n_simplices(k)),
-    )
-    mat.sort_indices()
-    return mat
 
 
 def hodge_laplacian_matrix(
@@ -160,19 +111,6 @@ def discrete_inner(dual: DualComplex, k: int, u: np.ndarray, v: np.ndarray) -> f
 
 def discrete_norm(dual: DualComplex, k: int, u: np.ndarray) -> float:
     return float(np.sqrt(np.sum(dual.hodge_ratio_a[k] * u * u)))
-
-
-def dual_discrete_inner(
-    dual: DualComplex, k: int, u: np.ndarray, v: np.ndarray
-) -> float:
-    """Dual-cell inner product [[u, v]]_* = sum b_sigma u_sigma v_sigma."""
-    if len(u) != len(v):
-        raise ValueError("cochain lengths differ")
-    return float(np.sum(dual.hodge_ratio_b[k] * u * v))
-
-
-def dual_discrete_norm(dual: DualComplex, k: int, u: np.ndarray) -> float:
-    return float(np.sqrt(np.sum(dual.hodge_ratio_b[k] * u * u)))
 
 
 def j_interpolant(
@@ -296,15 +234,13 @@ def whitney_evaluate(
     return vals
 
 
-def l2_norm_whitney(
-    K: SimplicialComplex, k: int, cochain: np.ndarray, rule_degree: int = 4
-) -> float:
+def l2_norm_whitney(K: SimplicialComplex, k: int, cochain: np.ndarray) -> float:
     """L2 norm over the domain of the Whitney reconstruction of a cochain.
 
     Element-wise quadrature of |W w|^2; the integrand is quadratic, so the
-    default rule degree 4 is already more than exact.
+    degree-4 rule is already more than exact.
     """
-    rule = triangle_rule(rule_degree)
+    rule = triangle_rule(4)
     xi, w = rule.points, rule.weights
     lam = np.concatenate([(1.0 - xi.sum(axis=1))[:, None], xi], axis=1)  # (q, 3)
     p0, _, _, inv, det = _triangle_frames(K)

@@ -1,10 +1,8 @@
-"""Sparse symmetric linear algebra: CSR wrappers and preconditioned CG.
+"""Jacobi-preconditioned conjugate gradient for symmetric sparse systems.
 
-Matrices are scipy CSR (compressed row storage with sorted column indices);
-the thin wrappers below add the shape checking and normalization the rest
-of the package relies on.  The solver is a hand-rolled conjugate gradient
-with optional Jacobi preconditioning and optional deflation of the
-constant vector — the k = 0 Hodge-Laplacian system
+Matrices are scipy sparse, converted to CSR on entry.  The solver is a
+hand-rolled conjugate gradient with Jacobi preconditioning and optional
+deflation of the constant vector — the k = 0 Hodge-Laplacian system
 
     M x = b,   M = S_0 L_0 = D_0^T S_1 D_0
 
@@ -22,56 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 
-__all__ = [
-    "SolverConfig",
-    "SolverResult",
-    "SolverError",
-    "cg_solve",
-    "spmv",
-    "spgemm",
-    "transpose",
-    "diag_vector",
-    "from_coo",
-]
-
-
-def spmv(A: sp.spmatrix, x: np.ndarray) -> np.ndarray:
-    """Sparse matrix-vector product with an explicit shape check."""
-    x = np.asarray(x)
-    if A.shape[1] != x.shape[0]:
-        raise ValueError(f"shape mismatch: {A.shape} @ {x.shape}")
-    return A @ x
-
-
-def spgemm(A: sp.spmatrix, B: sp.spmatrix) -> sp.csr_matrix:
-    """Sparse matrix product; duplicates merged, indices sorted."""
-    if A.shape[1] != B.shape[0]:
-        raise ValueError(f"shape mismatch: {A.shape} @ {B.shape}")
-    C = (A @ B).tocsr()
-    C.sum_duplicates()
-    C.sort_indices()
-    return C
-
-
-def transpose(A: sp.spmatrix) -> sp.csr_matrix:
-    out = A.T.tocsr()
-    out.sort_indices()
-    return out
-
-
-def diag_vector(A: sp.spmatrix) -> np.ndarray:
-    return A.diagonal()
-
-
-def from_coo(
-    rows, cols, vals, shape: tuple[int, int]
-) -> sp.csr_matrix:
-    """Assemble CSR from triplets: duplicates summed, zeros dropped."""
-    A = sp.csr_matrix((vals, (rows, cols)), shape=shape)
-    A.sum_duplicates()
-    A.eliminate_zeros()
-    A.sort_indices()
-    return A
+__all__ = ["SolverConfig", "SolverResult", "SolverError", "cg_solve"]
 
 
 @dataclass
@@ -85,14 +34,11 @@ class SolverConfig:
 
     tol: float = 1e-12
     max_iterations: int | None = None
-    preconditioner: str = "jacobi"  # "jacobi" | "none"
     deflate_constants: bool = False
 
     def __post_init__(self):
         if self.tol <= 0:
             raise ValueError("tolerance must be positive")
-        if self.preconditioner not in ("jacobi", "none"):
-            raise ValueError(f"unknown preconditioner {self.preconditioner!r}")
 
 
 @dataclass
@@ -135,9 +81,13 @@ def cg_solve(
 
     Raises
     ------
+    ValueError
+        On a non-square matrix, a mismatched or non-finite right-hand side,
+        or deflation without star weights.
     SolverError
-        On detected asymmetry or non-convergence within the iteration
-        budget (the message reports the best residual reached).
+        On detected asymmetry, a non-positive (or NaN) curvature p^T M p,
+        or non-convergence within the iteration budget (the message
+        reports the best residual reached).
     """
     cfg = config or SolverConfig()
     M = M.tocsr()
@@ -147,6 +97,8 @@ def cg_solve(
     b = np.asarray(b, dtype=np.float64)
     if b.shape != (n,):
         raise ValueError(f"right-hand side shape {b.shape} != ({n},)")
+    if not np.isfinite(b).all():
+        raise ValueError("right-hand side has non-finite entries")
     _check_symmetry(M)
 
     if cfg.deflate_constants:
@@ -164,15 +116,12 @@ def cg_solve(
     if norm_b == 0.0:
         return SolverResult(x, 0.0, 0, [0.0])
 
-    if cfg.preconditioner == "jacobi":
-        d = M.diagonal().copy()
-        d[d <= 0.0] = 1.0
-        inv_d = 1.0 / d
-    else:
-        inv_d = None
+    d = M.diagonal().copy()
+    d[d <= 0.0] = 1.0
+    inv_d = 1.0 / d
 
     r = b.copy()
-    z = r * inv_d if inv_d is not None else r.copy()
+    z = r * inv_d
     p = z.copy()
     rho = float(r @ z)
     history = [norm_b]
@@ -183,7 +132,7 @@ def cg_solve(
     for iterations in range(1, max_iterations + 1):
         q = M @ p
         pq = float(p @ q)
-        if pq <= 0.0:
+        if not pq > 0.0:  # also catches a NaN from non-finite entries of M
             raise SolverError(
                 f"matrix is not positive definite on the Krylov space "
                 f"(p^T M p = {pq:.3e} at iteration {iterations})"
@@ -197,7 +146,7 @@ def cg_solve(
         if norm_r <= cfg.tol * norm_b:
             converged = True
             break
-        z = r * inv_d if inv_d is not None else r
+        z = r * inv_d
         rho_new = float(r @ z)
         p = z + (rho_new / rho) * p
         rho = rho_new

@@ -119,6 +119,16 @@ def test_dual_report_consistency(capsys):
         assert int(bd_s) == int(K.is_boundary(k)[i])
 
 
+@pytest.mark.parametrize("bad", ["nan", "inf"])
+def test_dual_report_rejects_non_finite_mesh_file(tmp_path, capsys, bad):
+    path = tmp_path / "mesh.txt"
+    path.write_text(f"2 3 1\n0 0\n1 0\n0.5 {bad}\n0 1 2\n")
+    assert main(["dual-report", "--mesh", str(path)]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "vertex 2 has a non-finite coordinate" in err
+
+
 def test_dual_report_requires_mesh_or_level(capsys):
     assert main(["dual-report"]) == 1
     assert "either --mesh or --level" in capsys.readouterr().err
@@ -163,17 +173,6 @@ def test_dump_operators_section_lists_by_degree(capsys):
     assert main(["dump-operators", "--k", "2", "--level", "1"]) == 0
     out2 = capsys.readouterr().out
     assert "coboundary_d2" not in out2 and "codifferential_2" in out2
-
-
-# -- selftest -----------------------------------------------------------------
-
-
-def test_selftest_forms_all_pass(capsys):
-    assert main(["selftest-forms"]) == 0
-    out = capsys.readouterr().out
-    assert out.count("PASS") == 14
-    assert "FAIL" not in out
-    assert out.strip().endswith("OK: 0 failures")
 
 
 # -- packaging ----------------------------------------------------------------

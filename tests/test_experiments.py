@@ -16,7 +16,6 @@ from declab import (
     build_dual,
     codifferential,
     codifferential_matrix,
-    codifferential_matrix_stencil,
     compute_errors,
     de_rham,
     diagnostics,
@@ -31,6 +30,7 @@ from declab import (
     star_matrix,
     symmetric_mesh,
 )
+from oracles import codifferential_matrix_stencil
 
 
 def _mesh(family: str, level: int, seed: int = 1):

@@ -91,7 +91,7 @@ def test_symmetric_geometry():
         assert K.vertices[:, 0].max() == 1.0
         assert K.vertices[:, 1].max() == pytest.approx(SQRT3 / 2, rel=1e-15)
         ok, offenders = is_well_centered(K)
-        assert ok and not offenders
+        assert ok and len(offenders) == 0
 
 
 def test_symmetric_vertices_are_lexicographically_ordered():

@@ -23,17 +23,13 @@ from declab import (
     build_dual,
     codifferential,
     codifferential_matrix,
-    codifferential_matrix_stencil,
     commuting_j_check,
     de_rham,
     discrete_inner,
     discrete_norm,
-    dual_discrete_norm,
     exterior_derivative,
     gauss_legendre_unit,
     hodge_laplacian_matrix,
-    hodge_star_apply,
-    hodge_star_inverse_apply,
     j_interpolant,
     l2_norm_whitney,
     manufactured_solution,
@@ -44,6 +40,7 @@ from declab import (
     symmetric_mesh,
     whitney_evaluate,
 )
+from oracles import codifferential_matrix_stencil
 
 SQRT3 = np.sqrt(3.0)
 
@@ -63,8 +60,7 @@ def test_star_ratios_on_symmetric_mesh():
     K, dual = _with_dual(symmetric_mesh(2))
     ell = 2.0**-2
     interior = ~K.is_boundary(1)
-    ones = np.ones(K.n_simplices(1))
-    starred = hodge_star_apply(dual, 1, ones)
+    starred = star_matrix(dual, 1).diagonal()
     np.testing.assert_allclose(starred[interior], 1 / SQRT3, rtol=1e-13)
     np.testing.assert_allclose(starred[~interior], 1 / (2 * SQRT3), rtol=1e-13)
     # triangles: a_T = 1/|T|
@@ -79,7 +75,7 @@ def test_star_inverse_round_trip():
     rng = np.random.default_rng(0)
     for k in range(3):
         w = rng.standard_normal(K.n_simplices(k))
-        back = hodge_star_inverse_apply(dual, k, hodge_star_apply(dual, k, w))
+        back = star_inverse_matrix(dual, k) @ (star_matrix(dual, k) @ w)
         np.testing.assert_allclose(back, w, rtol=1e-13)
         prod = star_inverse_matrix(dual, k) @ star_matrix(dual, k)
         np.testing.assert_allclose(prod.diagonal(), 1.0, rtol=1e-14)
@@ -145,7 +141,7 @@ def test_laplacian_interior_vertex_stencil():
     interior = np.flatnonzero(~K.is_boundary(0))
     edges = K.simplices(1)
     for v in interior:
-        incident = [inc.index for inc in K.cofaces(0, v)]
+        incident = np.flatnonzero((edges == v).any(axis=1))
         assert len(incident) == 6
         neighbours = [edges[e, 0] + edges[e, 1] - v for e in incident]
         expected = 2.0 / (3.0 * ell**2) * sum(u[v] - u[w] for w in neighbours)
@@ -195,11 +191,6 @@ def test_discrete_inner_and_norms():
     # [[1, 1]]_0 = sum of dual areas = domain area
     assert discrete_inner(dual, 0, u, u) == pytest.approx(SQRT3 / 4, rel=1e-12)
     assert discrete_norm(dual, 0, u) == pytest.approx(np.sqrt(SQRT3 / 4), rel=1e-12)
-    w = np.ones(K.n_simplices(2))
-    # dual norm weights by b = 1/a
-    assert dual_discrete_norm(dual, 2, w) == pytest.approx(
-        np.sqrt(SQRT3 / 4), rel=1e-12
-    )
     with pytest.raises(ValueError):
         discrete_inner(dual, 0, u, u[:-1])
 
