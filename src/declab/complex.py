@@ -136,7 +136,7 @@ def build_complex(vertices: np.ndarray, cells: np.ndarray) -> SimplicialComplex:
     ------
     ValueError
         On non-finite coordinates, out-of-range or repeated vertex indices,
-        duplicate cells, degenerate (zero-area) cells, unreferenced
+        duplicate cells, zero-area or overflowing cells, unreferenced
         vertices, or a non-manifold edge (more than two cofaces).
     """
     vertices = np.ascontiguousarray(np.asarray(vertices, dtype=np.float64))
@@ -164,9 +164,9 @@ def build_complex(vertices: np.ndarray, cells: np.ndarray) -> SimplicialComplex:
     e1, e2 = p[:, 1] - p[:, 0], p[:, 2] - p[:, 0]
     cross = e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0]
     scale = np.max(np.abs(p - p[:, :1]), axis=(1, 2)) ** 2 + np.finfo(np.float64).tiny
-    if np.any(np.abs(cross) <= 1e-12 * scale):
+    if not (np.abs(cross) > 1e-12 * scale).all():  # also rejects overflow to NaN
         bad = int(np.argmin(np.abs(cross) / scale))
-        raise ValueError(f"cell {bad} is degenerate (zero area)")
+        raise ValueError(f"cell {bad} is degenerate (zero or non-finite area)")
 
     order = np.lexsort(tris.T[::-1])
     tris = tris[order]

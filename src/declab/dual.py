@@ -88,10 +88,11 @@ def is_well_centered(K: SimplicialComplex) -> tuple[bool, np.ndarray]:
     """Check that every simplex contains its circumcenter strictly inside.
 
     Returns (ok, offenders); offenders holds the indices of the triangles
-    whose circumcenter has a barycentric coordinate <= WELL_CENTERED_TOL.
+    whose circumcenter barycentric coordinates are not all above
+    WELL_CENTERED_TOL (so a NaN from overflow counts as offending).
     """
     bary = _triangle_circum_bary(K.vertices[K.simplices(2)])
-    bad = np.flatnonzero(bary.min(axis=1) <= WELL_CENTERED_TOL)
+    bad = np.flatnonzero(~(bary.min(axis=1) > WELL_CENTERED_TOL))
     return len(bad) == 0, bad
 
 

@@ -102,10 +102,10 @@ def solve_problem(
     M = (S @ L).tocsr()
     rhs = S @ de_rham(K, f)
 
-    cfg = SolverConfig(
-        tol=tol, max_iterations=max_iterations, deflate_constants=(k == 0)
-    )
-    result = cg_solve(M, rhs, cfg, star_weights=dual.hodge_ratio_a[k])
+    cfg = SolverConfig(tol=tol, max_iterations=max_iterations)
+    # deflate the constant nullspace of the k = 0 system
+    weights = dual.hodge_ratio_a[0] if k == 0 else None
+    result = cg_solve(M, rhs, cfg, star_weights=weights)
     u_h = result.x
 
     if k == 0:

@@ -30,7 +30,10 @@ against.  Evaluation returns float64.
 Quadrature: Gauss-Legendre on [0, 1] for line integrals, and a collapsed
 tensor-product (Duffy) rule on the reference triangle
 {(x, y) : x, y >= 0, x + y <= 1} that is exact for any requested total
-degree.
+degree.  One private kernel, ``_integrate_simplices``, integrates a k-form
+over a stack of oriented k-simplices given by their corners; the primal
+de Rham map, the dual de Rham map (over circumcenters, dual segments and
+flag triangles) and ``integrate_over_simplex`` all go through it.
 """
 
 from __future__ import annotations
@@ -40,7 +43,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .complex import SimplicialComplex
-from .dual import DualComplex
+from .dual import DualComplex, _cross2
 
 __all__ = [
     "Poly2",
@@ -370,6 +373,42 @@ def triangle_rule(degree: int) -> QuadratureRule:
     return QuadratureRule(pts, w, degree)
 
 
+def _integrate_simplices(
+    form: PolyForm, corners: np.ndarray, rule: QuadratureRule | None = None
+) -> np.ndarray:
+    """Integrals of a k-form over N oriented k-simplices: the one quadrature
+    kernel behind every de Rham map.
+
+    corners: (N, k+1, 2); the vertex order of each row is its orientation.
+    k = 0 takes point values, k = 1 a Gauss-Legendre rule along each segment
+    applied to (P, Q) . t, and k = 2 the collapsed triangle rule times the
+    signed determinant of the edge vectors.  Without a rule, the rule is
+    sized to the polynomial degree, so values are exact up to roundoff.
+    Rules are built per call through the module-level constructors (no
+    cache), so a wrapper installed on those names sees every rule built.
+    """
+    k = form.degree
+    p0 = corners[:, 0]
+    if k == 0:
+        return form.components[0](p0[:, 0], p0[:, 1])
+    if rule is None:
+        if k == 1:
+            rule = gauss_legendre_unit(max(10, form.poly_degree // 2 + 1))
+        else:
+            rule = triangle_rule(max(form.poly_degree, 2))
+    xi = rule.points.reshape(len(rule.weights), k)
+    pts = p0[:, None, :]
+    for i in range(k):
+        pts = pts + xi[None, :, i, None] * (corners[:, i + 1] - p0)[:, None, :]
+    vals = [c(pts[..., 0], pts[..., 1]) for c in form.components]
+    # edge vectors are formed again here rather than kept alive through the
+    # evaluation above, which is where de Rham maps peak in memory
+    e1 = corners[:, 1] - p0
+    if k == 1:
+        return (vals[0] * e1[:, None, 0] + vals[1] * e1[:, None, 1]) @ rule.weights
+    return _cross2(e1, corners[:, 2] - p0) * (vals[0] @ rule.weights)
+
+
 def integrate_over_simplex(
     form: PolyForm, simplex: np.ndarray, rule: QuadratureRule | None = None
 ) -> float:
@@ -389,25 +428,7 @@ def integrate_over_simplex(
             f"rule exact to degree {rule.exactness} cannot integrate a "
             f"degree-{form.poly_degree} form"
         )
-    if k == 0:
-        return float(form.components[0](pts[0, 0], pts[0, 1]))
-    if k == 1:
-        if rule is None:
-            rule = gauss_legendre_unit(max(10, form.poly_degree // 2 + 1))
-        t, w = rule.points, rule.weights
-        tang = pts[1] - pts[0]
-        q = pts[0][None, :] + t[:, None] * tang[None, :]
-        px = form.components[0](q[:, 0], q[:, 1])
-        qy = form.components[1](q[:, 0], q[:, 1])
-        return float((px * tang[0] + qy * tang[1]) @ w)
-    if rule is None:
-        rule = triangle_rule(max(form.poly_degree, 2))
-    xi, w = rule.points, rule.weights
-    e1, e2 = pts[1] - pts[0], pts[2] - pts[0]
-    det = e1[0] * e2[1] - e1[1] * e2[0]
-    q = pts[0][None, :] + xi[:, 0, None] * e1[None, :] + xi[:, 1, None] * e2[None, :]
-    vals = form.components[0](q[:, 0], q[:, 1])
-    return float(det * (vals @ w))
+    return float(_integrate_simplices(form, pts[None], rule)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -423,34 +444,7 @@ def de_rham(K: SimplicialComplex, form: PolyForm) -> np.ndarray:
     orientation of the ascending vertex tuple.  Quadrature is sized to the
     polynomial degree, so values are exact up to roundoff.
     """
-    k = form.degree
-    d = form.poly_degree
-    if k == 0:
-        return form.components[0](K.vertices[:, 0], K.vertices[:, 1])
-    if k == 1:
-        rule = gauss_legendre_unit(max(10, d // 2 + 1))
-        t, w = rule.points, rule.weights
-        edges = K.simplices(1)
-        a = K.vertices[edges[:, 0]]
-        tang = K.vertices[edges[:, 1]] - a
-        pts = a[:, None, :] + t[None, :, None] * tang[:, None, :]
-        px = form.components[0](pts[..., 0], pts[..., 1])
-        qy = form.components[1](pts[..., 0], pts[..., 1])
-        return (px * tang[:, None, 0] + qy * tang[:, None, 1]) @ w
-    rule = triangle_rule(max(d, 2))
-    xi, w = rule.points, rule.weights
-    tris = K.simplices(2)
-    p0 = K.vertices[tris[:, 0]]
-    e1 = K.vertices[tris[:, 1]] - p0
-    e2 = K.vertices[tris[:, 2]] - p0
-    det = e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0]
-    pts = (
-        p0[:, None, :]
-        + xi[None, :, 0, None] * e1[:, None, :]
-        + xi[None, :, 1, None] * e2[:, None, :]
-    )
-    vals = form.components[0](pts[..., 0], pts[..., 1])
-    return det * (vals @ w)
+    return _integrate_simplices(form, K.vertices[K.simplices(form.degree)])
 
 
 def de_rham_dual(
@@ -470,40 +464,22 @@ def de_rham_dual(
         over the flag triangles).
     """
     m = form.degree
+    c = dual.centers
     if m == 0:
-        c = dual.centers[2]
-        return dual.tri_orientation * form.components[0](c[:, 0], c[:, 1])
+        return dual.tri_orientation * _integrate_simplices(form, c[2][:, None, :])
     if m == 1:
-        rule = gauss_legendre_unit(max(10, form.poly_degree // 2 + 1))
-        t, w = rule.points, rule.weights
-        e_idx = dual.flag_edge[::2]
-        t_idx = dual.flag_tri[::2]
-        a = dual.centers[1][e_idx]
-        seg = dual.centers[2][t_idx] - a
-        edges = K.simplices(1)
-        tang = K.vertices[edges[e_idx, 1]] - K.vertices[edges[e_idx, 0]]
-        rot = np.stack([-tang[:, 1], tang[:, 0]], axis=1)
-        sign = np.where(np.einsum("ij,ij->i", seg, rot) >= 0.0, 1.0, -1.0)
-        pts = a[:, None, :] + t[None, :, None] * seg[:, None, :]
-        px = form.components[0](pts[..., 0], pts[..., 1])
-        qy = form.components[1](pts[..., 0], pts[..., 1])
-        vals = sign * ((px * seg[:, None, 0] + qy * seg[:, None, 1]) @ w)
-        out = np.zeros(K.n_simplices(1))
-        np.add.at(out, e_idx, vals)
-        return out
-    rule = triangle_rule(max(form.poly_degree, 2))
-    xi, w = rule.points, rule.weights
-    q = dual.flag_coords
-    p0 = q[:, 0]
-    e1 = q[:, 1] - p0
-    e2 = q[:, 2] - p0
-    adet = np.abs(e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0])
-    pts = (
-        p0[:, None, :]
-        + xi[None, :, 0, None] * e1[:, None, :]
-        + xi[None, :, 1, None] * e2[:, None, :]
-    )
-    vals = form.components[0](pts[..., 0], pts[..., 1])
-    out = np.zeros(K.n_simplices(0))
-    np.add.at(out, dual.flag_vertex, adet * (vals @ w))
+        owner = dual.flag_edge[::2]
+        cells = np.stack([c[1][owner], c[2][dual.flag_tri[::2]]], axis=1)
+        # +1 where the dual segment runs along the +90-degree rotation of e
+        tang = np.diff(K.vertices[K.simplices(1)[owner]], axis=1)[:, 0]
+        sign = np.sign(_cross2(tang, cells[:, 1] - cells[:, 0]))
+    else:
+        owner = dual.flag_vertex
+        cells = dual.flag_coords
+        # the kernel signs each flag integral by its vertex order; multiply
+        # that sign back out (|integral| would also drop the form's sign)
+        e1, e2 = cells[:, 1] - cells[:, 0], cells[:, 2] - cells[:, 0]
+        sign = np.sign(_cross2(e1, e2))
+    out = np.zeros(K.n_simplices(2 - m))
+    np.add.at(out, owner, sign * _integrate_simplices(form, cells))
     return out

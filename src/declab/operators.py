@@ -40,7 +40,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .complex import SimplicialComplex
-from .dual import DualComplex
+from .dual import DualComplex, _cross2
 from .forms import (
     PolyForm,
     codifferential,
@@ -157,31 +157,50 @@ def commuting_j_check(
 # ---------------------------------------------------------------------------
 
 
-def _triangle_frames(K: SimplicialComplex):
-    """Per-triangle affine data: origin, edge vectors, inverse map, signed det."""
-    tris = K.simplices(2)
-    p0 = K.vertices[tris[:, 0]]
-    e1 = K.vertices[tris[:, 1]] - p0
-    e2 = K.vertices[tris[:, 2]] - p0
-    det = e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0]
-    inv = np.empty((len(tris), 2, 2))
-    inv[:, 0, 0] = e2[:, 1] / det
-    inv[:, 0, 1] = -e2[:, 0] / det
-    inv[:, 1, 0] = -e1[:, 1] / det
-    inv[:, 1, 1] = e1[:, 0] / det
-    return p0, e1, e2, inv, det
+def _triangle_frames(K: SimplicialComplex, t: np.ndarray):
+    """Origins (T, 2), barycentric gradients (T, 3, 2) and signed
+    determinants (T,) of the triangles with indices t."""
+    pts = K.vertices[K.simplices(2)[t]]
+    p0 = pts[:, 0]
+    e1 = pts[:, 1] - p0
+    e2 = pts[:, 2] - p0
+    det = _cross2(e1, e2)
+    # grad lambda_1 and grad lambda_2 are the rotated opposite edges over det
+    g1 = np.stack([e2[:, 1], -e2[:, 0]], axis=1) / det[:, None]
+    g2 = np.stack([-e1[:, 1], e1[:, 0]], axis=1) / det[:, None]
+    return p0, np.stack([-(g1 + g2), g1, g2], axis=1), det
 
 
-def _barycentric_gradients(inv: np.ndarray) -> np.ndarray:
-    """(T, 3, 2) gradients of the barycentric coordinates."""
-    grads = np.empty((inv.shape[0], 3, 2))
-    grads[:, 1] = inv[:, 0]
-    grads[:, 2] = inv[:, 1]
-    grads[:, 0] = -(grads[:, 1] + grads[:, 2])
-    return grads
-
-
-_WHITNEY_EDGE_PAIRS = ((0, 1), (0, 2), (1, 2))  # matches cell_edges order
+def _whitney_field(
+    K: SimplicialComplex,
+    k: int,
+    cochain: np.ndarray,
+    t: np.ndarray,
+    lam: np.ndarray,
+    grads: np.ndarray,
+    det: np.ndarray,
+) -> np.ndarray:
+    """Whitney reconstruction of a k-cochain on triangles t at the shared
+    barycentric points lam (q, 3), given the triangles' frames; the basis
+    is the one documented in `whitney_evaluate`.  Returns (T, q) values for
+    k = 0, 2 and (T, q, 2) vector proxies for k = 1.
+    """
+    if k == 0:
+        return np.einsum("tv,qv->tq", cochain[K.simplices(2)[t]], lam)
+    if k == 1:
+        field = np.zeros((len(t), len(lam), 2))
+        for local, (i, j) in enumerate(((0, 1), (0, 2), (1, 2))):  # cell_edges order
+            u_e = cochain[K.cell_edges[t, local]]
+            wpart = (
+                lam[None, :, i, None] * grads[:, None, j, :]
+                - lam[None, :, j, None] * grads[:, None, i, :]
+            )
+            field += u_e[:, None, None] * wpart
+        return field
+    if k == 2:
+        dens = 2.0 * cochain[t] / det  # s_T / |T|, signed by orientation
+        return np.repeat(dens[:, None], len(lam), axis=1)
+    raise ValueError(f"no {k}-cochains on a 2-complex")
 
 
 def whitney_evaluate(
@@ -204,34 +223,18 @@ def whitney_evaluate(
     Raises
     ------
     ValueError
-        If a point lies outside the triangle.
+        If a point lies outside the triangle or is not finite.
     """
     pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
-    p0, _, _, inv, det = _triangle_frames(K)
-    tris = K.simplices(2)
-    t = int(tri_index)
-
-    xi = (pts - p0[t]) @ inv[t].T
-    lam = np.concatenate([(1.0 - xi.sum(axis=1))[:, None], xi], axis=1)
-    if (lam < -1e-12).any():
-        raise ValueError(f"a point lies outside triangle {tris[t]}")
-
-    if k == 0:
-        return lam @ cochain[tris[t]]
-    if k == 2:
-        s = 1.0 if det[t] > 0 else -1.0
-        val = cochain[t] * s / (0.5 * abs(det[t]))
-        return np.full(len(pts), val)
-    if k != 1:
-        raise ValueError(f"no {k}-cochains on a 2-complex")
-
-    grads = _barycentric_gradients(inv)[t]
-    vals = np.zeros((len(pts), 2))
-    for local, (i, j) in enumerate(_WHITNEY_EDGE_PAIRS):
-        u_e = cochain[K.cell_edges[t, local]]
-        w = lam[:, i, None] * grads[None, j] - lam[:, j, None] * grads[None, i]
-        vals += u_e * w
-    return vals
+    t = np.array([int(tri_index)])
+    p0, grads, det = _triangle_frames(K, t)
+    lam = (pts - p0[0]) @ grads[0].T + [1.0, 0.0, 0.0]  # lambda(p0) = (1, 0, 0)
+    if not (lam >= -1e-12).all():  # also rejects NaN coordinates
+        raise ValueError(
+            f"a point lies outside triangle {K.simplices(2)[t[0]]} "
+            f"or is not finite"
+        )
+    return _whitney_field(K, k, cochain, t, lam, grads, det)[0]
 
 
 def l2_norm_whitney(K: SimplicialComplex, k: int, cochain: np.ndarray) -> float:
@@ -243,29 +246,9 @@ def l2_norm_whitney(K: SimplicialComplex, k: int, cochain: np.ndarray) -> float:
     rule = triangle_rule(4)
     xi, w = rule.points, rule.weights
     lam = np.concatenate([(1.0 - xi.sum(axis=1))[:, None], xi], axis=1)  # (q, 3)
-    p0, _, _, inv, det = _triangle_frames(K)
-    tris = K.simplices(2)
-    area2 = np.abs(det)
-
-    if k == 0:
-        vals = np.einsum("tv,qv->tq", cochain[tris], lam)
-        sq = vals**2
-    elif k == 1:
-        grads = _barycentric_gradients(inv)
-        field = np.zeros((len(tris), len(w), 2))
-        for local, (i, j) in enumerate(_WHITNEY_EDGE_PAIRS):
-            u_e = cochain[K.cell_edges[:, local]]
-            wpart = (
-                lam[None, :, i, None] * grads[:, None, j, :]
-                - lam[None, :, j, None] * grads[:, None, i, :]
-            )
-            field += u_e[:, None, None] * wpart
-        sq = (field**2).sum(axis=2)
-    elif k == 2:
-        dens = cochain / (0.5 * area2)
-        sq = (dens**2)[:, None] * np.ones(len(w))[None, :]
-    else:
-        raise ValueError(f"no {k}-cochains on a 2-complex")
-
-    per_tri = area2 * (sq @ w)
+    t = np.arange(K.n_simplices(2))
+    _, grads, det = _triangle_frames(K, t)
+    field = _whitney_field(K, k, cochain, t, lam, grads, det)
+    sq = (field**2).sum(axis=2) if k == 1 else field**2
+    per_tri = np.abs(det) * (sq @ w)
     return float(np.sqrt(per_tri.sum()))

@@ -1,8 +1,8 @@
 """Jacobi-preconditioned conjugate gradient for symmetric sparse systems.
 
 Matrices are scipy sparse, converted to CSR on entry.  The solver is a
-hand-rolled conjugate gradient with Jacobi preconditioning and optional
-deflation of the constant vector — the k = 0 Hodge-Laplacian system
+hand-rolled Jacobi-preconditioned CG that, given star weights, deflates
+the constant vector — the k = 0 Hodge-Laplacian system
 
     M x = b,   M = S_0 L_0 = D_0^T S_1 D_0
 
@@ -27,18 +27,20 @@ __all__ = ["SolverConfig", "SolverResult", "SolverError", "cg_solve"]
 class SolverConfig:
     """Conjugate-gradient parameters.
 
-    max_iterations defaults (None) to 50 * sqrt(unknowns) + 1000.
-    deflate_constants handles the k = 0 nullspace; it requires the
-    star weights of the system's diagonal Hodge inner product.
+    tol must be finite and positive; max_iterations defaults (None) to
+    50 * sqrt(unknowns) + 1000 and must otherwise be at least 1.
     """
 
     tol: float = 1e-12
     max_iterations: int | None = None
-    deflate_constants: bool = False
 
     def __post_init__(self):
-        if self.tol <= 0:
-            raise ValueError("tolerance must be positive")
+        if not (np.isfinite(self.tol) and self.tol > 0):
+            raise ValueError(f"tolerance must be finite and positive, got {self.tol}")
+        if self.max_iterations is not None and not self.max_iterations >= 1:
+            raise ValueError(
+                f"max_iterations must be at least 1, got {self.max_iterations}"
+            )
 
 
 @dataclass
@@ -71,19 +73,19 @@ def cg_solve(
 ) -> SolverResult:
     """Solve the symmetric positive (semi)definite system M x = b by CG.
 
-    With ``config.deflate_constants`` the right-hand side is projected so
-    that 1^T b = 0 (subtracting the S-mean of the underlying cochain data,
-    which is the discrete version of requiring the source to have average
-    zero) and the returned solution has zero S-weighted mean; this needs
-    ``star_weights`` — the diagonal of the S inner product.
+    Given ``star_weights`` — the diagonal of the S inner product — the
+    right-hand side is projected so that 1^T b = 0 (subtracting the S-mean
+    of the underlying cochain data, which is the discrete version of
+    requiring the source to have average zero) and the returned solution
+    has zero S-weighted mean.
 
     Deterministic: fixed reduction order, no randomness.
 
     Raises
     ------
     ValueError
-        On a non-square matrix, a mismatched or non-finite right-hand side,
-        or deflation without star weights.
+        On a non-square matrix or a mismatched or non-finite right-hand
+        side.
     SolverError
         On detected asymmetry, a non-positive (or NaN) curvature p^T M p,
         or non-convergence within the iteration budget (the message
@@ -101,9 +103,7 @@ def cg_solve(
         raise ValueError("right-hand side has non-finite entries")
     _check_symmetry(M)
 
-    if cfg.deflate_constants:
-        if star_weights is None:
-            raise ValueError("deflation requires the star weights")
+    if star_weights is not None:
         s = np.asarray(star_weights, dtype=np.float64)
         b = b - (b.sum() / s.sum()) * s
 
@@ -157,8 +157,7 @@ def cg_solve(
             f"relative residual {best / norm_b:.3e} (target {cfg.tol:.1e})"
         )
 
-    if cfg.deflate_constants:
-        s = np.asarray(star_weights, dtype=np.float64)
+    if star_weights is not None:
         x = x - ((s @ x) / s.sum()) * np.ones(n)
 
     return SolverResult(x, history[-1] / norm_b, iterations, history)

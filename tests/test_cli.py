@@ -49,6 +49,21 @@ def test_convergence_solver_failure_exit_code(capsys):
     assert "solver failure" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "option",
+    [["--solver-tol", "nan"], ["--solver-tol", "inf"], ["--solver-tol", "0"],
+     ["--solver-maxit", "0"], ["--solver-maxit", "-5"]],
+)
+def test_convergence_rejects_bad_solver_arguments(option, capsys, monkeypatch):
+    def no_cg(*args, **kwargs):
+        raise AssertionError("CG ran with bad solver arguments")
+
+    monkeypatch.setattr("declab.experiments.cg_solve", no_cg)
+    code = main(["convergence", "--k", "0", "--levels", "2", *option])
+    assert code == 1
+    assert "error:" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("bad", ["0..2", "3..1", "x", "1..y"])
 def test_convergence_rejects_bad_level_ranges(bad, capsys):
     with pytest.raises(SystemExit):
@@ -127,6 +142,18 @@ def test_dual_report_rejects_non_finite_mesh_file(tmp_path, capsys, bad):
     out, err = capsys.readouterr()
     assert out == ""
     assert "vertex 2 has a non-finite coordinate" in err
+
+
+@pytest.mark.parametrize("command", [["dual-report"], ["diagnostics", "--k", "0"]])
+def test_overflowing_mesh_file_is_a_mesh_error(tmp_path, capsys, command):
+    # finite coordinates whose cell area overflows to NaN
+    path = tmp_path / "mesh.txt"
+    path.write_text("2 3 1\n0 0\n2e155 1e155\n1e155 1e155\n0 1 2\n")
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert main([*command, "--mesh", str(path)]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "cell 0 is degenerate" in err
 
 
 def test_dual_report_requires_mesh_or_level(capsys):

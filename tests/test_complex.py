@@ -134,6 +134,11 @@ def test_rejects_degenerate_cell():
     verts = np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]])
     with pytest.raises(ValueError, match="degenerate"):
         build_complex(verts, [[0, 1, 2]])
+    # finite coordinates whose cross product overflows to NaN
+    verts = np.array([[0.0, 0.0], [2e155, 1e155], [1e155, 1e155]])
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(ValueError, match="degenerate"):
+            build_complex(verts, [[0, 1, 2]])
 
 
 def test_rejects_non_manifold_edge():

@@ -61,6 +61,16 @@ def test_circumcenter_of_right_triangle_on_hypotenuse():
     assert offenders.tolist() == [0]
 
 
+def test_overflowing_circumcenter_is_not_well_centered():
+    # an acute triangle whose circumcenter weights overflow to NaN
+    pts = 1e80 * np.array([[0.0, 0.0], [1.0, 0.0], [0.3, 1.0]])
+    K = build_complex(pts, [[0, 1, 2]])
+    with np.errstate(over="ignore", invalid="ignore"):
+        ok, offenders = is_well_centered(K)
+    assert not ok
+    assert offenders.tolist() == [0]
+
+
 def test_circumcenter_equidistance_random_triangles():
     rng = np.random.default_rng(3)
     pts = rng.uniform(-2.0, 2.0, size=(50, 3, 2))

@@ -343,15 +343,26 @@ def test_de_rham_dual_point_and_area_cells():
 
 
 def test_de_rham_dual_stokes_on_hexagon():
-    """On an interior vertex v of the symmetric mesh, the dual cell *v is a
-    closed hexagon; summing the dual line integrals of a gradient d(g)
-    around it gives zero.  The boundary of *v traverses the dual edges *e
-    of the edges e incident to v, with signs from the coboundary."""
-    K = symmetric_mesh(2)
-    dual = build_dual(K)
+    """On an interior vertex v, the dual cell *v is a closed polygon (a
+    hexagon on the symmetric mesh) whose boundary traverses the dual edges
+    *e of the edges e incident to v, with signs from the coboundary.
+    Stokes on *v gives D0^T Pi*(w) = -Pi*(dw) there: zero circulation for
+    a gradient d(g), and for a general 1-form the flag-triangle integrals
+    of dw.  Here dw = x - 1/2 changes sign inside the domain, so some flag
+    integrals are negative and the 2-cell orientation signs are exercised."""
     g = PolyForm(0, (Poly2.monomial(2, 1, 1.5) + Poly2.monomial(0, 2, -1.0),))
-    w = de_rham_dual(K, dual, exterior_derivative(g))
-    D0 = K.coboundary_matrix(0)
-    circulation = D0.T @ w  # one closed-loop sum per vertex
-    interior = ~K.is_boundary(0)
-    assert np.abs(circulation[interior]).max() <= 1e-13
+    x = Poly2.monomial(1, 0)
+    # w = x y^2 dx + (x^2 y + (x^2 - x) / 2) dy
+    w = PolyForm(1, (Poly2.monomial(1, 2), Poly2.monomial(2, 1) + 0.5 * (x * x - x)))
+    dw = exterior_derivative(w)
+    assert (dw.components[0] - (x - 0.5)).is_zero()
+    for K in (symmetric_mesh(2), perturbed_mesh(3, seed=2)):
+        dual = build_dual(K)
+        D0 = K.coboundary_matrix(0)
+        interior = ~K.is_boundary(0)
+        circulation = D0.T @ de_rham_dual(K, dual, exterior_derivative(g))
+        assert np.abs(circulation[interior]).max() <= 1e-13
+        lhs = (D0.T @ de_rham_dual(K, dual, w))[interior]
+        rhs = -de_rham_dual(K, dual, dw)[interior]
+        assert (rhs < 0).any() and (rhs > 0).any()
+        assert np.abs(lhs - rhs).max() <= 1e-13

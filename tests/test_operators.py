@@ -330,8 +330,9 @@ def test_whitney_density_respects_orientation():
 
 
 def test_whitney_rejects_outside_points():
-    with pytest.raises(ValueError, match="outside"):
-        whitney_evaluate(REF_TRI, 0, np.ones(3), 0, [[2.0, 2.0]])
+    for point in ([2.0, 2.0], [np.nan, 0.1]):
+        with pytest.raises(ValueError, match="outside"):
+            whitney_evaluate(REF_TRI, 0, np.ones(3), 0, [point])
 
 
 def test_whitney_l2_norm_of_hat():

@@ -61,7 +61,7 @@ def test_matches_dense_solve_on_random_spd():
 
 def test_deflated_zero_rhs_gives_zero():
     M, _, s = _k0_system(1)
-    res = cg_solve(M, np.zeros(M.shape[0]), SolverConfig(deflate_constants=True), s)
+    res = cg_solve(M, np.zeros(M.shape[0]), star_weights=s)
     assert res.iterations == 0
     assert np.abs(res.x).max() == 0.0
     assert res.residual == 0.0
@@ -69,20 +69,14 @@ def test_deflated_zero_rhs_gives_zero():
 
 def test_deflated_solution_has_zero_weighted_mean():
     M, b, s = _k0_system(2)
-    res = cg_solve(M, b, SolverConfig(deflate_constants=True), star_weights=s)
+    res = cg_solve(M, b, star_weights=s)
     scale = s.sum() * np.abs(res.x).max()
     assert abs(s @ res.x) <= 1e-12 * scale
 
 
-def test_deflation_requires_weights():
-    M, b, _ = _k0_system(1)
-    with pytest.raises(ValueError, match="star weights"):
-        cg_solve(M, b, SolverConfig(deflate_constants=True))
-
-
 def test_deflated_system_solves_singular_laplacian():
     M, b, s = _k0_system(2)
-    res = cg_solve(M, b, SolverConfig(deflate_constants=True), star_weights=s)
+    res = cg_solve(M, b, star_weights=s)
     # residual is measured against the deflated right-hand side
     b_defl = b - (b.sum() / s.sum()) * s
     r = np.linalg.norm(b_defl - M @ res.x) / np.linalg.norm(b_defl)
@@ -109,7 +103,7 @@ def test_rejects_non_finite_rhs(bad):
     M, b, s = _k0_system(1)
     b[3] = bad
     with pytest.raises(ValueError, match="non-finite"):
-        cg_solve(M, b, SolverConfig(deflate_constants=True), star_weights=s)
+        cg_solve(M, b, star_weights=s)
 
 
 def test_nan_curvature_fails_at_first_iteration():
@@ -120,7 +114,7 @@ def test_nan_curvature_fails_at_first_iteration():
 
 def test_reports_non_convergence():
     M, b, s = _k0_system(3)
-    cfg = SolverConfig(deflate_constants=True, max_iterations=2)
+    cfg = SolverConfig(max_iterations=2)
     with pytest.raises(SolverError, match="did not converge"):
         cg_solve(M, b, cfg, star_weights=s)
 
@@ -138,9 +132,8 @@ def test_rejects_bad_shapes():
 
 def test_solver_is_deterministic():
     M, b, s = _k0_system(2)
-    cfg = SolverConfig(deflate_constants=True)
-    r1 = cg_solve(M, b, cfg, star_weights=s)
-    r2 = cg_solve(M, b, cfg, star_weights=s)
+    r1 = cg_solve(M, b, star_weights=s)
+    r2 = cg_solve(M, b, star_weights=s)
     assert np.array_equal(r1.x, r2.x)
     assert r1.iterations == r2.iterations
     assert r1.residual_history == r2.residual_history
@@ -148,7 +141,7 @@ def test_solver_is_deterministic():
 
 def test_residual_history_shape_and_convergence():
     M, b, s = _k0_system(2)
-    res = cg_solve(M, b, SolverConfig(deflate_constants=True), star_weights=s)
+    res = cg_solve(M, b, star_weights=s)
     hist = res.residual_history
     assert len(hist) == res.iterations + 1
     b_defl = b - (b.sum() / s.sum()) * s
