@@ -21,7 +21,7 @@ import sys
 import numpy as np
 
 from .complex import SimplicialComplex
-from .dual import build_dual
+from .dual import DualComplex, build_dual
 from .experiments import diagnostics, render_report, run_convergence
 from .meshes import MeshError, MeshFamilySpec, build_mesh, read_mesh, write_mesh
 from .operators import (
@@ -82,6 +82,16 @@ def _mesh_from_args(args: argparse.Namespace) -> SimplicialComplex:
     return build_mesh(spec)
 
 
+def _mesh_and_dual(args: argparse.Namespace) -> tuple[SimplicialComplex, DualComplex]:
+    """The mesh of the arguments and its dual.  A complex without a
+    circumcentric dual (only a mesh file can give one) is a mesh failure."""
+    K = _mesh_from_args(args)
+    try:
+        return K, build_dual(K)
+    except ValueError as exc:
+        raise MeshError(str(exc)) from exc
+
+
 def _emit(text: str, out: str | None) -> None:
     if out:
         with open(out, "w", encoding="utf-8") as fh:
@@ -108,8 +118,7 @@ def _cmd_convergence(args: argparse.Namespace) -> int:
 
 
 def _cmd_diagnostics(args: argparse.Namespace) -> int:
-    K = _mesh_from_args(args)
-    dual = build_dual(K)
+    K, dual = _mesh_and_dual(args)
     _emit(diagnostics(K, dual, args.k), args.out)
     return 0
 
@@ -124,8 +133,7 @@ def _cmd_gen_mesh(args: argparse.Namespace) -> int:
 
 
 def _cmd_dual_report(args: argparse.Namespace) -> int:
-    K = _mesh_from_args(args)
-    dual = build_dual(K)
+    K, dual = _mesh_and_dual(args)
     lines = ["dim,simplex_id,primal_volume,dual_volume,ratio_a,is_boundary"]
     for k in range(3):
         flags = K.is_boundary(k)
@@ -149,8 +157,7 @@ def _coo_lines(name: str, mat) -> list[str]:
 
 
 def _cmd_dump_operators(args: argparse.Namespace) -> int:
-    K = _mesh_from_args(args)
-    dual = build_dual(K)
+    K, dual = _mesh_and_dual(args)
     k = args.k
     lines: list[str] = []
     if k < 2:

@@ -159,14 +159,16 @@ def build_complex(vertices: np.ndarray, cells: np.ndarray) -> SimplicialComplex:
         bad = int(np.where(np.any(np.diff(tris, axis=1) <= 0, axis=1))[0][0])
         raise ValueError(f"cell {bad} repeats a vertex")
 
-    # degenerate cells: area from the cross product of two edge vectors
+    # degenerate cells: area from the cross product of two edge vectors;
+    # an overflow comes out as inf or NaN and is rejected here, not warned of
     p = vertices[tris]
-    e1, e2 = p[:, 1] - p[:, 0], p[:, 2] - p[:, 0]
-    cross = e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0]
-    scale = np.max(np.abs(p - p[:, :1]), axis=(1, 2)) ** 2 + np.finfo(np.float64).tiny
-    if not (np.abs(cross) > 1e-12 * scale).all():  # also rejects overflow to NaN
-        bad = int(np.argmin(np.abs(cross) / scale))
-        raise ValueError(f"cell {bad} is degenerate (zero or non-finite area)")
+    with np.errstate(over="ignore", invalid="ignore"):
+        e1, e2 = p[:, 1] - p[:, 0], p[:, 2] - p[:, 0]
+        cross = e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0]
+        scale = np.max(np.abs(p - p[:, :1]), axis=(1, 2)) ** 2 + np.finfo(np.float64).tiny
+        if not (np.abs(cross) > 1e-12 * scale).all():  # also rejects NaN
+            bad = int(np.argmin(np.abs(cross) / scale))
+            raise ValueError(f"cell {bad} is degenerate (zero or non-finite area)")
 
     order = np.lexsort(tris.T[::-1])
     tris = tris[order]

@@ -51,11 +51,14 @@ def _triangle_circum_bary(pts: np.ndarray) -> np.ndarray:
     opposite vertex i; the normalizer equals 16 * area^2.
     """
     d2 = np.empty(pts.shape[:2])
-    d2[:, 0] = ((pts[:, 1] - pts[:, 2]) ** 2).sum(axis=1)
-    d2[:, 1] = ((pts[:, 0] - pts[:, 2]) ** 2).sum(axis=1)
-    d2[:, 2] = ((pts[:, 0] - pts[:, 1]) ** 2).sum(axis=1)
-    w = d2 * (d2.sum(axis=1, keepdims=True) - 2.0 * d2)
-    return w / w.sum(axis=1, keepdims=True)
+    # weights that overflow come out NaN; the well-centeredness checks
+    # reject them, so the overflow is not also warned of
+    with np.errstate(over="ignore", invalid="ignore"):
+        d2[:, 0] = ((pts[:, 1] - pts[:, 2]) ** 2).sum(axis=1)
+        d2[:, 1] = ((pts[:, 0] - pts[:, 2]) ** 2).sum(axis=1)
+        d2[:, 2] = ((pts[:, 0] - pts[:, 1]) ** 2).sum(axis=1)
+        w = d2 * (d2.sum(axis=1, keepdims=True) - 2.0 * d2)
+        return w / w.sum(axis=1, keepdims=True)
 
 
 def triangle_circumcenters(pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -79,8 +82,12 @@ def well_centered_margin(K: SimplicialComplex) -> float:
 
     Positive iff every triangle is strictly acute.  (Edge circumcenters
     are midpoints, barycentric (1/2, 1/2), and can never bind in R^2.)
+    Weights that overflow give -inf, so ``margin > 0`` never passes a
+    triangle that :func:`is_well_centered` rejects.
     """
     bary = _triangle_circum_bary(K.vertices[K.simplices(2)])
+    if np.isnan(bary).any():
+        return -np.inf
     return float(bary.min())
 
 
@@ -137,10 +144,14 @@ def build_dual(K: SimplicialComplex) -> DualComplex:
     ok, offenders = is_well_centered(K)
     if not ok:
         t = offenders[0]
+        vertices = K.simplices(2)[t]
+        if np.isfinite(_triangle_circum_bary(K.vertices[vertices][None])).all():
+            why = "does not contain its circumcenter"
+        else:
+            why = "has circumcenter weights that overflow"
         raise ValueError(
-            f"complex is not well-centered: {len(offenders)} triangle(s) do "
-            f"not contain their circumcenter, first triangle {t} with "
-            f"vertices {K.simplices(2)[t].tolist()}"
+            f"complex is not well-centered: {len(offenders)} triangle(s) "
+            f"fail, first triangle {t} with vertices {vertices.tolist()} {why}"
         )
 
     tris = K.simplices(2)

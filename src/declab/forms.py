@@ -25,7 +25,8 @@ Polynomial coefficients are stored and combined in extended precision
 monomial coefficients of magnitude ~1e10 that cancel down to O(1) values,
 and double-precision Horner evaluation would leave ~1e-8 absolute noise —
 far above the 1e-10-scale identities the discrete operators are tested
-against.  Evaluation returns float64.
+against.  Evaluation is Horner in the same precision, started at each
+coefficient row's last non-zero entry, and returns float64.
 
 Quadrature: Gauss-Legendre on [0, 1] for line integrals, and a collapsed
 tensor-product (Duffy) rule on the reference triangle
@@ -186,17 +187,31 @@ class Poly2:
         raise ValueError("axis must be 0 (x) or 1 (y)")
 
     def __call__(self, x, y):
-        """Evaluate at points; Horner in extended precision, float64 out."""
+        """Evaluate at points; Horner in extended precision, float64 out.
+
+        Nested Horner, in x over the rows and in y within each row, updated
+        in place.  Row i starts at its last non-zero coefficient: the
+        leading zeros a dense grid would run through are exact no-ops
+        (0 * y + 0 = 0, and 0 + c = c), so at finite points the result is
+        bit-identical to Horner over the full coefficient grid.  An all-zero
+        row runs in full, which keeps even the sign of its zero.  Scalar x
+        and y give a float; otherwise an array of their broadcast shape.
+        """
         xl = np.asarray(x, dtype=np.longdouble)
         yl = np.asarray(y, dtype=np.longdouble)
         shape = np.broadcast(xl, yl).shape
         c = self.coeffs
         acc = np.zeros(shape, dtype=np.longdouble)
+        row = np.empty(shape, dtype=np.longdouble)
         for i in range(c.shape[0] - 1, -1, -1):
-            row = np.full(shape, c[i, -1], dtype=np.longdouble)
-            for j in range(c.shape[1] - 2, -1, -1):
-                row = row * yl + c[i, j]
-            acc = acc * xl + row
+            nonzero = np.flatnonzero(c[i])
+            start = nonzero[-1] if len(nonzero) else c.shape[1] - 1
+            row.fill(c[i, start])
+            for j in range(start - 1, -1, -1):
+                row *= yl
+                row += c[i, j]
+            acc *= xl
+            acc += row
         out = np.asarray(acc, dtype=np.float64)
         if np.isscalar(x) and np.isscalar(y):
             return float(out)
@@ -400,7 +415,12 @@ def _integrate_simplices(
     pts = p0[:, None, :]
     for i in range(k):
         pts = pts + xi[None, :, i, None] * (corners[:, i + 1] - p0)[:, None, :]
-    vals = [c(pts[..., 0], pts[..., 1]) for c in form.components]
+    # a component shared between slots (u = p dx + p dy) is evaluated once;
+    # Poly2 hashes by identity
+    values = {c: None for c in form.components}
+    for c in values:
+        values[c] = c(pts[..., 0], pts[..., 1])
+    vals = [values[c] for c in form.components]
     # edge vectors are formed again here rather than kept alive through the
     # evaluation above, which is where de Rham maps peak in memory
     e1 = corners[:, 1] - p0

@@ -4,6 +4,7 @@ code paths and are not part of the public API."""
 
 from __future__ import annotations
 
+import numpy as np
 import scipy.sparse as sp
 
 from declab import DualComplex, SimplicialComplex
@@ -38,3 +39,27 @@ def codifferential_matrix_stencil(
     )
     mat.sort_indices()
     return mat
+
+
+def poly2_dense_horner(coeffs: np.ndarray, x, y):
+    """sum_{i,j} coeffs[i, j] x^i y^j by Horner over the full grid.
+
+    Every row runs through all of its columns, leading zeros included, in
+    np.longdouble with fresh temporaries at each step; returns float64 (a
+    float for scalar x and y).  Poly2.__call__ must match it bit for bit
+    at finite points.
+    """
+    xl = np.asarray(x, dtype=np.longdouble)
+    yl = np.asarray(y, dtype=np.longdouble)
+    shape = np.broadcast(xl, yl).shape
+    c = np.asarray(coeffs, dtype=np.longdouble)
+    acc = np.zeros(shape, dtype=np.longdouble)
+    for i in range(c.shape[0] - 1, -1, -1):
+        row = np.full(shape, c[i, -1], dtype=np.longdouble)
+        for j in range(c.shape[1] - 2, -1, -1):
+            row = row * yl + c[i, j]
+        acc = acc * xl + row
+    out = np.asarray(acc, dtype=np.float64)
+    if np.isscalar(x) and np.isscalar(y):
+        return float(out)
+    return out

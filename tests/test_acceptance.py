@@ -272,6 +272,9 @@ def test_criterion_6_quadrature_monomial_oracle():
 
 
 def test_criterion_6_exact_solution_injection():
+    # compute_errors takes the derivative errors as coboundaries of the
+    # cochain errors, which rests on the commuting property R(dw) = D R(w);
+    # that is checked here against direct quadrature of the derivatives
     for family, build in (
         ("symmetric", lambda: symmetric_mesh(3)),
         ("perturbed", lambda: perturbed_mesh(3, seed=1)),
@@ -287,14 +290,22 @@ def test_criterion_6_exact_solution_injection():
 
             scales = {"e_u": discrete_norm(dual, k, u_h)}
             if k < 2:
-                scales["de_u"] = discrete_norm(
-                    dual, k + 1, de_rham(K, exterior_derivative(u))
-                )
+                r_du = de_rham(K, exterior_derivative(u))
+                scales["de_u"] = discrete_norm(dual, k + 1, r_du)
+                commute = K.coboundary_matrix(k) @ u_h - r_du
+                assert discrete_norm(dual, k + 1, commute) <= 1e-10 * max(
+                    scales["de_u"], 1.0
+                ), (family, k, "D R(u) vs R(du)")
+                assert rec.norms["de_u"] == 0.0, (family, k)
             if k >= 1:
                 scales["e_rho"] = discrete_norm(dual, k - 1, rho_h)
             if k == 1:
-                scales["de_rho"] = discrete_norm(
-                    dual, k, de_rham(K, exterior_derivative(rho))
-                )
+                r_drho = de_rham(K, exterior_derivative(rho))
+                scales["de_rho"] = discrete_norm(dual, k, r_drho)
+                commute = K.coboundary_matrix(0) @ rho_h - r_drho
+                assert discrete_norm(dual, k, commute) <= 1e-10 * max(
+                    scales["de_rho"], 1.0
+                ), (family, "D R(delta u) vs R(d delta u)")
+                assert rec.norms["de_rho"] == 0.0, family
             for key, err in rec.norms.items():
                 assert err <= 1e-10 * max(scales[key], 1.0), (family, k, key)

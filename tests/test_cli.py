@@ -144,16 +144,39 @@ def test_dual_report_rejects_non_finite_mesh_file(tmp_path, capsys, bad):
     assert "vertex 2 has a non-finite coordinate" in err
 
 
+@pytest.mark.filterwarnings("error")  # the overflow is rejected, not warned of
 @pytest.mark.parametrize("command", [["dual-report"], ["diagnostics", "--k", "0"]])
 def test_overflowing_mesh_file_is_a_mesh_error(tmp_path, capsys, command):
     # finite coordinates whose cell area overflows to NaN
     path = tmp_path / "mesh.txt"
     path.write_text("2 3 1\n0 0\n2e155 1e155\n1e155 1e155\n0 1 2\n")
-    with np.errstate(over="ignore", invalid="ignore"):
-        assert main([*command, "--mesh", str(path)]) == 3
+    assert main([*command, "--mesh", str(path)]) == 3
     out, err = capsys.readouterr()
     assert out == ""
-    assert "cell 0 is degenerate" in err
+    assert err.count("\n") == 1 and "cell 0 is degenerate" in err
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("command", [["dual-report"], ["diagnostics", "--k", "0"]])
+@pytest.mark.parametrize(
+    "vertices, reason",
+    [
+        # right triangle: its circumcenter lies on the hypotenuse
+        ("0 0\n1 0\n0 1", "does not contain its circumcenter"),
+        # acute, but its circumcenter weights overflow to NaN
+        ("0 0\n1e80 0\n3e79 1e80", "circumcenter weights that overflow"),
+    ],
+)
+def test_mesh_file_without_circumcentric_dual_is_a_mesh_error(
+    tmp_path, capsys, command, vertices, reason
+):
+    path = tmp_path / "mesh.txt"
+    path.write_text(f"2 3 1\n{vertices}\n0 1 2\n")
+    assert main([*command, "--mesh", str(path)]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.count("\n") == 1
+    assert "not well-centered" in err and reason in err
 
 
 def test_dual_report_requires_mesh_or_level(capsys):

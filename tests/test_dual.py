@@ -25,6 +25,7 @@ from declab import (
     is_well_centered,
     symmetric_mesh,
     perturbed_mesh,
+    well_centered_margin,
 )
 from declab.dual import triangle_circumcenters
 
@@ -61,14 +62,18 @@ def test_circumcenter_of_right_triangle_on_hypotenuse():
     assert offenders.tolist() == [0]
 
 
+@pytest.mark.filterwarnings("error")  # the overflow is rejected, not warned of
 def test_overflowing_circumcenter_is_not_well_centered():
     # an acute triangle whose circumcenter weights overflow to NaN
     pts = 1e80 * np.array([[0.0, 0.0], [1.0, 0.0], [0.3, 1.0]])
     K = build_complex(pts, [[0, 1, 2]])
-    with np.errstate(over="ignore", invalid="ignore"):
-        ok, offenders = is_well_centered(K)
+    ok, offenders = is_well_centered(K)
     assert not ok
     assert offenders.tolist() == [0]
+    # the margin agrees: not positive, and not NaN, which no check rejects
+    assert well_centered_margin(K) == -np.inf
+    with pytest.raises(ValueError, match="circumcenter weights that overflow"):
+        build_dual(K)
 
 
 def test_circumcenter_equidistance_random_triangles():

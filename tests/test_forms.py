@@ -42,6 +42,7 @@ from declab import (
     perturbed_mesh,
     triangle_rule,
 )
+from oracles import poly2_dense_horner
 
 SQRT3 = np.sqrt(3.0)
 REF_TRI = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
@@ -69,6 +70,42 @@ def test_poly_vectorized_evaluation():
     xs = np.array([0.0, 1.0, 2.0])
     ys = np.array([1.0, 1.0, 0.5])
     np.testing.assert_allclose(p(xs, ys), 3.0 * xs**2 * ys - 1.0)
+
+
+def _same_bits(got, want) -> bool:
+    got, want = np.asarray(got), np.asarray(want)
+    return (
+        got.dtype == want.dtype
+        and got.shape == want.shape
+        and got.tobytes() == want.tobytes()
+    )
+
+
+def test_poly_evaluation_matches_dense_horner_bit_for_bit():
+    """The trimmed in-place Horner of Poly2 against the full-grid oracle."""
+    rng = np.random.default_rng(11)
+    xs = rng.uniform(-2.0, 2.0, 64)
+    ys = rng.uniform(-2.0, 2.0, 64)
+    # signed zeros and exact zeros along the rows
+    xs[:4], ys[:4] = [0.0, 0.0, 0.0, -0.0], [0.0, -1.0, 1.0, -1.0]
+    polys = [Poly2.zero(), manufactured_solution(1)[1].components[0]]
+    for trial in range(40):
+        c = rng.normal(scale=10.0 ** rng.integers(0, 9), size=rng.integers(1, 9, 2))
+        c[rng.random(c.shape) < 0.4] = 0.0  # ragged trailing entries
+        c[rng.random(c.shape[0]) < 0.3] = 0.0  # whole zero rows
+        c[0, -1] = 1.0 + trial  # keep the grid from being trimmed away
+        # negation stores -0.0 coefficients; the factor x zeroes row 0
+        shifted = Poly2(c) * Poly2.monomial(1, 0)
+        polys += [Poly2(c), -Poly2(c), shifted, -shifted]
+    for p in polys:
+        assert _same_bits(p(xs, ys), poly2_dense_horner(p.coeffs, xs, ys))
+        got = p(0.75, -1.25)
+        assert type(got) is float
+        assert _same_bits(got, poly2_dense_horner(p.coeffs, 0.75, -1.25))
+        # scalar x broadcast against an array y, and empty input
+        assert _same_bits(p(0.5, ys), poly2_dense_horner(p.coeffs, 0.5, ys))
+        empty = np.empty((0, 3))
+        assert _same_bits(p(empty, empty), poly2_dense_horner(p.coeffs, empty, empty))
 
 
 # -- quadrature oracles -------------------------------------------------------
