@@ -3,7 +3,7 @@
 Primal simplicial complexes with ascending-tuple orientation, circumcentric
 dual complexes, diagonal Hodge stars, the discrete codifferential and
 Hodge-Laplacian, polynomial differential forms with exact quadrature, a
-deflated Jacobi-PCG solver, structured/perturbed mesh families on an
+Jacobi-PCG solver, structured/perturbed mesh families on an
 equilateral domain, and a manufactured-solution convergence laboratory.
 """
 

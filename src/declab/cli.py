@@ -9,8 +9,9 @@ gen-mesh        generate a mesh and write it in the plain-text format
 dual-report     per-simplex primal/dual volume table as CSV
 dump-operators  assembled sparse operators in coordinate text form
 
-Exit codes: 0 on success, 1 on bad arguments, 2 on solver failure, 3 on
-a mesh-generation or mesh-file failure.
+Exit codes: 0 on success, 1 on bad arguments or an unwritable --out, 2 on
+solver failure, 3 on a mesh-generation or mesh-file failure (gen-mesh
+writes a mesh file, so an unwritable --out is a mesh-file failure there).
 """
 
 from __future__ import annotations
@@ -68,7 +69,7 @@ def _add_mesh_args(
             help="refinement level m (h = 2^-m)",
         )
     p.add_argument("--seed", type=int, default=0, help="perturbation seed")
-    p.add_argument("--alpha", type=float, default=0.15, help="perturbation amplitude in (0, 0.5)")
+    p.add_argument("--alpha", type=float, default=0.15, help="perturbation amplitude in [0, 0.5)")
 
 
 def _mesh_from_args(args: argparse.Namespace) -> SimplicialComplex:
@@ -93,9 +94,14 @@ def _mesh_and_dual(args: argparse.Namespace) -> tuple[SimplicialComplex, DualCom
 
 
 def _emit(text: str, out: str | None) -> None:
+    """Write a report to --out or stdout; an unwritable --out is a bad
+    argument (ValueError)."""
     if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ValueError(f"cannot write output: {exc}") from exc
     else:
         sys.stdout.write(text)
 

@@ -5,10 +5,8 @@ and its circumcentric dual, assembles the symmetrized system
 
     M u = S_k R(f),   M = S_k L_k,   f = Hodge-Laplacian of u_exact,
 
-solves by preconditioned CG (deflating the constant nullspace when k = 0,
-whose additive constant is then fixed by matching the discrete mean of
-the exact solution), recovers rho_h = delta_h u_h for k >= 1, and records
-the cochain error norms
+solves by preconditioned CG, recovers rho_h = delta_h u_h for k >= 1, and
+records the cochain error norms
 
     e_u    = R(u) - u_h                  (on k-simplices)
     de_u   = D (R(u) - u_h)              (on (k+1)-simplices, k < 2)
@@ -21,6 +19,13 @@ of dw over a simplex is the integral of w over its oriented boundary), so
 de_u = R(du) - D u_h and de_rho = R(d delta u) - D rho_h; the derivative
 errors are taken as coboundaries of e_u and e_rho, which needs no
 quadrature of du or d delta u.
+
+On the contractible domain the only harmonic forms are the constants at
+k = 0, so the k = 0 problem is posed modulo constants.  solve_problem works
+from f alone: it removes the S-weighted mean of the source data, so that
+the right-hand side sums to zero and the singular system is consistent, and
+returns the solution with zero S-weighted mean.  compute_errors takes the k = 0
+error modulo constants, removing the S-weighted mean of R(u) - u_h.
 """
 
 from __future__ import annotations
@@ -98,29 +103,24 @@ def solve_problem(
 ) -> tuple[np.ndarray, np.ndarray | None, SolverResult]:
     """Assemble and solve the degree-k manufactured problem on one mesh.
 
-    Returns (u_h, rho_h, solver result); rho_h is None for k = 0.
+    Returns (u_h, rho_h, solver result); rho_h is None for k = 0, where
+    u_h has zero S-weighted mean.
     """
-    u, f = manufactured_solution(k)
+    _, f = manufactured_solution(k)
     L = hodge_laplacian_matrix(K, dual, k)
     S = star_matrix(dual, k)
     M = (S @ L).tocsr()
     rhs = S @ de_rham(K, f)
 
     cfg = SolverConfig(tol=tol, max_iterations=max_iterations)
-    # deflate the constant nullspace of the k = 0 system
-    weights = dual.hodge_ratio_a[0] if k == 0 else None
-    result = cg_solve(M, rhs, cfg, star_weights=weights)
-    u_h = result.x
+    if k > 0:
+        result = cg_solve(M, rhs, cfg)
+        return result.x, codifferential_matrix(K, dual, k) @ result.x, result
 
-    if k == 0:
-        # deflated solution has zero S-mean; shift to match the exact mean
-        a = dual.hodge_ratio_a[0]
-        ru = de_rham(K, u)
-        u_h = u_h + (a @ ru) / a.sum()
-        rho_h = None
-    else:
-        rho_h = codifferential_matrix(K, dual, k) @ u_h
-    return u_h, rho_h, result
+    # ker M = span{1}: 1^T rhs = 0 makes the system consistent
+    a = dual.hodge_ratio_a[0]
+    result = cg_solve(M, rhs - (rhs.sum() / a.sum()) * a, cfg)
+    return result.x - (a @ result.x) / a.sum(), None, result
 
 
 def compute_errors(
@@ -129,17 +129,18 @@ def compute_errors(
     k: int,
     u_h: np.ndarray,
     rho_h: np.ndarray | None,
-    level: int = 0,
-    iterations: int = 0,
-    wall_time: float = 0.0,
-) -> ErrorRecord:
-    """Cochain error norms of a solved state against the manufactured forms."""
+) -> dict[str, float]:
+    """Cochain error norms (keyed as NORM_KEYS[k]) of a solved state against
+    the manufactured forms; at k = 0 the error is taken modulo constants."""
     u, _ = manufactured_solution(k)
     norms: dict[str, float] = {}
 
     # R(d w) = D R(w) by Stokes, so the derivative errors are coboundaries
     # of the cochain errors and need no de Rham map of their own
     e_u = de_rham(K, u) - u_h
+    if k == 0:
+        a = dual.hodge_ratio_a[0]
+        e_u -= (a @ e_u) / a.sum()
     norms["e_u"] = discrete_norm(dual, k, e_u)
     if k < 2:
         norms["de_u"] = discrete_norm(dual, k + 1, K.coboundary_matrix(k) @ e_u)
@@ -148,14 +149,7 @@ def compute_errors(
         norms["e_rho"] = discrete_norm(dual, k - 1, e_rho)
     if k == 1:
         norms["de_rho"] = discrete_norm(dual, k, K.coboundary_matrix(k - 1) @ e_rho)
-
-    return ErrorRecord(
-        level=level,
-        h=K.mesh_size(),
-        norms=norms,
-        iterations=iterations,
-        wall_time=wall_time,
-    )
+    return norms
 
 
 def run_convergence(
@@ -184,13 +178,10 @@ def run_convergence(
         )
         elapsed = time.perf_counter() - start
         report.records.append(
-            compute_errors(
-                K,
-                dual,
-                k,
-                u_h,
-                rho_h,
+            ErrorRecord(
                 level=m,
+                h=K.mesh_size(),
+                norms=compute_errors(K, dual, k, u_h, rho_h),
                 iterations=result.iterations,
                 wall_time=elapsed,
             )

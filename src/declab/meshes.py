@@ -215,14 +215,18 @@ def perturbed_mesh(m: int, seed: int, alpha: float = 0.15) -> SimplicialComplex:
 
 
 def write_mesh(K: SimplicialComplex, path) -> None:
-    """Write the shared text format with exact-round-trip coordinates."""
+    """Write the shared text format with exact-round-trip coordinates;
+    raises MeshError if the file cannot be written."""
     lines = [f"2 {K.n_simplices(0)} {K.n_simplices(2)}"]
     for p in K.vertices:
         lines.append(f"{p[0]:.17g} {p[1]:.17g}")
     for cell in K.simplices(2):
         lines.append(f"{cell[0]} {cell[1]} {cell[2]}")
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    try:
+        with open(path, "w") as fh:
+            fh.write("\n".join(lines) + "\n")
+    except OSError as exc:
+        raise MeshError(f"cannot write mesh file: {exc}") from exc
 
 
 def read_mesh(path) -> SimplicialComplex:

@@ -1,16 +1,12 @@
 """Jacobi-preconditioned conjugate gradient for symmetric sparse systems.
 
 Matrices are scipy sparse, converted to CSR on entry.  The solver is a
-hand-rolled Jacobi-preconditioned CG that, given star weights, deflates
-the constant vector — the k = 0 Hodge-Laplacian system
-
-    M x = b,   M = S_0 L_0 = D_0^T S_1 D_0
-
-is singular with kernel span{1}, and b = S_0 R(f) only balances up to
-quadrature rounding.  Deflation restores solvability by removing the
-S-weighted mean of the underlying data (b <- b - (1^T b / 1^T s) s, which
-makes 1^T b = 0 exactly), and gauge-fixes the solution to zero S-weighted
-mean afterwards.
+hand-rolled Jacobi-preconditioned CG for symmetric positive definite
+systems, and for semidefinite ones whose right-hand side lies in the range
+of the matrix: CG then stays in that range.  It knows nothing of null
+spaces; the caller projects the right-hand side and fixes the gauge (see
+``experiments.solve_problem`` for the k = 0 Hodge-Laplacian, whose kernel
+is the constants).
 """
 
 from __future__ import annotations
@@ -69,15 +65,9 @@ def cg_solve(
     M: sp.spmatrix,
     b: np.ndarray,
     config: SolverConfig | None = None,
-    star_weights: np.ndarray | None = None,
 ) -> SolverResult:
-    """Solve the symmetric positive (semi)definite system M x = b by CG.
-
-    Given ``star_weights`` — the diagonal of the S inner product — the
-    right-hand side is projected so that 1^T b = 0 (subtracting the S-mean
-    of the underlying cochain data, which is the discrete version of
-    requiring the source to have average zero) and the returned solution
-    has zero S-weighted mean.
+    """Solve the symmetric positive (semi)definite system M x = b by CG,
+    starting from x = 0.
 
     Deterministic: fixed reduction order, no randomness.
 
@@ -102,10 +92,6 @@ def cg_solve(
     if not np.isfinite(b).all():
         raise ValueError("right-hand side has non-finite entries")
     _check_symmetry(M)
-
-    if star_weights is not None:
-        s = np.asarray(star_weights, dtype=np.float64)
-        b = b - (b.sum() / s.sum()) * s
 
     max_iterations = cfg.max_iterations
     if max_iterations is None:
@@ -156,8 +142,5 @@ def cg_solve(
             f"CG did not converge in {max_iterations} iterations: best "
             f"relative residual {best / norm_b:.3e} (target {cfg.tol:.1e})"
         )
-
-    if star_weights is not None:
-        x = x - ((s @ x) / s.sum()) * np.ones(n)
 
     return SolverResult(x, history[-1] / norm_b, iterations, history)

@@ -225,6 +225,27 @@ def test_dump_operators_section_lists_by_degree(capsys):
     assert "coboundary_d2" not in out2 and "codifferential_2" in out2
 
 
+# -- output -------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "command, code",
+    [
+        (["gen-mesh", "--level", "2"], 3),
+        (["convergence", "--k", "0", "--levels", "1"], 1),
+        (["diagnostics", "--k", "0", "--level", "1"], 1),
+        (["dual-report", "--level", "1"], 1),
+        (["dump-operators", "--k", "0", "--level", "1"], 1),
+    ],
+)
+def test_unwritable_out_is_a_one_line_error(tmp_path, capsys, command, code):
+    out = tmp_path / "missing" / "out.txt"
+    assert main([*command, "--out", str(out)]) == code
+    stdout, err = capsys.readouterr()
+    assert stdout == ""
+    assert err.count("\n") == 1 and str(out) in err
+
+
 # -- packaging ----------------------------------------------------------------
 
 

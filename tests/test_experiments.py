@@ -48,27 +48,36 @@ def test_injecting_exact_data_yields_rounding_level_errors(family, k):
     u, _ = manufactured_solution(k)
     u_h = de_rham(K, u)
     rho_h = de_rham(K, codifferential(u)) if k >= 1 else None
-    rec = compute_errors(K, dual, k, u_h, rho_h)
+    norms = compute_errors(K, dual, k, u_h, rho_h)
 
-    assert rec.norms["e_u"] == 0.0
+    assert norms["e_u"] == 0.0
     if k >= 1:
-        assert rec.norms["e_rho"] == 0.0
+        assert norms["e_rho"] == 0.0
     if k < 2:
         scale = discrete_norm(dual, k + 1, de_rham(K, exterior_derivative(u)))
-        assert rec.norms["de_u"] <= 1e-10 * scale
+        assert norms["de_u"] <= 1e-10 * scale
     if k == 1:
         drho = exterior_derivative(codifferential(u))
         scale = discrete_norm(dual, k, de_rham(K, drho))
-        assert rec.norms["de_rho"] <= 1e-10 * scale
+        assert norms["de_rho"] <= 1e-10 * scale
 
 
 def test_error_record_keys_follow_degree():
     for k in (0, 1, 2):
         K, dual = _mesh("symmetric", 1)
         u_h, rho_h, _ = solve_problem(K, dual, k)
-        rec = compute_errors(K, dual, k, u_h, rho_h, level=1)
-        assert tuple(rec.norms) == NORM_KEYS[k]
-        assert rec.h == pytest.approx(0.5)
+        assert tuple(compute_errors(K, dual, k, u_h, rho_h)) == NORM_KEYS[k]
+
+
+@pytest.mark.parametrize("family", ["symmetric", "perturbed"])
+def test_k0_errors_are_unchanged_by_a_constant(family):
+    # the k = 0 problem is posed modulo constants, and so is its error
+    K, dual = _mesh(family, 3)
+    u_h, _, _ = solve_problem(K, dual, 0)
+    norms = compute_errors(K, dual, 0, u_h, None)
+    shifted = compute_errors(K, dual, 0, u_h + 0.37 * np.abs(u_h).max(), None)
+    for key in NORM_KEYS[0]:
+        assert shifted[key] == pytest.approx(norms[key], rel=1e-12, abs=0), key
 
 
 # -- solve_problem ------------------------------------------------------------
@@ -82,14 +91,13 @@ def test_density_is_the_discrete_codifferential_of_the_solution():
     assert np.array_equal(rho_h, codifferential_matrix_stencil(K, dual, 1) @ u_h)
 
 
-def test_k0_solution_matches_exact_weighted_mean():
-    K, dual = _mesh("symmetric", 2)
+@pytest.mark.parametrize("family", ["symmetric", "perturbed"])
+def test_k0_solution_has_zero_weighted_mean(family):
+    K, dual = _mesh(family, 3)
     u_h, rho_h, _ = solve_problem(K, dual, 0)
     assert rho_h is None
     a = dual.hodge_ratio_a[0]
-    u, _ = manufactured_solution(0)
-    want = a @ de_rham(K, u)
-    assert a @ u_h == pytest.approx(want, rel=1e-12)
+    assert abs(a @ u_h) <= 1e-12 * a.sum() * np.abs(u_h).max()
 
 
 @pytest.mark.parametrize("k", [1, 2])
@@ -112,13 +120,11 @@ def test_cg_matches_dense_solve_for_k0_deflated():
     a = dual.hodge_ratio_a[0]
     M = (star_matrix(dual, 0) @ hodge_laplacian_matrix(K, dual, 0)).toarray()
     rhs = star_matrix(dual, 0) @ de_rham(K, f)
-    # replicate the solver's deflation, solve the singular system by least
-    # squares, then apply the same mean-matching gauge as solve_problem
+    # replicate the deflation, solve the singular system by least squares,
+    # then apply the same zero-mean gauge as solve_problem
     rhs = rhs - (rhs.sum() / a.sum()) * a
     want = np.linalg.lstsq(M, rhs, rcond=None)[0]
-    u, _ = manufactured_solution(0)
-    ru = de_rham(K, u)
-    want = want + (a @ ru - a @ want) / a.sum()
+    want -= (a @ want) / a.sum()
     assert np.linalg.norm(u_h - want) <= 1e-10 * np.linalg.norm(want)
 
 

@@ -9,6 +9,8 @@ sequence 6457827717110365317, 3203168211198807973, 9817491932198370423;
 
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -204,3 +206,26 @@ def test_read_mesh_error_cases(tmp_path, text, match):
 def test_read_mesh_missing_file():
     with pytest.raises(MeshError, match="cannot read"):
         read_mesh("/nonexistent/mesh.txt")
+
+
+def test_write_mesh_unwritable_path_is_a_mesh_error(tmp_path):
+    with pytest.raises(MeshError, match="cannot write"):
+        write_mesh(symmetric_mesh(1), tmp_path / "missing" / "mesh.txt")
+
+
+# The meshes are part of the contract: bit-identical for each (level, seed,
+# alpha) on every platform.  These digests of the written files pin them, so
+# a rewritten generator must reproduce every coordinate to the last bit.
+GOLDEN_MESHES = [
+    ("symmetric", 3, 0, 0.15, "299cac7c8f4b8aafd6591a3bdd93b9a5799c5b9a64bf88b143944c67dd3507a6"),
+    ("perturbed", 3, 1, 0.15, "510a0712930b18cbbfabe4cfccfeaf2f34804bec7a7688a4700b7fc1e55e6d04"),
+    ("perturbed", 4, 2, 0.3, "27e74d5257f5c6ea235d2e74838d2db1a29d49fdd691079e0d8b04c38ca59492"),
+    ("perturbed", 5, 7, 0.15, "b63ec890ee72598313cd55301e3ca35b8f503cb4936abf503b812b772b625e3d"),
+]
+
+
+@pytest.mark.parametrize("family, level, seed, alpha, digest", GOLDEN_MESHES)
+def test_written_meshes_match_golden_digests(tmp_path, family, level, seed, alpha, digest):
+    path = tmp_path / "mesh.txt"
+    write_mesh(build_mesh(MeshFamilySpec(family, level, seed, alpha)), path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == digest

@@ -1,6 +1,10 @@
-"""Property tests over random meshes and random polynomial forms."""
+"""Property tests over random meshes, random cochains and random
+polynomial forms."""
 
 from __future__ import annotations
+
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,7 +12,24 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from declab import Poly2, PolyForm, de_rham, exterior_derivative, perturbed_mesh  # noqa: E402
+from declab import (  # noqa: E402
+    Poly2,
+    PolyForm,
+    build_dual,
+    codifferential_matrix,
+    de_rham,
+    diamond_volumes,
+    discrete_inner,
+    discrete_norm,
+    exterior_derivative,
+    perturbed_mesh,
+    pi_minus_j,
+    read_mesh,
+    write_mesh,
+)
+
+SQRT3 = np.sqrt(3.0)
+PROPERTY = settings(max_examples=20, deadline=None, derandomize=True)
 
 MAX_DEGREE = 4
 _POWERS = np.arange(MAX_DEGREE + 1)
@@ -33,7 +54,7 @@ meshes = st.builds(
 )
 
 
-@settings(max_examples=20, deadline=None, derandomize=True)
+@PROPERTY
 @given(K=meshes, k=st.sampled_from([0, 1]), comps=st.lists(polys, min_size=2, max_size=2))
 def test_de_rham_commutes_with_d(K, k, comps):
     """D_k Pi w = Pi dw for polynomial k-forms of degree <= 4."""
@@ -41,3 +62,59 @@ def test_de_rham_commutes_with_d(K, k, comps):
     lhs = K.coboundary_matrix(k) @ de_rham(K, w)
     rhs = de_rham(K, exterior_derivative(w))
     assert np.abs(lhs - rhs).max() <= 1e-12 * max(np.abs(rhs).max(), 1.0)
+
+
+@PROPERTY
+@given(K=meshes)
+def test_coboundary_squares_to_zero_exactly(K):
+    """D_1 D_0 = 0 with no rounding: each entry is a sum of +-1 products."""
+    assert not (K.coboundary_matrix(1) @ K.coboundary_matrix(0)).toarray().any()
+
+
+@PROPERTY
+@given(K=meshes, k=st.sampled_from([1, 2]), seed=st.integers(0, 2**32 - 1))
+def test_d_and_delta_are_adjoint(K, k, seed):
+    """[[D a, b]]_k == [[a, delta b]]_{k-1} for random cochains a, b."""
+    dual = build_dual(K)
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal(K.n_simplices(k - 1))
+    b = rng.standard_normal(K.n_simplices(k))
+    da = K.coboundary_matrix(k - 1) @ a
+    lhs = discrete_inner(dual, k, da, b)
+    rhs = discrete_inner(dual, k - 1, a, codifferential_matrix(K, dual, k) @ b)
+    scale = discrete_norm(dual, k, da) * discrete_norm(dual, k, b)
+    assert abs(lhs - rhs) <= 1e-12 * scale
+
+
+@PROPERTY
+@given(K=meshes)
+def test_diamond_cells_partition_the_domain(K):
+    dual = build_dual(K)
+    for k in (0, 1, 2):
+        assert diamond_volumes(K, dual, k).sum() == pytest.approx(SQRT3 / 4, rel=1e-12), k
+
+
+@PROPERTY
+@given(K=meshes)
+def test_mesh_file_round_trips_bitwise(K):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "mesh.txt"
+        write_mesh(K, path)
+        K2 = read_mesh(path)
+        assert np.array_equal(K2.vertices, K.vertices)
+        assert np.array_equal(K2.simplices(2), K.simplices(2))
+        text = path.read_bytes()
+        write_mesh(K2, path)
+        assert path.read_bytes() == text
+
+
+constants = st.one_of(st.floats(-2.0, -0.1), st.floats(0.1, 2.0))
+
+
+@PROPERTY
+@given(K=meshes, k=st.sampled_from([0, 1, 2]), c=st.lists(constants, min_size=2, max_size=2))
+def test_constant_forms_lie_in_kernel_of_pi_minus_j(K, k, c):
+    dual = build_dual(K)
+    form = PolyForm(k, tuple(Poly2.constant(v) for v in c[: 2 if k == 1 else 1]))
+    gap = pi_minus_j(K, dual, form)
+    assert np.abs(gap).max() <= 1e-11 * discrete_norm(dual, k, de_rham(K, form))

@@ -20,13 +20,16 @@ from declab import (
 
 
 def _k0_system(level: int = 2):
+    """The singular k = 0 system, ker M = span{1}, with the right-hand side
+    deflated to 1^T b = 0 as solve_problem does."""
     K = symmetric_mesh(level)
     dual = build_dual(K)
     _, f = manufactured_solution(0)
     S = star_matrix(dual, 0)
     M = (S @ hodge_laplacian_matrix(K, dual, 0)).tocsr()
     b = S @ de_rham(K, f)
-    return M, b, dual.hodge_ratio_a[0]
+    a = dual.hodge_ratio_a[0]
+    return M, b - (b.sum() / a.sum()) * a
 
 
 # -- basic solves -------------------------------------------------------------
@@ -56,30 +59,21 @@ def test_matches_dense_solve_on_random_spd():
     assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
 
 
-# -- deflation ----------------------------------------------------------------
+# -- the singular k = 0 system -------------------------------------------------
 
 
 def test_deflated_zero_rhs_gives_zero():
-    M, _, s = _k0_system(1)
-    res = cg_solve(M, np.zeros(M.shape[0]), star_weights=s)
+    M, _ = _k0_system(1)
+    res = cg_solve(M, np.zeros(M.shape[0]))
     assert res.iterations == 0
     assert np.abs(res.x).max() == 0.0
     assert res.residual == 0.0
 
 
-def test_deflated_solution_has_zero_weighted_mean():
-    M, b, s = _k0_system(2)
-    res = cg_solve(M, b, star_weights=s)
-    scale = s.sum() * np.abs(res.x).max()
-    assert abs(s @ res.x) <= 1e-12 * scale
-
-
 def test_deflated_system_solves_singular_laplacian():
-    M, b, s = _k0_system(2)
-    res = cg_solve(M, b, star_weights=s)
-    # residual is measured against the deflated right-hand side
-    b_defl = b - (b.sum() / s.sum()) * s
-    r = np.linalg.norm(b_defl - M @ res.x) / np.linalg.norm(b_defl)
+    M, b = _k0_system(2)
+    res = cg_solve(M, b)
+    r = np.linalg.norm(b - M @ res.x) / np.linalg.norm(b)
     assert r <= 1e-11
 
 
@@ -100,10 +94,10 @@ def test_rejects_indefinite_matrix():
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_rejects_non_finite_rhs(bad):
-    M, b, s = _k0_system(1)
+    M, b = _k0_system(1)
     b[3] = bad
     with pytest.raises(ValueError, match="non-finite"):
-        cg_solve(M, b, star_weights=s)
+        cg_solve(M, b)
 
 
 def test_nan_curvature_fails_at_first_iteration():
@@ -113,10 +107,10 @@ def test_nan_curvature_fails_at_first_iteration():
 
 
 def test_reports_non_convergence():
-    M, b, s = _k0_system(3)
+    M, b = _k0_system(3)
     cfg = SolverConfig(max_iterations=2)
     with pytest.raises(SolverError, match="did not converge"):
-        cg_solve(M, b, cfg, star_weights=s)
+        cg_solve(M, b, cfg)
 
 
 def test_rejects_bad_shapes():
@@ -131,20 +125,19 @@ def test_rejects_bad_shapes():
 
 
 def test_solver_is_deterministic():
-    M, b, s = _k0_system(2)
-    r1 = cg_solve(M, b, star_weights=s)
-    r2 = cg_solve(M, b, star_weights=s)
+    M, b = _k0_system(2)
+    r1 = cg_solve(M, b)
+    r2 = cg_solve(M, b)
     assert np.array_equal(r1.x, r2.x)
     assert r1.iterations == r2.iterations
     assert r1.residual_history == r2.residual_history
 
 
 def test_residual_history_shape_and_convergence():
-    M, b, s = _k0_system(2)
-    res = cg_solve(M, b, star_weights=s)
+    M, b = _k0_system(2)
+    res = cg_solve(M, b)
     hist = res.residual_history
     assert len(hist) == res.iterations + 1
-    b_defl = b - (b.sum() / s.sum()) * s
-    assert hist[0] == pytest.approx(np.linalg.norm(b_defl))
+    assert hist[0] == pytest.approx(np.linalg.norm(b))
     assert hist[-1] <= 1e-12 * hist[0]
     assert res.residual == pytest.approx(hist[-1] / hist[0])
