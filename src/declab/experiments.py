@@ -30,6 +30,7 @@ error modulo constants, removing the S-weighted mean of R(u) - u_h.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 
@@ -188,11 +189,7 @@ def run_convergence(
         )
     report.rates = {
         key: [
-            float(
-                np.log2(
-                    report.records[i - 1].norms[key] / report.records[i].norms[key]
-                )
-            )
+            _rate(report.records[i - 1].norms[key], report.records[i].norms[key])
             for i in range(1, len(report.records))
         ]
         for key in NORM_KEYS[k]
@@ -200,9 +197,15 @@ def run_convergence(
     return report
 
 
+def _rate(coarse: float, fine: float) -> float:
+    """Observed rate log2(coarse / fine); nan when either norm is 0."""
+    return float(np.log2(coarse / fine)) if coarse > 0 and fine > 0 else math.nan
+
+
 def render_report(report: ConvergenceReport, fmt: str = "markdown") -> str:
     """Render a convergence table; values to 3 significant digits in
-    markdown, full precision in CSV.  The first row's rates print as --."""
+    markdown, full precision in CSV.  A missing or nan rate (the first row,
+    or a step with a zero norm) prints as -- in markdown, empty in CSV."""
     keys = NORM_KEYS[report.k]
     if fmt == "markdown":
         cols = ["h"]
@@ -216,9 +219,8 @@ def render_report(report: ConvergenceReport, fmt: str = "markdown") -> str:
             cells = [f"2^-{rec.level}"]
             for key in keys:
                 cells.append(f"{rec.norms[key]:.2e}")
-                cells.append(
-                    "--" if i == 0 else f"{report.rates[key][i - 1]:.2f}"
-                )
+                rate = report.rates[key][i - 1] if i else math.nan
+                cells.append("--" if math.isnan(rate) else f"{rate:.2f}")
             lines.append("| " + " | ".join(cells) + " |")
         return "\n".join(lines) + "\n"
     if fmt == "csv":
@@ -231,9 +233,8 @@ def render_report(report: ConvergenceReport, fmt: str = "markdown") -> str:
             cells = [str(rec.level), f"{rec.h:.17g}"]
             for key in keys:
                 cells.append(f"{rec.norms[key]:.17g}")
-                cells.append(
-                    "" if i == 0 else f"{report.rates[key][i - 1]:.17g}"
-                )
+                rate = report.rates[key][i - 1] if i else math.nan
+                cells.append("" if math.isnan(rate) else f"{rate:.17g}")
             cells.extend([str(rec.iterations), f"{rec.wall_time:.6f}"])
             lines.append(",".join(cells))
         return "\n".join(lines) + "\n"

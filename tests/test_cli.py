@@ -70,6 +70,28 @@ def test_convergence_rejects_bad_level_ranges(bad, capsys):
         main(["convergence", "--k", "0", "--levels", bad])
 
 
+# argparse's own rejections exit with its code 2 and print the usage line
+# first; the perfbench gate test pins that code for a bad level range.
+@pytest.mark.parametrize(
+    "option, name",
+    [(["--k", "7"], "--k"), (["--solver-tol", "abc"], "--solver-tol")],
+)
+def test_convergence_rejects_bad_argument_values_with_usage(option, name, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["convergence", "--k", "0", "--levels", "2", *option])
+    assert exc.value.code not in (0, None)
+    err = capsys.readouterr().err
+    assert err.startswith("usage: declab convergence")
+    assert err.splitlines()[-1].startswith(f"declab convergence: error: argument {name}")
+
+
+def test_help_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["convergence", "--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: declab convergence")
+
+
 # -- gen-mesh -----------------------------------------------------------------
 
 

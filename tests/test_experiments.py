@@ -8,6 +8,9 @@ errors reduce to the de Rham commutation defect, which is pure rounding.
 
 from __future__ import annotations
 
+import math
+import warnings
+
 import numpy as np
 import pytest
 
@@ -177,6 +180,31 @@ def test_render_csv_round_trips_full_precision():
     assert float(second[2]) == report.records[1].norms["e_u"]  # %.17g exact
     assert float(second[3]) == pytest.approx(report.rates["e_u"][0], abs=0)
     assert int(second[6]) == report.records[1].iterations
+
+
+def test_zero_norm_gives_nan_rate_without_warning(monkeypatch):
+    real = compute_errors
+
+    def zero_e_u_at_level_2(K, dual, k, u_h, rho_h):
+        norms = real(K, dual, k, u_h, rho_h)
+        if K.n_simplices(2) == 4 ** 2:  # level 2 of the symmetric family
+            norms["e_u"] = 0.0
+        return norms
+
+    monkeypatch.setattr("declab.experiments.compute_errors", zero_e_u_at_level_2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = run_convergence(2, "symmetric", [1, 2, 3])
+        markdown = render_report(report, "markdown")
+        csv = render_report(report, "csv")
+    e_u = report.rates["e_u"]
+    assert math.isnan(e_u[0]) and math.isnan(e_u[1])
+    assert all(math.isfinite(r) for r in report.rates["e_rho"])
+    for row in markdown.splitlines()[2:]:
+        assert row.split(" | ")[2] == "--"
+    for row in csv.splitlines()[1:]:
+        assert row.split(",")[3] == ""
+    assert csv.splitlines()[2].split(",")[2] == "0"
 
 
 def test_render_rejects_unknown_format():

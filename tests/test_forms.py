@@ -18,7 +18,14 @@ Oracles
 
 from __future__ import annotations
 
+import hashlib
+import inspect
 import math
+import multiprocessing
+import os
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -42,6 +49,7 @@ from declab import (
     perturbed_mesh,
     triangle_rule,
 )
+from declab import forms as forms_module
 from oracles import poly2_dense_horner
 
 SQRT3 = np.sqrt(3.0)
@@ -403,3 +411,178 @@ def test_de_rham_dual_stokes_on_hexagon():
         rhs = -de_rham_dual(K, dual, dw)[interior]
         assert (rhs < 0).any() and (rhs > 0).any()
         assert np.abs(lhs - rhs).max() <= 1e-13
+
+
+# -- chunked, threaded evaluation ---------------------------------------------
+#
+# The kernel evaluates chunks of about forms._CHUNK_POINTS quadrature points
+# on a thread pool.  Shrinking the chunk forces many chunks (and the pool)
+# on small meshes; a chunk larger than any mesh here gives one serial pass.
+
+ONE_CHUNK = 1 << 40
+
+
+def _kernel_forms(k):
+    u, f = manufactured_solution(k)
+    forms = [u, f]
+    if k == 1:
+        # distinct components next to the shared one of u = p dx + p dy
+        forms.append(PolyForm(1, (Poly2.monomial(3, 2, 0.7), Poly2.monomial(1, 4, -1.1))))
+    if k:
+        forms.append(codifferential(u))
+    return forms
+
+
+def _kernel_bytes(monkeypatch, chunk, fn, *args):
+    monkeypatch.setattr(forms_module, "_CHUNK_POINTS", chunk)
+    return fn(*args).tobytes()
+
+
+@pytest.mark.parametrize("k", [0, 1, 2])
+def test_multi_chunk_kernel_is_bit_identical_to_one_chunk(k, monkeypatch):
+    K = perturbed_mesh(4, seed=2)
+    corners = K.vertices[K.simplices(k)]
+    kernel = forms_module._integrate_simplices
+    # 101 is prime and every rule here has 1 to 72 points, so a 1000-point
+    # chunk holds 2 to 100 simplices and the last chunk is always shorter
+    for cells in (corners, corners[:101]):
+        for form in _kernel_forms(k):
+            serial = _kernel_bytes(monkeypatch, ONE_CHUNK, kernel, form, cells)
+            for chunk in (1, 1000):
+                assert _kernel_bytes(monkeypatch, chunk, kernel, form, cells) == serial
+
+
+@pytest.mark.parametrize("m", [0, 1, 2])
+def test_multi_chunk_de_rham_dual_is_bit_identical_to_one_chunk(m, monkeypatch):
+    K = perturbed_mesh(3, seed=1)
+    dual = build_dual(K)
+    for form in _kernel_forms(m):
+        serial = _kernel_bytes(monkeypatch, ONE_CHUNK, de_rham_dual, K, dual, form)
+        for chunk in (1, 333):
+            assert _kernel_bytes(monkeypatch, chunk, de_rham_dual, K, dual, form) == serial
+
+
+def test_forms_functions_run_on_the_calling_thread(monkeypatch):
+    """Workers run only Poly2.__call__: every module-level function of
+    forms, which includes every name a tracer may wrap (de_rham, the rule
+    constructors, manufactured_solution, ...), is called on the thread that
+    called de_rham, while the chunks are evaluated on pool threads."""
+    calls: dict[str, set[int]] = {}
+
+    def record(name, fn):
+        def wrapper(*args, **kwargs):
+            calls.setdefault(name, set()).add(threading.get_ident())
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for name, obj in list(vars(forms_module).items()):
+        if inspect.isfunction(obj) and obj.__module__ == forms_module.__name__:
+            monkeypatch.setattr(forms_module, name, record(name, obj))
+    monkeypatch.setattr(Poly2, "__call__", record("Poly2.__call__", Poly2.__call__))
+    monkeypatch.setattr(forms_module, "_CHUNK_POINTS", 500)
+    K = perturbed_mesh(3, seed=1)
+    dual = build_dual(K)
+    for k in (0, 1, 2):
+        u, f = forms_module.manufactured_solution(k)
+        forms_module.de_rham(K, f)
+        forms_module.de_rham_dual(K, dual, forms_module.codifferential(u) if k else u)
+    main = threading.get_ident()
+    workers = calls.pop("Poly2.__call__")
+    assert {"de_rham", "de_rham_dual", "_integrate_simplices", "triangle_rule"} <= set(calls)
+    assert all(idents == {main} for idents in calls.values()), calls
+    assert workers - {main}, "no chunk ran on the pool"
+
+
+def test_concurrent_callers_share_the_pool(monkeypatch):
+    """More calling threads than cores, each de_rham split into many chunks
+    on the one pool, with frequent thread switches: every result is still
+    bit-identical to a serial pass."""
+    monkeypatch.setattr(forms_module, "_CHUNK_POINTS", 300)
+    K = perturbed_mesh(3, seed=3)
+    jobs = [w for k in (0, 1, 2) for w in manufactured_solution(k)]
+    with monkeypatch.context() as serial:
+        serial.setattr(forms_module, "_CHUNK_POINTS", ONE_CHUNK)
+        expected = [de_rham(K, w).tobytes() for w in jobs]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(2 * (os.cpu_count() or 1) + 1) as callers:
+            futures = [callers.submit(de_rham, K, w) for w in jobs * 3]
+            got = [f.result(timeout=120).tobytes() for f in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    assert got == expected * 3
+
+
+def _de_rham_in_child(queue):
+    u, f = manufactured_solution(2)
+    queue.put(de_rham(perturbed_mesh(3, seed=1), f).tobytes())
+
+
+@pytest.mark.skipif(
+    "fork" not in multiprocessing.get_all_start_methods(), reason="needs fork"
+)
+@pytest.mark.filterwarnings("ignore::DeprecationWarning")  # fork of a threaded process
+def test_de_rham_works_in_a_child_forked_after_a_parallel_run(monkeypatch):
+    monkeypatch.setattr(forms_module, "_CHUNK_POINTS", 500)
+    _, f = manufactured_solution(2)
+    expected = de_rham(perturbed_mesh(3, seed=1), f).tobytes()  # starts the pool
+    assert forms_module._POOL
+    ctx = multiprocessing.get_context("fork")
+    queue = ctx.Queue()
+    child = ctx.Process(target=_de_rham_in_child, args=(queue,))
+    child.start()
+    try:
+        got = queue.get(timeout=60)
+    finally:
+        child.join(timeout=10)
+        if child.is_alive():
+            child.kill()
+            child.join()
+    assert got == expected
+    assert child.exitcode == 0
+
+
+# Golden digests: SHA-256 of the float64 bytes of de_rham(K, w) on
+# symmetric level 4 and perturbed (level 4, seed 2, alpha 0.15), recorded
+# before the evaluation was chunked and threaded.  The benchmark compares
+# its norms with reference values at rtol 1e-7, and a change of evaluator
+# (a float64 rewrite of the forms, say) moves norms by more than that, so
+# such a change shows up here first; it must re-record both.
+DE_RHAM_SHA256 = {
+    ("symmetric", 0, "u"): "50020df0eb5090ae0d648053234fec783206a5aaa0bb93d2a4fb6a4d458221ae",
+    ("symmetric", 0, "f"): "2682edbcbac36488530f5037d729f8866d7fefd1af80e4a0853f610fb751b798",
+    ("symmetric", 1, "u"): "b07b0e682cc81c5752863aa4b0cbc0ef6e99cf510e396a6aff672422c41062c3",
+    ("symmetric", 1, "f"): "14a938a97275405b1f24b06a6c510618470af8ebcc351bd03899ef288ed6503f",
+    ("symmetric", 1, "du"): "70eca9f8dd4138225842ac5b70e098ebb828e833e18b5f1b8544c4bdfdb0ad5f",
+    ("symmetric", 2, "u"): "682d4c0005ab3e391bcc4dbe83a5761f10023eccba38e9a437ac8496f87736d3",
+    ("symmetric", 2, "f"): "8b092993e5af4c5396e655eb6970b5747aae1d7efb0612a00271a49c37a446e0",
+    ("symmetric", 2, "du"): "2a0dff8443deee6184553953263ea87e42c9915451266ea16eb79afcc035d1b4",
+    ("perturbed", 0, "u"): "c9f146b0214c56b940f01028880a24e6ebc25966fba34fd7014597c0b9d73a94",
+    ("perturbed", 0, "f"): "45bff1502da526f0d5fff35c9011277f9990d21e86d449d845ea0729b8134cd2",
+    ("perturbed", 1, "u"): "1b5b9237e826aa52042b6fa41f954b86e644bd8549181ee4517b6c398cd4688f",
+    ("perturbed", 1, "f"): "7e9547ab615b418d9afc65a6b1b34a060ce61f28030ed5aa2d99227ed227ec9a",
+    ("perturbed", 1, "du"): "70cf36a57939b8dc9d85dfed19485df723fd02ed8e0b34c33b30b07e092b8763",
+    ("perturbed", 2, "u"): "f81c28a9c29f533d5806dc575f885d3edd4ab7250ac620622ad70916fc729509",
+    ("perturbed", 2, "f"): "86a15d3d653e38293e8908453f10444bbeb22fb43d540132b1ba65cf45481e74",
+    ("perturbed", 2, "du"): "6b73fe0d97b6d6fb4c711aa2358f6e03fce33dad613f0fd18ea78ddde4cccf95",
+}
+
+
+@pytest.mark.skipif(
+    np.finfo(np.longdouble).nmant != 63,
+    reason="digests were recorded with 80-bit extended precision",
+)
+@pytest.mark.parametrize("chunk", [None, 100])
+@pytest.mark.parametrize("family", ["symmetric", "perturbed"])
+def test_de_rham_golden_digests(family, chunk, monkeypatch):
+    if chunk is not None:
+        monkeypatch.setattr(forms_module, "_CHUNK_POINTS", chunk)
+    K = symmetric_mesh(4) if family == "symmetric" else perturbed_mesh(4, 2, 0.15)
+    for k in (0, 1, 2):
+        u, f = manufactured_solution(k)
+        forms = {"u": u, "f": f, **({"du": codifferential(u)} if k else {})}
+        for name, w in forms.items():
+            digest = hashlib.sha256(de_rham(K, w).tobytes()).hexdigest()
+            assert digest == DE_RHAM_SHA256[family, k, name], (family, k, name)
