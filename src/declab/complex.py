@@ -180,10 +180,12 @@ def build_complex(vertices: np.ndarray, cells: np.ndarray) -> SimplicialComplex:
     if not used.all():
         raise ValueError(f"vertex {int(np.where(~used)[0][0])} is not referenced by any cell")
 
-    # enumerate edges; np.unique sorts rows lexicographically
+    # enumerate edges by the key a * V + b of each pair a < b: numeric order
+    # on the keys is lexicographic order on the pairs
     pair_local = [(0, 1), (0, 2), (1, 2)]
-    edges_all = tris[:, pair_local].reshape(-1, 2)
-    edges, inverse = np.unique(edges_all, axis=0, return_inverse=True)
+    pairs = tris[:, pair_local]
+    keys, inverse = np.unique(pairs[..., 0] * nv + pairs[..., 1], return_inverse=True)
+    edges = np.stack([keys // nv, keys % nv], axis=1)
     cell_edges = inverse.reshape(-1, 3).astype(np.int64)
 
     coface_count = np.bincount(cell_edges.ravel(), minlength=len(edges))

@@ -50,13 +50,10 @@ def _triangle_circum_bary(pts: np.ndarray) -> np.ndarray:
     Closed form w_i = s_i^2 (s_j^2 + s_k^2 - s_i^2) with s_i the side length
     opposite vertex i; the normalizer equals 16 * area^2.
     """
-    d2 = np.empty(pts.shape[:2])
     # weights that overflow come out NaN; the well-centeredness checks
     # reject them, so the overflow is not also warned of
     with np.errstate(over="ignore", invalid="ignore"):
-        d2[:, 0] = ((pts[:, 1] - pts[:, 2]) ** 2).sum(axis=1)
-        d2[:, 1] = ((pts[:, 0] - pts[:, 2]) ** 2).sum(axis=1)
-        d2[:, 2] = ((pts[:, 0] - pts[:, 1]) ** 2).sum(axis=1)
+        d2 = ((pts[:, [1, 0, 0]] - pts[:, [2, 2, 1]]) ** 2).sum(axis=2)
         w = d2 * (d2.sum(axis=1, keepdims=True) - 2.0 * d2)
         return w / w.sum(axis=1, keepdims=True)
 

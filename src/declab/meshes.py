@@ -21,7 +21,9 @@ with the standard 64-bit mix finalizer
 
 and the quotient taken as (z >> 11) * 2^-53.  Each displacement attempt
 consumes exactly two draws (radius and angle), and the counter advances
-whether or not the attempt is accepted.
+whether or not the attempt is accepted.  The vertices are visited in index
+order, but the stream is evaluated speculatively, many vertices and draws
+per numpy call (see `perturbed_mesh`), giving the same mesh to the bit.
 
 The text format (shared with the complex builder): first line `n V C`,
 then V lines of n coordinates, then C lines of n+1 zero-based vertex ids;
@@ -53,6 +55,9 @@ SQRT3 = np.sqrt(3.0)
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
+# batch size of perturbed_mesh, in vertices: doubled after a batch that
+# passes whole, halved after a failure; the cap keeps a batch near 1 MB
+_BATCH_MIN, _BATCH_MAX = 8, 4096
 
 
 class MeshError(Exception):
@@ -83,17 +88,24 @@ def build_mesh(spec: MeshFamilySpec) -> SimplicialComplex:
     return perturbed_mesh(spec.level, spec.seed, spec.alpha)
 
 
-def _mix64(z: int) -> int:
-    z &= _MASK64
-    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
-    return z ^ (z >> 31)
+def counter_uniform(seed: int, counter):
+    """Draw `counter` of the stream seeded with `seed`, uniform on [0, 1).
 
-
-def counter_uniform(seed: int, counter: int) -> float:
-    """Draw `counter` of the stream seeded with `seed`, uniform on [0, 1)."""
-    z = _mix64((seed + (counter + 1) * _GOLDEN) & _MASK64)
-    return (z >> 11) * 2.0**-53
+    `counter` is a non-negative int (giving a float) or an integer array
+    (giving a float64 array of the same shape); the arithmetic wraps in
+    uint64, and the seed is reduced mod 2^64 first, so any int is exact.
+    """
+    z = np.array(counter, dtype=np.uint64, ndmin=1)
+    z += 1
+    z *= _GOLDEN
+    z += int(seed) & _MASK64
+    z ^= z >> 30
+    z *= 0xBF58476D1CE4E5B9
+    z ^= z >> 27
+    z *= 0x94D049BB133111EB
+    z ^= z >> 31
+    u = np.ldexp((z >> 11).astype(np.float64), -53)
+    return float(u[0]) if np.ndim(counter) == 0 else u
 
 
 def _grid_layout(m: int):
@@ -157,6 +169,13 @@ def perturbed_mesh(m: int, seed: int, alpha: float = 0.15) -> SimplicialComplex:
     radius halved (up to 20 retries) until all triangles incident to the
     vertex stay strictly acute against the already-updated coordinates.
     Boundary vertices are never moved.  Deterministic in (m, seed, alpha).
+
+    The stream is evaluated speculatively, whole arrays at a time: vertices
+    s, s + 1, ... are drawn and tested as one batch as if each accepts (s
+    at its next attempt, the rest at their first), the longest passing
+    prefix is kept, and the vertex after it heads the next batch.  The
+    batch doubles after a full pass and halves after a failure.  The mesh
+    is bit for bit that of the one-vertex-at-a-time visit.
     """
     if m < 1:
         raise ValueError("refinement level must be >= 1")
@@ -166,36 +185,49 @@ def perturbed_mesh(m: int, seed: int, alpha: float = 0.15) -> SimplicialComplex:
     cells = _grid_cells(n_rows, offsets)
     h = 0.5**m
 
-    # vertex -> incident cells (rows of `cells`)
-    incident: list[list[int]] = [[] for _ in range(len(coords))]
-    for c, cell in enumerate(cells):
-        for v in cell:
-            incident[v].append(c)
+    # interior vertices are those with six incident cells; `ring` holds the
+    # vertex ids of each one's cells, `ring_pos` their interior positions
+    # (visiting order), -1 on the boundary
+    degree = np.bincount(cells.ravel(), minlength=len(coords))
+    interior = np.flatnonzero(degree == 6)
+    first = np.cumsum(degree)[interior] - 6
+    ring = cells[np.argsort(cells.ravel(), kind="stable")[first[:, None] + np.arange(6)] // 3]
+    pos = np.full(len(coords), -1)
+    pos[interior] = np.arange(len(interior))
+    ring_pos = pos[ring]
+    base = coords[interior]
 
-    counter = 0
-    for r in range(1, n_rows):
-        for j in range(1, n_rows - r):
-            v = int(offsets[r] + j)
-            base = coords[v].copy()
-            tri_pts = coords[cells[incident[v]]]
-            local = cells[incident[v]] == v  # which corner is v
-            for attempt in range(21):
-                radius = alpha * h * 0.5**attempt
-                u1 = counter_uniform(seed, counter)
-                u2 = counter_uniform(seed, counter + 1)
-                counter += 2
-                rho = radius * np.sqrt(u1)
-                theta = 2.0 * np.pi * u2
-                cand = base + rho * np.array([np.cos(theta), np.sin(theta)])
-                tri_pts[local] = cand
-                if _triangle_circum_bary(tri_pts).min() > WELL_CENTERED_TOL:
-                    coords[v] = cand
-                    break
-            else:
-                raise MeshError(
-                    f"could not keep the mesh well-centered around vertex "
-                    f"{v} at {tuple(base)} after 20 radius halvings"
-                )
+    # a batch starts at vertex s, at its attempt `attempt`, drawing from
+    # `counter`; each corner at a batch vertex takes that vertex's candidate
+    n = len(interior)
+    s = counter = attempt = 0
+    batch = _BATCH_MIN
+    while s < n:
+        count = min(batch, n - s)
+        u = counter_uniform(seed, counter + np.arange(2 * count))
+        radius = np.full(count, alpha * h)
+        radius[0] = alpha * h * 0.5**attempt
+        rho, theta = radius * np.sqrt(u[0::2]), 2.0 * np.pi * u[1::2]
+        cand = base[s : s + count] + rho[:, None] * np.array([np.cos(theta), np.sin(theta)]).T
+        rel = ring_pos[s : s + count] - s
+        take = (rel >= 0) & (rel <= np.arange(count)[:, None, None])
+        pts = coords[ring[s : s + count]]
+        pts[take] = cand[rel[take]]
+        bary = _triangle_circum_bary(pts.reshape(-1, 3, 2)).reshape(count, -1)
+        ok = bary.min(axis=1) > WELL_CENTERED_TOL
+        n_ok = count if ok.all() else int(np.argmin(ok))
+        coords[interior[s : s + n_ok]] = cand[:n_ok]
+        if n_ok == count:
+            s, counter, attempt = s + count, counter + 2 * count, 0
+            batch = min(2 * batch, _BATCH_MAX)
+            continue
+        s, counter, attempt = s + n_ok, counter + 2 * (n_ok + 1), (0 if n_ok else attempt) + 1
+        batch = max(batch // 2, _BATCH_MIN)
+        if attempt > 20:
+            raise MeshError(
+                f"could not keep the mesh well-centered around vertex "
+                f"{interior[s]} at {tuple(base[s])} after 20 radius halvings"
+            )
 
     K = build_complex(coords, cells)
     ok, offenders = is_well_centered(K)

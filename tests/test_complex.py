@@ -148,8 +148,12 @@ def test_rejects_non_manifold_edge():
     cells = [[0, 1, 2], [1, 2, 3], [0, 1, 4]]
     # edge (0,1) would belong to triangles 0 and 2; add one more on it
     cells.append([0, 1, 3])
-    with pytest.raises(ValueError, match="non-manifold"):
+    with pytest.raises(ValueError, match=r"^non-manifold edge \(0, 1\): 3 cofaces$"):
         build_complex(verts, cells)
+    # the offending edge is named by its ascending vertex pair, whatever the
+    # order of the cells and of their vertices
+    with pytest.raises(ValueError, match=r"^non-manifold edge \(1, 2\): 3 cofaces$"):
+        build_complex(verts, [[3, 1, 2], [1, 2, 0], [4, 2, 1]])
 
 
 def test_rejects_repeated_vertex_in_cell():

@@ -26,6 +26,8 @@ from declab import (
     symmetric_mesh,
     write_mesh,
 )
+from declab import meshes as meshes_module
+from oracles import perturbed_mesh_sequential
 
 SQRT3 = np.sqrt(3.0)
 
@@ -62,6 +64,28 @@ def test_counter_uniform_matches_stream():
         stream = _splitmix64_stream(seed, 8)
         for i, z in enumerate(stream):
             assert counter_uniform(seed, i) == (z >> 11) * 2.0**-53
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("seed", [0, 1, 2**63, 2**64 - 1, -1, -(2**64) - 3, 2**64 + 5, 2**70])
+def test_counter_uniform_on_arrays_matches_stream(seed):
+    """Array counters, also near 2^63, wrap in uint64 with no overflow
+    warning; seeds outside [0, 2^64) act mod 2^64.  Draw c of a stream is
+    draw 0 of the stream seeded c * gamma further on."""
+    counters = np.array(
+        [[0, 1, 2, 7], [2**63 - 2, 2**63 - 1, 2**63, 2**63 + 1], [2**64 - 2, 12345, 2**40, 99]],
+        dtype=np.uint64,
+    )
+    want = [
+        [(_splitmix64_stream((seed + int(c) * _GAMMA) & _MASK, 1)[0] >> 11) * 2.0**-53 for c in row]
+        for row in counters
+    ]
+    got = counter_uniform(seed, counters)
+    assert got.dtype == np.float64 and got.shape == counters.shape
+    assert got.tolist() == want
+    assert counter_uniform(seed, counters[0].astype(np.int64)).tolist() == want[0]
+    scalar = counter_uniform(seed, 2**63)
+    assert type(scalar) is float and scalar == want[1][2]
 
 
 def test_counter_uniform_range_and_spread():
@@ -120,6 +144,33 @@ def test_perturbed_zero_alpha_is_symmetric():
     Kp = perturbed_mesh(2, seed=3, alpha=0.0)
     assert np.array_equal(K0.vertices, Kp.vertices)
     assert np.array_equal(K0.simplices(2), Kp.simplices(2))
+
+
+@pytest.mark.parametrize(
+    "m, seed, alpha", [(5, 1, 0.0), (3, -1, 0.0), (1, 1, 0.15), (1, 2**70, 0.45)]
+)
+def test_perturbed_without_displacement_is_symmetric(m, seed, alpha):
+    """alpha = 0 moves nothing, and level 1 has no interior vertex."""
+    K0 = symmetric_mesh(m)
+    Kp = perturbed_mesh(m, seed, alpha)
+    assert Kp.vertices.tobytes() == K0.vertices.tobytes()
+    assert np.array_equal(K0.simplices(2), Kp.simplices(2))
+
+
+def test_perturbed_failure_names_the_first_interior_vertex(monkeypatch):
+    """No acute triangle clears a tolerance above 1/3, so every attempt of
+    the first interior vertex fails and the error names it."""
+    monkeypatch.setattr(meshes_module, "WELL_CENTERED_TOL", 0.34)
+    with pytest.raises(MeshError) as want:
+        perturbed_mesh_sequential(3, 1)
+    with pytest.raises(MeshError) as got:
+        perturbed_mesh(3, 1)
+    assert str(got.value) == str(want.value)
+    base = tuple(symmetric_mesh(3).vertices[10])
+    assert str(got.value) == (
+        f"could not keep the mesh well-centered around vertex 10 at {base} "
+        f"after 20 radius halvings"
+    )
 
 
 def test_perturbed_is_deterministic_and_seed_dependent():
@@ -221,6 +272,8 @@ GOLDEN_MESHES = [
     ("perturbed", 3, 1, 0.15, "510a0712930b18cbbfabe4cfccfeaf2f34804bec7a7688a4700b7fc1e55e6d04"),
     ("perturbed", 4, 2, 0.3, "27e74d5257f5c6ea235d2e74838d2db1a29d49fdd691079e0d8b04c38ca59492"),
     ("perturbed", 5, 7, 0.15, "b63ec890ee72598313cd55301e3ca35b8f503cb4936abf503b812b772b625e3d"),
+    ("perturbed", 7, 1, 0.15, "409e0c36789944e84d8bdbcbf591a04dac6fec28562fd5c283988f09c6a31556"),
+    ("perturbed", 6, 3, 0.45, "657b849380cff462550df328b06e001b055ab4bb83fcc0ac245b65cdd31c05a2"),
 ]
 
 

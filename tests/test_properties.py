@@ -13,8 +13,10 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from declab import (  # noqa: E402
+    MeshError,
     Poly2,
     PolyForm,
+    build_complex,
     build_dual,
     codifferential_matrix,
     de_rham,
@@ -25,8 +27,10 @@ from declab import (  # noqa: E402
     perturbed_mesh,
     pi_minus_j,
     read_mesh,
+    symmetric_mesh,
     write_mesh,
 )
+from oracles import edge_tables_unique_rows, perturbed_mesh_sequential  # noqa: E402
 
 SQRT3 = np.sqrt(3.0)
 PROPERTY = settings(max_examples=20, deadline=None, derandomize=True)
@@ -118,3 +122,51 @@ def test_constant_forms_lie_in_kernel_of_pi_minus_j(K, k, c):
     form = PolyForm(k, tuple(Poly2.constant(v) for v in c[: 2 if k == 1 else 1]))
     gap = pi_minus_j(K, dual, form)
     assert np.abs(gap).max() <= 1e-11 * discrete_norm(dual, k, de_rham(K, form))
+
+
+def _assert_same_perturbed_mesh(m: int, seed: int, alpha: float) -> None:
+    """perturbed_mesh equals the one-vertex-at-a-time oracle to the last
+    bit, or fails with the same MeshError."""
+    try:
+        want = perturbed_mesh_sequential(m, seed, alpha)
+    except MeshError as exc:
+        with pytest.raises(MeshError) as got:
+            perturbed_mesh(m, seed, alpha)
+        assert str(got.value) == str(exc)
+        return
+    K = perturbed_mesh(m, seed, alpha)
+    assert K.vertices.tobytes() == want.vertices.tobytes()
+    assert K.simplices(2).tobytes() == want.simplices(2).tobytes()
+
+
+@PROPERTY
+@given(
+    m=st.integers(1, 5),
+    seed=st.one_of(st.sampled_from([-1, 2**64 - 1, 2**70]), st.integers(-(2**70), 2**70)),
+    alpha=st.floats(0.0, 0.5, exclude_max=True),
+)
+def test_perturbed_mesh_matches_sequential_oracle(m, seed, alpha):
+    _assert_same_perturbed_mesh(m, seed, alpha)
+
+
+@pytest.mark.parametrize("m, seed, alpha", [(8, 2, 0.3), (6, 3, 0.45)])
+def test_perturbed_mesh_matches_sequential_oracle_where_retries_are_dense(m, seed, alpha):
+    """Thousands of retries: (8, 2, 0.3) retries 6328 times over 32385
+    interior vertices, (6, 3, 0.45) 1184 times over 1953."""
+    _assert_same_perturbed_mesh(m, seed, alpha)
+
+
+@PROPERTY
+@given(m=st.integers(1, 4), seed=st.integers(0, 2**32 - 1))
+def test_edge_tables_match_unique_rows_oracle(m, seed):
+    """Edges, cell edges and boundary flags of a shuffled cell list, with
+    the vertices of each cell shuffled too, equal np.unique(axis=0)'s."""
+    rng = np.random.default_rng(seed)
+    K0 = symmetric_mesh(m)
+    cells = rng.permuted(K0.simplices(2)[rng.permutation(K0.n_simplices(2))], axis=1)
+    K = build_complex(K0.vertices, cells)
+    edges, cell_edges, boundary_vertices, boundary_edges = edge_tables_unique_rows(cells)
+    assert np.array_equal(K.simplices(1), edges)
+    assert np.array_equal(K.cell_edges, cell_edges)
+    assert np.array_equal(K.is_boundary(0), boundary_vertices)
+    assert np.array_equal(K.is_boundary(1), boundary_edges)
