@@ -3,8 +3,8 @@
 Primal simplicial complexes with ascending-tuple orientation, circumcentric
 dual complexes, diagonal Hodge stars, the discrete codifferential and
 Hodge-Laplacian, polynomial differential forms with exact quadrature, a
-Jacobi-PCG solver, structured/perturbed mesh families on an
-equilateral domain, and a manufactured-solution convergence laboratory.
+CG solver (Jacobi, or multigrid on grid meshes), structured/perturbed mesh
+families on an equilateral domain, and a manufactured-solution laboratory.
 """
 
 from __future__ import annotations

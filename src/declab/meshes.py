@@ -226,7 +226,7 @@ def perturbed_mesh(m: int, seed: int, alpha: float = 0.15) -> SimplicialComplex:
         if attempt > 20:
             raise MeshError(
                 f"could not keep the mesh well-centered around vertex "
-                f"{interior[s]} at {tuple(base[s])} after 20 radius halvings"
+                f"{interior[s]} at {tuple(base[s].tolist())} after 20 radius halvings"
             )
 
     K = build_complex(coords, cells)

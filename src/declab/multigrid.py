@@ -1,0 +1,164 @@
+"""Geometric W-cycle preconditioner for the degree-k system on grid meshes.
+
+Both mesh families have the cell table of `meshes._grid_cells`: level l is
+the red refinement of level l - 1, whose vertices are those with even
+lattice coordinates (row r, place j in the row).  The transfer from level
+l - 1 to l is P_k = R_h W_2h, the fine de Rham map of the coarse cochain's
+Whitney form (Arnold, Falk & Winther 2000; Bell & Olson 2008), with the
+barycentric position of a fine simplex in its parent taken from the
+reference grid and gradients, edge vectors and areas from the actual
+vertices.  So k = 1 gives (lam_i grad lam_j - lam_j grad lam_i) . (b - a),
+lam at the midpoint of the fine edge [a, b], and k = 2 gives +-|t| / (sum
+of |children|), the sums carried down as the coarse measures.  Transfers
+from topology alone let iterations grow like h^-1 on the perturbed family.
+Coarse operators are Galerkin down to level 3, solved there by a dense
+pseudo-inverse; the same degree-2 Chebyshev smoother on D^-1 A runs before
+and after the two coarse visits, so the cycle is symmetric.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+import scipy.sparse as sp
+
+from .complex import SimplicialComplex
+from .dual import _cross2
+
+# the six fine vertices of a coarse triangle as midpoints of corners a, b,
+# their barycentric coordinates there, and its nine edges and four triangles
+_A, _B = np.array([0, 1, 2, 0, 0, 1]), np.array([0, 1, 2, 1, 2, 2])
+_LAM = (np.eye(3)[_A] + np.eye(3)[_B]) / 2
+_EDGES = np.array([[0, 3], [3, 1], [0, 4], [4, 2], [1, 5], [5, 2], [3, 4], [3, 5], [4, 5]])
+_TRIANGLES = np.array([[0, 3, 4], [1, 3, 5], [2, 4, 5], [3, 4, 5]])
+_PAIRS = np.array([[0, 1], [0, 2], [1, 2]])  # K.cell_edges' local order
+
+
+def _vid(n: int, r, j):  # vertex id of lattice point (r, j) on the n-row grid
+    return r * (n + 1) - r * (r - 1) // 2 + j
+
+
+class _Grid:
+    """Lattice coordinates and simplex numbering of the n-row grid, in
+    build_complex's order: from a lowest vertex (r, j) the edges run to
+    (r, j+1), (r+1, j-1), (r+1, j), and the up triangle precedes the down."""
+
+    def __init__(self, n: int):
+        self.n = n
+        self.counts = ((n + 1) * (n + 2) // 2, 3 * n * (n + 1) // 2, n * n)
+        self.r = np.repeat(np.arange(n + 1), np.arange(n + 1, 0, -1))
+        self.j = np.arange(len(self.r)) - _vid(n, self.r, 0)
+        inner, left = self.j < n - self.r, self.j >= 1
+        self.edge_rank = np.cumsum(np.stack([inner, left, inner], axis=1).ravel()) - 1
+        has_tri = np.stack([inner, inner & left], axis=1).ravel()
+        self.tri_rank = np.cumsum(has_tri) - 1
+        key = np.flatnonzero(has_tri)
+        a, down = key // 2, key % 2
+        r, j = self.r[a], self.j[a]
+        self.tri = np.stack([a, np.where(down, _vid(n, r + 1, j - 1), a + 1), _vid(n, r + 1, j)], 1)
+
+    def edge(self, a, b):
+        """Edge ids of the vertex pairs (a, b), with their tails and heads."""
+        tail, head = np.minimum(a, b), np.maximum(a, b)
+        step = self.r[head] - self.r[tail] + (self.j[head] == self.j[tail])
+        return self.edge_rank[3 * tail + step], tail, head
+
+    def triangle(self, v):
+        """Triangle ids of the vertex triples in the last axis of v."""
+        v = np.sort(v, axis=-1)
+        return self.tri_rank[2 * v[..., 0] + (v[..., 1] != v[..., 0] + 1)]
+
+
+def grid_level(K: SimplicialComplex) -> int | None:
+    """m when K has the vertex count and cell table of the level-m grid
+    (either family, whatever the vertex positions), else None."""
+    nv = K.n_simplices(0)
+    n = int(round((np.sqrt(8.0 * nv + 1.0) - 3.0) / 2.0))
+    if n < 2 or n & (n - 1) or (n + 1) * (n + 2) // 2 != nv or K.n_simplices(2) != n * n:
+        return None
+    return n.bit_length() - 1 if np.array_equal(K.simplices(2), _Grid(n).tri) else None
+
+
+def transfers(vertices: np.ndarray, m: int, k: int):
+    """The transfers P_k into levels m, m-1, ..., 4 of the level-m grid with
+    these vertex coordinates, finest first."""
+    fine, x = _Grid(2**m), vertices
+    if k == 2:
+        d = x[fine.tri[:, 1:]] - x[fine.tri[:, :1]]
+        area = np.abs(_cross2(d[:, 0], d[:, 1])) / 2
+    Ps = []
+    for level in range(m, 3, -1):  # down to level 3
+        coarse = _Grid(2 ** (level - 1))
+        corner = np.stack([coarse.r[coarse.tri], coarse.j[coarse.tri]], axis=-1)
+        point = _vid(fine.n, *np.moveaxis(corner[:, _A] + corner[:, _B], -1, 0))
+        # child ids (T, c), and for each child its coarse ids and weights (T, c, w)
+        if k == 0:
+            child, cols, vals = point, coarse.tri[:, None, :], _LAM[None]
+        elif k == 1:
+            child, tail, head = fine.edge(point[:, _EDGES[:, 0]], point[:, _EDGES[:, 1]])
+            p = x[point[:, :3]]
+            e = p[:, [2, 0, 1]] - p[:, [1, 2, 0]]  # edge opposite each corner
+            grad = e[..., ::-1] * [-1.0, 1.0] / _cross2(e[:, 2], -e[:, 1])[:, None, None]
+            g = np.einsum("tcx,tex->tec", grad, x[head] - x[tail])
+            lam = (_LAM[_EDGES[:, 0]] + _LAM[_EDGES[:, 1]]) / 2
+            i, j = _PAIRS.T
+            vals = lam[:, i] * g[:, :, j]
+            vals -= lam[:, j] * g[:, :, i]
+            cols = coarse.edge(coarse.tri[:, i], coarse.tri[:, j])[0][:, None, :]
+        else:
+            child = fine.triangle(point[:, _TRIANGLES])
+            parent = area[child].sum(axis=1)
+            # the middle child points the other way from its parent
+            vals = (area[child] / parent[:, None] * [1, 1, 1, -1])[..., None]
+            cols = np.arange(len(point))[:, None, None]
+            area = parent
+        # a fine simplex shared by several parents takes their mean
+        share = np.bincount(child.ravel(), minlength=fine.counts[k])
+        vals = vals / share[child][..., None]
+        rows = np.broadcast_to(child[..., None].astype(np.int32), vals.shape).ravel()
+        cols = np.broadcast_to(cols.astype(np.int32), vals.shape).ravel()
+        P = sp.csr_matrix((vals.ravel(), (rows, cols)), (fine.counts[k], coarse.counts[k]))
+        P.eliminate_zeros()
+        Ps.append(P)
+        fine, x = coarse, x[_vid(2 * coarse.n, 2 * coarse.r, 2 * coarse.j)]
+    return Ps
+
+
+def w_cycle(M: sp.csr_matrix, vertices: np.ndarray, m: int, k: int):
+    """One W-cycle for M, the degree-k system on the level-m grid with these
+    vertices, as a function r -> z approximating M^+ r."""
+    Ps = transfers(vertices, m, k)
+    A = [M]
+    for P in Ps:
+        A.append((P.T @ A[-1] @ P).tocsr())
+    smoothers = []
+    for Al in A[:-1]:
+        inv_d = 1.0 / Al.diagonal()
+        g = (abs(Al).sum(axis=1).A1 * inv_d).max()  # Gershgorin bound of D^-1 A
+        # 1 - t (c0 + c1 t) is the degree-2 Chebyshev residual on [g/10, g]
+        smoothers.append((inv_d, 2.2 / (0.4025 * g), -2.0 / (0.4025 * g * g)))
+    w, V = np.linalg.eigh(A[-1].toarray())
+    keep = w > 1e-10 * w.max()
+    coarse_inv = (V[:, keep] / w[keep]) @ V[:, keep].T
+    levels = (A, Ps, smoothers, coarse_inv)
+    if k == 0:  # M^+ maps into the range of M, the vectors that sum to zero
+        return lambda r: (z := _visit(levels, 0, r)) - z.mean()
+    return lambda r: _visit(levels, 0, r)
+
+
+def _visit(levels, level: int, b: np.ndarray) -> np.ndarray:
+    """The W-cycle from `level` down applied to b; not a closure, which would
+    call itself and keep the levels alive in a reference cycle."""
+    A, Ps, smoothers, coarse_inv = levels
+    if level == len(Ps):
+        return coarse_inv @ b
+    Al, (inv_d, c0, c1) = A[level], smoothers[level]
+
+    def smooth(r):
+        return inv_d * (c0 * r + c1 * (Al @ (inv_d * r)))
+
+    x = smooth(b)
+    rc = Ps[level].T @ (b - Al @ x)
+    e = _visit(levels, level + 1, rc)
+    e += _visit(levels, level + 1, rc - A[level + 1] @ e)
+    x += Ps[level] @ e
+    return x + smooth(b - Al @ x)

@@ -1,12 +1,13 @@
-"""Jacobi-preconditioned conjugate gradient for symmetric sparse systems.
+"""Preconditioned conjugate gradient for symmetric sparse systems.
 
 Matrices are scipy sparse, converted to CSR on entry.  The solver is a
-hand-rolled Jacobi-preconditioned CG for symmetric positive definite
-systems, and for semidefinite ones whose right-hand side lies in the range
-of the matrix: CG then stays in that range.  It knows nothing of null
-spaces; the caller projects the right-hand side and fixes the gauge (see
-``experiments.solve_problem`` for the k = 0 Hodge-Laplacian, whose kernel
-is the constants).
+hand-rolled CG, preconditioned by Jacobi or by the caller's operator (the
+W-cycle of ``multigrid``, from ``experiments.solve_problem``), for
+symmetric positive definite systems, and for semidefinite ones whose
+right-hand side lies in the range of the matrix: CG then stays in that
+range.  It knows nothing of null spaces; the caller projects the
+right-hand side and fixes the gauge (see ``experiments.solve_problem``
+for the k = 0 Hodge-Laplacian, whose kernel is the constants).
 """
 
 from __future__ import annotations
@@ -65,11 +66,14 @@ def cg_solve(
     M: sp.spmatrix,
     b: np.ndarray,
     config: SolverConfig | None = None,
+    precondition=None,
 ) -> SolverResult:
     """Solve the symmetric positive (semi)definite system M x = b by CG,
     starting from x = 0.
 
-    Deterministic: fixed reduction order, no randomness.
+    precondition maps a residual r to B r, B symmetric and positive on the
+    range of M; None means Jacobi.  Deterministic: fixed reduction order,
+    no randomness.
 
     Raises
     ------
@@ -102,12 +106,16 @@ def cg_solve(
     if norm_b == 0.0:
         return SolverResult(x, 0.0, 0, [0.0])
 
-    d = M.diagonal().copy()
-    d[d <= 0.0] = 1.0
-    inv_d = 1.0 / d
+    if precondition is None:
+        d = M.diagonal().copy()
+        d[d <= 0.0] = 1.0
+        inv_d = 1.0 / d
+
+        def precondition(r):
+            return r * inv_d
 
     r = b.copy()
-    z = r * inv_d
+    z = precondition(r)
     p = z.copy()
     rho = float(r @ z)
     history = [norm_b]
@@ -132,7 +140,7 @@ def cg_solve(
         if norm_r <= cfg.tol * norm_b:
             converged = True
             break
-        z = r * inv_d
+        z = precondition(r)
         rho_new = float(r @ z)
         p = z + (rho_new / rho) * p
         rho = rho_new

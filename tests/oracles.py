@@ -144,7 +144,7 @@ def perturbed_mesh_sequential(m: int, seed: int, alpha: float = 0.15) -> Simplic
             else:
                 raise MeshError(
                     f"could not keep the mesh well-centered around vertex "
-                    f"{v} at {tuple(base)} after 20 radius halvings"
+                    f"{v} at {tuple(base.tolist())} after 20 radius halvings"
                 )
 
     K = build_complex(coords, cells)

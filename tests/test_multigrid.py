@@ -1,0 +1,248 @@
+"""The geometric W-cycle on the nested grid family.
+
+Every level of a transfer test is built independently of the multigrid
+module: the level-l grid is `build_complex` on the `_grid_cells` table,
+placed at the level-m vertices with the same reference position, so its
+numbering and orientation are the library's own.  Coarse 2-cochain
+measures sum the actual areas of the level-m descendants, each found by
+its centroid in lattice coordinates.
+"""
+
+from __future__ import annotations
+
+import gc
+
+import numpy as np
+import pytest
+import scipy.sparse as sp
+
+from declab import (
+    build_complex,
+    build_dual,
+    cg_solve,
+    de_rham,
+    hodge_laplacian_matrix,
+    manufactured_solution,
+    perturbed_mesh,
+    read_mesh,
+    solve_problem,
+    star_matrix,
+    symmetric_mesh,
+    write_mesh,
+)
+from declab.meshes import _grid_cells, _grid_layout
+from declab.multigrid import grid_level, transfers, w_cycle
+
+
+def _lattice(level: int):
+    """Row r and position j in the row of every level-l grid vertex."""
+    n, offsets, _ = _grid_layout(level)
+    r = np.repeat(np.arange(n + 1), np.diff(offsets))
+    return r, np.arange(offsets[-1]) - offsets[r]
+
+
+def _on_level(K, m: int, level: int):
+    """The level-l grid whose vertices are K's vertices at the same lattice
+    points; K is a level-m grid mesh."""
+    n, offsets, _ = _grid_layout(level)
+    _, fine_offsets, _ = _grid_layout(m)
+    r, j = _lattice(level)
+    s = 2 ** (m - level)
+    return build_complex(K.vertices[fine_offsets[s * r] + s * j], _grid_cells(n, offsets))
+
+
+def _signed_areas(K) -> np.ndarray:
+    d = K.vertices[K.simplices(2)[:, 1:]] - K.vertices[K.simplices(2)[:, :1]]
+    return (d[:, 0, 0] * d[:, 1, 1] - d[:, 0, 1] * d[:, 1, 0]) / 2
+
+
+def _parents(level: int) -> np.ndarray:
+    """The level-(l-1) triangle that holds each level-l triangle, located by
+    its centroid in lattice coordinates."""
+    r, j = _lattice(level)
+    tri = symmetric_mesh(level).simplices(2)
+    rc, jc = r[tri].sum(axis=1) / 6, j[tri].sum(axis=1) / 6  # coarse units
+    R, J = np.floor(rc).astype(int), np.floor(jc).astype(int)
+    down = (rc - R + jc - J > 1)[:, None]
+    dr = np.where(down, [0, 1, 1], [0, 0, 1])
+    dj = np.where(down, [1, 0, 1], [0, 1, 0])
+    _, offsets, _ = _grid_layout(level - 1)
+    corners = np.sort(offsets[R[:, None] + dr] + J[:, None] + dj, axis=1)
+    coarse = symmetric_mesh(level - 1).simplices(2)
+    n = len(offsets)**2
+
+    def key(t):
+        return (t[:, 0] * n + t[:, 1]) * n + t[:, 2]
+
+    return np.searchsorted(key(coarse), key(corners))
+
+
+def _carried_areas(K, m: int, level: int) -> np.ndarray:
+    """Signed areas (ascending-tuple orientation) of the level-l triangles
+    as the sums of the areas of their level-m descendants."""
+    area = np.abs(_signed_areas(K))
+    for fine in range(m, level, -1):
+        area = np.bincount(_parents(fine), weights=area)
+    return np.sign(_signed_areas(symmetric_mesh(level))) * area
+
+
+def _system(K, k):
+    dual = build_dual(K)
+    _, f = manufactured_solution(k)
+    S = star_matrix(dual, k)
+    M = (S @ hodge_laplacian_matrix(K, dual, k)).tocsr()
+    rhs = S @ de_rham(K, f)
+    a = dual.hodge_ratio_a[0]
+    if k == 0:
+        rhs = rhs - (rhs.sum() / a.sum()) * a
+    return M, rhs, a
+
+
+# -- which meshes qualify -----------------------------------------------------
+
+
+@pytest.mark.parametrize("m", range(1, 7))
+def test_grid_level_recognises_both_families(m):
+    assert grid_level(symmetric_mesh(m)) == m
+    assert grid_level(perturbed_mesh(m, 3, 0.3)) == m
+
+
+def test_grid_level_survives_a_mesh_file_round_trip(tmp_path):
+    write_mesh(perturbed_mesh(4, 1), tmp_path / "mesh.txt")
+    assert grid_level(read_mesh(tmp_path / "mesh.txt")) == 4
+
+
+def test_grid_level_rejects_permuted_vertex_ids():
+    K = symmetric_mesh(4)
+    perm = np.random.default_rng(0).permutation(K.n_simplices(0))
+    inverse = np.argsort(perm)
+    permuted = build_complex(K.vertices[perm], inverse[K.simplices(2)])
+    assert grid_level(permuted) is None
+
+
+def test_grid_level_rejects_a_non_grid_mesh():
+    # six vertices and four cells like the level-1 grid, but a strip
+    vertices = [[0, 0], [1, 0], [2, 0], [0, 1], [1, 1], [2, 1]]
+    cells = [[0, 1, 3], [1, 4, 3], [1, 2, 4], [2, 5, 4]]
+    assert grid_level(build_complex(vertices, cells)) is None
+    assert grid_level(build_complex(vertices[:3] + [[1, 1]], [[0, 1, 3], [1, 2, 3]])) is None
+
+
+# -- transfers ----------------------------------------------------------------
+
+
+def _edge_cochain(K, w):
+    e = K.simplices(1)
+    return (K.vertices[e[:, 1]] - K.vertices[e[:, 0]]) @ w
+
+
+@pytest.mark.parametrize("k", [0, 1, 2])
+def test_transfers_map_constant_forms_exactly(k):
+    m = 5
+    K = perturbed_mesh(m, 2, 0.3)
+    Ps = transfers(K.vertices, m, k)
+    assert len(Ps) == m - 3
+    for level, P in zip(range(m, 3, -1), Ps):
+        coarse, fine = _on_level(K, m, level - 1), _on_level(K, m, level)
+        if k == 0:
+            pairs = [(np.ones(coarse.n_simplices(0)), np.ones(fine.n_simplices(0)))]
+        elif k == 1:
+            pairs = [(_edge_cochain(coarse, w), _edge_cochain(fine, w)) for w in ([1, 0], [0, 1])]
+        else:
+            pairs = [(_carried_areas(K, m, level - 1), _carried_areas(K, m, level))]
+        for c, want in pairs:
+            assert np.abs(P @ c - want).max() <= 1e-14 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("k", [0, 1])
+def test_transfers_commute_with_the_coboundary(k):
+    m = 5
+    K = symmetric_mesh(m)
+    lower, upper = transfers(K.vertices, m, k), transfers(K.vertices, m, k + 1)
+    for level, P, Q in zip(range(m, 3, -1), lower, upper):
+        D_fine = _on_level(K, m, level).coboundary_matrix(k)
+        D_coarse = _on_level(K, m, level - 1).coboundary_matrix(k)
+        gap = (D_fine @ P - Q @ D_coarse).toarray()
+        assert np.abs(gap).max() <= 1e-14
+
+
+# -- the cycle ----------------------------------------------------------------
+
+
+@pytest.mark.parametrize("k", [0, 1, 2])
+def test_cycle_is_symmetric_and_positive(k):
+    K = perturbed_mesh(5, 1)
+    M, _, _ = _system(K, k)
+    cycle = w_cycle(M, K.vertices, 5, k)
+    rng = np.random.default_rng(k)
+    for _ in range(3):
+        x, y = rng.standard_normal((2, M.shape[0]))
+        if k == 0:  # the range of M
+            x, y = x - x.mean(), y - y.mean()
+        bx, by = cycle(x), cycle(y)
+        assert abs(x @ by - y @ bx) <= 1e-12 * np.linalg.norm(x) * np.linalg.norm(by)
+        assert x @ bx > 0.0
+
+
+def test_cycle_levels_die_with_the_cycle():
+    """Dropping the cycle frees its hierarchy at once, by reference counting
+    alone: a reference cycle would hold it until the garbage collector ran."""
+    K = perturbed_mesh(5, 1)
+    M, _, _ = _system(K, 1)
+
+    def finest_transfers():  # P_1 into level 5 is 1584 x 408
+        return sum(isinstance(o, sp.spmatrix) and o.shape == (1584, 408) for o in gc.get_objects())
+
+    gc.collect()
+    gc.disable()
+    try:
+        before = finest_transfers()
+        cycle = w_cycle(M, K.vertices, 5, 1)
+        assert finest_transfers() == before + 1
+        del cycle
+        assert finest_transfers() == before
+    finally:
+        gc.enable()
+
+
+@pytest.mark.parametrize("family", ["symmetric", "perturbed"])
+@pytest.mark.parametrize("k", [0, 1, 2])
+def test_cycle_solution_matches_jacobi(family, k):
+    K = symmetric_mesh(7) if family == "symmetric" else perturbed_mesh(7, 2)
+    M, rhs, a = _system(K, k)
+    want = cg_solve(M, rhs).x
+    result = cg_solve(M, rhs, precondition=w_cycle(M, K.vertices, 7, k))
+    got = result.x
+    if k == 0:
+        want, got = want - (a @ want) / a.sum(), got - (a @ got) / a.sum()
+    assert result.iterations < 40
+    assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
+
+
+@pytest.mark.parametrize("k", [0, 1, 2])
+def test_solve_problem_runs_the_cycle_on_fine_perturbed_grids(k):
+    K = perturbed_mesh(8, 1)
+    _, _, result = solve_problem(K, build_dual(K), k)
+    assert result.iterations < 40
+
+
+def _reversed_ids(K):
+    return build_complex(K.vertices[::-1], K.n_simplices(0) - 1 - K.simplices(2))
+
+
+@pytest.mark.parametrize("mesh", ["grid-below-threshold", "non-grid-above-threshold"])
+def test_solve_problem_keeps_jacobi_off_the_cycle(mesh):
+    """Jacobi-PCG, bit for bit, below the size threshold and on meshes that
+    are not a grid; k = 1 on the level-7 grid would run the cycle."""
+    if mesh == "grid-below-threshold":
+        K = symmetric_mesh(6)
+        assert K.n_simplices(1) < 20_000
+    else:
+        K = _reversed_ids(symmetric_mesh(7))
+        assert K.n_simplices(1) > 20_000 and grid_level(K) is None
+    M, rhs, _ = _system(K, 1)
+    want = cg_solve(M, rhs)
+    u_h, _, got = solve_problem(K, build_dual(K), 1)
+    assert np.array_equal(u_h, want.x)
+    assert got.iterations == want.iterations
+    assert got.residual_history == want.residual_history

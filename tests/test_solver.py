@@ -1,4 +1,4 @@
-"""Jacobi-preconditioned conjugate-gradient solver."""
+"""Preconditioned conjugate-gradient solver: Jacobi, or a given cycle."""
 
 from __future__ import annotations
 
@@ -17,6 +17,7 @@ from declab import (
     star_matrix,
     symmetric_mesh,
 )
+from declab.multigrid import w_cycle
 
 
 def _k0_system(level: int = 2):
@@ -128,6 +129,14 @@ def test_solver_is_deterministic():
     M, b = _k0_system(2)
     r1 = cg_solve(M, b)
     r2 = cg_solve(M, b)
+    assert np.array_equal(r1.x, r2.x)
+    assert r1.iterations == r2.iterations
+    assert r1.residual_history == r2.residual_history
+    # and with the W-cycle as the preconditioner
+    M, b = _k0_system(5)
+    cycle = w_cycle(M, symmetric_mesh(5).vertices, 5, 0)
+    r1 = cg_solve(M, b, precondition=cycle)
+    r2 = cg_solve(M, b, precondition=cycle)
     assert np.array_equal(r1.x, r2.x)
     assert r1.iterations == r2.iterations
     assert r1.residual_history == r2.residual_history
