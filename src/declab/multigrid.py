@@ -10,10 +10,22 @@ reference grid and gradients, edge vectors and areas from the actual
 vertices.  So k = 1 gives (lam_i grad lam_j - lam_j grad lam_i) . (b - a),
 lam at the midpoint of the fine edge [a, b], and k = 2 gives +-|t| / (sum
 of |children|), the sums carried down as the coarse measures.  Transfers
-from topology alone let iterations grow like h^-1 on the perturbed family.
-Coarse operators are Galerkin down to level 3, solved there by a dense
-pseudo-inverse; the same degree-2 Chebyshev smoother on D^-1 A runs before
-and after the two coarse visits, so the cycle is symmetric.
+from topology alone let iterations grow like h^-1 on the perturbed family,
+and these commute with the coboundary only on the symmetric family: on
+perturbed (5, 2, 0.3), |D1 P1 - P2 D1| reaches 0.13.
+
+Coarse operators go down to level 3, solved there by a dense
+pseudo-inverse.  At k = 0 and 2 they are Galerkin P^T A P, which keeps the
+stencil (7.0 and 4.0 nonzeros per row at perturbed level 8, 5.8 and 3.6 at
+level 3).  At k = 1 Galerkin fills in (10.9 per row at level 8, 28.5 to 43
+below; even its curl-curl half has 23.5 on perturbed (5, 2, 0.3), 9.7 on
+the symmetric grid), so k = 1 takes each coarse grid's own DEC system, the
+paper's Whitney-form reading: that grid's coboundaries and its
+circumcentric stars by the signed (cotangent) formulas, which need no
+well-centered coarse grid.  It is positive semidefinite when every vertex
+star is positive; w_cycle declines a grid where one is not.  The same
+degree-2 Chebyshev smoother on D^-1 A runs before and after the two coarse
+visits, so the cycle is symmetric.
 """
 
 from __future__ import annotations
@@ -23,6 +35,7 @@ import scipy.sparse as sp
 
 from .complex import SimplicialComplex
 from .dual import _cross2
+from .meshes import symmetric_mesh
 
 # the six fine vertices of a coarse triangle as midpoints of corners a, b,
 # their barycentric coordinates there, and its nine edges and four triangles
@@ -123,13 +136,48 @@ def transfers(vertices: np.ndarray, m: int, k: int):
     return Ps
 
 
+def _cotangent_stars(x: np.ndarray, K: SimplicialComplex):
+    """Circumcentric star ratios a_0, a_1, a_2 of K's simplices at vertices x
+    by the signed (cotangent) formulas: |*v| = sum_T (|e1|^2 cot t1 + |e2|^2
+    cot t2) / 8 over T's edges e1, e2 at v, |*e| / |e| = sum_T cot(t_opp) / 2,
+    1 / |T|.  They equal build_dual's on a well-centered mesh, exist on any."""
+    p = x[K.simplices(2)]
+    e = p[:, [2, 0, 1]] - p[:, [1, 2, 0]]  # edge opposite each corner
+    twice_area = np.abs(_cross2(e[:, 2], -e[:, 1]))
+    cot = -np.einsum("tcx,tcx->tc", e[:, [1, 2, 0]], e[:, [2, 0, 1]]) / twice_area[:, None]
+    w = (e**2).sum(axis=2) * cot / 8  # what each edge gives both its ends
+    s0 = np.bincount(K.simplices(2).ravel(), (w.sum(axis=1, keepdims=True) - w).ravel())
+    s1 = np.bincount(K.cell_edges.ravel(), (cot[:, [2, 1, 0]] / 2).ravel())
+    return s0, s1, 2.0 / twice_area
+
+
+def _operators(M: sp.csr_matrix, vertices: np.ndarray, m: int, k: int, Ps) -> list | None:
+    """M and the operators of levels m-1, ..., 3: Galerkin P^T A P at k = 0
+    and 2, at k = 1 each grid's own S1 D0 S0^-1 D0^T S1 + D1^T S2 D1; None
+    if a vertex star S0 there is not positive."""
+    A = [M]
+    for level, P in zip(range(m - 1, 2, -1), Ps):
+        if k != 1:
+            A.append((P.T @ A[-1] @ P).tocsr())
+            continue
+        # reference-grid topology: the star check is all the coarse x must pass
+        g, s, K = _Grid(2**level), 2 ** (m - level), symmetric_mesh(level)
+        s0, s1, s2 = _cotangent_stars(vertices[_vid(2**m, s * g.r, s * g.j)], K)
+        if not ((s0 > 0) & np.isfinite(s0)).all():
+            return None
+        G, D1 = sp.diags(s1) @ K.coboundary_matrix(0), K.coboundary_matrix(1)
+        A.append((G @ sp.diags(1.0 / s0) @ G.T + D1.T @ sp.diags(s2) @ D1).tocsr())
+    return A
+
+
 def w_cycle(M: sp.csr_matrix, vertices: np.ndarray, m: int, k: int):
     """One W-cycle for M, the degree-k system on the level-m grid with these
-    vertices, as a function r -> z approximating M^+ r."""
+    vertices, as a function r -> z approximating M^+ r; None when a coarse
+    k = 1 grid has a vertex star that is not positive."""
     Ps = transfers(vertices, m, k)
-    A = [M]
-    for P in Ps:
-        A.append((P.T @ A[-1] @ P).tocsr())
+    A = _operators(M, vertices, m, k, Ps)
+    if A is None:
+        return None
     smoothers = []
     for Al in A[:-1]:
         inv_d = 1.0 / Al.diagonal()

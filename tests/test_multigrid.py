@@ -22,6 +22,7 @@ from declab import (
     cg_solve,
     de_rham,
     hodge_laplacian_matrix,
+    is_well_centered,
     manufactured_solution,
     perturbed_mesh,
     read_mesh,
@@ -31,7 +32,7 @@ from declab import (
     write_mesh,
 )
 from declab.meshes import _grid_cells, _grid_layout
-from declab.multigrid import grid_level, transfers, w_cycle
+from declab.multigrid import _cotangent_stars, _operators, grid_level, transfers, w_cycle
 
 
 def _lattice(level: int):
@@ -166,14 +167,68 @@ def test_transfers_commute_with_the_coboundary(k):
         assert np.abs(gap).max() <= 1e-14
 
 
+# -- coarse operators ---------------------------------------------------------
+
+
+def test_cotangent_stars_match_build_dual():
+    K = perturbed_mesh(5, 2, 0.3)
+    for got, want in zip(_cotangent_stars(K.vertices, K), build_dual(K).hodge_ratio_a):
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+
+def test_k1_coarse_operators_are_the_coarse_grids_own_systems():
+    m = 7
+    K = symmetric_mesh(m)
+    M, _, _ = _system(K, 1)
+    A = _operators(M, K.vertices, m, 1, transfers(K.vertices, m, 1))
+    assert len(A) == m - 2
+    for level, Al in zip(range(m - 1, 2, -1), A[1:]):
+        want, _, _ = _system(symmetric_mesh(level), 1)
+        assert abs(Al - want).max() <= 1e-13 * abs(want).max()
+
+
+def _not_well_centered_levels(K, m: int) -> list[int]:
+    return [level for level in range(3, m) if not is_well_centered(_on_level(K, m, level))[0]]
+
+
+def _bent_grid(tmp_path):
+    """A well-centered level-7 grid, read from a mesh file: the symmetric
+    grid under z -> (z - c)^2 with c just outside the domain, which keeps
+    fine angles but makes the coarse grids' corner triangles obtuse enough
+    that a level-4 vertex star is negative."""
+    z = symmetric_mesh(7).vertices @ [1, 1j]
+    w = (z - (0.7 / 16 - 1j / 128)) ** 2
+    write_mesh(build_complex(np.stack([w.real, w.imag], 1), symmetric_mesh(7).simplices(2)),
+               tmp_path / "bent.txt")
+    K = read_mesh(tmp_path / "bent.txt")
+    assert grid_level(K) == 7 and is_well_centered(K)[0]
+    coarse = _on_level(K, 7, 4)
+    assert _cotangent_stars(coarse.vertices, coarse)[0].min() < 0.0
+    return K
+
+
+def test_cycle_declines_a_coarse_grid_with_a_negative_vertex_star(tmp_path):
+    K = _bent_grid(tmp_path)
+    M, _, _ = _system(K, 1)
+    assert w_cycle(M, K.vertices, 7, 1) is None
+    assert w_cycle(_system(K, 2)[0], K.vertices, 7, 2) is not None  # Galerkin
+
+
 # -- the cycle ----------------------------------------------------------------
 
 
-@pytest.mark.parametrize("k", [0, 1, 2])
-def test_cycle_is_symmetric_and_positive(k):
-    K = perturbed_mesh(5, 1)
+@pytest.mark.parametrize(
+    "k, mesh",
+    [(k, (5, 1, 0.15)) for k in range(3)] + [(k, (7, 1, 0.45)) for k in range(3)],
+    ids=["0", "1", "2", "0-alpha-0.45", "1-alpha-0.45", "2-alpha-0.45"],
+)
+def test_cycle_is_symmetric_and_positive(k, mesh):
+    m = mesh[0]
+    K = perturbed_mesh(*mesh)
+    if m == 7:  # the coarse operators need no circumcentric dual
+        assert _not_well_centered_levels(K, m) == [6]
     M, _, _ = _system(K, k)
-    cycle = w_cycle(M, K.vertices, 5, k)
+    cycle = w_cycle(M, K.vertices, m, k)
     rng = np.random.default_rng(k)
     for _ in range(3):
         x, y = rng.standard_normal((2, M.shape[0]))
@@ -205,17 +260,28 @@ def test_cycle_levels_die_with_the_cycle():
         gc.enable()
 
 
-@pytest.mark.parametrize("family", ["symmetric", "perturbed"])
+# level-7 meshes by name: (seed, alpha) of a perturbed mesh, None for the
+# symmetric one; the alpha = 0.45 meshes have coarse grids that build_dual
+# rejects
+_MESHES = {"symmetric": None, "perturbed": (2, 0.15)}
+_MESHES.update({f"alpha-0.45-seed-{seed}": (seed, 0.45) for seed in (1, 2, 3)})
+_MAX_ITERATIONS = {0: 40, 1: 26, 2: 40}
+
+
+@pytest.mark.parametrize("family", list(_MESHES))
 @pytest.mark.parametrize("k", [0, 1, 2])
 def test_cycle_solution_matches_jacobi(family, k):
-    K = symmetric_mesh(7) if family == "symmetric" else perturbed_mesh(7, 2)
+    mesh = _MESHES[family]
+    K = symmetric_mesh(7) if mesh is None else perturbed_mesh(7, *mesh)
+    if family.startswith("alpha-0.45"):
+        assert _not_well_centered_levels(K, 7)
     M, rhs, a = _system(K, k)
     want = cg_solve(M, rhs).x
     result = cg_solve(M, rhs, precondition=w_cycle(M, K.vertices, 7, k))
     got = result.x
     if k == 0:
         want, got = want - (a @ want) / a.sum(), got - (a @ got) / a.sum()
-    assert result.iterations < 40
+    assert result.iterations < _MAX_ITERATIONS[k]
     assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
 
 
@@ -223,23 +289,28 @@ def test_cycle_solution_matches_jacobi(family, k):
 def test_solve_problem_runs_the_cycle_on_fine_perturbed_grids(k):
     K = perturbed_mesh(8, 1)
     _, _, result = solve_problem(K, build_dual(K), k)
-    assert result.iterations < 40
+    assert result.iterations < _MAX_ITERATIONS[k]
 
 
 def _reversed_ids(K):
     return build_complex(K.vertices[::-1], K.n_simplices(0) - 1 - K.simplices(2))
 
 
-@pytest.mark.parametrize("mesh", ["grid-below-threshold", "non-grid-above-threshold"])
-def test_solve_problem_keeps_jacobi_off_the_cycle(mesh):
-    """Jacobi-PCG, bit for bit, below the size threshold and on meshes that
-    are not a grid; k = 1 on the level-7 grid would run the cycle."""
+@pytest.mark.parametrize(
+    "mesh", ["grid-below-threshold", "non-grid-above-threshold", "negative-coarse-star"]
+)
+def test_solve_problem_keeps_jacobi_off_the_cycle(mesh, tmp_path):
+    """Jacobi-PCG, bit for bit, below the size threshold, on meshes that are
+    not a grid and where the cycle declines; k = 1 on the level-7 grid would
+    run the cycle."""
     if mesh == "grid-below-threshold":
         K = symmetric_mesh(6)
         assert K.n_simplices(1) < 20_000
-    else:
+    elif mesh == "non-grid-above-threshold":
         K = _reversed_ids(symmetric_mesh(7))
         assert K.n_simplices(1) > 20_000 and grid_level(K) is None
+    else:
+        K = _bent_grid(tmp_path)
     M, rhs, _ = _system(K, 1)
     want = cg_solve(M, rhs)
     u_h, _, got = solve_problem(K, build_dual(K), 1)
