@@ -1,20 +1,14 @@
 # Discrete operators on a well-centered mesh: diagonal Hodge stars, the
-# codifferential and its flux form, the Hodge-Laplacian, and Whitney
-# reconstruction of cochains.
+# codifferential and its flux form, and the Hodge-Laplacian.
 
 import numpy as np
 
 from declab import (
-    Poly2,
-    PolyForm,
     build_dual,
     codifferential_matrix,
-    de_rham,
-    discrete_inner,
     hodge_laplacian_matrix,
     star_matrix,
     symmetric_mesh,
-    whitney_evaluate,
 )
 
 K = symmetric_mesh(2)
@@ -35,8 +29,10 @@ print("interior vertex row of delta_1 vs flux form: max gap =",
 rng = np.random.default_rng(0)
 a = rng.standard_normal(K.n_simplices(0))
 b = rng.standard_normal(K.n_simplices(1))
-lhs = discrete_inner(dual, 1, K.coboundary_matrix(0) @ a, b)
-rhs = discrete_inner(dual, 0, a, delta1 @ b)
+# the cochain inner product [[u, v]]_k = sum a_sigma u_sigma v_sigma
+a0, a1 = dual.hodge_ratio_a[0], dual.hodge_ratio_a[1]
+lhs = np.sum(a1 * (K.coboundary_matrix(0) @ a) * b)
+rhs = np.sum(a0 * a * (delta1 @ b))
 print(f"[[d a, b]] = {lhs:.12f}   [[a, delta b]] = {rhs:.12f}")
 
 # -- the scalar Laplacian stencil ------------------------------------------------
@@ -50,13 +46,3 @@ print("interior vertex row: diagonal", row[v], " expected", 6 * 2.0 / (3 * 0.25*
 # the symmetrized system matrix S L is what the solver sees
 M = (star_matrix(dual, 0) @ L0).toarray()
 print("S L symmetric to", abs(M - M.T).max())
-
-# -- Whitney reconstruction -------------------------------------------------------
-
-# sample the lowest-order reconstruction of the cochain of x dy; Whitney
-# 1-forms reproduce constant fields exactly inside each triangle
-form = PolyForm(1, (Poly2.zero(), Poly2.constant(1.0)))
-cochain = de_rham(K, form)
-t = 5
-centroid = K.vertices[K.simplices(2)[t]].mean(axis=0)
-print("reconstructed field at a centroid:", whitney_evaluate(K, 1, cochain, t, centroid)[0])

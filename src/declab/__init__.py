@@ -14,7 +14,6 @@ from .dual import (
     DualComplex,
     build_dual,
     check_centroid_condition,
-    diamond_volumes,
     is_well_centered,
     well_centered_margin,
 )
@@ -30,22 +29,18 @@ from .forms import (
     hodge_laplacian,
     hodge_star,
     hodge_star_inverse,
-    integrate_over_simplex,
     manufactured_solution,
     triangle_rule,
 )
 from .operators import (
     codifferential_matrix,
     commuting_j_check,
-    discrete_inner,
     discrete_norm,
     hodge_laplacian_matrix,
     j_interpolant,
-    l2_norm_whitney,
     pi_minus_j,
     star_inverse_matrix,
     star_matrix,
-    whitney_evaluate,
 )
 from .solver import (
     SolverConfig,
@@ -82,7 +77,6 @@ __all__ = [
     "DualComplex",
     "build_dual",
     "check_centroid_condition",
-    "diamond_volumes",
     "is_well_centered",
     "well_centered_margin",
     "Poly2",
@@ -96,20 +90,16 @@ __all__ = [
     "hodge_laplacian",
     "hodge_star",
     "hodge_star_inverse",
-    "integrate_over_simplex",
     "manufactured_solution",
     "triangle_rule",
     "codifferential_matrix",
     "commuting_j_check",
-    "discrete_inner",
     "discrete_norm",
     "hodge_laplacian_matrix",
     "j_interpolant",
-    "l2_norm_whitney",
     "pi_minus_j",
     "star_inverse_matrix",
     "star_matrix",
-    "whitney_evaluate",
     "SolverConfig",
     "SolverError",
     "SolverResult",

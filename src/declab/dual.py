@@ -1,4 +1,4 @@
-"""Circumcentric dual cells, diamond cells, and centroid diagnostics.
+"""Circumcentric dual cells and centroid diagnostics.
 
 On a well-centered triangulation (every triangle strictly acute, so each
 circumcenter lies inside its triangle) the dual of a k-simplex sigma is the
@@ -13,9 +13,6 @@ Dual volumes are unsigned sums over the flag pieces; well-centeredness makes
 all pieces consistently oriented, so unsigned equals signed.  The volume
 ratios a = |*sigma| / |sigma| and b = 1/a are the diagonal Hodge star
 entries.
-
-Diamond cells stretch each flag to a full chain v < e < T; for each k the
-diamond cells of the k-simplices partition the domain.
 """
 
 from __future__ import annotations
@@ -32,7 +29,6 @@ __all__ = [
     "well_centered_margin",
     "DualComplex",
     "build_dual",
-    "diamond_volumes",
     "check_centroid_condition",
 ]
 
@@ -106,8 +102,8 @@ class DualComplex:
 
     Per-degree arrays (k = 0, 1, 2) are indexed by primal simplex index.
     ``flag_*`` arrays enumerate the 6T elementary flag triangles
-    [v, c(e), c(T)] over chains v < e < T; they carry the dual-cell and
-    diamond-cell geometry in flat, vectorizable form.
+    [v, c(e), c(T)] over chains v < e < T; they carry the dual-cell
+    geometry in flat, vectorizable form.
     """
 
     complex: SimplicialComplex
@@ -209,16 +205,6 @@ def build_dual(K: SimplicialComplex) -> DualComplex:
         pv / dv for dv, pv in zip(dual.dual_volumes, primal_volumes)
     ]
     return dual
-
-
-def diamond_volumes(K: SimplicialComplex, dual: DualComplex, k: int) -> np.ndarray:
-    """|dc(sigma)| for every k-simplex sigma (unsigned flag-area sums)."""
-    owners = {0: dual.flag_vertex, 1: dual.flag_edge, 2: dual.flag_tri}
-    if k not in owners:
-        raise ValueError(f"no {k}-simplices in the plane")
-    return np.bincount(
-        owners[k], weights=dual.flag_area, minlength=K.n_simplices(k)
-    )
 
 
 def check_centroid_condition(

@@ -35,10 +35,9 @@ tensor-product (Duffy) rule on the reference triangle
 {(x, y) : x, y >= 0, x + y <= 1} that is exact for any requested total
 degree.  One private kernel, ``_integrate_simplices``, integrates a k-form
 over a stack of oriented k-simplices given by their corners; the primal
-de Rham map, the dual de Rham map (over circumcenters, dual segments and
-flag triangles) and ``integrate_over_simplex`` all go through it.  It
-evaluates chunks of points on one thread per usable core, bit-identical
-to a serial pass.
+de Rham map and the dual de Rham map (over circumcenters, dual segments
+and flag triangles) both go through it.  It evaluates chunks of points on
+one thread per usable core, bit-identical to a serial pass.
 """
 
 from __future__ import annotations
@@ -64,7 +63,6 @@ __all__ = [
     "manufactured_solution",
     "gauss_legendre_unit",
     "triangle_rule",
-    "integrate_over_simplex",
     "de_rham",
     "de_rham_dual",
 ]
@@ -400,19 +398,17 @@ if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_POOL.clear)
 
 
-def _integrate_simplices(
-    form: PolyForm, corners: np.ndarray, rule: QuadratureRule | None = None
-) -> np.ndarray:
+def _integrate_simplices(form: PolyForm, corners: np.ndarray) -> np.ndarray:
     """Integrals of a k-form over N oriented k-simplices: the one quadrature
     kernel behind every de Rham map.
 
     corners: (N, k+1, 2); the vertex order of each row is its orientation.
     k = 0 takes point values, k = 1 a Gauss-Legendre rule along each segment
     applied to (P, Q) . t, and k = 2 the collapsed triangle rule times the
-    signed determinant of the edge vectors.  Without a rule, the rule is
-    sized to the polynomial degree, so values are exact up to roundoff.
-    Rules are built per call through the module-level constructors (no
-    cache), so a wrapper installed on those names sees every rule built.
+    signed determinant of the edge vectors.  The rule is sized to the
+    polynomial degree, so values are exact up to roundoff.  Rules are built
+    per call through the module-level constructors (no cache), so a wrapper
+    installed on those names sees every rule built.
 
     Chunks of about _CHUNK_POINTS points are evaluated on a pool with one
     thread per usable core; each value depends on its own simplex only, so
@@ -421,11 +417,10 @@ def _integrate_simplices(
     calling thread, since summing per chunk would round differently.
     """
     k = form.degree
-    if k and rule is None:
-        if k == 1:
-            rule = gauss_legendre_unit(max(10, form.poly_degree // 2 + 1))
-        else:
-            rule = triangle_rule(max(form.poly_degree, 2))
+    if k == 1:
+        rule = gauss_legendre_unit(max(10, form.poly_degree // 2 + 1))
+    elif k == 2:
+        rule = triangle_rule(max(form.poly_degree, 2))
     # point values are a one-point evaluation
     xi = rule.points.reshape(len(rule.weights), k) if k else np.zeros((1, 0))
     n, step = len(corners), max(1, _CHUNK_POINTS // len(xi))
@@ -456,28 +451,6 @@ def _integrate_simplices(
     if k == 1:
         return (vals[0] * e1[:, None, 0] + vals[1] * e1[:, None, 1]) @ rule.weights
     return _cross2(e1, corners[:, 2] - p0) * (vals[0] @ rule.weights)
-
-
-def integrate_over_simplex(
-    form: PolyForm, simplex: np.ndarray, rule: QuadratureRule | None = None
-) -> float:
-    """Integral of the trace of a k-form over one oriented k-simplex.
-
-    simplex: (k+1, 2) coordinates; the given vertex order is the
-    orientation.  k = 0 is point evaluation, k = 1 the line integral of
-    (P, Q) . t ds, k = 2 the area integral of R signed by the vertex
-    order.  A supplied rule must be exact for the form's degree.
-    """
-    pts = np.asarray(simplex, dtype=np.float64)
-    k = form.degree
-    if pts.shape != (k + 1, 2):
-        raise ValueError(f"a {k}-simplex needs {k + 1} points in the plane")
-    if rule is not None and rule.exactness < form.poly_degree:
-        raise ValueError(
-            f"rule exact to degree {rule.exactness} cannot integrate a "
-            f"degree-{form.poly_degree} form"
-        )
-    return float(_integrate_simplices(form, pts[None], rule)[0])
 
 
 # ---------------------------------------------------------------------------

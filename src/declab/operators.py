@@ -40,14 +40,13 @@ import numpy as np
 import scipy.sparse as sp
 
 from .complex import SimplicialComplex
-from .dual import DualComplex, _cross2
+from .dual import DualComplex
 from .forms import (
     PolyForm,
     codifferential,
     de_rham,
     de_rham_dual,
     hodge_star,
-    triangle_rule,
 )
 
 __all__ = [
@@ -55,13 +54,10 @@ __all__ = [
     "star_inverse_matrix",
     "codifferential_matrix",
     "hodge_laplacian_matrix",
-    "discrete_inner",
     "discrete_norm",
     "j_interpolant",
     "pi_minus_j",
     "commuting_j_check",
-    "whitney_evaluate",
-    "l2_norm_whitney",
 ]
 
 
@@ -102,15 +98,12 @@ def hodge_laplacian_matrix(
     return L.tocsr()
 
 
-def discrete_inner(dual: DualComplex, k: int, u: np.ndarray, v: np.ndarray) -> float:
-    """Cochain inner product [[u, v]]_k = sum a_sigma u_sigma v_sigma."""
-    if len(u) != len(v):
-        raise ValueError("cochain lengths differ")
-    return float(np.sum(dual.hodge_ratio_a[k] * u * v))
-
-
 def discrete_norm(dual: DualComplex, k: int, u: np.ndarray) -> float:
-    return float(np.sqrt(np.sum(dual.hodge_ratio_a[k] * u * u)))
+    """Cochain norm sqrt([[u, u]]_k) = sqrt(sum a_sigma u_sigma^2)."""
+    a = dual.hodge_ratio_a[k]
+    if np.shape(u) != a.shape:
+        raise ValueError(f"a {k}-cochain needs shape {a.shape}, got {np.shape(u)}")
+    return float(np.sqrt(np.sum(a * u * u)))
 
 
 def j_interpolant(
@@ -150,105 +143,3 @@ def commuting_j_check(
     interior = ~K.is_boundary(k - 1)
     w = dual.hodge_ratio_a[k - 1][interior] * diff[interior] ** 2
     return float(np.sqrt(w.sum()))
-
-
-# ---------------------------------------------------------------------------
-# Whitney reconstruction
-# ---------------------------------------------------------------------------
-
-
-def _triangle_frames(K: SimplicialComplex, t: np.ndarray):
-    """Origins (T, 2), barycentric gradients (T, 3, 2) and signed
-    determinants (T,) of the triangles with indices t."""
-    pts = K.vertices[K.simplices(2)[t]]
-    p0 = pts[:, 0]
-    e1 = pts[:, 1] - p0
-    e2 = pts[:, 2] - p0
-    det = _cross2(e1, e2)
-    # grad lambda_1 and grad lambda_2 are the rotated opposite edges over det
-    g1 = np.stack([e2[:, 1], -e2[:, 0]], axis=1) / det[:, None]
-    g2 = np.stack([-e1[:, 1], e1[:, 0]], axis=1) / det[:, None]
-    return p0, np.stack([-(g1 + g2), g1, g2], axis=1), det
-
-
-def _whitney_field(
-    K: SimplicialComplex,
-    k: int,
-    cochain: np.ndarray,
-    t: np.ndarray,
-    lam: np.ndarray,
-    grads: np.ndarray,
-    det: np.ndarray,
-) -> np.ndarray:
-    """Whitney reconstruction of a k-cochain on triangles t at the shared
-    barycentric points lam (q, 3), given the triangles' frames; the basis
-    is the one documented in `whitney_evaluate`.  Returns (T, q) values for
-    k = 0, 2 and (T, q, 2) vector proxies for k = 1.
-    """
-    if k == 0:
-        return np.einsum("tv,qv->tq", cochain[K.simplices(2)[t]], lam)
-    if k == 1:
-        field = np.zeros((len(t), len(lam), 2))
-        for local, (i, j) in enumerate(((0, 1), (0, 2), (1, 2))):  # cell_edges order
-            u_e = cochain[K.cell_edges[t, local]]
-            wpart = (
-                lam[None, :, i, None] * grads[:, None, j, :]
-                - lam[None, :, j, None] * grads[:, None, i, :]
-            )
-            field += u_e[:, None, None] * wpart
-        return field
-    if k == 2:
-        dens = 2.0 * cochain[t] / det  # s_T / |T|, signed by orientation
-        return np.repeat(dens[:, None], len(lam), axis=1)
-    raise ValueError(f"no {k}-cochains on a 2-complex")
-
-
-def whitney_evaluate(
-    K: SimplicialComplex,
-    k: int,
-    cochain: np.ndarray,
-    tri_index: int,
-    points: np.ndarray,
-) -> np.ndarray:
-    """Evaluate the Whitney reconstruction of a k-cochain inside one triangle.
-
-    Lowest-order basis on a triangle with ascending vertices (v0, v1, v2):
-    k = 0 the hat functions lambda_i; k = 1 the edge forms
-    lambda_i grad lambda_j - lambda_j grad lambda_i over ascending edges
-    (i, j); k = 2 the constant density s_T / |T| whose signed integral over
-    the ascending orientation is 1.
-
-    Returns values (m,) for k = 0, 2 and vector proxies (m, 2) for k = 1.
-
-    Raises
-    ------
-    ValueError
-        If a point lies outside the triangle or is not finite.
-    """
-    pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
-    t = np.array([int(tri_index)])
-    p0, grads, det = _triangle_frames(K, t)
-    lam = (pts - p0[0]) @ grads[0].T + [1.0, 0.0, 0.0]  # lambda(p0) = (1, 0, 0)
-    if not (lam >= -1e-12).all():  # also rejects NaN coordinates
-        raise ValueError(
-            f"a point lies outside triangle {K.simplices(2)[t[0]]} "
-            f"or is not finite"
-        )
-    return _whitney_field(K, k, cochain, t, lam, grads, det)[0]
-
-
-def l2_norm_whitney(K: SimplicialComplex, k: int, cochain: np.ndarray) -> float:
-    """L2 norm over the domain of the Whitney reconstruction of a cochain.
-
-    Element-wise quadrature of |W w|^2; the integrand is quadratic, so the
-    degree-4 rule is already more than exact.
-    """
-    rule = triangle_rule(4)
-    xi, w = rule.points, rule.weights
-    lam = np.concatenate([(1.0 - xi.sum(axis=1))[:, None], xi], axis=1)  # (q, 3)
-    t = np.arange(K.n_simplices(2))
-    _, grads, det = _triangle_frames(K, t)
-    field = _whitney_field(K, k, cochain, t, lam, grads, det)
-    sq = (field**2).sum(axis=2) if k == 1 else field**2
-    per_tri = np.abs(det) * (sq @ w)
-    return float(np.sqrt(per_tri.sum()))

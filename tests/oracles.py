@@ -7,9 +7,19 @@ from __future__ import annotations
 import numpy as np
 import scipy.sparse as sp
 
-from declab import DualComplex, MeshError, SimplicialComplex, build_complex, is_well_centered
+from declab import (
+    DualComplex,
+    MeshError,
+    PolyForm,
+    QuadratureRule,
+    SimplicialComplex,
+    build_complex,
+    gauss_legendre_unit,
+    is_well_centered,
+    triangle_rule,
+)
 from declab import meshes
-from declab.dual import _triangle_circum_bary
+from declab.dual import _cross2, _triangle_circum_bary
 from declab.meshes import _grid_cells, _grid_layout
 
 _MASK64 = (1 << 64) - 1
@@ -44,6 +54,162 @@ def codifferential_matrix_stencil(
     )
     mat.sort_indices()
     return mat
+
+
+def discrete_inner(dual: DualComplex, k: int, u: np.ndarray, v: np.ndarray) -> float:
+    """Cochain inner product [[u, v]]_k = sum a_sigma u_sigma v_sigma."""
+    if len(u) != len(v):
+        raise ValueError("cochain lengths differ")
+    return float(np.sum(dual.hodge_ratio_a[k] * u * v))
+
+
+def diamond_volumes(K: SimplicialComplex, dual: DualComplex, k: int) -> np.ndarray:
+    """|dc(sigma)| for every k-simplex sigma: the unsigned areas of the flag
+    triangles [v, c(e), c(T)] whose chain contains sigma.  For each k the
+    diamond cells of the k-simplices partition the domain."""
+    owners = {0: dual.flag_vertex, 1: dual.flag_edge, 2: dual.flag_tri}
+    if k not in owners:
+        raise ValueError(f"no {k}-simplices in the plane")
+    return np.bincount(
+        owners[k], weights=dual.flag_area, minlength=K.n_simplices(k)
+    )
+
+
+def integrate_over_simplex(
+    form: PolyForm, simplex: np.ndarray, rule: QuadratureRule | None = None
+) -> float:
+    """Integral of the trace of a k-form over one oriented k-simplex.
+
+    simplex: (k+1, 2) coordinates; the given vertex order is the
+    orientation.  k = 0 is point evaluation, k = 1 the line integral of
+    (P, Q) . t ds, k = 2 the area integral of R signed by the vertex
+    order.  A supplied rule must be exact for the form's degree; without
+    one, the smallest exact rule is used.  The affine map and the weighted
+    sum are written out here, apart from the library's quadrature kernel.
+    """
+    pts = np.asarray(simplex, dtype=np.float64)
+    k = form.degree
+    if pts.shape != (k + 1, 2):
+        raise ValueError(f"a {k}-simplex needs {k + 1} points in the plane")
+    if k == 0:
+        return float(form.components[0](pts[0, 0], pts[0, 1]))
+    d = form.poly_degree
+    if rule is None:
+        rule = gauss_legendre_unit(d // 2 + 1) if k == 1 else triangle_rule(d)
+    elif rule.exactness < d:
+        raise ValueError(
+            f"rule exact to degree {rule.exactness} cannot integrate a "
+            f"degree-{d} form"
+        )
+    edges = pts[1:] - pts[0]  # (k, 2)
+    x = pts[0] + rule.points.reshape(-1, k) @ edges
+    vals = [c(x[:, 0], x[:, 1]) for c in form.components]
+    if k == 1:  # (P, Q) . (b - a) ds on the unit parameter interval
+        return float(rule.weights @ (vals[0] * edges[0, 0] + vals[1] * edges[0, 1]))
+    return float(_cross2(edges[0], edges[1]) * (rule.weights @ vals[0]))
+
+
+# -- Whitney forms --------------------------------------------------------------
+
+
+def _triangle_frames(K: SimplicialComplex, t: np.ndarray):
+    """Origins (m, 2), barycentric gradients (m, 3, 2) and signed
+    determinants (m,) of the triangles with indices t."""
+    pts = K.vertices[K.simplices(2)[t]]
+    p0 = pts[:, 0]
+    e1 = pts[:, 1] - p0
+    e2 = pts[:, 2] - p0
+    det = _cross2(e1, e2)
+    # grad lambda_1 and grad lambda_2 are the rotated opposite edges over det
+    g1 = np.stack([e2[:, 1], -e2[:, 0]], axis=1) / det[:, None]
+    g2 = np.stack([-e1[:, 1], e1[:, 0]], axis=1) / det[:, None]
+    return p0, np.stack([-(g1 + g2), g1, g2], axis=1), det
+
+
+def _whitney_field(
+    K: SimplicialComplex,
+    k: int,
+    cochain: np.ndarray,
+    t: np.ndarray,
+    lam: np.ndarray,
+    grads: np.ndarray,
+    det: np.ndarray,
+) -> np.ndarray:
+    """Whitney reconstruction of a k-cochain at m points, point i in
+    triangle t[i] at barycentric coordinates lam[i], given the triangles'
+    frames; the basis is the one documented in `whitney_evaluate`.
+
+    Returns (m,) values for k = 0, 2 and (m, 2) vector proxies for k = 1.
+    Trailing axes of the cochain (several cochains side by side) follow.
+    """
+    if k == 0:
+        return np.einsum("mv...,mv->m...", cochain[K.simplices(2)[t]], lam)
+    if k == 1:
+        field = 0.0
+        for local, (i, j) in enumerate(((0, 1), (0, 2), (1, 2))):  # cell_edges order
+            form = lam[:, i, None] * grads[:, j] - lam[:, j, None] * grads[:, i]
+            u_e = cochain[K.cell_edges[t, local]]
+            field = field + np.einsum("mx,m...->mx...", form, u_e)
+        return field
+    if k == 2:  # s_T / |T|, signed by orientation
+        return np.einsum("m...,m->m...", cochain[t], 2.0 / det)
+    raise ValueError(f"no {k}-cochains on a 2-complex")
+
+
+def whitney_evaluate(
+    K: SimplicialComplex,
+    k: int,
+    cochain: np.ndarray,
+    tri_index,
+    points: np.ndarray,
+) -> np.ndarray:
+    """Evaluate the Whitney reconstruction of a k-cochain at points, each
+    inside its triangle: tri_index is one triangle for every point or one
+    per point.
+
+    Lowest-order basis on a triangle with ascending vertices (v0, v1, v2):
+    k = 0 the hat functions lambda_i; k = 1 the edge forms
+    lambda_i grad lambda_j - lambda_j grad lambda_i over ascending edges
+    (i, j); k = 2 the constant density s_T / |T| whose signed integral over
+    the ascending orientation is 1.
+
+    Returns values (m,) for k = 0, 2 and vector proxies (m, 2) for k = 1,
+    followed by any trailing axes of the cochain.
+
+    Raises
+    ------
+    ValueError
+        If a point lies outside its triangle or is not finite.
+    """
+    pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
+    t = np.broadcast_to(np.asarray(tri_index, dtype=np.int64), (len(pts),))
+    p0, grads, det = _triangle_frames(K, t)
+    lam = np.einsum("mx,mvx->mv", pts - p0, grads) + [1.0, 0.0, 0.0]  # lambda(p0) = (1, 0, 0)
+    outside = np.flatnonzero(~(lam >= -1e-12).all(axis=1))  # NaN counts as outside
+    if len(outside):
+        i = outside[0]
+        raise ValueError(
+            f"point {pts[i]} lies outside triangle {K.simplices(2)[t[i]]} "
+            f"or is not finite"
+        )
+    return _whitney_field(K, k, cochain, t, lam, grads, det)
+
+
+def l2_norm_whitney(K: SimplicialComplex, k: int, cochain: np.ndarray) -> float:
+    """L2 norm over the domain of the Whitney reconstruction of a cochain.
+
+    Element-wise quadrature of |W w|^2; the integrand is quadratic, so the
+    degree-4 rule is already more than exact.
+    """
+    rule = triangle_rule(4)
+    nt, nq = K.n_simplices(2), len(rule.weights)
+    xi = np.tile(rule.points, (nt, 1))
+    lam = np.concatenate([(1.0 - xi.sum(axis=1))[:, None], xi], axis=1)
+    t = np.repeat(np.arange(nt), nq)
+    _, grads, det = _triangle_frames(K, t)
+    field = _whitney_field(K, k, cochain, t, lam, grads, det).reshape(nt, nq, -1)
+    per_tri = np.abs(det[::nq]) * ((field**2).sum(axis=2) @ rule.weights)
+    return float(np.sqrt(per_tri.sum()))
 
 
 def poly2_dense_horner(coeffs: np.ndarray, x, y):

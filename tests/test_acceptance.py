@@ -25,11 +25,9 @@ from declab import (
     commuting_j_check,
     compute_errors,
     de_rham,
-    discrete_inner,
     discrete_norm,
     exterior_derivative,
     hodge_laplacian_matrix,
-    integrate_over_simplex,
     manufactured_solution,
     perturbed_mesh,
     pi_minus_j,
@@ -38,7 +36,7 @@ from declab import (
     symmetric_mesh,
     triangle_rule,
 )
-from oracles import codifferential_matrix_stencil
+from oracles import codifferential_matrix_stencil, discrete_inner, integrate_over_simplex
 
 SQRT3 = np.sqrt(3.0)
 

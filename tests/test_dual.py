@@ -21,13 +21,13 @@ from declab import (
     build_complex,
     build_dual,
     check_centroid_condition,
-    diamond_volumes,
     is_well_centered,
     symmetric_mesh,
     perturbed_mesh,
     well_centered_margin,
 )
 from declab.dual import triangle_circumcenters
+from oracles import diamond_volumes
 
 SQRT3 = np.sqrt(3.0)
 EQ_TRI = np.array([[0.0, 0.0], [1.0, 0.0], [0.5, SQRT3 / 2]])

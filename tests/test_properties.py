@@ -20,8 +20,6 @@ from declab import (  # noqa: E402
     build_dual,
     codifferential_matrix,
     de_rham,
-    diamond_volumes,
-    discrete_inner,
     discrete_norm,
     exterior_derivative,
     perturbed_mesh,
@@ -30,7 +28,12 @@ from declab import (  # noqa: E402
     symmetric_mesh,
     write_mesh,
 )
-from oracles import edge_tables_unique_rows, perturbed_mesh_sequential  # noqa: E402
+from oracles import (  # noqa: E402
+    diamond_volumes,
+    discrete_inner,
+    edge_tables_unique_rows,
+    perturbed_mesh_sequential,
+)
 
 SQRT3 = np.sqrt(3.0)
 PROPERTY = settings(max_examples=20, deadline=None, derandomize=True)
