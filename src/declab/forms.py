@@ -25,10 +25,15 @@ Polynomial coefficients are stored and combined in extended precision
 monomial coefficients of magnitude ~1e10 that cancel down to O(1) values,
 and double-precision Horner evaluation would leave ~1e-8 absolute noise —
 far above the 1e-10-scale identities the discrete operators are tested
-against.  Evaluation is Horner in the same precision, started at each
-coefficient row's last non-zero entry, and returns float64; against
-50-digit arithmetic at 3000 random points of the domain, the manufactured
-u and f are off by ~2e-12 of their maximum.
+against.  Evaluation is nested Horner in the same precision and returns
+float64, bit-identical to Horner over the full coefficient grid at finite
+points; against 50-digit arithmetic at 3000 random points of the domain,
+the manufactured u and f are off by ~2e-12 of their maximum.  It does only
+the longdouble steps that can change a bit of the result: each row starts
+at its last non-zero coefficient and skips adds of zero, and when the
+points share y values (half as many distinct y as points or fewer, as on
+the symmetric grids' edges and quadrature points) each row's inner Horner
+in y runs once per distinct y and is gathered to the points.
 
 Quadrature: Gauss-Legendre on [0, 1] for line integrals, and a collapsed
 tensor-product (Duffy) rule on the reference triangle
@@ -194,28 +199,57 @@ class Poly2:
         """Evaluate at points; Horner in extended precision, float64 out.
 
         Nested Horner, in x over the rows and in y within each row, updated
-        in place.  Row i starts at its last non-zero coefficient: the
-        leading zeros a dense grid would run through are exact no-ops
-        (0 * y + 0 = 0, and 0 + c = c), so at finite points the result is
-        bit-identical to Horner over the full coefficient grid.  An all-zero
-        row runs in full, which keeps even the sign of its zero.  Scalar x
-        and y give a float; otherwise an array of their broadcast shape.
+        in place; at finite points the result is bit-identical to Horner
+        over the full coefficient grid, because every step left out is an
+        exact no-op:
+
+        * Row i starts at its last non-zero coefficient (an all-zero row at
+          its last): a dense grid's leading zeros give a zero, and
+          0 * y + c = c.
+        * Within the row every multiply by y runs, but an add of a zero
+          coefficient runs only where it can act.  Adding -0.0 never changes
+          a value, and adding +0.0 only turns -0 into +0; a non-zero add
+          after it gives the same value from either zero.  So the last +0.0
+          add runs if no non-zero add follows it, and no other zero add.
+        * Row i's inner Horner depends on y alone.  When the y values, told
+          apart by their float64 bits (so -0.0 and +0.0 stay apart), number
+          at most half the points, each row runs once per distinct y and is
+          gathered to the points before the outer acc * x + row; the same
+          roundings on the same operands give the same bits.
+
+        Scalar x and y give a float; otherwise an array of their broadcast
+        shape.
         """
         xl = np.asarray(x, dtype=np.longdouble)
         yl = np.asarray(y, dtype=np.longdouble)
         shape = np.broadcast(xl, yl).shape
+        where = None  # each point's index into the distinct y, if rows run on those
+        if np.asarray(y).dtype == np.float64:
+            bits = np.broadcast_to(np.asarray(y), shape).view(np.uint64).ravel()
+            ordered = np.sort(bits)  # a plain sort is cheaper than unique when it says no
+            if 2 * (1 + np.count_nonzero(ordered[1:] != ordered[:-1])) <= bits.size:
+                bits, where = np.unique(bits, return_inverse=True)
+                yl, where = bits.view(np.float64).astype(np.longdouble), where.reshape(shape)
         c = self.coeffs
         acc = np.zeros(shape, dtype=np.longdouble)
-        row = np.empty(shape, dtype=np.longdouble)
+        row = np.empty(shape if where is None else yl.shape, dtype=np.longdouble)
+        gathered = row if where is None else np.empty(shape, dtype=np.longdouble)
         for i in range(c.shape[0] - 1, -1, -1):
             nonzero = np.flatnonzero(c[i])
             start = nonzero[-1] if len(nonzero) else c.shape[1] - 1
+            # the one zero add that can act: the last +0.0, if below every non-zero
+            low = nonzero[0] if len(nonzero) else start
+            plus_zero = np.flatnonzero(~np.signbit(c[i, :low]))
+            last = plus_zero[0] if len(plus_zero) else -1
             row.fill(c[i, start])
             for j in range(start - 1, -1, -1):
                 row *= yl
-                row += c[i, j]
+                if c[i, j] != 0 or j == last:
+                    row += c[i, j]
+            if where is not None:
+                np.take(row, where, out=gathered)
             acc *= xl
-            acc += row
+            acc += gathered
         out = np.asarray(acc, dtype=np.float64)
         if np.isscalar(x) and np.isscalar(y):
             return float(out)

@@ -187,7 +187,12 @@ def w_cycle(M: sp.csr_matrix, vertices: np.ndarray, m: int, k: int):
     w, V = np.linalg.eigh(A[-1].toarray())
     keep = w > 1e-10 * w.max()
     coarse_inv = (V[:, keep] / w[keep]) @ V[:, keep].T
-    levels = (A, Ps, smoothers, coarse_inv)
+    # P^T as CSR with sorted columns: each coarse sum runs over the fine
+    # indices in the order P.T's CSC product takes them, so bit-identical
+    restrictions = [P.T.tocsr() for P in Ps]
+    for R in restrictions:
+        R.sort_indices()
+    levels = (A, Ps, restrictions, smoothers, coarse_inv)
     if k == 0:  # M^+ maps into the range of M, the vectors that sum to zero
         return lambda r: (z := _visit(levels, 0, r)) - z.mean()
     return lambda r: _visit(levels, 0, r)
@@ -196,7 +201,7 @@ def w_cycle(M: sp.csr_matrix, vertices: np.ndarray, m: int, k: int):
 def _visit(levels, level: int, b: np.ndarray) -> np.ndarray:
     """The W-cycle from `level` down applied to b; not a closure, which would
     call itself and keep the levels alive in a reference cycle."""
-    A, Ps, smoothers, coarse_inv = levels
+    A, Ps, restrictions, smoothers, coarse_inv = levels
     if level == len(Ps):
         return coarse_inv @ b
     Al, (inv_d, c0, c1) = A[level], smoothers[level]
@@ -205,7 +210,7 @@ def _visit(levels, level: int, b: np.ndarray) -> np.ndarray:
         return inv_d * (c0 * r + c1 * (Al @ (inv_d * r)))
 
     x = smooth(b)
-    rc = Ps[level].T @ (b - Al @ x)
+    rc = restrictions[level] @ (b - Al @ x)
     e = _visit(levels, level + 1, rc)
     e += _visit(levels, level + 1, rc - A[level + 1] @ e)
     x += Ps[level] @ e

@@ -114,6 +114,56 @@ def test_poly_evaluation_matches_dense_horner_bit_for_bit():
         assert _same_bits(p(empty, empty), poly2_dense_horner(p.coeffs, empty, empty))
 
 
+def _signed_zero_polys(rng) -> list[Poly2]:
+    """Random coefficient grids whose zeros mix +0.0 and -0.0, with whole
+    zero rows, their negations and their products with x."""
+    polys = [Poly2.zero(), -Poly2.zero(), manufactured_solution(1)[1].components[1]]
+    for trial in range(30):
+        c = rng.normal(scale=10.0 ** rng.integers(0, 9), size=rng.integers(1, 9, 2))
+        zero = rng.random(c.shape) < 0.5
+        zero[rng.random(c.shape[0]) < 0.3] = True  # whole zero rows
+        c[zero] = np.where(rng.random(c.shape) < 0.5, 0.0, -0.0)[zero]
+        c[0, -1] = 1.0 + trial  # keep the grid from being trimmed away
+        shifted = Poly2(c) * Poly2.monomial(1, 0)
+        polys += [Poly2(c), -Poly2(c), shifted, -shifted]
+    # a row whose trailing adds are -0, +0, -0 below its only non-zero entry
+    polys.append(Poly2(np.array([[-0.0, 0.0, -0.0, 3.0], [0.0, -0.0, 0.0, -0.0]])))
+    return polys
+
+
+@pytest.mark.parametrize("distinct_y", [False, True])
+def test_poly_rows_on_distinct_y_match_dense_horner_bit_for_bit(distinct_y, monkeypatch):
+    """Rows evaluated once per distinct y (by bit pattern), and zero adds
+    skipped, against the full-grid oracle; all-distinct y takes the
+    per-point rows."""
+    rng = np.random.default_rng(12)
+    n = 512
+    if distinct_y:
+        ys = rng.uniform(-2.0, 2.0, n)
+    else:  # 16 values, half of them negative
+        ys = rng.choice(np.concatenate([[-1.0, 1.0], rng.uniform(-2.0, 2.0, 14)]), n)
+    xs = rng.uniform(-2.0, 2.0, n)
+    # +0.0 and -0.0, each repeated, against both signs of zero in x
+    xs[:8] = [0.0, -0.0] * 4
+    ys[:8] = [0.0, -0.0, 0.0, -0.0, -0.0, 0.0, 0.0, -0.0]
+    calls = []  # np.unique runs only on the distinct-y path
+    unique = np.unique
+
+    def counted_unique(*args, **kwargs):
+        calls.append(args)
+        return unique(*args, **kwargs)
+
+    monkeypatch.setattr(forms_module.np, "unique", counted_unique)
+    for p in _signed_zero_polys(rng):
+        assert _same_bits(p(xs, ys), poly2_dense_horner(p.coeffs, xs, ys))
+        # 2-d points, and a scalar x broadcast against an array y
+        x2, y2 = xs.reshape(32, 16), ys.reshape(32, 16)
+        assert _same_bits(p(x2, y2), poly2_dense_horner(p.coeffs, x2, y2))
+        assert _same_bits(p(-0.0, ys), poly2_dense_horner(p.coeffs, -0.0, ys))
+        assert _same_bits(p(0.75, y2), poly2_dense_horner(p.coeffs, 0.75, y2))
+    assert bool(calls) != distinct_y
+
+
 # -- quadrature oracles -------------------------------------------------------
 
 
