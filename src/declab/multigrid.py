@@ -20,12 +20,12 @@ stencil (7.0 and 4.0 nonzeros per row at perturbed level 8, 5.8 and 3.6 at
 level 3).  At k = 1 Galerkin fills in (10.9 per row at level 8, 28.5 to 43
 below; even its curl-curl half has 23.5 on perturbed (5, 2, 0.3), 9.7 on
 the symmetric grid), so k = 1 takes each coarse grid's own DEC system, the
-paper's Whitney-form reading: that grid's coboundaries and its
-circumcentric stars by the signed (cotangent) formulas, which need no
-well-centered coarse grid.  It is positive semidefinite when every vertex
-star is positive; w_cycle declines a grid where one is not.  The same
-degree-2 Chebyshev smoother on D^-1 A runs before and after the two coarse
-visits, so the cycle is symmetric.
+paper's Whitney-form reading: the fine level's `dec_system` on that grid's
+coboundaries and circumcentric stars by the signed (cotangent) formulas,
+which need no well-centered coarse grid.  It is positive semidefinite when
+every vertex star is positive; w_cycle declines a grid where one is not.
+The same degree-2 Chebyshev smoother on D^-1 A runs before and after the
+two coarse visits, so the cycle is symmetric.
 """
 
 from __future__ import annotations
@@ -36,6 +36,7 @@ import scipy.sparse as sp
 from .complex import SimplicialComplex
 from .dual import _cross2
 from .meshes import symmetric_mesh
+from .operators import dec_system
 
 # the six fine vertices of a coarse triangle as midpoints of corners a, b,
 # their barycentric coordinates there, and its nine edges and four triangles
@@ -130,6 +131,7 @@ def transfers(vertices: np.ndarray, m: int, k: int):
         rows = np.broadcast_to(child[..., None].astype(np.int32), vals.shape).ravel()
         cols = np.broadcast_to(cols.astype(np.int32), vals.shape).ravel()
         P = sp.csr_matrix((vals.ravel(), (rows, cols)), (fine.counts[k], coarse.counts[k]))
+        P.data[np.abs(P.data) < 1e-13] = 0.0  # O(1) weights: roundoff of exact zeros
         P.eliminate_zeros()
         Ps.append(P)
         fine, x = coarse, x[_vid(2 * coarse.n, 2 * coarse.r, 2 * coarse.j)]
@@ -153,8 +155,8 @@ def _cotangent_stars(x: np.ndarray, K: SimplicialComplex):
 
 def _operators(M: sp.csr_matrix, vertices: np.ndarray, m: int, k: int, Ps) -> list | None:
     """M and the operators of levels m-1, ..., 3: Galerkin P^T A P at k = 0
-    and 2, at k = 1 each grid's own S1 D0 S0^-1 D0^T S1 + D1^T S2 D1; None
-    if a vertex star S0 there is not positive."""
+    and 2, at k = 1 each grid's own DEC system, dec_system with its
+    cotangent stars; None if a vertex star S0 there is not positive."""
     A = [M]
     for level, P in zip(range(m - 1, 2, -1), Ps):
         if k != 1:
@@ -162,11 +164,10 @@ def _operators(M: sp.csr_matrix, vertices: np.ndarray, m: int, k: int, Ps) -> li
             continue
         # reference-grid topology: the star check is all the coarse x must pass
         g, s, K = _Grid(2**level), 2 ** (m - level), symmetric_mesh(level)
-        s0, s1, s2 = _cotangent_stars(vertices[_vid(2**m, s * g.r, s * g.j)], K)
-        if not ((s0 > 0) & np.isfinite(s0)).all():
+        stars = _cotangent_stars(vertices[_vid(2**m, s * g.r, s * g.j)], K)
+        if not ((stars[0] > 0) & np.isfinite(stars[0])).all():
             return None
-        G, D1 = sp.diags(s1) @ K.coboundary_matrix(0), K.coboundary_matrix(1)
-        A.append((G @ sp.diags(1.0 / s0) @ G.T + D1.T @ sp.diags(s2) @ D1).tocsr())
+        A.append(dec_system(K, stars, 1))
     return A
 
 

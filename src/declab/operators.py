@@ -98,6 +98,19 @@ def hodge_laplacian_matrix(
     return L.tocsr()
 
 
+def dec_system(K: SimplicialComplex, stars, k: int) -> sp.csr_matrix:
+    """S_k L_k = G S_{k-1}^-1 G^T + D_k^T S_{k+1} D_k, G = S_k D_{k-1}, from
+    the star ratios (a_0, a_1, a_2): symmetric by construction."""
+    M = sp.csr_matrix((K.n_simplices(k),) * 2)
+    if k >= 1:
+        G = sp.diags(stars[k]) @ K.coboundary_matrix(k - 1)
+        M = M + G @ sp.diags(1.0 / stars[k - 1]) @ G.T
+    if k <= K.dim - 1:
+        D = K.coboundary_matrix(k)
+        M = M + D.T @ sp.diags(stars[k + 1]) @ D
+    return M.tocsr()
+
+
 def discrete_norm(dual: DualComplex, k: int, u: np.ndarray) -> float:
     """Cochain norm sqrt([[u, u]]_k) = sqrt(sum a_sigma u_sigma^2)."""
     a = dual.hodge_ratio_a[k]

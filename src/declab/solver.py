@@ -13,6 +13,7 @@ for the k = 0 Hodge-Laplacian, whose kernel is the constants).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from numbers import Integral
 
 import numpy as np
 import scipy.sparse as sp
@@ -25,7 +26,7 @@ class SolverConfig:
     """Conjugate-gradient parameters.
 
     tol must be finite and positive; max_iterations defaults (None) to
-    50 * sqrt(unknowns) + 1000 and must otherwise be at least 1.
+    50 * sqrt(unknowns) + 1000 and must otherwise be an int (not bool) >= 1.
     """
 
     tol: float = 1e-12
@@ -34,9 +35,10 @@ class SolverConfig:
     def __post_init__(self):
         if not (np.isfinite(self.tol) and self.tol > 0):
             raise ValueError(f"tolerance must be finite and positive, got {self.tol}")
-        if self.max_iterations is not None and not self.max_iterations >= 1:
+        n = self.max_iterations
+        if n is not None and not (isinstance(n, Integral) and not isinstance(n, bool) and n >= 1):
             raise ValueError(
-                f"max_iterations must be at least 1, got {self.max_iterations}"
+                f"max_iterations must be an integer of at least 1, got {n!r}"
             )
 
 

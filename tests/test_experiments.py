@@ -151,8 +151,9 @@ def test_run_convergence_structure_and_decay():
 
 
 def test_run_convergence_rejects_unsorted_levels():
-    with pytest.raises(ValueError, match="ascending"):
-        run_convergence(0, "symmetric", [3, 2])
+    for levels in ([3, 2], [2, 2]):
+        with pytest.raises(ValueError, match="ascending"):
+            run_convergence(0, "symmetric", levels)
 
 
 # -- rendering ----------------------------------------------------------------

@@ -37,6 +37,7 @@ from declab import (
     star_matrix,
     symmetric_mesh,
 )
+from declab.operators import dec_system
 from oracles import (
     codifferential_matrix_stencil,
     discrete_inner,
@@ -175,6 +176,27 @@ def test_weighted_laplacian_is_symmetric(k):
     K, dual = _with_dual(perturbed_mesh(2, seed=5))
     M = (star_matrix(dual, k) @ hodge_laplacian_matrix(K, dual, k)).toarray()
     assert np.abs(M - M.T).max() <= 1e-13 * np.abs(M).max()
+
+
+@pytest.mark.parametrize(
+    "mesh", [(4,), (4, 3), (5, 2, 0.45)], ids=["symmetric", "seed3", "alpha-0.45"]
+)
+@pytest.mark.parametrize("k", [0, 1, 2])
+def test_dec_system_is_the_weighted_laplacian_assembled_symmetric(mesh, k):
+    """dec_system against S_k L_k from the transpose construction: the same
+    entries to rounding, the same stored pattern, and symmetric to rounding
+    of its own products."""
+    K = symmetric_mesh(*mesh) if len(mesh) == 1 else perturbed_mesh(*mesh)
+    dual = build_dual(K)
+    M = dec_system(K, dual.hodge_ratio_a, k)
+    want = (star_matrix(dual, k) @ hodge_laplacian_matrix(K, dual, k)).tocsr()
+    M.sort_indices()
+    want.sort_indices()
+    assert np.array_equal(M.indptr, want.indptr)
+    assert np.array_equal(M.indices, want.indices)
+    scale = np.abs(M.data).max()
+    assert np.abs(M.data - want.data).max() <= 1e-13 * scale
+    assert abs(M - M.T).max() <= 1e-15 * scale
 
 
 def test_k2_weighted_laplacian_positive_definite():

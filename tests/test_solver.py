@@ -114,6 +114,17 @@ def test_reports_non_convergence():
         cg_solve(M, b, cfg)
 
 
+@pytest.mark.parametrize("bad", [2.5, 3.0, True, "3", 0, -5])
+def test_config_rejects_max_iterations_that_are_not_positive_integers(bad):
+    with pytest.raises(ValueError, match="max_iterations"):
+        SolverConfig(max_iterations=bad)
+
+
+def test_config_accepts_numpy_integer_max_iterations():
+    M, b = _k0_system(2)
+    assert cg_solve(M, b, SolverConfig(max_iterations=np.int64(500))).iterations <= 500
+
+
 def test_rejects_bad_shapes():
     M = sp.identity(3, format="csr")
     with pytest.raises(ValueError):
