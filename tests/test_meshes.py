@@ -27,6 +27,7 @@ from declab import (
     write_mesh,
 )
 from declab import meshes as meshes_module
+from declab.multigrid import _Grid
 from oracles import perturbed_mesh_sequential
 
 SQRT3 = np.sqrt(3.0)
@@ -124,6 +125,16 @@ def test_symmetric_vertices_are_lexicographically_ordered():
     K = symmetric_mesh(2)
     keys = list(map(tuple, np.round(K.vertices[:, ::-1], 12)))
     assert keys == sorted(keys)
+
+
+@pytest.mark.parametrize("m", range(1, 7))
+def test_grid_numbering_is_build_complex_order(m):
+    """The closed-form lattice ranks agree with build_complex's sort: the
+    cell table, and the edge and triangle id of every simplex."""
+    K, grid = symmetric_mesh(m), _Grid(2**m)
+    assert np.array_equal(grid.tri, K.simplices(2))
+    assert np.array_equal(grid.edge(*K.simplices(1).T)[0], np.arange(K.n_simplices(1)))
+    assert np.array_equal(grid.triangle(K.simplices(2)), np.arange(K.n_simplices(2)))
 
 
 def test_symmetric_area_partition():
@@ -275,6 +286,8 @@ GOLDEN_MESHES = [
     ("perturbed", 5, 7, 0.15, "b63ec890ee72598313cd55301e3ca35b8f503cb4936abf503b812b772b625e3d"),
     ("perturbed", 7, 1, 0.15, "409e0c36789944e84d8bdbcbf591a04dac6fec28562fd5c283988f09c6a31556"),
     ("perturbed", 6, 3, 0.45, "657b849380cff462550df328b06e001b055ab4bb83fcc0ac245b65cdd31c05a2"),
+    ("symmetric", 8, 0, 0.15, "dc52c2bfbda30e709a898066f30471efd0f98d8beb11ff06397ce595c4b614dd"),
+    ("perturbed", 8, 1, 0.15, "b5ef8255fd523b2d67bf3727e5b3d8162a63d341ad69f7d152eaaa83e35af3f9"),
 ]
 
 
