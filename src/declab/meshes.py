@@ -7,6 +7,15 @@ each interior vertex by a uniform random vector in the disk of radius
 alpha * h, retrying with a halved radius (up to 20 retries) whenever the
 displacement would break well-centeredness; boundary vertices stay fixed.
 
+Both families share the level-m lattice of n = 2^m rows (`_Grid`): row r
+(0 <= r <= n, at height r * h * sqrt(3)/2) holds the vertices at places
+j = 0..n-r, x = (j + r/2) * h.  Vertices are numbered row by row, which is
+lexicographic (y, x) order, so point (r, j) has id r (n+1) - r (r-1)/2 + j.
+Each cell is ascending: up triangles (r, j), (r, j+1), (r+1, j) and down
+triangles (r, j), (r+1, j-1), (r+1, j).  Edges and triangles are numbered
+as build_complex sorts them, by lowest vertex: from (r, j) the edges run to
+(r, j+1), (r+1, j-1), (r+1, j), and the up triangle precedes the down.
+
 Randomness is counter-based so meshes are reproducible from (m, seed,
 alpha) alone, independent of platform or library versions.  Draw i of a
 stream seeded with s is
@@ -34,6 +43,7 @@ whitespace-separated, `#` starts a comment.  Coordinates are written with
 from __future__ import annotations
 
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 
@@ -76,10 +86,18 @@ class MeshFamilySpec:
     def __post_init__(self):
         if self.family not in ("symmetric", "perturbed"):
             raise ValueError(f"unknown mesh family {self.family!r}")
-        if self.level < 1:
-            raise ValueError("refinement level must be >= 1")
-        if not 0.0 <= self.alpha < 0.5:
-            raise ValueError("alpha must lie in [0, 0.5)")
+        _check_mesh_args(self.level, self.seed, self.alpha)
+
+
+def _check_mesh_args(level, seed=0, alpha=0.0) -> None:
+    """Raise ValueError unless level is an integer >= 1, seed an integer of
+    any size, and alpha in [0, 0.5); bools are not integers here."""
+    if isinstance(level, bool) or not isinstance(level, Integral) or level < 1:
+        raise ValueError(f"refinement level must be an integer >= 1, got {level!r}")
+    if isinstance(seed, bool) or not isinstance(seed, Integral):
+        raise ValueError(f"seed must be an integer, got {seed!r}")
+    if not 0.0 <= alpha < 0.5:
+        raise ValueError(f"alpha must lie in [0, 0.5), got {alpha!r}")
 
 
 def build_mesh(spec: MeshFamilySpec) -> SimplicialComplex:
@@ -108,57 +126,50 @@ def counter_uniform(seed: int, counter):
     return float(u[0]) if np.ndim(counter) == 0 else u
 
 
-def _grid_layout(m: int):
-    """Vertex layout of the level-m symmetric mesh.
-
-    Row r (at height r * h * sqrt(3)/2) holds N + 1 - r vertices; vertices
-    are numbered row by row, which is exactly lexicographic (y, x) order.
-    Returns (N, offsets, coords) with offsets[r] the index of row r's
-    first vertex.
-    """
-    n_rows = 2**m
-    offsets = np.zeros(n_rows + 2, dtype=np.int64)
-    np.cumsum(n_rows + 1 - np.arange(n_rows + 1), out=offsets[1:])
-    h = 0.5**m
-    coords = np.empty((offsets[-1], 2))
-    for r in range(n_rows + 1):
-        j = np.arange(n_rows + 1 - r)
-        coords[offsets[r] : offsets[r + 1], 0] = j * h + 0.5 * r * h
-        coords[offsets[r] : offsets[r + 1], 1] = r * (SQRT3 / 2.0) * h
-    return n_rows, offsets, coords
+def _vid(n: int, r, j):  # vertex id of lattice point (r, j) on the n-row grid
+    return r * (n + 1) - r * (r - 1) // 2 + j
 
 
-def _grid_cells(n_rows: int, offsets: np.ndarray) -> np.ndarray:
-    cells = []
-    for r in range(n_rows):
-        up = np.arange(n_rows - r)
-        cells.append(
-            np.stack(
-                [offsets[r] + up, offsets[r] + up + 1, offsets[r + 1] + up],
-                axis=1,
-            )
-        )
-        down = np.arange(n_rows - r - 1)
-        if len(down):
-            cells.append(
-                np.stack(
-                    [
-                        offsets[r] + down + 1,
-                        offsets[r + 1] + down,
-                        offsets[r + 1] + down + 1,
-                    ],
-                    axis=1,
-                )
-            )
-    return np.concatenate(cells, axis=0)
+class _Grid:
+    """Lattice coordinates and simplex numbering of the n-row grid, in
+    build_complex's order (see the module docstring)."""
+
+    def __init__(self, n: int):
+        self.n = n
+        self.counts = ((n + 1) * (n + 2) // 2, 3 * n * (n + 1) // 2, n * n)
+        self.r = np.repeat(np.arange(n + 1), np.arange(n + 1, 0, -1))
+        self.j = np.arange(len(self.r)) - _vid(n, self.r, 0)
+        inner, left = self.j < n - self.r, self.j >= 1
+        self.edge_rank = np.cumsum(np.stack([inner, left, inner], axis=1).ravel()) - 1
+        has_tri = np.stack([inner, inner & left], axis=1).ravel()
+        self.tri_rank = np.cumsum(has_tri) - 1
+        key = np.flatnonzero(has_tri)
+        a, down = key // 2, key % 2
+        r, j = self.r[a], self.j[a]
+        self.tri = np.stack([a, np.where(down, _vid(n, r + 1, j - 1), a + 1), _vid(n, r + 1, j)], 1)
+
+    def edge(self, a, b):
+        """Edge ids of the vertex pairs (a, b), with their tails and heads."""
+        tail, head = np.minimum(a, b), np.maximum(a, b)
+        step = self.r[head] - self.r[tail] + (self.j[head] == self.j[tail])
+        return self.edge_rank[3 * tail + step], tail, head
+
+    def triangle(self, v):
+        """Triangle ids of the vertex triples in the last axis of v."""
+        v = np.sort(v, axis=-1)
+        return self.tri_rank[2 * v[..., 0] + (v[..., 1] != v[..., 0] + 1)]
+
+
+def _reference(m: int):
+    """Vertex coordinates and cell table of the level-m symmetric mesh."""
+    g, h = _Grid(2**m), 0.5**m
+    return np.stack([g.j * h + 0.5 * g.r * h, g.r * (SQRT3 / 2.0) * h], axis=1), g.tri
 
 
 def symmetric_mesh(m: int) -> SimplicialComplex:
     """Uniform equilateral subdivision of the domain triangle, h = 2^-m."""
-    if m < 1:
-        raise ValueError("refinement level must be >= 1")
-    n_rows, offsets, coords = _grid_layout(m)
-    return build_complex(coords, _grid_cells(n_rows, offsets))
+    _check_mesh_args(m)
+    return build_complex(*_reference(m))
 
 
 def perturbed_mesh(m: int, seed: int, alpha: float = 0.15) -> SimplicialComplex:
@@ -177,12 +188,8 @@ def perturbed_mesh(m: int, seed: int, alpha: float = 0.15) -> SimplicialComplex:
     batch doubles after a full pass and halves after a failure.  The mesh
     is bit for bit that of the one-vertex-at-a-time visit.
     """
-    if m < 1:
-        raise ValueError("refinement level must be >= 1")
-    if not 0.0 <= alpha < 0.5:
-        raise ValueError("alpha must lie in [0, 0.5)")
-    n_rows, offsets, coords = _grid_layout(m)
-    cells = _grid_cells(n_rows, offsets)
+    _check_mesh_args(m, seed, alpha)
+    coords, cells = _reference(m)
     h = 0.5**m
 
     # interior vertices are those with six incident cells; `ring` holds the

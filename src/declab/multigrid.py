@@ -1,7 +1,7 @@
 """Geometric W-cycle preconditioner for the degree-k system on grid meshes.
 
-Both mesh families have the cell table of `meshes._grid_cells`: level l is
-the red refinement of level l - 1, whose vertices are those with even
+Both mesh families have the lattice numbering of `meshes._Grid`: level l
+is the red refinement of level l - 1, whose vertices are those with even
 lattice coordinates (row r, place j in the row).  The transfer from level
 l - 1 to l is P_k = R_h W_2h, the fine de Rham map of the coarse cochain's
 Whitney form (Arnold, Falk & Winther 2000; Bell & Olson 2008), with the
@@ -35,7 +35,7 @@ import scipy.sparse as sp
 
 from .complex import SimplicialComplex
 from .dual import _cross2
-from .meshes import symmetric_mesh
+from .meshes import _Grid, _vid, symmetric_mesh
 from .operators import dec_system
 
 # the six fine vertices of a coarse triangle as midpoints of corners a, b,
@@ -45,41 +45,6 @@ _LAM = (np.eye(3)[_A] + np.eye(3)[_B]) / 2
 _EDGES = np.array([[0, 3], [3, 1], [0, 4], [4, 2], [1, 5], [5, 2], [3, 4], [3, 5], [4, 5]])
 _TRIANGLES = np.array([[0, 3, 4], [1, 3, 5], [2, 4, 5], [3, 4, 5]])
 _PAIRS = np.array([[0, 1], [0, 2], [1, 2]])  # K.cell_edges' local order
-
-
-def _vid(n: int, r, j):  # vertex id of lattice point (r, j) on the n-row grid
-    return r * (n + 1) - r * (r - 1) // 2 + j
-
-
-class _Grid:
-    """Lattice coordinates and simplex numbering of the n-row grid, in
-    build_complex's order: from a lowest vertex (r, j) the edges run to
-    (r, j+1), (r+1, j-1), (r+1, j), and the up triangle precedes the down."""
-
-    def __init__(self, n: int):
-        self.n = n
-        self.counts = ((n + 1) * (n + 2) // 2, 3 * n * (n + 1) // 2, n * n)
-        self.r = np.repeat(np.arange(n + 1), np.arange(n + 1, 0, -1))
-        self.j = np.arange(len(self.r)) - _vid(n, self.r, 0)
-        inner, left = self.j < n - self.r, self.j >= 1
-        self.edge_rank = np.cumsum(np.stack([inner, left, inner], axis=1).ravel()) - 1
-        has_tri = np.stack([inner, inner & left], axis=1).ravel()
-        self.tri_rank = np.cumsum(has_tri) - 1
-        key = np.flatnonzero(has_tri)
-        a, down = key // 2, key % 2
-        r, j = self.r[a], self.j[a]
-        self.tri = np.stack([a, np.where(down, _vid(n, r + 1, j - 1), a + 1), _vid(n, r + 1, j)], 1)
-
-    def edge(self, a, b):
-        """Edge ids of the vertex pairs (a, b), with their tails and heads."""
-        tail, head = np.minimum(a, b), np.maximum(a, b)
-        step = self.r[head] - self.r[tail] + (self.j[head] == self.j[tail])
-        return self.edge_rank[3 * tail + step], tail, head
-
-    def triangle(self, v):
-        """Triangle ids of the vertex triples in the last axis of v."""
-        v = np.sort(v, axis=-1)
-        return self.tri_rank[2 * v[..., 0] + (v[..., 1] != v[..., 0] + 1)]
 
 
 def grid_level(K: SimplicialComplex) -> int | None:

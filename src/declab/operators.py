@@ -61,14 +61,22 @@ __all__ = [
 ]
 
 
+def _at_degree(ratios: list, k: int) -> np.ndarray:
+    """ratios[k], raising ValueError for a degree with no cochains rather
+    than indexing from the end."""
+    if not 0 <= k < len(ratios):
+        raise ValueError(f"no {k}-cochains on a {len(ratios) - 1}-complex")
+    return ratios[k]
+
+
 def star_matrix(dual: DualComplex, k: int) -> sp.csr_matrix:
     """Diagonal Hodge star S_k = diag(|*sigma| / |sigma|)."""
-    return sp.diags(dual.hodge_ratio_a[k], format="csr")
+    return sp.diags(_at_degree(dual.hodge_ratio_a, k), format="csr")
 
 
 def star_inverse_matrix(dual: DualComplex, k: int) -> sp.csr_matrix:
     """S_k^{-1} = diag(|sigma| / |*sigma|)."""
-    return sp.diags(dual.hodge_ratio_b[k], format="csr")
+    return sp.diags(_at_degree(dual.hodge_ratio_b, k), format="csr")
 
 
 def codifferential_matrix(
@@ -113,7 +121,7 @@ def dec_system(K: SimplicialComplex, stars, k: int) -> sp.csr_matrix:
 
 def discrete_norm(dual: DualComplex, k: int, u: np.ndarray) -> float:
     """Cochain norm sqrt([[u, u]]_k) = sqrt(sum a_sigma u_sigma^2)."""
-    a = dual.hodge_ratio_a[k]
+    a = _at_degree(dual.hodge_ratio_a, k)
     if np.shape(u) != a.shape:
         raise ValueError(f"a {k}-cochain needs shape {a.shape}, got {np.shape(u)}")
     return float(np.sqrt(np.sum(a * u * u)))

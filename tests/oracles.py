@@ -16,11 +16,11 @@ from declab import (
     build_complex,
     gauss_legendre_unit,
     is_well_centered,
+    symmetric_mesh,
     triangle_rule,
 )
 from declab import meshes
 from declab.dual import _cross2, _triangle_circum_bary
-from declab.meshes import _grid_cells, _grid_layout
 
 _MASK64 = (1 << 64) - 1
 
@@ -274,12 +274,8 @@ def perturbed_mesh_sequential(m: int, seed: int, alpha: float = 0.15) -> Simplic
     included.  The tolerance is read from declab.meshes at call time, so a
     test that patches it there patches both.
     """
-    if m < 1:
-        raise ValueError("refinement level must be >= 1")
-    if not 0.0 <= alpha < 0.5:
-        raise ValueError("alpha must lie in [0, 0.5)")
-    n_rows, offsets, coords = _grid_layout(m)
-    cells = _grid_cells(n_rows, offsets)
+    K0 = symmetric_mesh(m)
+    coords, cells = K0.vertices.copy(), K0.simplices(2)
     h = 0.5**m
 
     # vertex -> incident cells (rows of `cells`)
@@ -289,29 +285,27 @@ def perturbed_mesh_sequential(m: int, seed: int, alpha: float = 0.15) -> Simplic
             incident[v].append(c)
 
     counter = 0
-    for r in range(1, n_rows):
-        for j in range(1, n_rows - r):
-            v = int(offsets[r] + j)
-            base = coords[v].copy()
-            tri_pts = coords[cells[incident[v]]]
-            local = cells[incident[v]] == v  # which corner is v
-            for attempt in range(21):
-                radius = alpha * h * 0.5**attempt
-                u1 = _counter_uniform_scalar(seed, counter)
-                u2 = _counter_uniform_scalar(seed, counter + 1)
-                counter += 2
-                rho = radius * np.sqrt(u1)
-                theta = 2.0 * np.pi * u2
-                cand = base + rho * np.array([np.cos(theta), np.sin(theta)])
-                tri_pts[local] = cand
-                if _triangle_circum_bary(tri_pts).min() > meshes.WELL_CENTERED_TOL:
-                    coords[v] = cand
-                    break
-            else:
-                raise MeshError(
-                    f"could not keep the mesh well-centered around vertex "
-                    f"{v} at {tuple(base.tolist())} after 20 radius halvings"
-                )
+    for v in np.flatnonzero(~K0.is_boundary(0)).tolist():
+        base = coords[v].copy()
+        tri_pts = coords[cells[incident[v]]]
+        local = cells[incident[v]] == v  # which corner is v
+        for attempt in range(21):
+            radius = alpha * h * 0.5**attempt
+            u1 = _counter_uniform_scalar(seed, counter)
+            u2 = _counter_uniform_scalar(seed, counter + 1)
+            counter += 2
+            rho = radius * np.sqrt(u1)
+            theta = 2.0 * np.pi * u2
+            cand = base + rho * np.array([np.cos(theta), np.sin(theta)])
+            tri_pts[local] = cand
+            if _triangle_circum_bary(tri_pts).min() > meshes.WELL_CENTERED_TOL:
+                coords[v] = cand
+                break
+        else:
+            raise MeshError(
+                f"could not keep the mesh well-centered around vertex "
+                f"{v} at {tuple(base.tolist())} after 20 radius halvings"
+            )
 
     K = build_complex(coords, cells)
     ok, offenders = is_well_centered(K)

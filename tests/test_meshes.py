@@ -27,7 +27,7 @@ from declab import (
     write_mesh,
 )
 from declab import meshes as meshes_module
-from declab.multigrid import _Grid
+from declab.meshes import _Grid
 from oracles import perturbed_mesh_sequential
 
 SQRT3 = np.sqrt(3.0)
@@ -219,12 +219,24 @@ def test_mesh_family_spec_validation_and_dispatch():
     assert np.array_equal(Kp.vertices, perturbed_mesh(2, seed=4).vertices)
     with pytest.raises(ValueError, match="family"):
         MeshFamilySpec("random", 1)
-    with pytest.raises(ValueError, match="level"):
-        MeshFamilySpec("symmetric", 0)
-    with pytest.raises(ValueError, match="alpha"):
-        MeshFamilySpec("perturbed", 1, alpha=0.5)
-    with pytest.raises(ValueError):
-        perturbed_mesh(0, seed=1)
+    for level in (0, -2, 2.5, 2.0, True, "3", None):
+        with pytest.raises(ValueError, match="level"):
+            MeshFamilySpec("symmetric", level)
+        with pytest.raises(ValueError, match="level"):
+            symmetric_mesh(level)
+        with pytest.raises(ValueError, match="level"):
+            perturbed_mesh(level, seed=1)
+    for seed in (1.5, 1.0, True, "1", None):
+        with pytest.raises(ValueError, match="seed"):
+            MeshFamilySpec("perturbed", 2, seed=seed)
+        with pytest.raises(ValueError, match="seed"):
+            perturbed_mesh(2, seed)
+    for alpha in (0.5, -0.1, float("nan")):
+        with pytest.raises(ValueError, match="alpha"):
+            MeshFamilySpec("perturbed", 1, alpha=alpha)
+        with pytest.raises(ValueError, match="alpha"):
+            perturbed_mesh(2, 1, alpha)
+    assert symmetric_mesh(np.int64(2)).vertices.tobytes() == symmetric_mesh(2).vertices.tobytes()
 
 
 # -- mesh file IO -------------------------------------------------------------

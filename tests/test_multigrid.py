@@ -1,11 +1,12 @@
 """The geometric W-cycle on the nested grid family.
 
 Every level of a transfer test is built independently of the multigrid
-module: the level-l grid is `build_complex` on the `_grid_cells` table,
-placed at the level-m vertices with the same reference position, so its
-numbering and orientation are the library's own.  Coarse 2-cochain
-measures sum the actual areas of the level-m descendants, each found by
-its centroid in lattice coordinates.
+module: the level-l grid is `build_complex` on the cells of
+`symmetric_mesh(l)`, placed at the level-m vertices with the same lattice
+position, read off the symmetric meshes' coordinates, so its numbering and
+orientation are the library's own.  Coarse 2-cochain measures sum the
+actual areas of the level-m descendants, each found by its centroid in
+lattice coordinates.
 """
 
 from __future__ import annotations
@@ -31,27 +32,28 @@ from declab import (
     symmetric_mesh,
     write_mesh,
 )
-from declab.meshes import _grid_cells, _grid_layout
 from declab.multigrid import _cotangent_stars, _operators, grid_level, transfers, w_cycle
 from declab.operators import dec_system
 from oracles import whitney_evaluate
 
 
 def _lattice(level: int):
-    """Row r and position j in the row of every level-l grid vertex."""
-    n, offsets, _ = _grid_layout(level)
-    r = np.repeat(np.arange(n + 1), np.diff(offsets))
-    return r, np.arange(offsets[-1]) - offsets[r]
+    """Row r and place j in the row of every level-l grid vertex, read off
+    the symmetric mesh's coordinates, and the vertex id at each (r, j)."""
+    x, y = symmetric_mesh(level).vertices.T * 2**level
+    r = np.rint(y / (np.sqrt(3.0) / 2)).astype(int)
+    j = np.rint(x - r / 2).astype(int)
+    ids = np.full((2**level + 1,) * 2, -1)
+    ids[r, j] = np.arange(len(r))
+    return r, j, ids
 
 
 def _on_level(K, m: int, level: int):
     """The level-l grid whose vertices are K's vertices at the same lattice
     points; K is a level-m grid mesh."""
-    n, offsets, _ = _grid_layout(level)
-    _, fine_offsets, _ = _grid_layout(m)
-    r, j = _lattice(level)
-    s = 2 ** (m - level)
-    return build_complex(K.vertices[fine_offsets[s * r] + s * j], _grid_cells(n, offsets))
+    r, j, _ = _lattice(level)
+    s, fine = 2 ** (m - level), _lattice(m)[2]
+    return build_complex(K.vertices[fine[s * r, s * j]], symmetric_mesh(level).simplices(2))
 
 
 def _signed_areas(K) -> np.ndarray:
@@ -62,17 +64,17 @@ def _signed_areas(K) -> np.ndarray:
 def _parents(level: int) -> np.ndarray:
     """The level-(l-1) triangle that holds each level-l triangle, located by
     its centroid in lattice coordinates."""
-    r, j = _lattice(level)
+    r, j, _ = _lattice(level)
     tri = symmetric_mesh(level).simplices(2)
     rc, jc = r[tri].sum(axis=1) / 6, j[tri].sum(axis=1) / 6  # coarse units
     R, J = np.floor(rc).astype(int), np.floor(jc).astype(int)
     down = (rc - R + jc - J > 1)[:, None]
     dr = np.where(down, [0, 1, 1], [0, 0, 1])
     dj = np.where(down, [1, 0, 1], [0, 1, 0])
-    _, offsets, _ = _grid_layout(level - 1)
-    corners = np.sort(offsets[R[:, None] + dr] + J[:, None] + dj, axis=1)
+    ids = _lattice(level - 1)[2]
+    corners = np.sort(ids[R[:, None] + dr, J[:, None] + dj], axis=1)
     coarse = symmetric_mesh(level - 1).simplices(2)
-    n = len(offsets)**2
+    n = len(r)
 
     def key(t):
         return (t[:, 0] * n + t[:, 1]) * n + t[:, 2]

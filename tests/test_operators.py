@@ -84,6 +84,19 @@ def test_star_inverse_round_trip():
         np.testing.assert_allclose(prod.diagonal(), 1.0, rtol=1e-14)
 
 
+@pytest.mark.parametrize("k", [-1, 3])
+def test_star_and_norm_reject_degrees_without_cochains(k):
+    """k = -1 must not index the triangle ratios from the end."""
+    _, dual = _with_dual(symmetric_mesh(1))
+    for call in (
+        lambda: star_matrix(dual, k),
+        lambda: star_inverse_matrix(dual, k),
+        lambda: discrete_norm(dual, k, np.zeros(4)),
+    ):
+        with pytest.raises(ValueError, match=f"no {k}-cochains"):
+            call()
+
+
 # -- codifferential: two routes, adjointness ----------------------------------
 
 
