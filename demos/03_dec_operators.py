@@ -16,11 +16,11 @@ dual = build_dual(K)
 
 # -- codifferential: S^-1 D^T S, read as a flux form -----------------------------
 
-# row v of delta_1 collects b_v * sign(v, e) * a_e over the edges e at v
+# row v of delta_1 collects (1 / a_v) * sign(v, e) * a_e over the edges e at v
 delta1 = codifferential_matrix(K, dual, 1)
 v = int(np.flatnonzero(~K.is_boundary(0))[0])
 signs = K.coboundary_matrix(0)[:, [v]].toarray().ravel()
-flux = dual.hodge_ratio_b[0][v] * signs * dual.hodge_ratio_a[1]
+flux = (1.0 / dual.hodge_ratio_a[0][v]) * signs * dual.hodge_ratio_a[1]
 print("interior vertex row of delta_1 vs flux form: max gap =",
       abs(delta1[[v]].toarray().ravel() - flux).max())
 

@@ -11,13 +11,14 @@ sigma = sigma_k < sigma_{k+1} < ... < sigma_n.  In two dimensions:
 
 Dual volumes are unsigned sums over the flag pieces; well-centeredness makes
 all pieces consistently oriented, so unsigned equals signed.  The volume
-ratios a = |*sigma| / |sigma| and b = 1/a are the diagonal Hodge star
-entries.
+ratio a = |*sigma| / |sigma| is the diagonal Hodge star entry, and every
+S^-1 reads it as 1 / a.  ``DualComplex`` stores no flag pieces: the one
+private helper ``_flags`` forms them for the integrals over dual cells.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -101,29 +102,34 @@ class DualComplex:
     """Circumcentric dual of a well-centered complex.
 
     Per-degree arrays (k = 0, 1, 2) are indexed by primal simplex index.
-    ``flag_*`` arrays enumerate the 6T elementary flag triangles
-    [v, c(e), c(T)] over chains v < e < T; they carry the dual-cell
-    geometry in flat, vectorizable form.
+    The diagonal Hodge star is S_k = diag(hodge_ratio_a[k]) and its inverse
+    is read as 1 / a.  No flag pieces are stored: the integrals over dual
+    cells form them when they need them.
     """
 
-    complex: SimplicialComplex
     centers: list[np.ndarray]  # circumcenters per degree
     primal_volumes: list[np.ndarray]
     dual_volumes: list[np.ndarray]
     hodge_ratio_a: list[np.ndarray]  # a = |*sigma| / |sigma|
-    hodge_ratio_b: list[np.ndarray]  # b = |sigma| / |*sigma|
     tri_orientation: np.ndarray  # (T,) +1 if ascending tuple is CCW, else -1
-    flag_vertex: np.ndarray  # (6T,) vertex index of each flag triangle
-    flag_edge: np.ndarray  # (6T,) edge index
-    flag_tri: np.ndarray  # (6T,) triangle index
-    flag_coords: np.ndarray  # (6T, 3, 2) rows [v, c(e), c(T)]
-    flag_area: np.ndarray = field(init=False)  # (6T,) unsigned areas
 
-    def __post_init__(self):
-        q = self.flag_coords
-        self.flag_area = 0.5 * np.abs(
-            _cross2(q[:, 1] - q[:, 0], q[:, 2] - q[:, 0])
-        )
+
+def _flags(K: SimplicialComplex, centers: list[np.ndarray]) -> tuple[np.ndarray, ...]:
+    """The 6T flag triangles [v, c(e), c(T)] over the chains v < e < T.
+
+    Per triangle, 3 edges x 2 endpoints, so the (e, T) pairs are the even
+    flags ([::2]).  Returns the vertex and edge index of each flag (6T,),
+    its rows [v, c(e), c(T)] (6T, 3, 2) and its area (6T,), signed by the
+    orientation of the rows.
+    """
+    edge = np.repeat(K.cell_edges.reshape(-1), 2)
+    vertex = K.simplices(1)[K.cell_edges.reshape(-1)].reshape(-1)
+    coords = np.empty((len(edge), 3, 2))
+    coords[:, 0] = centers[0][vertex]
+    coords[:, 1] = centers[1][edge]
+    coords[:, 2] = np.repeat(centers[2], 6, axis=0)
+    area = 0.5 * _cross2(coords[:, 1] - coords[:, 0], coords[:, 2] - coords[:, 0])
+    return vertex, edge, coords, area
 
 
 def build_dual(K: SimplicialComplex) -> DualComplex:
@@ -147,64 +153,33 @@ def build_dual(K: SimplicialComplex) -> DualComplex:
             f"fail, first triangle {t} with vertices {vertices.tolist()} {why}"
         )
 
-    tris = K.simplices(2)
-    pts = K.vertices[tris]
+    pts = K.vertices[K.simplices(2)]
     tri_centers, _ = triangle_circumcenters(pts)
-
-    edges = K.simplices(1)
-    edge_pts = K.vertices[edges]
+    edge_pts = K.vertices[K.simplices(1)]
     edge_centers = 0.5 * (edge_pts[:, 0] + edge_pts[:, 1])
     centers = [K.vertices.copy(), edge_centers, tri_centers]
 
     edge_len = np.linalg.norm(edge_pts[:, 1] - edge_pts[:, 0], axis=1)
     cross = _cross2(pts[:, 1] - pts[:, 0], pts[:, 2] - pts[:, 0])
-    tri_area = 0.5 * np.abs(cross)
-    tri_orientation = np.where(cross > 0.0, 1.0, -1.0)
-    primal_volumes = [np.ones(K.n_simplices(0)), edge_len, tri_area]
-
-    nt = len(tris)
-    # flags: per triangle, 3 edges x 2 endpoints = 6 chains v < e < T
-    flag_tri = np.repeat(np.arange(nt, dtype=np.int64), 6)
-    flag_edge = np.repeat(K.cell_edges.reshape(-1), 2)
-    flag_vertex = edges[K.cell_edges.reshape(-1)].reshape(-1)
-
-    flag_coords = np.empty((6 * nt, 3, 2))
-    flag_coords[:, 0] = K.vertices[flag_vertex]
-    flag_coords[:, 1] = edge_centers[flag_edge]
-    flag_coords[:, 2] = tri_centers[flag_tri]
-
-    dual = DualComplex(
-        complex=K,
-        centers=centers,
-        primal_volumes=primal_volumes,
-        dual_volumes=[],
-        hodge_ratio_a=[],
-        hodge_ratio_b=[],
-        tri_orientation=tri_orientation,
-        flag_vertex=flag_vertex,
-        flag_edge=flag_edge,
-        flag_tri=flag_tri,
-        flag_coords=flag_coords,
-    )
+    primal_volumes = [np.ones(K.n_simplices(0)), edge_len, 0.5 * np.abs(cross)]
 
     # |*T| = 1; |*e| = sum of segment lengths c(e)->c(T); |*v| = sum of
     # flag triangle areas.  Each (e, T) flag pair is visited once ([::2]).
-    seg_len = np.linalg.norm(
-        tri_centers[flag_tri[::2]] - edge_centers[flag_edge[::2]], axis=1
-    )
+    vertex, edge, coords, area = _flags(K, centers)
+    seg_len = np.linalg.norm(coords[::2, 2] - coords[::2, 1], axis=1)
     dv1 = np.zeros(K.n_simplices(1))
-    np.add.at(dv1, flag_edge[::2], seg_len)
+    np.add.at(dv1, edge[::2], seg_len)
     dv0 = np.zeros(K.n_simplices(0))
-    np.add.at(dv0, flag_vertex, dual.flag_area)
-    dual.dual_volumes = [dv0, dv1, np.ones(nt)]
+    np.add.at(dv0, vertex, np.abs(area))
+    dual_volumes = [dv0, dv1, np.ones(len(pts))]
 
-    dual.hodge_ratio_a = [
-        dv / pv for dv, pv in zip(dual.dual_volumes, primal_volumes)
-    ]
-    dual.hodge_ratio_b = [
-        pv / dv for dv, pv in zip(dual.dual_volumes, primal_volumes)
-    ]
-    return dual
+    return DualComplex(
+        centers=centers,
+        primal_volumes=primal_volumes,
+        dual_volumes=dual_volumes,
+        hodge_ratio_a=[dv / pv for dv, pv in zip(dual_volumes, primal_volumes)],
+        tri_orientation=np.where(cross > 0.0, 1.0, -1.0),
+    )
 
 
 def check_centroid_condition(
@@ -230,21 +205,16 @@ def check_centroid_condition(
 
     if k == 2:
         dual_centroid = dual.centers[2]
-    elif k == 1:
-        a = dual.centers[1][dual.flag_edge[::2]]
-        b = dual.centers[2][dual.flag_tri[::2]]
-        seg_len = np.linalg.norm(b - a, axis=1)
+    elif k in (0, 1):
+        vertex, edge, coords, area = _flags(K, dual.centers)
         acc = np.zeros((nk, 2))
-        np.add.at(acc, dual.flag_edge[::2], seg_len[:, None] * 0.5 * (a + b))
-        dual_centroid = acc / dual.dual_volumes[1][:, None]
-    elif k == 0:
-        acc = np.zeros((nk, 2))
-        np.add.at(
-            acc,
-            dual.flag_vertex,
-            dual.flag_area[:, None] * dual.flag_coords.mean(axis=1),
-        )
-        dual_centroid = acc / dual.dual_volumes[0][:, None]
+        if k == 1:
+            a, b = coords[::2, 1], coords[::2, 2]
+            seg_len = np.linalg.norm(b - a, axis=1)
+            np.add.at(acc, edge[::2], seg_len[:, None] * 0.5 * (a + b))
+        else:
+            np.add.at(acc, vertex, np.abs(area)[:, None] * coords.mean(axis=1))
+        dual_centroid = acc / dual.dual_volumes[k][:, None]
     else:
         raise ValueError(f"no {k}-simplices in the plane")
 

@@ -138,8 +138,15 @@ def compute_errors(
     rho_h: np.ndarray | None,
 ) -> dict[str, float]:
     """Cochain error norms (keyed as NORM_KEYS[k]) of a solved state against
-    the manufactured forms; at k = 0 the error is taken modulo constants."""
+    the manufactured forms; at k = 0 the error is taken modulo constants.
+    u_h must be a k-cochain and, for k >= 1, rho_h a (k-1)-cochain."""
     u, _ = manufactured_solution(k)
+    for name, x, j in (("u_h", u_h, k), ("rho_h", rho_h, k - 1)):
+        if j >= 0 and np.shape(x) != (K.n_simplices(j),):
+            raise ValueError(
+                f"{name} must be a {j}-cochain of shape ({K.n_simplices(j)},), "
+                f"got {'None' if x is None else np.shape(x)}"
+            )
     norms: dict[str, float] = {}
 
     # R(d w) = D R(w) by Stokes, so the derivative errors are coboundaries

@@ -54,7 +54,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .complex import SimplicialComplex
-from .dual import DualComplex, _cross2
+from .dual import DualComplex, _cross2, _flags
 
 __all__ = [
     "Poly2",
@@ -523,19 +523,17 @@ def de_rham_dual(
     c = dual.centers
     if m == 0:
         return dual.tri_orientation * _integrate_simplices(form, c[2][:, None, :])
+    vertex, edge, coords, area = _flags(K, c)
     if m == 1:
-        owner = dual.flag_edge[::2]
-        cells = np.stack([c[1][owner], c[2][dual.flag_tri[::2]]], axis=1)
+        owner, cells = edge[::2], coords[::2, 1:]
         # +1 where the dual segment runs along the +90-degree rotation of e
         tang = np.diff(K.vertices[K.simplices(1)[owner]], axis=1)[:, 0]
         sign = np.sign(_cross2(tang, cells[:, 1] - cells[:, 0]))
     else:
-        owner = dual.flag_vertex
-        cells = dual.flag_coords
+        owner, cells = vertex, coords
         # the kernel signs each flag integral by its vertex order; multiply
         # that sign back out (|integral| would also drop the form's sign)
-        e1, e2 = cells[:, 1] - cells[:, 0], cells[:, 2] - cells[:, 0]
-        sign = np.sign(_cross2(e1, e2))
+        sign = np.sign(area)
     out = np.zeros(K.n_simplices(2 - m))
     np.add.at(out, owner, sign * _integrate_simplices(form, cells))
     return out

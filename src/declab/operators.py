@@ -75,8 +75,8 @@ def star_matrix(dual: DualComplex, k: int) -> sp.csr_matrix:
 
 
 def star_inverse_matrix(dual: DualComplex, k: int) -> sp.csr_matrix:
-    """S_k^{-1} = diag(|sigma| / |*sigma|)."""
-    return sp.diags(_at_degree(dual.hodge_ratio_b, k), format="csr")
+    """S_k^{-1} = diag(1 / a_sigma), the S^-1 of :func:`dec_system`."""
+    return sp.diags(1.0 / _at_degree(dual.hodge_ratio_a, k), format="csr")
 
 
 def codifferential_matrix(
@@ -132,7 +132,8 @@ def j_interpolant(
 ) -> np.ndarray:
     """Dual-averaging interpolant (J omega)_sigma = b_sigma int_{*sigma} star omega."""
     k = form.degree
-    return dual.hodge_ratio_b[k] * de_rham_dual(K, dual, hodge_star(form))
+    b = 1.0 / dual.hodge_ratio_a[k]
+    return b * de_rham_dual(K, dual, hodge_star(form))
 
 
 def pi_minus_j(

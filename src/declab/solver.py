@@ -13,7 +13,7 @@ for the k = 0 Hodge-Laplacian, whose kernel is the constants).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from numbers import Integral
+from numbers import Integral, Real
 
 import numpy as np
 import scipy.sparse as sp
@@ -25,7 +25,7 @@ __all__ = ["SolverConfig", "SolverResult", "SolverError", "cg_solve"]
 class SolverConfig:
     """Conjugate-gradient parameters.
 
-    tol must be finite and positive; max_iterations defaults (None) to
+    tol must be a finite positive real (not bool); max_iterations defaults (None) to
     50 * sqrt(unknowns) + 1000 and must otherwise be an int (not bool) >= 1.
     """
 
@@ -33,8 +33,9 @@ class SolverConfig:
     max_iterations: int | None = None
 
     def __post_init__(self):
-        if not (np.isfinite(self.tol) and self.tol > 0):
-            raise ValueError(f"tolerance must be finite and positive, got {self.tol}")
+        t = self.tol
+        if not (isinstance(t, Real) and not isinstance(t, bool) and np.isfinite(t) and t > 0):
+            raise ValueError(f"tolerance must be a finite positive number, got {t!r}")
         n = self.max_iterations
         if n is not None and not (isinstance(n, Integral) and not isinstance(n, bool) and n >= 1):
             raise ValueError(

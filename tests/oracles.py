@@ -37,7 +37,7 @@ def codifferential_matrix_stencil(
     if not 1 <= k <= K.dim:
         raise ValueError(f"codifferential is defined for 1 <= k <= {K.dim}")
     a = dual.hodge_ratio_a[k]
-    b = dual.hodge_ratio_b[k - 1]
+    b = 1.0 / dual.hodge_ratio_a[k - 1]
     cofaces = K.coboundary_matrix(k - 1).tocsc()
     rows: list[int] = []
     cols: list[int] = []
@@ -66,13 +66,24 @@ def discrete_inner(dual: DualComplex, k: int, u: np.ndarray, v: np.ndarray) -> f
 def diamond_volumes(K: SimplicialComplex, dual: DualComplex, k: int) -> np.ndarray:
     """|dc(sigma)| for every k-simplex sigma: the unsigned areas of the flag
     triangles [v, c(e), c(T)] whose chain contains sigma.  For each k the
-    diamond cells of the k-simplices partition the domain."""
-    owners = {0: dual.flag_vertex, 1: dual.flag_edge, 2: dual.flag_tri}
-    if k not in owners:
+    diamond cells of the k-simplices partition the domain.
+
+    The flags are formed here one triangle and one of its edges at a time,
+    and their areas by the shoelace formula, apart from the library."""
+    if k not in (0, 1, 2):
         raise ValueError(f"no {k}-simplices in the plane")
-    return np.bincount(
-        owners[k], weights=dual.flag_area, minlength=K.n_simplices(k)
-    )
+    out = np.zeros(K.n_simplices(k))
+    edge_id = {tuple(e): i for i, e in enumerate(K.simplices(1).tolist())}
+    for t, tri in enumerate(K.simplices(2).tolist()):
+        cx, cy = dual.centers[2][t]
+        for i, j in ((0, 1), (0, 2), (1, 2)):
+            e = edge_id[tri[i], tri[j]]
+            mx, my = dual.centers[1][e]
+            for v in (tri[i], tri[j]):
+                vx, vy = K.vertices[v]
+                shoelace = vx * (my - cy) + mx * (cy - vy) + cx * (vy - my)
+                out[(v, e, t)[k]] += 0.5 * abs(shoelace)
+    return out
 
 
 def integrate_over_simplex(

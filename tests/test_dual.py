@@ -14,19 +14,23 @@ and sum(|*v|) = |Omega| = sqrt(3)/4 since the flag triangles tile Omega.
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from declab import (
+    DualComplex,
     build_complex,
     build_dual,
     check_centroid_condition,
     is_well_centered,
+    star_inverse_matrix,
     symmetric_mesh,
     perturbed_mesh,
     well_centered_margin,
 )
-from declab.dual import triangle_circumcenters
+from declab.dual import _flags, triangle_circumcenters
 from oracles import diamond_volumes
 
 SQRT3 = np.sqrt(3.0)
@@ -121,9 +125,21 @@ def test_symmetric_mesh_dual_volumes_closed_form(sym3):
 def test_hodge_ratios_reciprocal(sym3):
     _, dual = sym3
     for k in range(3):
+        a = dual.hodge_ratio_a[k]
+        assert np.array_equal(a, dual.dual_volumes[k] / dual.primal_volumes[k])
         np.testing.assert_allclose(
-            dual.hodge_ratio_a[k] * dual.hodge_ratio_b[k], 1.0, rtol=1e-14
+            a * star_inverse_matrix(dual, k).diagonal(), 1.0, rtol=1e-14
         )
+
+
+def test_dual_complex_keeps_only_the_arrays_that_define_the_dual():
+    assert [f.name for f in dataclasses.fields(DualComplex)] == [
+        "centers",
+        "primal_volumes",
+        "dual_volumes",
+        "hodge_ratio_a",
+        "tri_orientation",
+    ]
 
 
 def test_interior_edge_ratio_value(sym3):
@@ -159,13 +175,28 @@ def test_interior_edge_diamond_is_kite(sym3):
     np.testing.assert_allclose(vols[interior], 2 * tri_area / 3, rtol=1e-12)
 
 
+@pytest.mark.parametrize(
+    "K",
+    [perturbed_mesh(4, 2, 0.45), perturbed_mesh(5, 1), symmetric_mesh(3)],
+    ids=["perturbed-4-2-0.45", "perturbed-5-1", "symmetric-3"],
+)
+def test_dual_volumes_match_the_diamond_oracle(K):
+    # the diamond of v is its dual cell, the kite of e is 1/2 |e| |*e|, and
+    # the diamonds of the triangles are the triangles themselves
+    dual = build_dual(K)
+    pv, dv = dual.primal_volumes, dual.dual_volumes
+    for k, want in enumerate([dv[0], 0.5 * pv[1] * dv[1], pv[2]]):
+        np.testing.assert_allclose(diamond_volumes(K, dual, k), want, rtol=1e-13)
+
+
 def test_dual_cell_pieces_shapes(sym3):
     K, dual = sym3
     # an interior vertex dual is a hexagon of 12 flag triangles, an interior
     # edge dual two segments [c(e), c(T)] (each flag pair visits one twice)
-    v_flags = np.bincount(dual.flag_vertex, minlength=K.n_simplices(0))
+    vertex, edge, _, _ = _flags(K, dual.centers)
+    v_flags = np.bincount(vertex, minlength=K.n_simplices(0))
     assert (v_flags[~K.is_boundary(0)] == 12).all()
-    e_flags = np.bincount(dual.flag_edge[::2], minlength=K.n_simplices(1))
+    e_flags = np.bincount(edge[::2], minlength=K.n_simplices(1))
     assert (e_flags[~K.is_boundary(1)] == 2).all()
     assert dual.centers[2].shape == (K.n_simplices(2), 2)
 

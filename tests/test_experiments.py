@@ -83,6 +83,33 @@ def test_k0_errors_are_unchanged_by_a_constant(family):
         assert shifted[key] == pytest.approx(norms[key], rel=1e-12, abs=0), key
 
 
+@pytest.mark.parametrize(
+    "k, u_h, rho_h, bad",
+    [
+        (0, np.zeros(1), None, "u_h"),
+        (0, 0.0, None, "u_h"),
+        (1, 0.0, 0.0, "u_h"),
+        (1, "edges", "edges", "rho_h"),
+        (1, "edges", None, "rho_h"),
+        (1, "edges", np.zeros((1, 1)), "rho_h"),
+        (2, "triangles", "triangles", "rho_h"),
+        (2, np.zeros(3), "edges", "u_h"),
+    ],
+    ids=["k0-short-u", "k0-scalar-u", "k1-scalars", "k1-rho-on-edges",
+         "k1-no-rho", "k1-2d-rho", "k2-rho-on-triangles", "k2-short-u"],
+)
+def test_compute_errors_rejects_wrong_shaped_cochains(k, u_h, rho_h, bad):
+    # a string stands for a zero cochain on those simplices
+    K, dual = _mesh("symmetric", 3)
+    degree = {"edges": 1, "triangles": 2}
+    u_h, rho_h = (
+        np.zeros(K.n_simplices(degree[x])) if isinstance(x, str) else x for x in (u_h, rho_h)
+    )
+    j = k if bad == "u_h" else k - 1
+    with pytest.raises(ValueError, match=rf"{bad} must be .* \({K.n_simplices(j)},\)"):
+        compute_errors(K, dual, k, u_h, rho_h)
+
+
 # -- solve_problem ------------------------------------------------------------
 
 

@@ -120,6 +120,12 @@ def test_config_rejects_max_iterations_that_are_not_positive_integers(bad):
         SolverConfig(max_iterations=bad)
 
 
+@pytest.mark.parametrize("bad", [True, False, "1e-3", np.nan, np.inf, 0.0, -1e-12])
+def test_config_rejects_tol_that_is_not_a_finite_positive_number(bad):
+    with pytest.raises(ValueError, match="tolerance"):
+        SolverConfig(tol=bad)
+
+
 def test_config_accepts_numpy_integer_max_iterations():
     M, b = _k0_system(2)
     assert cg_solve(M, b, SolverConfig(max_iterations=np.int64(500))).iterations <= 500
