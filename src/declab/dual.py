@@ -14,6 +14,9 @@ all pieces consistently oriented, so unsigned equals signed.  The volume
 ratio a = |*sigma| / |sigma| is the diagonal Hodge star entry, and every
 S^-1 reads it as 1 / a.  ``DualComplex`` stores no flag pieces: the one
 private helper ``_flags`` forms them for the integrals over dual cells.
+Both star formulas live here: ``build_dual``'s sums over flag pieces and
+``_cotangent_stars``' signed (cotangent) formulas, which need no
+well-centered mesh; the coarse multigrid grids take the latter.
 """
 
 from __future__ import annotations
@@ -180,6 +183,21 @@ def build_dual(K: SimplicialComplex) -> DualComplex:
         hodge_ratio_a=[dv / pv for dv, pv in zip(dual_volumes, primal_volumes)],
         tri_orientation=np.where(cross > 0.0, 1.0, -1.0),
     )
+
+
+def _cotangent_stars(x: np.ndarray, K: SimplicialComplex):
+    """Circumcentric star ratios a_0, a_1, a_2 of K's simplices at vertices x
+    by the signed (cotangent) formulas: |*v| = sum_T (|e1|^2 cot t1 + |e2|^2
+    cot t2) / 8 over T's edges e1, e2 at v, |*e| / |e| = sum_T cot(t_opp) / 2,
+    1 / |T|.  They equal build_dual's on a well-centered mesh, exist on any."""
+    p = x[K.simplices(2)]
+    e = p[:, [2, 0, 1]] - p[:, [1, 2, 0]]  # edge opposite each corner
+    twice_area = np.abs(_cross2(e[:, 2], -e[:, 1]))
+    cot = -np.einsum("tcx,tcx->tc", e[:, [1, 2, 0]], e[:, [2, 0, 1]]) / twice_area[:, None]
+    w = (e**2).sum(axis=2) * cot / 8  # what each edge gives both its ends
+    s0 = np.bincount(K.simplices(2).ravel(), (w.sum(axis=1, keepdims=True) - w).ravel())
+    s1 = np.bincount(K.cell_edges.ravel(), (cot[:, [2, 1, 0]] / 2).ravel())
+    return s0, s1, 2.0 / twice_area
 
 
 def check_centroid_condition(

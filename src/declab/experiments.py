@@ -139,14 +139,15 @@ def compute_errors(
 ) -> dict[str, float]:
     """Cochain error norms (keyed as NORM_KEYS[k]) of a solved state against
     the manufactured forms; at k = 0 the error is taken modulo constants.
-    u_h must be a k-cochain and, for k >= 1, rho_h a (k-1)-cochain."""
+    u_h must be a finite k-cochain and, for k >= 1, rho_h a finite
+    (k-1)-cochain."""
     u, _ = manufactured_solution(k)
     for name, x, j in (("u_h", u_h, k), ("rho_h", rho_h, k - 1)):
-        if j >= 0 and np.shape(x) != (K.n_simplices(j),):
-            raise ValueError(
-                f"{name} must be a {j}-cochain of shape ({K.n_simplices(j)},), "
-                f"got {'None' if x is None else np.shape(x)}"
-            )
+        n = K.n_simplices(max(j, 0))
+        if j >= 0 and not (np.shape(x) == (n,) and np.isfinite(x).all()):
+            shape = "None" if x is None else np.shape(x)
+            got = "non-finite entries" if shape == (n,) else shape
+            raise ValueError(f"{name} must be a finite {j}-cochain of shape ({n},), got {got}")
     norms: dict[str, float] = {}
 
     # R(d w) = D R(w) by Stokes, so the derivative errors are coboundaries

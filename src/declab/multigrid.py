@@ -21,9 +21,10 @@ level 3).  At k = 1 Galerkin fills in (10.9 per row at level 8, 28.5 to 43
 below; even its curl-curl half has 23.5 on perturbed (5, 2, 0.3), 9.7 on
 the symmetric grid), so k = 1 takes each coarse grid's own DEC system, the
 paper's Whitney-form reading: the fine level's `dec_system` on that grid's
-coboundaries and circumcentric stars by the signed (cotangent) formulas,
-which need no well-centered coarse grid.  It is positive semidefinite when
-every vertex star is positive; w_cycle declines a grid where one is not.
+coboundaries and circumcentric stars by the signed (cotangent) formulas
+of `dual._cotangent_stars`, which need no well-centered coarse grid.  It
+is positive semidefinite when every vertex star is positive; w_cycle
+declines a grid where one is not.
 The same degree-2 Chebyshev smoother on D^-1 A runs before and after the
 two coarse visits, so the cycle is symmetric.
 """
@@ -34,7 +35,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .complex import SimplicialComplex
-from .dual import _cross2
+from .dual import _cotangent_stars, _cross2
 from .meshes import _Grid, _vid, symmetric_mesh
 from .operators import dec_system
 
@@ -101,21 +102,6 @@ def transfers(vertices: np.ndarray, m: int, k: int):
         Ps.append(P)
         fine, x = coarse, x[_vid(2 * coarse.n, 2 * coarse.r, 2 * coarse.j)]
     return Ps
-
-
-def _cotangent_stars(x: np.ndarray, K: SimplicialComplex):
-    """Circumcentric star ratios a_0, a_1, a_2 of K's simplices at vertices x
-    by the signed (cotangent) formulas: |*v| = sum_T (|e1|^2 cot t1 + |e2|^2
-    cot t2) / 8 over T's edges e1, e2 at v, |*e| / |e| = sum_T cot(t_opp) / 2,
-    1 / |T|.  They equal build_dual's on a well-centered mesh, exist on any."""
-    p = x[K.simplices(2)]
-    e = p[:, [2, 0, 1]] - p[:, [1, 2, 0]]  # edge opposite each corner
-    twice_area = np.abs(_cross2(e[:, 2], -e[:, 1]))
-    cot = -np.einsum("tcx,tcx->tc", e[:, [1, 2, 0]], e[:, [2, 0, 1]]) / twice_area[:, None]
-    w = (e**2).sum(axis=2) * cot / 8  # what each edge gives both its ends
-    s0 = np.bincount(K.simplices(2).ravel(), (w.sum(axis=1, keepdims=True) - w).ravel())
-    s1 = np.bincount(K.cell_edges.ravel(), (cot[:, [2, 1, 0]] / 2).ravel())
-    return s0, s1, 2.0 / twice_area
 
 
 def _operators(M: sp.csr_matrix, vertices: np.ndarray, m: int, k: int, Ps) -> list | None:

@@ -17,7 +17,10 @@ Equivalently, row sigma of delta_k reads off the cofaces of sigma:
 
 the flux form of the operator on the dual complex.  The test suite
 assembles that stencil row by row as an oracle and compares it with the
-transpose construction entry by entry.
+transpose construction entry by entry.  It keeps the composition for L_k
+as an oracle too: the library assembles L_k once, as the symmetric system
+S_k L_k of :func:`dec_system`, and ``hodge_laplacian_matrix`` is S_k^-1
+times it.
 
 Boundary conditions are imposed implicitly: the transpose construction
 never references dual cells of boundary simplices "from outside", which is
@@ -94,16 +97,8 @@ def codifferential_matrix(
 def hodge_laplacian_matrix(
     K: SimplicialComplex, dual: DualComplex, k: int
 ) -> sp.csr_matrix:
-    """L_k = D_{k-1} delta_k + delta_{k+1} D_k on k-cochains."""
-    if not 0 <= k <= K.dim:
-        raise ValueError(f"no {k}-cochains on a {K.dim}-complex")
-    n = K.n_simplices(k)
-    L = sp.csr_matrix((n, n))
-    if k >= 1:
-        L = L + K.coboundary_matrix(k - 1) @ codifferential_matrix(K, dual, k)
-    if k <= K.dim - 1:
-        L = L + codifferential_matrix(K, dual, k + 1) @ K.coboundary_matrix(k)
-    return L.tocsr()
+    """L_k = S_k^{-1} (S_k L_k) on k-cochains, S_k L_k from :func:`dec_system`."""
+    return (star_inverse_matrix(dual, k) @ dec_system(K, dual.hodge_ratio_a, k)).tocsr()
 
 
 def dec_system(K: SimplicialComplex, stars, k: int) -> sp.csr_matrix:
@@ -161,7 +156,4 @@ def commuting_j_check(
         raise ValueError("the commuting identity needs a form of degree >= 1")
     lhs = codifferential_matrix(K, dual, k) @ j_interpolant(K, dual, form)
     rhs = j_interpolant(K, dual, codifferential(form))
-    diff = lhs - rhs
-    interior = ~K.is_boundary(k - 1)
-    w = dual.hodge_ratio_a[k - 1][interior] * diff[interior] ** 2
-    return float(np.sqrt(w.sum()))
+    return discrete_norm(dual, k - 1, np.where(K.is_boundary(k - 1), 0.0, lhs - rhs))

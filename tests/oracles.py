@@ -14,6 +14,7 @@ from declab import (
     QuadratureRule,
     SimplicialComplex,
     build_complex,
+    codifferential_matrix,
     gauss_legendre_unit,
     is_well_centered,
     symmetric_mesh,
@@ -54,6 +55,22 @@ def codifferential_matrix_stencil(
     )
     mat.sort_indices()
     return mat
+
+
+def hodge_laplacian_matrix(
+    K: SimplicialComplex, dual: DualComplex, k: int
+) -> sp.csr_matrix:
+    """L_k = D_{k-1} delta_k + delta_{k+1} D_k, composed from the coboundaries
+    and the codifferentials rather than read off the symmetric system."""
+    if not 0 <= k <= K.dim:
+        raise ValueError(f"no {k}-cochains on a {K.dim}-complex")
+    n = K.n_simplices(k)
+    L = sp.csr_matrix((n, n))
+    if k >= 1:
+        L = L + K.coboundary_matrix(k - 1) @ codifferential_matrix(K, dual, k)
+    if k <= K.dim - 1:
+        L = L + codifferential_matrix(K, dual, k + 1) @ K.coboundary_matrix(k)
+    return L.tocsr()
 
 
 def discrete_inner(dual: DualComplex, k: int, u: np.ndarray, v: np.ndarray) -> float:

@@ -27,7 +27,6 @@ from declab import (
     de_rham,
     discrete_norm,
     exterior_derivative,
-    hodge_laplacian_matrix,
     manufactured_solution,
     perturbed_mesh,
     pi_minus_j,
@@ -36,7 +35,12 @@ from declab import (
     symmetric_mesh,
     triangle_rule,
 )
-from oracles import codifferential_matrix_stencil, discrete_inner, integrate_over_simplex
+from oracles import (
+    codifferential_matrix_stencil,
+    discrete_inner,
+    hodge_laplacian_matrix,
+    integrate_over_simplex,
+)
 
 SQRT3 = np.sqrt(3.0)
 

@@ -8,8 +8,10 @@ import subprocess
 import numpy as np
 import pytest
 
-from declab import build_dual, perturbed_mesh, read_mesh, symmetric_mesh
+from declab import build_dual, perturbed_mesh, read_mesh, star_inverse_matrix, symmetric_mesh
 from declab.cli import main
+from declab.operators import dec_system
+from oracles import hodge_laplacian_matrix
 
 
 # -- convergence --------------------------------------------------------------
@@ -236,6 +238,17 @@ def test_dump_operators_matches_assembled_matrices(capsys):
     D1 = K.coboundary_matrix(1).tocoo()
     want = sorted(zip(D1.row.tolist(), D1.col.tolist(), D1.data.tolist()))
     assert triplets == want  # %.17g round-trips signs and values exactly
+    # the Laplacian printed is S^-1 times the solved system, to the last bit,
+    # and the composition D delta + delta D to rounding
+    dual = build_dual(K)
+    L = (star_inverse_matrix(dual, 1) @ dec_system(K, dual.hodge_ratio_a, 1)).tocoo()
+    _, triplets = sections["laplacian_1"]
+    assert triplets == sorted(zip(L.row.tolist(), L.col.tolist(), L.data.tolist()))
+    oracle = hodge_laplacian_matrix(K, dual, 1).toarray()
+    got = np.zeros_like(oracle)
+    for r, c, v in triplets:
+        got[r, c] = v
+    assert np.abs(got - oracle).max() <= 1e-15 * np.abs(oracle).max()
 
 
 def test_dump_operators_section_lists_by_degree(capsys):

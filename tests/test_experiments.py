@@ -24,7 +24,6 @@ from declab import (
     diagnostics,
     discrete_norm,
     exterior_derivative,
-    hodge_laplacian_matrix,
     manufactured_solution,
     perturbed_mesh,
     render_report,
@@ -33,7 +32,7 @@ from declab import (
     star_matrix,
     symmetric_mesh,
 )
-from oracles import codifferential_matrix_stencil
+from oracles import codifferential_matrix_stencil, hodge_laplacian_matrix
 
 
 def _mesh(family: str, level: int, seed: int = 1):
@@ -94,17 +93,29 @@ def test_k0_errors_are_unchanged_by_a_constant(family):
         (1, "edges", np.zeros((1, 1)), "rho_h"),
         (2, "triangles", "triangles", "rho_h"),
         (2, np.zeros(3), "edges", "u_h"),
+        (0, "vertices/nan", None, "u_h"),
+        (1, "edges/nan", "vertices", "u_h"),
+        (2, "triangles/nan", "edges", "u_h"),
+        (1, "edges", "vertices/inf", "rho_h"),
+        (2, "triangles", "edges/-inf", "rho_h"),
     ],
     ids=["k0-short-u", "k0-scalar-u", "k1-scalars", "k1-rho-on-edges",
-         "k1-no-rho", "k1-2d-rho", "k2-rho-on-triangles", "k2-short-u"],
+         "k1-no-rho", "k1-2d-rho", "k2-rho-on-triangles", "k2-short-u",
+         "k0-nan-u", "k1-nan-u", "k2-nan-u", "k1-inf-rho", "k2-inf-rho"],
 )
 def test_compute_errors_rejects_wrong_shaped_cochains(k, u_h, rho_h, bad):
-    # a string stands for a zero cochain on those simplices
+    # a string stands for a zero cochain on those simplices, "edges/nan" for
+    # one whose last entry is nan
     K, dual = _mesh("symmetric", 3)
-    degree = {"edges": 1, "triangles": 2}
-    u_h, rho_h = (
-        np.zeros(K.n_simplices(degree[x])) if isinstance(x, str) else x for x in (u_h, rho_h)
-    )
+    degree = {"vertices": 0, "edges": 1, "triangles": 2}
+
+    def cochain(spec):
+        simplices, _, poison = spec.partition("/")
+        x = np.zeros(K.n_simplices(degree[simplices]))
+        x[-1] = float(poison or 0.0)
+        return x
+
+    u_h, rho_h = (cochain(x) if isinstance(x, str) else x for x in (u_h, rho_h))
     j = k if bad == "u_h" else k - 1
     with pytest.raises(ValueError, match=rf"{bad} must be .* \({K.n_simplices(j)},\)"):
         compute_errors(K, dual, k, u_h, rho_h)

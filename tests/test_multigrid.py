@@ -22,7 +22,6 @@ from declab import (
     build_dual,
     cg_solve,
     de_rham,
-    hodge_laplacian_matrix,
     is_well_centered,
     manufactured_solution,
     perturbed_mesh,
@@ -32,9 +31,10 @@ from declab import (
     symmetric_mesh,
     write_mesh,
 )
-from declab.multigrid import _cotangent_stars, _operators, grid_level, transfers, w_cycle
+from declab.dual import _cotangent_stars
+from declab.multigrid import _operators, grid_level, transfers, w_cycle
 from declab.operators import dec_system
-from oracles import whitney_evaluate
+from oracles import hodge_laplacian_matrix, whitney_evaluate
 
 
 def _lattice(level: int):

@@ -12,12 +12,12 @@ from declab import (
     cg_solve,
     de_rham,
     build_dual,
-    hodge_laplacian_matrix,
     manufactured_solution,
     star_matrix,
     symmetric_mesh,
 )
 from declab.multigrid import w_cycle
+from oracles import hodge_laplacian_matrix
 
 
 def _k0_system(level: int = 2):
