@@ -240,30 +240,6 @@ def l2_norm_whitney(K: SimplicialComplex, k: int, cochain: np.ndarray) -> float:
     return float(np.sqrt(per_tri.sum()))
 
 
-def poly2_dense_horner(coeffs: np.ndarray, x, y):
-    """sum_{i,j} coeffs[i, j] x^i y^j by Horner over the full grid.
-
-    Every row runs through all of its columns, leading zeros included, in
-    np.longdouble with fresh temporaries at each step; returns float64 (a
-    float for scalar x and y).  Poly2.__call__ must match it bit for bit
-    at finite points.
-    """
-    xl = np.asarray(x, dtype=np.longdouble)
-    yl = np.asarray(y, dtype=np.longdouble)
-    shape = np.broadcast(xl, yl).shape
-    c = np.asarray(coeffs, dtype=np.longdouble)
-    acc = np.zeros(shape, dtype=np.longdouble)
-    for i in range(c.shape[0] - 1, -1, -1):
-        row = np.full(shape, c[i, -1], dtype=np.longdouble)
-        for j in range(c.shape[1] - 2, -1, -1):
-            row = row * yl + c[i, j]
-        acc = acc * xl + row
-    out = np.asarray(acc, dtype=np.float64)
-    if np.isscalar(x) and np.isscalar(y):
-        return float(out)
-    return out
-
-
 def edge_tables_unique_rows(cells) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Edges, cell edges and boundary flags by np.unique over vertex pairs.
 

@@ -3,6 +3,9 @@
 Oracles
 -------
 * Reference-triangle monomials: int x^a y^b = a! b! / (a + b + 2)!.
+* Exact evaluation: the polynomial evaluator is compared with Fraction and
+  integer arithmetic on the same coefficients, and its barycentric
+  coefficients with an independent multinomial expansion of the monomials.
 * Hand codifferential on the plane: delta(P dx + Q dy) = -(P_x + Q_y) and
   delta(R dx dy) = R_y dx - R_x dy; these are frozen below and checked
   against the star/d composition the library uses.
@@ -20,11 +23,13 @@ from __future__ import annotations
 
 import hashlib
 import inspect
+import math
 import multiprocessing
 import os
 import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -48,7 +53,7 @@ from declab import (
     triangle_rule,
 )
 from declab import forms as forms_module
-from oracles import integrate_over_simplex, poly2_dense_horner
+from oracles import integrate_over_simplex
 
 SQRT3 = np.sqrt(3.0)
 REF_TRI = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
@@ -87,81 +92,223 @@ def _same_bits(got, want) -> bool:
     )
 
 
-def test_poly_evaluation_matches_dense_horner_bit_for_bit():
-    """The trimmed in-place Horner of Poly2 against the full-grid oracle."""
-    rng = np.random.default_rng(11)
-    xs = rng.uniform(-2.0, 2.0, 64)
-    ys = rng.uniform(-2.0, 2.0, 64)
-    # signed zeros and exact zeros along the rows
-    xs[:4], ys[:4] = [0.0, 0.0, 0.0, -0.0], [0.0, -1.0, 1.0, -1.0]
-    polys = [Poly2.zero(), manufactured_solution(1)[1].components[0]]
-    for trial in range(40):
-        c = rng.normal(scale=10.0 ** rng.integers(0, 9), size=rng.integers(1, 9, 2))
-        c[rng.random(c.shape) < 0.4] = 0.0  # ragged trailing entries
-        c[rng.random(c.shape[0]) < 0.3] = 0.0  # whole zero rows
-        c[0, -1] = 1.0 + trial  # keep the grid from being trimmed away
-        # negation stores -0.0 coefficients; the factor x zeroes row 0
-        shifted = Poly2(c) * Poly2.monomial(1, 0)
-        polys += [Poly2(c), -Poly2(c), shifted, -shifted]
-    for p in polys:
-        assert _same_bits(p(xs, ys), poly2_dense_horner(p.coeffs, xs, ys))
-        got = p(0.75, -1.25)
-        assert type(got) is float
-        assert _same_bits(got, poly2_dense_horner(p.coeffs, 0.75, -1.25))
-        # scalar x broadcast against an array y, and empty input
-        assert _same_bits(p(0.5, ys), poly2_dense_horner(p.coeffs, 0.5, ys))
-        empty = np.empty((0, 3))
-        assert _same_bits(p(empty, empty), poly2_dense_horner(p.coeffs, empty, empty))
+EPS = np.finfo(np.float64).eps
+S = SQRT3 / 2.0  # the domain's top vertex is (1/2, S)
 
 
-def _signed_zero_polys(rng) -> list[Poly2]:
-    """Random coefficient grids whose zeros mix +0.0 and -0.0, with whole
-    zero rows, their negations and their products with x."""
-    polys = [Poly2.zero(), -Poly2.zero(), manufactured_solution(1)[1].components[1]]
-    for trial in range(30):
+def _evaluated_polys(rng) -> list[Poly2]:
+    """The manufactured forms, small polynomials, and random ones with
+    coefficients of mixed sign and size, ragged zeros and zero rows."""
+    polys = [Poly2.zero(), Poly2.constant(-2.5), Poly2.monomial(0, 1), Poly2.monomial(20, 0)]
+    for k in (0, 1, 2):
+        u, f = manufactured_solution(k)
+        polys += [*u.components[:1], *f.components]
+        if k:
+            polys += list(codifferential(u).components)
+    for trial in range(8):
         c = rng.normal(scale=10.0 ** rng.integers(0, 9), size=rng.integers(1, 9, 2))
-        zero = rng.random(c.shape) < 0.5
-        zero[rng.random(c.shape[0]) < 0.3] = True  # whole zero rows
-        c[zero] = np.where(rng.random(c.shape) < 0.5, 0.0, -0.0)[zero]
+        c[rng.random(c.shape) < 0.3] = 0.0
+        c[rng.random(c.shape[0]) < 0.3] = 0.0
         c[0, -1] = 1.0 + trial  # keep the grid from being trimmed away
-        shifted = Poly2(c) * Poly2.monomial(1, 0)
-        polys += [Poly2(c), -Poly2(c), shifted, -shifted]
-    # a row whose trailing adds are -0, +0, -0 below its only non-zero entry
-    polys.append(Poly2(np.array([[-0.0, 0.0, -0.0, 3.0], [0.0, -0.0, 0.0, -0.0]])))
+        polys += [Poly2(c), -Poly2(c)]
     return polys
 
 
-@pytest.mark.parametrize("distinct_y", [False, True])
-def test_poly_rows_on_distinct_y_match_dense_horner_bit_for_bit(distinct_y, monkeypatch):
-    """Rows evaluated once per distinct y (by bit pattern), and zero adds
-    skipped, against the full-grid oracle; all-distinct y takes the
-    per-point rows."""
+def _barycentric_exact(x: float, y: float) -> list[Fraction]:
+    """The exact barycentric coordinates of the float64 point (x, y)."""
+    l3 = Fraction(y) / Fraction(S)
+    l2 = Fraction(x) - l3 / 2
+    return [1 - l2 - l3, l2, l3]
+
+
+def _domain_sums(B: np.ndarray, lam: list[Fraction]) -> tuple[Fraction, Fraction, Fraction]:
+    """sum B_alpha l^alpha, sum |B_alpha| |l|^alpha and
+    sum |B_alpha| sum_i alpha_i |l|^(alpha - e_i), exactly (in integers over
+    one common denominator)."""
+    n = len(B) - 1
+    den = math.lcm(*(li.denominator for li in lam))
+    num = [li.numerator * (den // li.denominator) for li in lam]
+    pw = [[v**e for e in range(n + 1)] for v in num]
+    ratios = {ab: Fraction(float(v)) for ab, v in np.ndenumerate(B) if v != 0}
+    scale = math.lcm(1, *(r.denominator for r in ratios.values()))
+    value = terms = grad = 0
+    for (a, b), r in ratios.items():
+        coef = r.numerator * (scale // r.denominator)
+        e = (a, b, n - a - b)
+        mono = pw[0][a] * pw[1][b] * pw[2][e[2]]
+        value += coef * mono
+        terms += abs(coef * mono)
+        for i in range(3):
+            if e[i]:
+                rest = [abs(pw[j][e[j]]) for j in range(3)]
+                rest[i] = abs(pw[i][e[i] - 1])
+                grad += abs(coef) * e[i] * rest[0] * rest[1] * rest[2] * den
+    total = scale * den**n
+    return Fraction(value, total), Fraction(terms, total), Fraction(grad, total)
+
+
+def _monomial_sums(coeffs: np.ndarray, x: float, y: float) -> tuple[Fraction, Fraction]:
+    """sum c_ij x^i y^j and sum |c_ij| |x|^i |y|^j over the longdouble
+    coefficients, exactly."""
+    fx, fy = Fraction(x), Fraction(y)
+    value = terms = Fraction(0)
+    for (i, j), c in np.ndenumerate(coeffs):
+        if c != 0:
+            term = Fraction(*c.as_integer_ratio()) * fx**i * fy**j
+            value, terms = value + term, terms + abs(term)
+    return value, terms
+
+
+def _dyadic_domain_points() -> np.ndarray:
+    """Vertices, points on all three edges, and interior points, each with
+    dyadic barycentric coordinates of few bits and l3 a power of two (or
+    0), so that x = l2 + l3/2 and y = S l3 are exact and the evaluator
+    recovers the coordinates exactly."""
+    lam = [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
+    for m in range(1, 5):
+        t = 2.0**-m
+        lam += [(1 - t, t, 0), (t, 1 - t, 0), (0, 1 - t, t), (1 - t, 0, t)]
+        lam += [(1 - t - s, s, t) for s in (1 / 8, 3 / 8, 5 / 16) if 1 - t - s > 0]
+    lam = np.array(lam)
+    return np.stack([lam[:, 1] + lam[:, 2] / 2, S * lam[:, 2]], axis=1)
+
+
+def test_poly_evaluation_on_the_domain_is_accurate():
+    """In-domain points against exact evaluation of the same float64
+    coefficients B: within 3 n eps sum |B| l^alpha where the evaluator's
+    coordinates are exact, and within 5 eps sum |B| |grad l^alpha| more at
+    random points, whose coordinates it computes to 5 eps (|x|, |y| <= 1)."""
+    rng = np.random.default_rng(11)
+    exact = _dyadic_domain_points()
+    lam = rng.dirichlet([1.0, 1.0, 1.0], 24)
+    rand = np.stack([lam[:, 1] + lam[:, 2] / 2, S * lam[:, 2]], axis=1)
+    points = np.concatenate([exact, rand])
+    for p in _evaluated_polys(rng):
+        B = p._domain_coeffs()
+        n = len(B) - 1
+        got = p(points[:, 0], points[:, 1])
+        for q, ((x, y), value) in enumerate(zip(points, got)):
+            want, terms, grad = _domain_sums(B, _barycentric_exact(x, y))
+            slack = 0 if q < len(exact) else 5 * grad
+            assert abs(Fraction(float(value)) - want) <= EPS * (3 * n * terms + slack), (p, q)
+
+
+def test_poly_evaluation_off_the_domain_is_accurate():
+    """Points off the domain take Horner in x and y: within a few n eps of
+    the monomial term-magnitude sum of the exact longdouble coefficients."""
     rng = np.random.default_rng(12)
-    n = 512
-    if distinct_y:
-        ys = rng.uniform(-2.0, 2.0, n)
-    else:  # 16 values, half of them negative
-        ys = rng.choice(np.concatenate([[-1.0, 1.0], rng.uniform(-2.0, 2.0, 14)]), n)
-    xs = rng.uniform(-2.0, 2.0, n)
-    # +0.0 and -0.0, each repeated, against both signs of zero in x
-    xs[:8] = [0.0, -0.0] * 4
-    ys[:8] = [0.0, -0.0, 0.0, -0.0, -0.0, 0.0, 0.0, -0.0]
-    calls = []  # np.unique runs only on the distinct-y path
-    unique = np.unique
+    xy = rng.uniform(-2.0, 2.0, (400, 2))
+    lam = np.array([_barycentric_exact(x, y) for x, y in xy], dtype=float)
+    xy = xy[lam.min(axis=1) < -0.01][:40]
+    # and the unit right triangle's part off the domain (criterion 6)
+    xy = np.concatenate([xy, [[0.0, 1.0], [0.05, 0.5], [0.0, 0.25], [0.1, 0.8]]])
+    for p in _evaluated_polys(rng):
+        nx, ny = p.coeffs.shape
+        got = p(xy[:, 0], xy[:, 1])
+        for q, ((x, y), value) in enumerate(zip(xy, got)):
+            want, terms = _monomial_sums(p.coeffs, x, y)
+            assert abs(Fraction(float(value)) - want) <= 2 * (nx + ny) * EPS * terms, (p, q)
 
-    def counted_unique(*args, **kwargs):
-        calls.append(args)
-        return unique(*args, **kwargs)
 
-    monkeypatch.setattr(forms_module.np, "unique", counted_unique)
-    for p in _signed_zero_polys(rng):
-        assert _same_bits(p(xs, ys), poly2_dense_horner(p.coeffs, xs, ys))
-        # 2-d points, and a scalar x broadcast against an array y
-        x2, y2 = xs.reshape(32, 16), ys.reshape(32, 16)
-        assert _same_bits(p(x2, y2), poly2_dense_horner(p.coeffs, x2, y2))
-        assert _same_bits(p(-0.0, ys), poly2_dense_horner(p.coeffs, -0.0, ys))
-        assert _same_bits(p(0.75, y2), poly2_dense_horner(p.coeffs, 0.75, y2))
-    assert bool(calls) != distinct_y
+def test_poly_evaluation_shapes_and_points_in_and_off_the_domain():
+    """Scalars give a float, arrays their broadcast shape, empty input an
+    empty array; a point's value does not depend on the points passed with
+    it, in the domain or off it."""
+    rng = np.random.default_rng(13)
+    xs = rng.uniform(-0.5, 1.5, 64)
+    ys = rng.uniform(-0.5, 1.5, 64)
+    xs[:3], ys[:3] = [0.0, 1.0, 0.5], [0.0, 0.0, S]  # the vertices
+    lam = np.array([_barycentric_exact(x, y) for x, y in zip(xs, ys)], dtype=float)
+    inside = lam.min(axis=1) >= 0
+    assert 8 < inside.sum() < 56
+    for p in _evaluated_polys(rng):
+        batch = p(xs, ys)
+        alone = np.array([p(x, y) for x, y in zip(xs, ys)])
+        assert _same_bits(batch, alone)
+        assert _same_bits(p(xs.reshape(8, 8), ys.reshape(8, 8)), batch.reshape(8, 8))
+        got = p(0.75, -1.25)
+        assert type(got) is float
+        assert _same_bits(got, p(np.array([0.75]), np.array([-1.25]))[0])
+        assert _same_bits(p(0.5, ys), p(np.full_like(ys, 0.5), ys))
+        empty = np.empty((0, 3))
+        assert _same_bits(p(empty, empty), empty)
+
+
+def _times_linear(P: np.ndarray, c0, cx, cy) -> np.ndarray:
+    """(c0 + cx x + cy y) P for P an object array over [i, j] (x^i y^j)."""
+    out = np.zeros((P.shape[0] + 1, P.shape[1] + 1), dtype=object)
+    out[:-1, :-1] += c0 * P
+    out[1:, :-1] += cx * P
+    out[:-1, 1:] += cy * P
+    return out
+
+
+def _to_monomials(B, absolute: bool) -> np.ndarray:
+    """sum B[a, b] l1^a l2^b l3^(n-a-b) expanded exactly in x and y, with
+    l3 = y / S, l2 = x - l3 / 2 and l1 = 1 - l2 - l3; with absolute=True
+    every coefficient and every l is taken by its absolute value."""
+    n, h = len(B) - 1, 1 / (2 * Fraction(S))
+    sign = 1 if absolute else -1
+    l1, l2, l3 = (1, sign, sign * h), (0, 1, sign * h), 2 * h
+    l2pow = [np.ones((1, 1), dtype=object)]
+    for _ in range(n):
+        l2pow.append(_times_linear(l2pow[-1], *l2))
+    acc = np.zeros((n + 1, n + 1), dtype=object)
+    for a in range(n, -1, -1):
+        row = np.zeros((n + 1, n + 1), dtype=object)
+        for b in range(n - a + 1):
+            c = n - a - b
+            coef = Fraction(float(B[a, b])) * l3**c
+            term = abs(coef) if absolute else coef
+            row[: b + 1, c : b + 1 + c] += term * l2pow[b]
+        acc = _times_linear(acc, *l1)[: n + 1, : n + 1] + row
+    return acc
+
+
+def _from_monomials(coeffs, n: int) -> dict[tuple[int, int], Fraction]:
+    """The exact B[a, b] of sum c[i, j] x^i y^j, of total degree n, by the
+    multinomial expansion of x^i y^j w^(n-i-j) with x = l2 + l3/2,
+    y = S l3 and w = l1 + l2 + l3."""
+    out: dict[tuple[int, int], Fraction] = {}
+    for (i, j), c in np.ndenumerate(coeffs):
+        if c == 0:
+            continue
+        cij = Fraction(*c.as_integer_ratio()) * Fraction(S) ** j
+        k = n - i - j
+        for p in range(i + 1):  # l2^p (l3/2)^(i-p) from x^i
+            xp = cij * math.comb(i, p) / 2 ** (i - p)
+            for a in range(k + 1):  # l1^a l2^q l3^(k-a-q) from w^k
+                for q in range(k + 1 - a):
+                    key = (a, p + q)
+                    out[key] = out.get(key, 0) + xp * math.comb(k, a) * math.comb(k - a, q)
+    return out
+
+
+@pytest.mark.parametrize("which", ["p", "f0", "f1", "random"])
+def test_domain_coefficients_round_the_exact_conversion_once(which):
+    """Each B is the exact conversion of the longdouble coefficients (by an
+    independent multinomial expansion) rounded once; expanding B back into
+    monomials, exactly, gives the longdouble coefficients up to the effect
+    of that one rounding of each B."""
+    if which == "random":
+        c = np.random.default_rng(14).normal(scale=1e4, size=(6, 5))
+        poly = Poly2(c)
+    else:
+        k = {"p": 0, "f0": 0, "f1": 1}[which]
+        u, f = manufactured_solution(k)
+        poly = u.components[0] if which == "p" else f.components[0]
+    B = poly._domain_coeffs()
+    n = len(B) - 1
+    exact = _from_monomials(poly.coeffs, n)
+    for (a, b), value in np.ndenumerate(B):
+        assert _same_bits(value, np.float64(float(exact.get((a, b), 0)))), (a, b)
+    got = _to_monomials(B, absolute=False)
+    bound = _to_monomials(B, absolute=True)
+    want = np.zeros(got.shape, dtype=object)
+    for (i, j), c in np.ndenumerate(poly.coeffs):
+        want[i, j] = Fraction(*c.as_integer_ratio())
+    for (i, j), g in np.ndenumerate(got):
+        assert abs(g - want[i, j]) <= EPS / 2 * (1 + EPS) * bound[i, j], (i, j)
 
 
 # -- quadrature oracles -------------------------------------------------------
@@ -482,8 +629,9 @@ def test_multi_chunk_kernel_is_bit_identical_to_one_chunk(k, monkeypatch):
     corners = K.vertices[K.simplices(k)]
     kernel = forms_module._integrate_simplices
     # 101 is prime and every rule here has 1 to 72 points, so a 1000-point
-    # chunk holds 2 to 100 simplices and the last chunk is always shorter
-    for cells in (corners, corners[:101]):
+    # chunk holds 2 to 100 simplices and the last chunk is always shorter;
+    # the stretched copy mixes points in the domain and off it in a chunk
+    for cells in (corners, corners[:101], 1.5 * corners[:101] - 0.25):
         for form in _kernel_forms(k):
             serial = _kernel_bytes(monkeypatch, ONE_CHUNK, kernel, form, cells)
             for chunk in (1, 1000):
@@ -584,33 +732,35 @@ def test_de_rham_works_in_a_child_forked_after_a_parallel_run(monkeypatch):
 
 # Golden digests: SHA-256 of the float64 bytes of de_rham(K, w) on
 # symmetric level 4 and perturbed (level 4, seed 2, alpha 0.15), recorded
-# before the evaluation was chunked and threaded.  The benchmark compares
-# its norms with reference values at rtol 1e-7, and a change of evaluator
-# (a float64 rewrite of the forms, say) moves norms by more than that, so
-# such a change shows up here first; it must re-record both.
+# with the float64 evaluation in the domain's barycentric coordinates and
+# line rules of d // 2 + 1 points.  They pin the longdouble coefficients
+# of the forms (so 80-bit extended precision), the conversion, the
+# evaluator and the BLAS order of vals @ rule.weights.  The benchmark
+# compares its norms with reference values at rtol 1e-7; a change of
+# evaluator or rule shows up here first, and must re-record both.
 DE_RHAM_SHA256 = {
-    ("symmetric", 0, "u"): "50020df0eb5090ae0d648053234fec783206a5aaa0bb93d2a4fb6a4d458221ae",
-    ("symmetric", 0, "f"): "2682edbcbac36488530f5037d729f8866d7fefd1af80e4a0853f610fb751b798",
-    ("symmetric", 1, "u"): "b07b0e682cc81c5752863aa4b0cbc0ef6e99cf510e396a6aff672422c41062c3",
-    ("symmetric", 1, "f"): "14a938a97275405b1f24b06a6c510618470af8ebcc351bd03899ef288ed6503f",
-    ("symmetric", 1, "du"): "70eca9f8dd4138225842ac5b70e098ebb828e833e18b5f1b8544c4bdfdb0ad5f",
-    ("symmetric", 2, "u"): "682d4c0005ab3e391bcc4dbe83a5761f10023eccba38e9a437ac8496f87736d3",
-    ("symmetric", 2, "f"): "8b092993e5af4c5396e655eb6970b5747aae1d7efb0612a00271a49c37a446e0",
-    ("symmetric", 2, "du"): "2a0dff8443deee6184553953263ea87e42c9915451266ea16eb79afcc035d1b4",
-    ("perturbed", 0, "u"): "c9f146b0214c56b940f01028880a24e6ebc25966fba34fd7014597c0b9d73a94",
-    ("perturbed", 0, "f"): "45bff1502da526f0d5fff35c9011277f9990d21e86d449d845ea0729b8134cd2",
-    ("perturbed", 1, "u"): "1b5b9237e826aa52042b6fa41f954b86e644bd8549181ee4517b6c398cd4688f",
-    ("perturbed", 1, "f"): "7e9547ab615b418d9afc65a6b1b34a060ce61f28030ed5aa2d99227ed227ec9a",
-    ("perturbed", 1, "du"): "70cf36a57939b8dc9d85dfed19485df723fd02ed8e0b34c33b30b07e092b8763",
-    ("perturbed", 2, "u"): "f81c28a9c29f533d5806dc575f885d3edd4ab7250ac620622ad70916fc729509",
-    ("perturbed", 2, "f"): "86a15d3d653e38293e8908453f10444bbeb22fb43d540132b1ba65cf45481e74",
-    ("perturbed", 2, "du"): "6b73fe0d97b6d6fb4c711aa2358f6e03fce33dad613f0fd18ea78ddde4cccf95",
+    ("symmetric", 0, "u"): "e994a06e15d24b4ca876a12c85e015ca2d0a0caab41347d7e10f6f3954002712",
+    ("symmetric", 0, "f"): "83b93258f1e990a54a6a113c6b335cda6ba45757b6c9d6e01cd5e1b89396684f",
+    ("symmetric", 1, "u"): "a116f7df83c883943733312462da2da69c1fbd2c7d81c2eab71575982c59fc7f",
+    ("symmetric", 1, "f"): "d7b337fe1acf5b8fe720ed286a9f5aebff9b6d492babc982488e2d95b966b5ec",
+    ("symmetric", 1, "du"): "1cf899233d1d8f6c06609cd7d81da75c4a7c680856a77182733a023e79fc0f9c",
+    ("symmetric", 2, "u"): "6f49961ec746f066cab974ecd5554c1befe74dda8682623e9148d39b4859bf46",
+    ("symmetric", 2, "f"): "387607ee7606e15353b2f2950c8f8ba3850428536b6b048829b993ff8988eaad",
+    ("symmetric", 2, "du"): "d5b4c1e16b87fe97ad36e2851f611e1fcd61e750d9fd5c36e89f9f52e5b450e7",
+    ("perturbed", 0, "u"): "2d5afab767f18cda9e72b7139d59f9cb31d9c7cb9a6430d2f0c79b1670728ac5",
+    ("perturbed", 0, "f"): "a4df6e2f580980d81a0e6bf32ba033ac39c963d5bbabf385d4520ebb49810212",
+    ("perturbed", 1, "u"): "66b12377ceba080bd3d39a68fde8a331c7800a912d877e5165d79d4d177005be",
+    ("perturbed", 1, "f"): "dd7f0ce0b0679031d1eda3dfac97ca5a9de6c50cdcfc61b9fd2710ce8e2d44b7",
+    ("perturbed", 1, "du"): "4c6374ad0405a0e26941bc35c4c536d84ffd74e525cc9da8ca625c85b79aaf6b",
+    ("perturbed", 2, "u"): "071f8c5043d0d0bc9060a0d94f9f8e23fb8931e088c59e7852502ec9832d44ab",
+    ("perturbed", 2, "f"): "8b34e43f08df2c9aad467382e1d6d2efeb6b2b74850703b34b24865de4aada66",
+    ("perturbed", 2, "du"): "52a487ad107a6c08f04af3c6f091611eac21dd010323f11a615ba4681368e448",
 }
 
 
 @pytest.mark.skipif(
     np.finfo(np.longdouble).nmant != 63,
-    reason="digests were recorded with 80-bit extended precision",
+    reason="digests were recorded with 80-bit extended-precision coefficients",
 )
 @pytest.mark.parametrize("chunk", [None, 100])
 @pytest.mark.parametrize("family", ["symmetric", "perturbed"])
