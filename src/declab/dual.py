@@ -9,14 +9,15 @@ sigma = sigma_k < sigma_{k+1} < ... < sigma_n.  In two dimensions:
   * dual of an edge e      = segments [c(e), c(T)] over the triangles T >= e
   * dual of a vertex v     = triangles [v, c(e), c(T)] over chains v < e < T
 
-Dual volumes are unsigned sums over the flag pieces; well-centeredness makes
-all pieces consistently oriented, so unsigned equals signed.  The volume
-ratio a = |*sigma| / |sigma| is the diagonal Hodge star entry, and every
-S^-1 reads it as 1 / a.  ``DualComplex`` stores no flag pieces: the one
-private helper ``_flags`` forms them for the integrals over dual cells.
-Both star formulas live here: ``build_dual``'s sums over flag pieces and
-``_cotangent_stars``' signed (cotangent) formulas, which need no
-well-centered mesh; the coarse multigrid grids take the latter.
+The volume ratio a = |*sigma| / |sigma| is the diagonal Hodge star entry,
+and every S^-1 reads it as 1 / a.  There is one star formula, the signed
+(cotangent) formulas of ``_cotangent_stars``: |*e| / |e| is the sum of
+cot(t_opp) / 2 over the triangles at e, the cotangent weight of the Whitney
+1-forms.  On a well-centered mesh every flag piece is consistently oriented,
+so these equal the unsigned sums over the flag pieces; they exist on any
+mesh, and the coarse multigrid grids take them too.  ``DualComplex`` stores
+no flag pieces: the one private helper ``_flags`` forms them for the
+integrals over dual cells.
 """
 
 from __future__ import annotations
@@ -105,9 +106,10 @@ class DualComplex:
     """Circumcentric dual of a well-centered complex.
 
     Per-degree arrays (k = 0, 1, 2) are indexed by primal simplex index.
-    The diagonal Hodge star is S_k = diag(hodge_ratio_a[k]) and its inverse
-    is read as 1 / a.  No flag pieces are stored: the integrals over dual
-    cells form them when they need them.
+    The diagonal Hodge star is S_k = diag(hodge_ratio_a[k]), the cotangent
+    ratios, and its inverse is read as 1 / a; the dual volumes are
+    a * |sigma|.  No flag pieces are stored: the integrals over dual cells
+    form them when they need them.
     """
 
     centers: list[np.ndarray]  # circumcenters per degree
@@ -166,21 +168,15 @@ def build_dual(K: SimplicialComplex) -> DualComplex:
     cross = _cross2(pts[:, 1] - pts[:, 0], pts[:, 2] - pts[:, 0])
     primal_volumes = [np.ones(K.n_simplices(0)), edge_len, 0.5 * np.abs(cross)]
 
-    # |*T| = 1; |*e| = sum of segment lengths c(e)->c(T); |*v| = sum of
-    # flag triangle areas.  Each (e, T) flag pair is visited once ([::2]).
-    vertex, edge, coords, area = _flags(K, centers)
-    seg_len = np.linalg.norm(coords[::2, 2] - coords[::2, 1], axis=1)
-    dv1 = np.zeros(K.n_simplices(1))
-    np.add.at(dv1, edge[::2], seg_len)
-    dv0 = np.zeros(K.n_simplices(0))
-    np.add.at(dv0, vertex, np.abs(area))
-    dual_volumes = [dv0, dv1, np.ones(len(pts))]
+    # |*sigma| = a |sigma|, and |*T| = 1 since a_2 = 2 / |cross| = 1 / |T|
+    a = list(_cotangent_stars(K.vertices, K))
+    dual_volumes = [a[0] * primal_volumes[0], a[1] * edge_len, np.ones(len(pts))]
 
     return DualComplex(
         centers=centers,
         primal_volumes=primal_volumes,
         dual_volumes=dual_volumes,
-        hodge_ratio_a=[dv / pv for dv, pv in zip(dual_volumes, primal_volumes)],
+        hodge_ratio_a=a,
         tri_orientation=np.where(cross > 0.0, 1.0, -1.0),
     )
 
@@ -189,7 +185,7 @@ def _cotangent_stars(x: np.ndarray, K: SimplicialComplex):
     """Circumcentric star ratios a_0, a_1, a_2 of K's simplices at vertices x
     by the signed (cotangent) formulas: |*v| = sum_T (|e1|^2 cot t1 + |e2|^2
     cot t2) / 8 over T's edges e1, e2 at v, |*e| / |e| = sum_T cot(t_opp) / 2,
-    1 / |T|.  They equal build_dual's on a well-centered mesh, exist on any."""
+    1 / |T|.  They are build_dual's on a well-centered mesh, exist on any."""
     p = x[K.simplices(2)]
     e = p[:, [2, 0, 1]] - p[:, [1, 2, 0]]  # edge opposite each corner
     twice_area = np.abs(_cross2(e[:, 2], -e[:, 1]))
@@ -225,14 +221,16 @@ def check_centroid_condition(
         dual_centroid = dual.centers[2]
     elif k in (0, 1):
         vertex, edge, coords, area = _flags(K, dual.centers)
-        acc = np.zeros((nk, 2))
         if k == 1:
             a, b = coords[::2, 1], coords[::2, 2]
-            seg_len = np.linalg.norm(b - a, axis=1)
-            np.add.at(acc, edge[::2], seg_len[:, None] * 0.5 * (a + b))
+            index, weight, centroid = edge[::2], np.linalg.norm(b - a, axis=1), 0.5 * (a + b)
         else:
-            np.add.at(acc, vertex, np.abs(area)[:, None] * coords.mean(axis=1))
-        dual_centroid = acc / dual.dual_volumes[k][:, None]
+            index, weight, centroid = vertex, np.abs(area), coords.mean(axis=1)
+        # each piece adds weight * (centroid, 1): the centroid is divided by
+        # the total weight of the pieces themselves, not by the star's volume
+        acc = np.zeros((nk, 3))
+        np.add.at(acc, index, weight[:, None] * np.column_stack([centroid, np.ones(len(index))]))
+        dual_centroid = acc[:, :2] / acc[:, 2:]
     else:
         raise ValueError(f"no {k}-simplices in the plane")
 

@@ -4,6 +4,8 @@ code paths and are not part of the public API."""
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 import numpy as np
 import scipy.sparse as sp
 
@@ -101,6 +103,38 @@ def diamond_volumes(K: SimplicialComplex, dual: DualComplex, k: int) -> np.ndarr
                 shoelace = vx * (my - cy) + mx * (cy - vy) + cx * (vy - my)
                 out[(v, e, t)[k]] += 0.5 * abs(shoelace)
     return out
+
+
+def exact_stars(K: SimplicialComplex) -> list[list[Fraction]]:
+    """The circumcentric star ratios a_0, a_1, a_2 in exact rational
+    arithmetic on K's float64 vertices.
+
+    The cotangent of the angle between edge vectors u, w at a corner is
+    (u . w) / |u x w|, rational in the coordinates, so no square root is
+    taken: a_2 = 1 / |T|, a_1 = |*e| / |e| = sum_T cot(angle opposite e) / 2
+    and a_0 = |*v| = sum_T (|e1|^2 cot t1 + |e2|^2 cot t2) / 8 over T's
+    edges e1, e2 at v and their opposite angles t1, t2.  Written one
+    triangle and one corner at a time, apart from the library."""
+    x = [tuple(Fraction(float(c)) for c in p) for p in K.vertices]
+    edge_id = {tuple(e): i for i, e in enumerate(K.simplices(1).tolist())}
+    a0 = [Fraction(0)] * K.n_simplices(0)
+    a1 = [Fraction(0)] * K.n_simplices(1)
+    a2 = []
+    for tri in K.simplices(2).tolist():
+        (ax, ay), (bx, by), (cx, cy) = (x[v] for v in tri)
+        twice_area = abs((bx - ax) * (cy - ay) - (by - ay) * (cx - ax))
+        a2.append(2 / twice_area)
+        for i in range(3):
+            v, p, q = tri[i], tri[(i + 1) % 3], tri[(i + 2) % 3]
+            u = (x[p][0] - x[v][0], x[p][1] - x[v][1])
+            w = (x[q][0] - x[v][0], x[q][1] - x[v][1])
+            cot = (u[0] * w[0] + u[1] * w[1]) / twice_area  # angle at v
+            a1[edge_id[tuple(sorted((p, q)))]] += cot / 2
+            # the edge opposite v is [p, q]; it adds to both of its ends
+            length2 = (x[q][0] - x[p][0]) ** 2 + (x[q][1] - x[p][1]) ** 2
+            a0[p] += length2 * cot / 8
+            a0[q] += length2 * cot / 8
+    return [a0, a1, a2]
 
 
 def integrate_over_simplex(

@@ -15,6 +15,7 @@ and sum(|*v|) = |Omega| = sqrt(3)/4 since the flag triangles tile Omega.
 from __future__ import annotations
 
 import dataclasses
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -31,7 +32,7 @@ from declab import (
     well_centered_margin,
 )
 from declab.dual import _flags, triangle_circumcenters
-from oracles import diamond_volumes
+from oracles import diamond_volumes, exact_stars
 
 SQRT3 = np.sqrt(3.0)
 EQ_TRI = np.array([[0.0, 0.0], [1.0, 0.0], [0.5, SQRT3 / 2]])
@@ -124,12 +125,28 @@ def test_symmetric_mesh_dual_volumes_closed_form(sym3):
 
 def test_hodge_ratios_reciprocal(sym3):
     _, dual = sym3
+    a, pv, dv = dual.hodge_ratio_a, dual.primal_volumes, dual.dual_volumes
+    for k in (0, 1):
+        assert np.array_equal(dv[k], a[k] * pv[k])
+    assert np.array_equal(a[2], 1.0 / pv[2])
     for k in range(3):
-        a = dual.hodge_ratio_a[k]
-        assert np.array_equal(a, dual.dual_volumes[k] / dual.primal_volumes[k])
         np.testing.assert_allclose(
-            a * star_inverse_matrix(dual, k).diagonal(), 1.0, rtol=1e-14
+            a[k] * star_inverse_matrix(dual, k).diagonal(), 1.0, rtol=1e-14
         )
+
+
+def test_build_dual_stars_match_exact_rational_stars():
+    # the cotangent formulas in float64 against the same formulas in exact
+    # arithmetic on the same vertices, entry by entry
+    for name, K in [
+        ("perturbed-4-2-0.45", perturbed_mesh(4, 2, 0.45)),
+        ("perturbed-5-1", perturbed_mesh(5, 1)),
+        ("symmetric-5", symmetric_mesh(5)),
+    ]:
+        got = build_dual(K).hodge_ratio_a
+        for k, want in enumerate(exact_stars(K)):
+            rel = max(abs(Fraction(g) - w) / abs(w) for g, w in zip(got[k].tolist(), want))
+            assert rel <= 3e-15, f"{name} a_{k}: relative error {float(rel):.3g}"
 
 
 def test_dual_complex_keeps_only_the_arrays_that_define_the_dual():
@@ -206,6 +223,13 @@ def test_centroid_condition_symmetric_mesh(sym3):
     for k in range(3):
         ok, dev = check_centroid_condition(K, dual, k)
         assert ok, f"k={k}: max deviation {dev}"
+    # on a finer mesh the flag-weighted centroids are divided by the flags'
+    # own weights, so the deviation stays at roundoff, far inside 1e-12
+    K = symmetric_mesh(8)
+    dual = build_dual(K)
+    for k in (0, 1):
+        ok, dev = check_centroid_condition(K, dual, k)
+        assert ok and dev <= 1e-14, f"L8 k={k}: max deviation {dev}"
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3, 4, 5])

@@ -209,12 +209,6 @@ def test_transfers_store_no_roundoff():
 # -- coarse operators ---------------------------------------------------------
 
 
-def test_cotangent_stars_match_build_dual():
-    K = perturbed_mesh(5, 2, 0.3)
-    for got, want in zip(_cotangent_stars(K.vertices, K), build_dual(K).hodge_ratio_a):
-        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
-
-
 def test_k1_coarse_operators_are_the_coarse_grids_own_systems():
     m = 7
     K = symmetric_mesh(m)
