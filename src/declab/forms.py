@@ -28,11 +28,13 @@ Evaluation does not run on them.  Each polynomial is converted once,
 exactly, to its coefficients in the domain's barycentric coordinates
 (l1, l2, l3), in which p = 1e8 (l1 l2 l3)^5 is one term and every l lies
 in [0, 1] on the domain, so nothing cancels; the homogeneous Horner on
-them runs in float64.  Against exact evaluation of the same coefficients
-at 300 random points of the domain the error is 8.0e-15 on the
-manufactured u (maximum 6.97) and 1.3e-12 on f (maximum 1.25e3).  Points
-off the domain, which no de Rham map of a domain mesh reaches, take
-float64 Horner in x and y.
+them runs in float64.  It skips the exact zeros of those coefficients
+(86 of p's 136), about 163 operations per point on p and 161 on f instead
+of 544 and 420, and gives the dense Horner's float64 results bit for bit.
+Against exact evaluation of the same coefficients at 300 random points of
+the domain the error is 8.0e-15 on the manufactured u (maximum 6.97) and
+1.3e-12 on f (maximum 1.25e3).  Points off the domain, which no de Rham
+map of a domain mesh reaches, take float64 Horner in x and y.
 
 Quadrature: Gauss-Legendre on [0, 1] for line integrals, and a collapsed
 tensor-product (Duffy) rule on the reference triangle
@@ -77,7 +79,8 @@ class Poly2:
 
     Coefficients are kept and combined in ``np.longdouble``; evaluation
     runs in float64 on their exact conversion to the domain's barycentric
-    coordinates, made on first use (see the module docstring).  Instances
+    coordinates, made on first use with a plan that skips its exact zeros
+    and changes no bit of a value (see the module docstring).  Instances
     are immutable by convention (operations return new polynomials) and
     trailing all-zero coefficient rows/columns are trimmed on construction.
     """
@@ -197,19 +200,25 @@ class Poly2:
         raise ValueError("axis must be 0 (x) or 1 (y)")
 
     def _domain_coeffs(self) -> np.ndarray:
-        """The float64 B[a, b] of l1^a l2^b l3^(n-a-b), made on first use."""
+        """The float64 B[a, b] of l1^a l2^b l3^(n-a-b), made on first use
+        together with what __call__ reads: B's zero-skipping and dense
+        _horner_plan, and the monomial coefficients rounded to float64."""
         if self._domain is None:
-            self._domain = _to_barycentric(self.coeffs, self.degree)
-        return self._domain
+            B = _to_barycentric(self.coeffs, self.degree)
+            plans = _horner_plan(B, skip_zeros=True), _horner_plan(B, skip_zeros=False)
+            self._domain = (B, *plans, self.coeffs.astype(np.float64))
+        return self._domain[0]
 
     def __call__(self, x, y):
         """Evaluate at points, in float64.
 
         Points within _MARGIN of the domain take the homogeneous Horner of
         _domain_coeffs, an outer Horner in l1 over the rows and in each row
-        a Horner in l2 with a running power of l3: there every l is in
+        a Horner in l2 on a table of the powers of l3: there every l is in
         [0, 1], so the error stays within a small multiple of
-        n eps sum |B| l^alpha.  Other points take Horner in x and y on the
+        n eps sum |B| l^alpha.  Its plan skips the exact zeros of B, which
+        changes no value, so every value has the bits of the dense Horner
+        (see _horner).  Other points take Horner in x and y on the
         coefficients rounded to float64.  A point's path and value depend on
         that point alone.  Scalar x and y give a float; otherwise an array of
         their broadcast shape.
@@ -219,24 +228,14 @@ class Poly2:
         l2 = xs - 0.5 * l3
         l1 = 1.0 - l2 - l3
         inside = np.minimum(np.minimum(l1, l2), l3) >= -_MARGIN
-        l1, l2, l3 = l1[inside], l2[inside], l3[inside]
-        B = self._domain_coeffs()
-        acc, row, power, term = (np.zeros_like(l1) for _ in range(4))
-        for a in range(len(B) - 1, -1, -1):
-            row.fill(B[a, len(B) - 1 - a])
-            power.fill(1.0)
-            for b in range(len(B) - 2 - a, -1, -1):
-                power *= l3
-                row *= l2
-                np.multiply(power, B[a, b], out=term)
-                row += term
-            acc *= l1
-            acc += row
-        out = np.empty(xs.shape)
-        out[inside] = acc
-        if not inside.all():
+        self._domain_coeffs()  # the plans, made on first use
+        if inside.all():  # always so on a domain mesh
+            out = self._horner(np.ravel(l1), np.ravel(l2), np.ravel(l3)).reshape(xs.shape)
+        else:
+            out = np.empty(xs.shape)
+            out[inside] = self._horner(l1[inside], l2[inside], l3[inside])
             xo, yo = xs[~inside], ys[~inside]
-            c = self.coeffs.astype(np.float64)
+            c = self._domain[3]
             acc = np.zeros_like(xo)
             for i in range(c.shape[0] - 1, -1, -1):
                 row = np.full_like(xo, c[i, -1])
@@ -245,6 +244,45 @@ class Poly2:
                 acc = acc * xo + row
             out[~inside] = acc
         return float(out) if np.isscalar(x) and np.isscalar(y) else out
+
+    def _horner(self, l1, l2, l3, dense: bool = False) -> np.ndarray:
+        """Run the zero-skipping _horner_plan (or with dense=True the dense
+        one) at 1-d arrays of barycentric coordinates.
+
+        Skipping a term adds nothing but an exact zero, so each intermediate
+        equals the dense Horner's in value and every nonzero result has its
+        bits.  A zero result could differ in sign; those points are run
+        again on the dense plan, which is the dense Horner operation for
+        operation.
+        """
+        low, top, rows = self._domain[2 if dense else 1]
+        # l3^m by running products, kept in power[m - low] for m >= low
+        power = np.empty((top - low + 1, len(l3)))
+        power[0] = 1.0
+        for m in range(1, top + 1):
+            np.multiply(power[max(m - 1 - low, 0)], l3, out=power[max(m - low, 0)])
+        acc, term = None, np.empty_like(l3)
+        for terms in rows:
+            if acc is not None:
+                acc *= l1
+            if not terms:
+                continue
+            (m, c), *rest = terms
+            row = power[m - low] * c
+            for m, c in rest:
+                row *= l2
+                if c is not None:
+                    row += np.multiply(power[m - low], c, out=term)
+            if acc is None:
+                acc = row
+            else:
+                acc += row
+        if acc is None:
+            acc = np.zeros_like(l3)
+        if not dense and not acc.all():
+            zero = acc == 0
+            acc[zero] = self._horner(l1[zero], l2[zero], l3[zero], dense=True)
+        return acc
 
     def __repr__(self) -> str:
         return f"Poly2(degree={self.degree}, shape={self.coeffs.shape})"
@@ -284,6 +322,31 @@ def _to_barycentric(coeffs: np.ndarray, n: int) -> np.ndarray:
                 acc[: k + 1, : k + 1] += scaled * w[k]
     scale = common * 2**n * d**n
     return np.array([[v / scale for v in row] for row in acc], dtype=np.float64)
+
+
+def _horner_plan(B: np.ndarray, skip_zeros: bool) -> tuple[int, int, list[list]]:
+    """The homogeneous Horner of B as (low, top, rows) for Poly2._horner.
+
+    rows holds, for each row a of B from a = n down, the terms (m, B[a, b])
+    of its Horner in l2, m = n - a - b the power of l3, for b from the row's
+    first term down to 0; low and top are the lowest and the highest power
+    of l3 that a term uses (0 and 0 if none does).  With skip_zeros a row
+    starts at its first nonzero entry, a later zero keeps its place as
+    (m, None) (the row is multiplied by l2 there and nothing is added), and
+    an all-zero row is empty: one multiply-add per nonzero entry.  Without,
+    every entry is a term, as in the dense Horner.
+    """
+    n = len(B) - 1
+    rows = []
+    for a in range(n, -1, -1):
+        terms = [(n - a - b, float(B[a, b])) for b in range(n - a, -1, -1)]
+        if skip_zeros:
+            while terms and not terms[0][1]:
+                terms.pop(0)
+            terms = terms[:1] + [(m, c or None) for m, c in terms[1:]]
+        rows.append(terms)
+    used = [m for terms in rows for m, c in terms if c is not None] or [0]
+    return min(used), max(used), rows
 
 
 def _as_poly(value) -> Poly2:
@@ -453,7 +516,10 @@ def triangle_rule(degree: int) -> QuadratureRule:
     return QuadratureRule(pts, w, degree)
 
 
-_CHUNK_POINTS = 32768
+# a worker's table of powers of l3 holds 10 or 11 doubles per point on the
+# manufactured forms: chunks of 32768 points ran up to 8 % faster but raised
+# the benchmark's peak RSS by 6 %, 16384 left it flat
+_CHUNK_POINTS = 16384
 _POOL: list[ThreadPoolExecutor] = []  # made on first use, dropped in a forked child
 if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_POOL.clear)

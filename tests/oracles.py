@@ -22,7 +22,7 @@ from declab import (
     symmetric_mesh,
     triangle_rule,
 )
-from declab import meshes
+from declab import forms, meshes
 from declab.dual import _cross2, _triangle_circum_bary
 
 _MASK64 = (1 << 64) - 1
@@ -135,6 +135,28 @@ def exact_stars(K: SimplicialComplex) -> list[list[Fraction]]:
             a0[p] += length2 * cot / 8
             a0[q] += length2 * cot / 8
     return [a0, a1, a2]
+
+
+def dense_barycentric_horner(B: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """The dense homogeneous Horner of B[a, b] l1^a l2^b l3^(n-a-b) at 1-d
+    float64 points of the domain, four operations for every entry of B,
+    zero or not, with the coordinates computed as Poly2 computes them:
+    Poly2's zero-skipping evaluator must give its results bit for bit."""
+    l3 = y / forms._S
+    l2 = x - 0.5 * l3
+    l1 = 1.0 - l2 - l3
+    acc, row, power, term = (np.zeros_like(l1) for _ in range(4))
+    for a in range(len(B) - 1, -1, -1):
+        row.fill(B[a, len(B) - 1 - a])
+        power.fill(1.0)
+        for b in range(len(B) - 2 - a, -1, -1):
+            power *= l3
+            row *= l2
+            np.multiply(power, B[a, b], out=term)
+            row += term
+        acc *= l1
+        acc += row
+    return acc
 
 
 def integrate_over_simplex(

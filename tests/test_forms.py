@@ -53,7 +53,7 @@ from declab import (
     triangle_rule,
 )
 from declab import forms as forms_module
-from oracles import integrate_over_simplex
+from oracles import dense_barycentric_horner, integrate_over_simplex
 
 SQRT3 = np.sqrt(3.0)
 REF_TRI = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
@@ -309,6 +309,107 @@ def test_domain_coefficients_round_the_exact_conversion_once(which):
         want[i, j] = Fraction(*c.as_integer_ratio())
     for (i, j), g in np.ndenumerate(got):
         assert abs(g - want[i, j]) <= EPS / 2 * (1 + EPS) * bound[i, j], (i, j)
+
+
+def _zero_pattern_polys() -> list[Poly2]:
+    """The manufactured u, f and delta u; polynomials whose B has whole zero
+    rows and leading or trailing zeros in a row; and one dense random one."""
+    polys = []
+    for k in (0, 1, 2):
+        u, f = manufactured_solution(k)
+        polys += [*u.components[:1], *f.components]
+        if k:
+            polys += list(codifferential(u).components)
+    x, y = Poly2.monomial(1, 0), Poly2.monomial(0, 1)
+    inv_sqrt3 = np.longdouble(1.0) / np.sqrt(np.longdouble(3.0))
+    lam1, lam2, lam3 = 1.0 - x - inv_sqrt3 * y, x - inv_sqrt3 * y, (2.0 * inv_sqrt3) * y
+    # zero rows above the l1 degree, leading zeros above the l2 degree
+    polys += [lam1**2 * lam3**3, -(lam2**4) * lam1, lam3**2]
+    # monomials: zero rows a >= 1, leading zeros in row 0 for j > 0
+    polys += [Poly2.monomial(i, j, s) for i, j, s in ((1, 1, -1.0), (2, 3, 1.5), (0, 2, -0.75), (4, 0, 1.0))]
+    # 2x - 1 = l2 - l1 and 1 - x = l1 + l3 / 2: trailing zeros in a row
+    polys += [(2.0 * x - 1.0) ** 3, -((2.0 * x - 1.0) ** 2) * (1.0 - x), (2.0 * x - 1.0) * y]
+    polys += [Poly2.constant(-2.5), Poly2.constant(3.0), Poly2.zero()]
+    polys.append(Poly2(np.random.default_rng(15).normal(scale=1e3, size=(6, 6))))
+    return polys
+
+
+def _zero_patterns(B: np.ndarray) -> set[str]:
+    """Which kinds of exact zeros the rows of B have."""
+    n, seen = len(B) - 1, set()
+    for a in range(n + 1):
+        row = B[a, n - a :: -1] != 0  # b = n - a down to 0
+        if not row.any():
+            seen.add("zero row")
+            continue
+        if not row[0]:
+            seen.add("leading zeros")
+        if not row[-1]:
+            seen.add("trailing zeros")
+    return seen
+
+
+def _sign_pinning_points() -> np.ndarray:
+    """The dyadic domain points (vertices and points with one barycentric
+    coordinate exactly 0), points on the edges whose coordinate is -0.0 or
+    a few ulps below 0, and random interior points."""
+    lam = np.random.default_rng(16).dirichlet([1.0, 1.0, 1.0], 40)
+    interior = np.stack([lam[:, 1] + lam[:, 2] / 2, S * lam[:, 2]], axis=1)
+    t = np.array([0.125, 0.25, 0.5])  # l3 = t exactly on the last two
+    below = np.concatenate(
+        [
+            np.stack([t, np.full(3, -0.0)], axis=1),  # l3 = -0.0
+            np.stack([t, np.full(3, -1e-17)], axis=1),  # l3 < 0
+            np.stack([np.nextafter(t / 2, -1.0), S * t], axis=1),  # l2 < 0
+            np.stack([np.nextafter(1 - t / 2, 2.0), S * t], axis=1),  # l1 < 0
+        ]
+    )
+    return np.concatenate([_dyadic_domain_points(), below, interior])
+
+
+def test_poly_evaluation_is_bit_identical_to_the_dense_horner():
+    """Skipping B's exact zeros changes no bit, signs of zero included:
+    every value, batched, alone and batched with a point off the domain, is
+    the dense homogeneous Horner's, on every platform (the oracle runs on
+    the same float64 B)."""
+    points = _sign_pinning_points()
+    xs, ys = points[:, 0], points[:, 1]
+    l3 = ys / S
+    l2 = xs - 0.5 * l3
+    assert np.minimum(np.minimum(1.0 - l2 - l3, l2), l3).min() >= -1e-12  # all in the domain
+    zeros, patterns = 0, set()
+    for p in _zero_pattern_polys():
+        want = dense_barycentric_horner(p._domain_coeffs(), xs, ys)
+        zeros += np.count_nonzero(want == 0)
+        patterns |= _zero_patterns(p._domain_coeffs())
+        assert _same_bits(p(xs, ys), want), p
+        alone = np.array([p(x, y) for x, y in points])
+        assert _same_bits(alone, want), p
+        # with a point off the domain, the others take the masked path
+        mixed = p(np.append(xs, 2.0), np.append(ys, 2.0))
+        assert _same_bits(mixed[:-1], want), p
+    assert patterns == {"zero row", "leading zeros", "trailing zeros"}
+    assert zeros > 100  # the signs of zeros are pinned, not just values
+
+
+def test_horner_plan_makes_one_multiply_add_per_nonzero_entry():
+    """The zero-skipping plan adds a term for each nonzero entry of B and no
+    other (p: 50 of 136); the dense plan adds a term for every entry."""
+    for k in (0, 1, 2):
+        u, f = manufactured_solution(k)
+        polys = [*u.components, *f.components]
+        if k:
+            polys += list(codifferential(u).components)
+        for p in polys:
+            B = p._domain_coeffs()
+            n = len(B) - 1
+            for skip, want in ((True, np.count_nonzero(B)), (False, (n + 1) * (n + 2) // 2)):
+                low, top, rows = forms_module._horner_plan(B, skip_zeros=skip)
+                terms = [(m, c) for row in rows for m, c in row if c is not None]
+                assert len(terms) == want
+                assert (low, top) == (min(m for m, _ in terms), max(m for m, _ in terms))
+    B = manufactured_solution(0)[0].components[0]._domain_coeffs()
+    assert (np.count_nonzero(B), len(B) * (len(B) + 1) // 2) == (50, 136)
 
 
 # -- quadrature oracles -------------------------------------------------------
@@ -675,7 +776,7 @@ def test_forms_functions_run_on_the_calling_thread(monkeypatch):
         forms_module.de_rham_dual(K, dual, forms_module.codifferential(u) if k else u)
     main = threading.get_ident()
     workers = calls.pop("Poly2.__call__")
-    assert {"de_rham", "de_rham_dual", "_integrate_simplices", "triangle_rule"} <= set(calls)
+    assert {"de_rham", "de_rham_dual", "_integrate_simplices", "triangle_rule", "_horner_plan"} <= set(calls)
     assert all(idents == {main} for idents in calls.values()), calls
     assert workers - {main}, "no chunk ran on the pool"
 
