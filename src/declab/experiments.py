@@ -40,7 +40,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .complex import SimplicialComplex
-from .dual import DualComplex, build_dual, check_centroid_condition
+from .dual import DualComplex, build_dual, check_centroid_condition, well_centered_margin
 from .forms import (
     Poly2,
     PolyForm,
@@ -267,11 +267,15 @@ def render_report(report: ConvergenceReport, fmt: str = "markdown") -> str:
 def diagnostics(K: SimplicialComplex, dual: DualComplex, k: int) -> str:
     """Superconvergence/kernel diagnostics for one mesh and degree.
 
-    Reports the centroid-coincidence check, the constant-form and
-    centered-linear-form kernels of Pi - J, and (for k >= 1) the
-    commuting-interpolant residual.
+    Reports the mesh's well-centered margin, the centroid-coincidence
+    check, the constant-form and centered-linear-form kernels of Pi - J,
+    and (for k >= 1) the commuting-interpolant residual.
     """
-    lines = [f"diagnostics for k={k} on {K.n_simplices(2)} triangles"]
+    lines = [
+        f"diagnostics for k={k} on {K.n_simplices(2)} triangles",
+        f"well-centered margin: {well_centered_margin(K):.3e} "
+        "(smallest circumcenter barycentric coordinate)",
+    ]
 
     interior = (~K.is_boundary(k)).sum()
     ok, dev = check_centroid_condition(K, dual, k)

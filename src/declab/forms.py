@@ -42,14 +42,12 @@ tensor-product (Duffy) rule on the reference triangle
 degree.  One private kernel, ``_integrate_simplices``, integrates a k-form
 over a stack of oriented k-simplices given by their corners; the primal
 de Rham map and the dual de Rham map (over circumcenters, dual segments
-and flag triangles) both go through it.  It evaluates chunks of points on
-one thread per usable core, bit-identical to a serial pass.
+and flag triangles) both go through it.  It evaluates its points in
+chunks, on the calling thread, bit-identical to one pass over all of them.
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -91,6 +89,8 @@ class Poly2:
         c = np.atleast_2d(np.asarray(coeffs, dtype=np.longdouble)).copy()
         if c.ndim != 2:
             raise ValueError("coefficients must form a 2-d array")
+        if c.size == 0:
+            raise ValueError("coefficients must not be empty")
         while c.shape[0] > 1 and not c[-1].any():
             c = c[:-1]
         while c.shape[1] > 1 and not c[:, -1].any():
@@ -127,6 +127,9 @@ class Poly2:
         return not self.coeffs.any()
 
     def coefficient(self, i: int, j: int) -> float:
+        """The coefficient of x^i y^j (0 beyond the stored array)."""
+        if i < 0 or j < 0:
+            raise ValueError("monomial exponents must be non-negative")
         n, m = self.coeffs.shape
         if i >= n or j >= m:
             return 0.0
@@ -516,13 +519,10 @@ def triangle_rule(degree: int) -> QuadratureRule:
     return QuadratureRule(pts, w, degree)
 
 
-# a worker's table of powers of l3 holds 10 or 11 doubles per point on the
+# a chunk's table of powers of l3 holds 10 or 11 doubles per point on the
 # manufactured forms: chunks of 32768 points ran up to 8 % faster but raised
 # the benchmark's peak RSS by 6 %, 16384 left it flat
 _CHUNK_POINTS = 16384
-_POOL: list[ThreadPoolExecutor] = []  # made on first use, dropped in a forked child
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_POOL.clear)
 
 
 def _integrate_simplices(form: PolyForm, corners: np.ndarray) -> np.ndarray:
@@ -537,11 +537,11 @@ def _integrate_simplices(form: PolyForm, corners: np.ndarray) -> np.ndarray:
     per call through the module-level constructors (no cache), so a wrapper
     installed on those names sees every rule built.
 
-    Chunks of about _CHUNK_POINTS points are evaluated on a pool with one
-    thread per usable core; each value depends on its own simplex only, so
-    the result is bit-identical to one serial pass.  Workers call nothing
-    but Poly2.__call__; the quadrature sums run over the full arrays on the
-    calling thread, since summing per chunk would round differently.
+    Points are evaluated in chunks of about _CHUNK_POINTS, which bounds the
+    table of powers of l3 that Poly2.__call__ builds per chunk.  Each value
+    depends on its own simplex only, so the result is bit-identical to one
+    pass over all points; the quadrature sums run over the full arrays,
+    since summing per chunk would round differently.
     """
     k = form.degree
     if k == 1:
@@ -554,24 +554,13 @@ def _integrate_simplices(form: PolyForm, corners: np.ndarray) -> np.ndarray:
     # a component shared between slots (u = p dx + p dy) is evaluated once;
     # Poly2 hashes by identity
     values = {c: np.empty((n, len(xi))) for c in form.components}
-    for comp in values:  # convert here, so that workers only evaluate
-        comp._domain_coeffs()
-
-    def fill(lo: int) -> None:
+    for lo in range(0, n, step):
         c = corners[lo : lo + step]
         pts = c[:, None, 0]
         for i in range(k):
             pts = pts + xi[None, :, i, None] * (c[:, i + 1] - c[:, 0])[:, None, :]
         for comp, out in values.items():
             out[lo : lo + step] = comp(pts[..., 0], pts[..., 1])
-
-    if n <= step:
-        fill(0)
-    else:
-        if not _POOL:
-            cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else None
-            _POOL.append(ThreadPoolExecutor(cores or os.cpu_count()))
-        list(_POOL[0].map(fill, range(0, n, step)))
     vals = [values[c] for c in form.components]
     if k == 0:
         return vals[0][:, 0]

@@ -31,6 +31,7 @@ from declab import (
     solve_problem,
     star_matrix,
     symmetric_mesh,
+    well_centered_margin,
 )
 from oracles import codifferential_matrix_stencil, hodge_laplacian_matrix
 
@@ -269,6 +270,19 @@ def test_diagnostics_on_perturbed_mesh():
     assert "centroid condition: FAIL" in text
     # the pointwise kernels survive perturbation, the centroid one does not
     assert "constant-form kernel of Pi - J: PASS" in text
+
+
+@pytest.mark.parametrize("family", ["symmetric", "perturbed"])
+def test_diagnostics_report_the_well_centered_margin(family):
+    K, dual = _mesh(family, 3, seed=2)
+    lines = diagnostics(K, dual, 0).splitlines()
+    (line,) = [s for s in lines if s.startswith("well-centered margin: ")]
+    printed = float(line.split()[2])
+    assert printed == float(f"{well_centered_margin(K):.3e}")
+    if family == "symmetric":
+        assert printed == 0.3333  # every triangle equilateral
+    else:
+        assert 0 < printed < 1 / 3
 
 
 def test_diagnostics_vacuous_on_single_triangle():

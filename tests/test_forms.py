@@ -24,7 +24,6 @@ from __future__ import annotations
 import hashlib
 import inspect
 import math
-import multiprocessing
 import os
 import sys
 import threading
@@ -72,8 +71,18 @@ def test_poly_arithmetic_and_degree():
     assert Poly2.zero().degree == 0
     q = x**3
     assert q.coefficient(3, 0) == 1.0
+    assert x.coefficient(1, 0) == 1.0 and x.coefficient(2, 5) == 0.0
+    for i, j in ((-1, 0), (0, -1)):  # no indexing from the end
+        with pytest.raises(ValueError, match="non-negative"):
+            x.coefficient(i, j)
     assert q.deriv(0)(2.0, 0.0) == pytest.approx(12.0)
     assert q.deriv(1).is_zero()
+
+
+@pytest.mark.parametrize("coeffs", [[], [[]], np.zeros((0, 3)), np.zeros((3, 0))])
+def test_poly_rejects_an_empty_coefficient_array(coeffs):
+    with pytest.raises(ValueError, match="must not be empty"):
+        Poly2(coeffs)
 
 
 def test_poly_vectorized_evaluation():
@@ -699,11 +708,11 @@ def test_de_rham_dual_stokes_on_hexagon():
         assert np.abs(lhs - rhs).max() <= 1e-13
 
 
-# -- chunked, threaded evaluation ---------------------------------------------
+# -- chunked evaluation -------------------------------------------------------
 #
-# The kernel evaluates chunks of about forms._CHUNK_POINTS quadrature points
-# on a thread pool.  Shrinking the chunk forces many chunks (and the pool)
-# on small meshes; a chunk larger than any mesh here gives one serial pass.
+# The kernel evaluates chunks of about forms._CHUNK_POINTS quadrature points.
+# Shrinking the chunk forces many chunks on small meshes; a chunk larger
+# than any mesh here gives one pass over all points.
 
 ONE_CHUNK = 1 << 40
 
@@ -750,10 +759,10 @@ def test_multi_chunk_de_rham_dual_is_bit_identical_to_one_chunk(m, monkeypatch):
 
 
 def test_forms_functions_run_on_the_calling_thread(monkeypatch):
-    """Workers run only Poly2.__call__: every module-level function of
-    forms, which includes every name a tracer may wrap (de_rham, the rule
-    constructors, manufactured_solution, ...), is called on the thread that
-    called de_rham, while the chunks are evaluated on pool threads."""
+    """Every module-level function of forms, which includes every name a
+    tracer may wrap (de_rham, the rule constructors, manufactured_solution,
+    ...), and Poly2.__call__ are called only on the thread that called
+    de_rham, however many chunks the kernel splits the points into."""
     calls: dict[str, set[int]] = {}
 
     def record(name, fn):
@@ -774,23 +783,29 @@ def test_forms_functions_run_on_the_calling_thread(monkeypatch):
         u, f = forms_module.manufactured_solution(k)
         forms_module.de_rham(K, f)
         forms_module.de_rham_dual(K, dual, forms_module.codifferential(u) if k else u)
+    assert {
+        "de_rham", "de_rham_dual", "_integrate_simplices", "triangle_rule", "_horner_plan",
+        "Poly2.__call__",
+    } <= set(calls)
     main = threading.get_ident()
-    workers = calls.pop("Poly2.__call__")
-    assert {"de_rham", "de_rham_dual", "_integrate_simplices", "triangle_rule", "_horner_plan"} <= set(calls)
     assert all(idents == {main} for idents in calls.values()), calls
-    assert workers - {main}, "no chunk ran on the pool"
 
 
-def test_concurrent_callers_share_the_pool(monkeypatch):
-    """More calling threads than cores, each de_rham split into many chunks
-    on the one pool, with frequent thread switches: every result is still
-    bit-identical to a serial pass."""
+def test_concurrent_callers_get_the_serial_result(monkeypatch):
+    """More threads than cores call de_rham at once on the same fresh forms,
+    whose domain coefficients are built lazily on first use, each call split
+    into many chunks, with frequent thread switches: every result is still
+    bit-identical to one pass."""
     monkeypatch.setattr(forms_module, "_CHUNK_POINTS", 300)
     K = perturbed_mesh(3, seed=3)
-    jobs = [w for k in (0, 1, 2) for w in manufactured_solution(k)]
+
+    def fresh_forms():
+        return [w for k in (0, 1, 2) for w in manufactured_solution(k)]
+
     with monkeypatch.context() as serial:
         serial.setattr(forms_module, "_CHUNK_POINTS", ONE_CHUNK)
-        expected = [de_rham(K, w).tobytes() for w in jobs]
+        expected = [de_rham(K, w).tobytes() for w in fresh_forms()]
+    jobs = fresh_forms()
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -800,35 +815,6 @@ def test_concurrent_callers_share_the_pool(monkeypatch):
     finally:
         sys.setswitchinterval(interval)
     assert got == expected * 3
-
-
-def _de_rham_in_child(queue):
-    u, f = manufactured_solution(2)
-    queue.put(de_rham(perturbed_mesh(3, seed=1), f).tobytes())
-
-
-@pytest.mark.skipif(
-    "fork" not in multiprocessing.get_all_start_methods(), reason="needs fork"
-)
-@pytest.mark.filterwarnings("ignore::DeprecationWarning")  # fork of a threaded process
-def test_de_rham_works_in_a_child_forked_after_a_parallel_run(monkeypatch):
-    monkeypatch.setattr(forms_module, "_CHUNK_POINTS", 500)
-    _, f = manufactured_solution(2)
-    expected = de_rham(perturbed_mesh(3, seed=1), f).tobytes()  # starts the pool
-    assert forms_module._POOL
-    ctx = multiprocessing.get_context("fork")
-    queue = ctx.Queue()
-    child = ctx.Process(target=_de_rham_in_child, args=(queue,))
-    child.start()
-    try:
-        got = queue.get(timeout=60)
-    finally:
-        child.join(timeout=10)
-        if child.is_alive():
-            child.kill()
-            child.join()
-    assert got == expected
-    assert child.exitcode == 0
 
 
 # Golden digests: SHA-256 of the float64 bytes of de_rham(K, w) on

@@ -49,8 +49,7 @@ def test_every_export_has_a_production_caller():
                 used.add(node.id)
             elif isinstance(node, ast.Attribute):
                 used.add(node.attr)
-    # ROADMAP item 3 (per-level observability) reports the margin
-    assert set(declab.__all__) - used == {"well_centered_margin"}
+    assert set(declab.__all__) - used == set()
 
 
 @pytest.mark.parametrize("demo", sorted(p.name for p in (ROOT / "demos").glob("*.py")))
