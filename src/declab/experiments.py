@@ -6,9 +6,9 @@ and its circumcentric dual, assembles the symmetric system
     M u = S_k R(f),   f = Hodge-Laplacian of u_exact,
     M = S_k L_k = G S_{k-1}^-1 G^T + D_k^T S_{k+1} D_k,   G = S_k D_{k-1},
 
-solves by preconditioned CG (a multigrid W-cycle above 20 000 unknowns on
-grid meshes, Jacobi otherwise), recovers rho_h = delta_h u_h for k >= 1,
-and records the cochain error norms
+solves by preconditioned CG (a multigrid W-cycle on grid meshes of any
+level, Jacobi on other meshes and where the cycle declines), recovers
+rho_h = delta_h u_h for k >= 1, and records the cochain error norms
 
     e_u    = R(u) - u_h                  (on k-simplices)
     de_u   = D (R(u) - u_h)              (on (k+1)-simplices, k < 2)
@@ -71,10 +71,6 @@ __all__ = [
     "diagnostics",
 ]
 
-# the W-cycle runs above this many unknowns on grid meshes; below about 16k
-# Jacobi-PCG beats its set-up plus solve (symmetric k = 0 L7: 19 vs 34 ms)
-_MG_MIN_UNKNOWNS = 20_000
-
 NORM_KEYS = {
     0: ("e_u", "de_u"),
     1: ("e_u", "de_u", "e_rho", "de_rho"),
@@ -127,7 +123,7 @@ def solve_problem(
     rhs = dual.hodge_ratio_a[k] * de_rham(K, f)
 
     cfg = SolverConfig(tol=tol, max_iterations=max_iterations)
-    level = grid_level(K) if M.shape[0] > _MG_MIN_UNKNOWNS else None
+    level = grid_level(K)
     cycle = None if level is None else w_cycle(M, K.vertices, level, k)
     if k > 0:
         result = cg_solve(M, rhs, cfg, cycle)

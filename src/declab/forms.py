@@ -108,6 +108,7 @@ class Poly2:
 
     @classmethod
     def monomial(cls, i: int, j: int, coeff=1.0) -> "Poly2":
+        _check_exponents(i, j)
         c = np.zeros((i + 1, j + 1), dtype=np.longdouble)
         c[i, j] = coeff
         return cls(c)
@@ -128,8 +129,7 @@ class Poly2:
 
     def coefficient(self, i: int, j: int) -> float:
         """The coefficient of x^i y^j (0 beyond the stored array)."""
-        if i < 0 or j < 0:
-            raise ValueError("monomial exponents must be non-negative")
+        _check_exponents(i, j)
         n, m = self.coeffs.shape
         if i >= n or j >= m:
             return 0.0
@@ -350,6 +350,11 @@ def _horner_plan(B: np.ndarray, skip_zeros: bool) -> tuple[int, int, list[list]]
         rows.append(terms)
     used = [m for terms in rows for m, c in terms if c is not None] or [0]
     return min(used), max(used), rows
+
+
+def _check_exponents(i: int, j: int) -> None:
+    if i < 0 or j < 0:
+        raise ValueError(f"monomial exponents must be non-negative, got x^{i} y^{j}")
 
 
 def _as_poly(value) -> Poly2:

@@ -15,16 +15,17 @@ and these commute with the coboundary only on the symmetric family: on
 perturbed (5, 2, 0.3), |D1 P1 - P2 D1| reaches 0.13.
 
 Coarse operators go down to level 3, solved there by a dense
-pseudo-inverse.  At k = 0 and 2 they are Galerkin P^T A P, which keeps the
-stencil (7.0 and 4.0 nonzeros per row at perturbed level 8, 5.8 and 3.6 at
-level 3).  At k = 1 Galerkin fills in (10.9 per row at level 8, 28.5 to 43
-below; even its curl-curl half has 23.5 on perturbed (5, 2, 0.3), 9.7 on
-the symmetric grid), so k = 1 takes each coarse grid's own DEC system, the
-paper's Whitney-form reading: the fine level's `dec_system` on that grid's
-coboundaries and circumcentric stars by the signed (cotangent) formulas
-of `dual._cotangent_stars`, which need no well-centered coarse grid.  It
-is positive semidefinite when every vertex star is positive; w_cycle
-declines a grid where one is not.
+pseudo-inverse; on a grid of level 3 or below there is no coarser level,
+and the cycle is M's own pseudo-inverse.  At k = 0 and 2 they are Galerkin
+P^T A P, which keeps the stencil (7.0 and 4.0 nonzeros per row at
+perturbed level 8, 5.8 and 3.6 at level 3).  At k = 1 Galerkin fills in
+(10.9 per row at level 8, 28.5 to 43 below; even its curl-curl half has
+23.5 on perturbed (5, 2, 0.3), 9.7 on the symmetric grid), so k = 1 takes
+each coarse grid's own DEC system, the paper's Whitney-form reading: the
+fine level's `dec_system` on that grid's coboundaries and circumcentric
+stars by the signed (cotangent) formulas of `dual._cotangent_stars`, which
+need no well-centered coarse grid.  It is positive semidefinite when every
+vertex star is positive; w_cycle declines a grid where one is not.
 The same degree-2 Chebyshev smoother on D^-1 A runs before and after the
 two coarse visits, so the cycle is symmetric.
 """
@@ -60,7 +61,7 @@ def grid_level(K: SimplicialComplex) -> int | None:
 
 def transfers(vertices: np.ndarray, m: int, k: int):
     """The transfers P_k into levels m, m-1, ..., 4 of the level-m grid with
-    these vertex coordinates, finest first."""
+    these vertex coordinates, finest first (none for m <= 3)."""
     fine, x = _Grid(2**m), vertices
     if k == 2:
         d = x[fine.tri[:, 1:]] - x[fine.tri[:, :1]]
@@ -124,8 +125,9 @@ def _operators(M: sp.csr_matrix, vertices: np.ndarray, m: int, k: int, Ps) -> li
 
 def w_cycle(M: sp.csr_matrix, vertices: np.ndarray, m: int, k: int):
     """One W-cycle for M, the degree-k system on the level-m grid with these
-    vertices, as a function r -> z approximating M^+ r; None when a coarse
-    k = 1 grid has a vertex star that is not positive."""
+    vertices, as a function r -> z approximating M^+ r (at m <= 3 it is
+    M^+ itself, a dense pseudo-inverse); None when a coarse k = 1 grid has
+    a vertex star that is not positive."""
     Ps = transfers(vertices, m, k)
     A = _operators(M, vertices, m, k, Ps)
     if A is None:

@@ -45,7 +45,7 @@ def test_convergence_perturbed_family(capsys):
 
 def test_convergence_solver_failure_exit_code(capsys):
     code = main(
-        ["convergence", "--k", "0", "--levels", "3", "--solver-maxit", "2"]
+        ["convergence", "--k", "0", "--levels", "5", "--solver-maxit", "2"]
     )
     assert code == 2
     assert "solver failure" in capsys.readouterr().err

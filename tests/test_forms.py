@@ -85,6 +85,12 @@ def test_poly_rejects_an_empty_coefficient_array(coeffs):
         Poly2(coeffs)
 
 
+@pytest.mark.parametrize("i, j", [(-1, 0), (-2, 0), (0, -3)])
+def test_poly_monomial_rejects_negative_exponents(i, j):
+    with pytest.raises(ValueError, match=rf"non-negative, got x\^{i} y\^{j}"):
+        Poly2.monomial(i, j)
+
+
 def test_poly_vectorized_evaluation():
     p = Poly2.monomial(2, 1, 3.0) + Poly2.constant(-1.0)
     xs = np.array([0.0, 1.0, 2.0])

@@ -252,8 +252,11 @@ def test_cycle_declines_a_coarse_grid_with_a_negative_vertex_star(tmp_path):
 
 @pytest.mark.parametrize(
     "k, mesh",
-    [(k, (5, 1, 0.15)) for k in range(3)] + [(k, (7, 1, 0.45)) for k in range(3)],
-    ids=["0", "1", "2", "0-alpha-0.45", "1-alpha-0.45", "2-alpha-0.45"],
+    [(k, (5, 1, 0.15)) for k in range(3)]
+    + [(k, (7, 1, 0.45)) for k in range(3)]
+    + [(k, (3, 1, 0.15)) for k in range(3)],
+    ids=["0", "1", "2", "0-alpha-0.45", "1-alpha-0.45", "2-alpha-0.45",
+         "0-level-3", "1-level-3", "2-level-3"],
 )
 def test_cycle_is_symmetric_and_positive(k, mesh):
     m = mesh[0]
@@ -270,6 +273,9 @@ def test_cycle_is_symmetric_and_positive(k, mesh):
         bx, by = cycle(x), cycle(y)
         assert abs(x @ by - y @ bx) <= 1e-12 * np.linalg.norm(x) * np.linalg.norm(by)
         assert x @ bx > 0.0
+        if m == 3:  # no coarser level: the cycle is M's pseudo-inverse
+            want = np.linalg.pinv(M.toarray()) @ x
+            assert np.linalg.norm(bx - want) <= 1e-12 * np.linalg.norm(want)
 
 
 def test_cycle_levels_die_with_the_cycle():
@@ -329,17 +335,31 @@ def _reversed_ids(K):
     return build_complex(K.vertices[::-1], K.n_simplices(0) - 1 - K.simplices(2))
 
 
-@pytest.mark.parametrize(
-    "mesh", ["grid-below-threshold", "non-grid-above-threshold", "negative-coarse-star"]
-)
+@pytest.mark.parametrize("family", ["symmetric", "perturbed"])
+@pytest.mark.parametrize("k", [0, 1, 2])
+def test_solve_problem_runs_the_cycle_on_every_grid_level(family, k, monkeypatch):
+    """Small grids take the cycle too; at levels 1-3 it is M's pseudo-inverse,
+    so CG converges in one iteration."""
+    calls = []
+
+    def counted(M, vertices, m, degree):
+        calls.append(m)
+        return w_cycle(M, vertices, m, degree)
+
+    monkeypatch.setattr("declab.experiments.w_cycle", counted)
+    for m in range(1, 7):
+        K = symmetric_mesh(m) if family == "symmetric" else perturbed_mesh(m, 1)
+        _, _, result = solve_problem(K, build_dual(K), k)
+        if m <= 3:
+            assert result.iterations == 1
+    assert calls == list(range(1, 7))
+
+
+@pytest.mark.parametrize("mesh", ["non-grid-above-threshold", "negative-coarse-star"])
 def test_solve_problem_keeps_jacobi_off_the_cycle(mesh, tmp_path):
-    """Jacobi-PCG, bit for bit, below the size threshold, on meshes that are
-    not a grid and where the cycle declines; k = 1 on the level-7 grid would
-    run the cycle."""
-    if mesh == "grid-below-threshold":
-        K = symmetric_mesh(6)
-        assert K.n_simplices(1) < 20_000
-    elif mesh == "non-grid-above-threshold":
+    """Jacobi-PCG, bit for bit, on meshes that are not a grid and where the
+    cycle declines; k = 1 on the level-7 grid would run the cycle."""
+    if mesh == "non-grid-above-threshold":
         K = _reversed_ids(symmetric_mesh(7))
         assert K.n_simplices(1) > 20_000 and grid_level(K) is None
     else:
