@@ -1,4 +1,4 @@
-"""Geometric W-cycle preconditioner for the degree-k system on grid meshes.
+"""Geometric multigrid preconditioner for the degree-k system on grid meshes.
 
 Both mesh families have the lattice numbering of `meshes._Grid`: level l
 is the red refinement of level l - 1, whose vertices are those with even
@@ -26,8 +26,14 @@ fine level's `dec_system` on that grid's coboundaries and circumcentric
 stars by the signed (cotangent) formulas of `dual._cotangent_stars`, which
 need no well-centered coarse grid.  It is positive semidefinite when every
 vertex star is positive; w_cycle declines a grid where one is not.
-The same degree-2 Chebyshev smoother on D^-1 A runs before and after the
-two coarse visits, so the cycle is symmetric.
+The cycle's shape is fixed per degree (_CYCLE): V(2,2) at k = 0 and 1, two
+smoothing steps before and after one coarse visit, and at k = 2 the W(1,1)
+cycle, one step before and after two visits.  P_2 is piecewise constant, and
+so is its transpose; their orders sum to 2, not more, which Hemker's rule
+asks of a second-order problem, so a single coarse visit per level would
+not carry k = 2 (at perturbed (8, 1) V(2,2) takes 56 iterations against the
+W-cycle's 29).  The smoother is one degree-2 Chebyshev step on D^-1 A and
+runs as often after the coarse visits as before, so the cycle is symmetric.
 """
 
 from __future__ import annotations
@@ -47,6 +53,9 @@ _LAM = (np.eye(3)[_A] + np.eye(3)[_B]) / 2
 _EDGES = np.array([[0, 3], [3, 1], [0, 4], [4, 2], [1, 5], [5, 2], [3, 4], [3, 5], [4, 5]])
 _TRIANGLES = np.array([[0, 3, 4], [1, 3, 5], [2, 4, 5], [3, 4, 5]])
 _PAIRS = np.array([[0, 1], [0, 2], [1, 2]])  # K.cell_edges' local order
+# (nu, gamma) per degree: nu smoothing steps before and after gamma coarse
+# visits, V(2,2) at k = 0 and 1 and the W(1,1) cycle at k = 2
+_CYCLE = {0: (2, 1), 1: (2, 1), 2: (1, 2)}
 
 
 def grid_level(K: SimplicialComplex) -> int | None:
@@ -124,10 +133,11 @@ def _operators(M: sp.csr_matrix, vertices: np.ndarray, m: int, k: int, Ps) -> li
 
 
 def w_cycle(M: sp.csr_matrix, vertices: np.ndarray, m: int, k: int):
-    """One W-cycle for M, the degree-k system on the level-m grid with these
-    vertices, as a function r -> z approximating M^+ r (at m <= 3 it is
-    M^+ itself, a dense pseudo-inverse); None when a coarse k = 1 grid has
-    a vertex star that is not positive."""
+    """One multigrid cycle for M, the degree-k system on the level-m grid
+    with these vertices (V(2,2) at k = 0 and 1, W(1,1) at k = 2), as a
+    function r -> z approximating M^+ r (at m <= 3 it is M^+ itself, a dense
+    pseudo-inverse); None when a coarse k = 1 grid has a vertex star that is
+    not positive."""
     Ps = transfers(vertices, m, k)
     A = _operators(M, vertices, m, k, Ps)
     if A is None:
@@ -146,16 +156,17 @@ def w_cycle(M: sp.csr_matrix, vertices: np.ndarray, m: int, k: int):
     restrictions = [P.T.tocsr() for P in Ps]
     for R in restrictions:
         R.sort_indices()
-    levels = (A, Ps, restrictions, smoothers, coarse_inv)
+    levels = (A, Ps, restrictions, smoothers, coarse_inv, _CYCLE[k])
     if k == 0:  # M^+ maps into the range of M, the vectors that sum to zero
         return lambda r: (z := _visit(levels, 0, r)) - z.mean()
     return lambda r: _visit(levels, 0, r)
 
 
 def _visit(levels, level: int, b: np.ndarray) -> np.ndarray:
-    """The W-cycle from `level` down applied to b; not a closure, which would
-    call itself and keep the levels alive in a reference cycle."""
-    A, Ps, restrictions, smoothers, coarse_inv = levels
+    """The cycle from `level` down applied to b: nu smoothing steps, gamma
+    coarse visits, nu smoothing steps; not a closure, which would call
+    itself and keep the levels alive in a reference cycle."""
+    A, Ps, restrictions, smoothers, coarse_inv, (nu, gamma) = levels
     if level == len(Ps):
         return coarse_inv @ b
     Al, (inv_d, c0, c1) = A[level], smoothers[level]
@@ -164,8 +175,13 @@ def _visit(levels, level: int, b: np.ndarray) -> np.ndarray:
         return inv_d * (c0 * r + c1 * (Al @ (inv_d * r)))
 
     x = smooth(b)
+    for _ in range(nu - 1):
+        x += smooth(b - Al @ x)
     rc = restrictions[level] @ (b - Al @ x)
     e = _visit(levels, level + 1, rc)
-    e += _visit(levels, level + 1, rc - A[level + 1] @ e)
+    for _ in range(gamma - 1):
+        e += _visit(levels, level + 1, rc - A[level + 1] @ e)
     x += Ps[level] @ e
-    return x + smooth(b - Al @ x)
+    for _ in range(nu):
+        x += smooth(b - Al @ x)
+    return x
