@@ -6,7 +6,7 @@ and its circumcentric dual, assembles the symmetric system
     M u = S_k R(f),   f = Hodge-Laplacian of u_exact,
     M = S_k L_k = G S_{k-1}^-1 G^T + D_k^T S_{k+1} D_k,   G = S_k D_{k-1},
 
-solves by preconditioned CG (a multigrid W-cycle on grid meshes of any
+solves by preconditioned CG (a multigrid cycle on grid meshes of any
 level, Jacobi on other meshes and where the cycle declines), recovers
 rho_h = delta_h u_h for k >= 1, and records the cochain error norms
 
@@ -58,7 +58,7 @@ from .operators import (
     pi_minus_j,
 )
 from .multigrid import grid_level, w_cycle
-from .solver import SolverConfig, SolverResult, cg_solve
+from .solver import SolverConfig, SolverResult, _dot, cg_solve
 
 __all__ = [
     "ErrorRecord",
@@ -132,7 +132,7 @@ def solve_problem(
     # ker M = span{1}: 1^T rhs = 0 makes the system consistent
     a = dual.hodge_ratio_a[0]
     result = cg_solve(M, rhs - (rhs.sum() / a.sum()) * a, cfg, cycle)
-    return result.x - (a @ result.x) / a.sum(), None, result
+    return result.x - _dot(a, result.x) / a.sum(), None, result
 
 
 def compute_errors(
@@ -160,7 +160,7 @@ def compute_errors(
     e_u = de_rham(K, u) - u_h
     if k == 0:
         a = dual.hodge_ratio_a[0]
-        e_u -= (a @ e_u) / a.sum()
+        e_u -= _dot(a, e_u) / a.sum()
     norms["e_u"] = discrete_norm(dual, k, e_u)
     if k < 2:
         norms["de_u"] = discrete_norm(dual, k + 1, K.coboundary_matrix(k) @ e_u)

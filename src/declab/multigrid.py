@@ -150,7 +150,8 @@ def w_cycle(M: sp.csr_matrix, vertices: np.ndarray, m: int, k: int):
         smoothers.append((inv_d, 2.2 / (0.4025 * g), -2.0 / (0.4025 * g * g)))
     w, V = np.linalg.eigh(A[-1].toarray())
     keep = w > 1e-10 * w.max()
-    coarse_inv = (V[:, keep] / w[keep]) @ V[:, keep].T
+    # numpy's own loop: a BLAS product's bits depend on its thread count
+    coarse_inv = np.einsum("ik,jk->ij", V[:, keep] / w[keep], V[:, keep])
     # P^T as CSR with sorted columns: each coarse sum runs over the fine
     # indices in the order P.T's CSC product takes them, so bit-identical
     restrictions = [P.T.tocsr() for P in Ps]

@@ -2,7 +2,7 @@
 
 Matrices are scipy sparse, converted to CSR on entry.  The solver is a
 hand-rolled CG, preconditioned by Jacobi or by the caller's operator (the
-W-cycle of ``multigrid``, from ``experiments.solve_problem``), for
+multigrid cycle of ``multigrid``, from ``experiments.solve_problem``), for
 symmetric positive definite systems, and for semidefinite ones whose
 right-hand side lies in the range of the matrix: CG then stays in that
 range.  It knows nothing of null spaces; the caller projects the
@@ -12,6 +12,7 @@ for the k = 0 Hodge-Laplacian, whose kernel is the constants).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from numbers import Integral, Real
 
@@ -55,6 +56,12 @@ class SolverError(RuntimeError):
     """Non-convergence or a structurally unusable system."""
 
 
+def _dot(x: np.ndarray, y: np.ndarray) -> float:
+    """x . y by numpy's own loop: BLAS ddot splits long vectors across its
+    threads, so its bits would depend on the thread count."""
+    return float(np.einsum("i,i->", x, y))
+
+
 def _check_symmetry(M: sp.spmatrix) -> None:
     scale = np.abs(M.data).max() if M.nnz else 1.0
     gap = np.abs((M - M.T).tocsr().data)
@@ -76,7 +83,7 @@ def cg_solve(
 
     precondition maps a residual r to B r, B symmetric and positive on the
     range of M; None means Jacobi.  Deterministic: fixed reduction order,
-    no randomness.
+    whatever the BLAS thread count, and no randomness.
 
     Raises
     ------
@@ -104,7 +111,7 @@ def cg_solve(
     if max_iterations is None:
         max_iterations = int(50 * np.sqrt(n)) + 1000
 
-    norm_b = float(np.linalg.norm(b))
+    norm_b = math.sqrt(_dot(b, b))
     x = np.zeros(n)
     if norm_b == 0.0:
         return SolverResult(x, 0.0, 0, [0.0])
@@ -120,7 +127,7 @@ def cg_solve(
     r = b.copy()
     z = precondition(r)
     p = z.copy()
-    rho = float(r @ z)
+    rho = _dot(r, z)
     history = [norm_b]
     best = norm_b
 
@@ -128,7 +135,7 @@ def cg_solve(
     converged = False
     for iterations in range(1, max_iterations + 1):
         q = M @ p
-        pq = float(p @ q)
+        pq = _dot(p, q)
         if not pq > 0.0:  # also catches a NaN from non-finite entries of M
             raise SolverError(
                 f"matrix is not positive definite on the Krylov space "
@@ -137,14 +144,14 @@ def cg_solve(
         alpha = rho / pq
         x += alpha * p
         r -= alpha * q
-        norm_r = float(np.linalg.norm(r))
+        norm_r = math.sqrt(_dot(r, r))
         history.append(norm_r)
         best = min(best, norm_r)
         if norm_r <= cfg.tol * norm_b:
             converged = True
             break
         z = precondition(r)
-        rho_new = float(r @ z)
+        rho_new = _dot(r, z)
         p = z + (rho_new / rho) * p
         rho = rho_new
 

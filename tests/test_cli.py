@@ -2,12 +2,16 @@
 
 from __future__ import annotations
 
+import os
 import shutil
 import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import declab
 from declab import build_dual, perturbed_mesh, read_mesh, star_inverse_matrix, symmetric_mesh
 from declab.cli import main
 from declab.operators import dec_system
@@ -49,6 +53,29 @@ def test_convergence_solver_failure_exit_code(capsys):
     )
     assert code == 2
     assert "solver failure" in capsys.readouterr().err
+
+
+def test_convergence_csv_does_not_depend_on_the_blas_thread_count():
+    """A threaded BLAS dot product splits its sum by thread and rounds
+    differently, so no reduction behind a reported norm goes through BLAS:
+    the CSV under one and two threads is the same but for wall_time.  (On a
+    one-core host OpenBLAS runs one thread either way.)"""
+    src = str(Path(declab.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    command = [sys.executable, "-m", "declab.cli", "convergence", "--k", "1",
+               "--family", "symmetric", "--levels", "7", "--format", "csv"]
+    runs = [
+        subprocess.Popen(command, stdout=subprocess.PIPE, text=True,
+                         env={**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": n})
+        for n in ("1", "2")
+    ]
+    tables = []
+    for run in runs:
+        out, _ = run.communicate(timeout=300)
+        assert run.returncode == 0
+        tables.append([line.rsplit(",", 1)[0] for line in out.splitlines()])
+    assert tables[0][0].endswith(",iterations") and len(tables[0]) == 2
+    assert tables[0] == tables[1]
 
 
 @pytest.mark.parametrize(
