@@ -88,7 +88,9 @@ def transfers(vertices: np.ndarray, m: int, k: int):
             p = x[point[:, :3]]
             e = p[:, [2, 0, 1]] - p[:, [1, 2, 0]]  # edge opposite each corner
             grad = e[..., ::-1] * [-1.0, 1.0] / _cross2(e[:, 2], -e[:, 1])[:, None, None]
-            g = np.einsum("tcx,tex->tec", grad, x[head] - x[tail])
+            # grad . (b - a) by hand: einsum crawls over an axis of length 2
+            dx = x[head] - x[tail]
+            g = grad[:, None, :, 0] * dx[:, :, None, 0] + grad[:, None, :, 1] * dx[:, :, None, 1]
             lam = (_LAM[_EDGES[:, 0]] + _LAM[_EDGES[:, 1]]) / 2
             i, j = _PAIRS.T
             vals = lam[:, i] * g[:, :, j]

@@ -32,8 +32,7 @@ from declab import (
     write_mesh,
 )
 from declab.dual import _cotangent_stars
-import declab.multigrid
-from declab.multigrid import _operators, grid_level, transfers, w_cycle
+from declab.multigrid import _operators, _visit, grid_level, transfers, w_cycle
 from declab.operators import dec_system
 from oracles import hodge_laplacian_matrix, whitney_evaluate
 
@@ -289,13 +288,12 @@ def test_cycle_shape_per_degree(k, visits, monkeypatch):
     M, rhs, _ = _system(K, k)
     cycle = w_cycle(M, K.vertices, 6, k)
     calls = []
-    visit = declab.multigrid._visit
 
     def counted(levels, level, b):
         calls.append(level)
-        return visit(levels, level, b)
+        return _visit(levels, level, b)
 
-    monkeypatch.setattr(declab.multigrid, "_visit", counted)
+    monkeypatch.setattr("declab.multigrid._visit", counted)
     cycle(rhs)
     assert len(calls) == visits
     assert sorted(set(calls)) == [0, 1, 2, 3]
