@@ -76,8 +76,8 @@ class SimplicialComplex:
 
     def mesh_size(self) -> float:
         """Mesh parameter h: the largest simplex diameter (longest edge)."""
-        ends = self.vertices[self._table(1)]
-        return float(np.linalg.norm(ends[:, 1] - ends[:, 0], axis=1).max())
+        x, y = _planes(self.vertices, self._table(1))
+        return float(np.sqrt((x[1] - x[0]) ** 2 + (y[1] - y[0]) ** 2).max())
 
     def _table(self, k: int) -> np.ndarray:
         if not 0 <= k <= self.dim:
@@ -122,6 +122,12 @@ class SimplicialComplex:
         return mat
 
 
+def _planes(x: np.ndarray, cells: np.ndarray) -> np.ndarray:
+    """The corners of simplices `cells` (N, ..., k+1) at vertices x (V, 2) as x and y
+    planes (2, k+1, ..., N): numpy loops over simplices, not an axis of 2 or 3."""
+    return x.T.take(cells.T, axis=1)  # take: indexing x.T[:, cells.T] is 4x slower
+
+
 def build_complex(vertices: np.ndarray, cells: np.ndarray) -> SimplicialComplex:
     """Build a 2-D simplicial complex from vertex coordinates and triangles.
 
@@ -161,11 +167,11 @@ def build_complex(vertices: np.ndarray, cells: np.ndarray) -> SimplicialComplex:
 
     # degenerate cells: area from the cross product of two edge vectors;
     # an overflow comes out as inf or NaN and is rejected here, not warned of
-    p = vertices[tris]
+    x, y = _planes(vertices, tris)
     with np.errstate(over="ignore", invalid="ignore"):
-        e1, e2 = p[:, 1] - p[:, 0], p[:, 2] - p[:, 0]
-        cross = e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0]
-        scale = np.max(np.abs(p - p[:, :1]), axis=(1, 2)) ** 2 + np.finfo(np.float64).tiny
+        dx, dy = x[1:] - x[0], y[1:] - y[0]
+        cross = dx[0] * dy[1] - dy[0] * dx[1]
+        scale = np.maximum(abs(dx), abs(dy)).max(axis=0) ** 2 + np.finfo(np.float64).tiny
         if not (np.abs(cross) > 1e-12 * scale).all():  # also rejects NaN
             bad = int(np.argmin(np.abs(cross) / scale))
             raise ValueError(f"cell {bad} is degenerate (zero or non-finite area)")

@@ -17,7 +17,10 @@ cot(t_opp) / 2 over the triangles at e, the cotangent weight of the Whitney
 so these equal the unsigned sums over the flag pieces; they exist on any
 mesh, and the coarse multigrid grids take them too.  ``DualComplex`` stores
 no flag pieces: the one private helper ``_flags`` forms them for the
-integrals over dual cells.
+integrals over dual cells.  The per-triangle kernels run on x and y planes
+(3, T) with the triangles innermost, and write each sum over the three
+corners out as (a + b) + c, numpy's order over a stacked axis: the bits of
+the (T, 3, 2) formulas.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .complex import SimplicialComplex
+from .complex import SimplicialComplex, _planes
 
 __all__ = [
     "triangle_circumcenters",
@@ -45,18 +48,20 @@ def _cross2(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return a[..., 0] * b[..., 1] - a[..., 1] * b[..., 0]
 
 
-def _triangle_circum_bary(pts: np.ndarray) -> np.ndarray:
-    """Barycentric coordinates of the circumcenters of triangles (m, 3, 2).
+def _triangle_circum_bary(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Barycentric coordinates of the circumcenters of triangles whose
+    corners have coordinates x and y, each of shape (3, ...); same shape.
 
     Closed form w_i = s_i^2 (s_j^2 + s_k^2 - s_i^2) with s_i the side length
-    opposite vertex i; the normalizer equals 16 * area^2.
+    opposite vertex i; the normalizer equals 16 * area^2.  Sums over the
+    corners run (a + b) + c, as numpy's over a stacked axis.
     """
     # weights that overflow come out NaN; the well-centeredness checks
     # reject them, so the overflow is not also warned of
     with np.errstate(over="ignore", invalid="ignore"):
-        d2 = ((pts[:, [1, 0, 0]] - pts[:, [2, 2, 1]]) ** 2).sum(axis=2)
-        w = d2 * (d2.sum(axis=1, keepdims=True) - 2.0 * d2)
-        return w / w.sum(axis=1, keepdims=True)
+        d2 = (x[[1, 0, 0]] - x[[2, 2, 1]]) ** 2 + (y[[1, 0, 0]] - y[[2, 2, 1]]) ** 2
+        w = d2 * ((d2[0] + d2[1] + d2[2]) - 2.0 * d2)
+        return w / (w[0] + w[1] + w[2])
 
 
 def triangle_circumcenters(pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -70,9 +75,10 @@ def triangle_circumcenters(pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     -------
     centers : (m, 2); barycentric : (m, 3).
     """
-    bary = _triangle_circum_bary(pts)
-    centers = np.einsum("mi,min->mn", bary, pts)
-    return centers, bary
+    x, y = pts.T  # (3, m) planes, triangles innermost
+    bary = _triangle_circum_bary(x, y)
+    centers = [bary[0] * c[0] + bary[1] * c[1] + bary[2] * c[2] for c in (x, y)]
+    return np.stack(centers, axis=1), bary.T
 
 
 def well_centered_margin(K: SimplicialComplex) -> float:
@@ -83,7 +89,7 @@ def well_centered_margin(K: SimplicialComplex) -> float:
     Weights that overflow give -inf, so ``margin > 0`` never passes a
     triangle that :func:`is_well_centered` rejects.
     """
-    bary = _triangle_circum_bary(K.vertices[K.simplices(2)])
+    bary = _triangle_circum_bary(*_planes(K.vertices, K.simplices(2)))
     if np.isnan(bary).any():
         return -np.inf
     return float(bary.min())
@@ -96,9 +102,13 @@ def is_well_centered(K: SimplicialComplex) -> tuple[bool, np.ndarray]:
     whose circumcenter barycentric coordinates are not all above
     WELL_CENTERED_TOL (so a NaN from overflow counts as offending).
     """
-    bary = _triangle_circum_bary(K.vertices[K.simplices(2)])
-    bad = np.flatnonzero(~(bary.min(axis=1) > WELL_CENTERED_TOL))
+    bad = _offenders(_triangle_circum_bary(*_planes(K.vertices, K.simplices(2))).T)
     return len(bad) == 0, bad
+
+
+def _offenders(bary: np.ndarray) -> np.ndarray:
+    """Rows of bary (m, 3) not all above WELL_CENTERED_TOL (NaN fails)."""
+    return np.flatnonzero(~(bary.min(axis=1) > WELL_CENTERED_TOL))
 
 
 @dataclass
@@ -145,11 +155,14 @@ def build_dual(K: SimplicialComplex) -> DualComplex:
     ValueError
         If the complex is not well-centered.
     """
-    ok, offenders = is_well_centered(K)
-    if not ok:
+    x, y = xy = _planes(K.vertices, K.simplices(2))
+    # one evaluation of the circumcenter barycentrics: the check and the centers
+    tri_centers, bary = triangle_circumcenters(xy.T)
+    offenders = _offenders(bary)
+    if len(offenders):
         t = offenders[0]
         vertices = K.simplices(2)[t]
-        if np.isfinite(_triangle_circum_bary(K.vertices[vertices][None])).all():
+        if np.isfinite(bary[t]).all():
             why = "does not contain its circumcenter"
         else:
             why = "has circumcenter weights that overflow"
@@ -158,19 +171,17 @@ def build_dual(K: SimplicialComplex) -> DualComplex:
             f"fail, first triangle {t} with vertices {vertices.tolist()} {why}"
         )
 
-    pts = K.vertices[K.simplices(2)]
-    tri_centers, _ = triangle_circumcenters(pts)
-    edge_pts = K.vertices[K.simplices(1)]
-    edge_centers = 0.5 * (edge_pts[:, 0] + edge_pts[:, 1])
+    ex, ey = _planes(K.vertices, K.simplices(1))
+    edge_centers = np.stack([0.5 * (c[0] + c[1]) for c in (ex, ey)], axis=1)
     centers = [K.vertices.copy(), edge_centers, tri_centers]
 
-    edge_len = np.linalg.norm(edge_pts[:, 1] - edge_pts[:, 0], axis=1)
-    cross = _cross2(pts[:, 1] - pts[:, 0], pts[:, 2] - pts[:, 0])
+    edge_len = np.sqrt((ex[1] - ex[0]) ** 2 + (ey[1] - ey[0]) ** 2)
+    cross = (x[1] - x[0]) * (y[2] - y[0]) - (y[1] - y[0]) * (x[2] - x[0])
     primal_volumes = [np.ones(K.n_simplices(0)), edge_len, 0.5 * np.abs(cross)]
 
     # |*sigma| = a |sigma|, and |*T| = 1 since a_2 = 2 / |cross| = 1 / |T|
     a = list(_cotangent_stars(K.vertices, K))
-    dual_volumes = [a[0] * primal_volumes[0], a[1] * edge_len, np.ones(len(pts))]
+    dual_volumes = [a[0] * primal_volumes[0], a[1] * edge_len, np.ones(len(cross))]
 
     return DualComplex(
         centers=centers,
@@ -186,13 +197,14 @@ def _cotangent_stars(x: np.ndarray, K: SimplicialComplex):
     by the signed (cotangent) formulas: |*v| = sum_T (|e1|^2 cot t1 + |e2|^2
     cot t2) / 8 over T's edges e1, e2 at v, |*e| / |e| = sum_T cot(t_opp) / 2,
     1 / |T|.  They are build_dual's on a well-centered mesh, exist on any."""
-    p = x[K.simplices(2)]
-    e = p[:, [2, 0, 1]] - p[:, [1, 2, 0]]  # edge opposite each corner
-    twice_area = np.abs(_cross2(e[:, 2], -e[:, 1]))
-    cot = -np.einsum("tcx,tcx->tc", e[:, [1, 2, 0]], e[:, [2, 0, 1]]) / twice_area[:, None]
-    w = (e**2).sum(axis=2) * cot / 8  # what each edge gives both its ends
-    s0 = np.bincount(K.simplices(2).ravel(), (w.sum(axis=1, keepdims=True) - w).ravel())
-    s1 = np.bincount(K.cell_edges.ravel(), (cot[:, [2, 1, 0]] / 2).ravel())
+    px, py = _planes(x, K.simplices(2))
+    ex, ey = (p[[2, 0, 1]] - p[[1, 2, 0]] for p in (px, py))  # edge opposite each corner
+    twice_area = np.abs(ex[2] * -ey[1] - ey[2] * -ex[1])
+    cot = -(ex[[1, 2, 0]] * ex[[2, 0, 1]] + ey[[1, 2, 0]] * ey[[2, 0, 1]]) / twice_area
+    w = (ex**2 + ey**2) * cot / 8  # what each edge gives both its ends
+    # bincount adds in input order, which stays triangle-major
+    s0 = np.bincount(K.simplices(2).ravel(), ((w[0] + w[1] + w[2]) - w).T.ravel())
+    s1 = np.bincount(K.cell_edges.ravel(), (cot[::-1] / 2).T.ravel())
     return s0, s1, 2.0 / twice_area
 
 

@@ -44,6 +44,8 @@ over a stack of oriented k-simplices given by their corners; the primal
 de Rham map and the dual de Rham map (over circumcenters, dual segments
 and flag triangles) both go through it.  It evaluates its points in
 chunks, on the calling thread, bit-identical to one pass over all of them.
+It builds them on x and y planes with the simplices innermost, each point
+by the operations of an (N, P, 2) stack in the same order, so its bits.
 """
 
 from __future__ import annotations
@@ -542,10 +544,12 @@ def _integrate_simplices(form: PolyForm, corners: np.ndarray) -> np.ndarray:
     per call through the module-level constructors (no cache), so a wrapper
     installed on those names sees every rule built.
 
-    Points are evaluated in chunks of about _CHUNK_POINTS, which bounds the
-    table of powers of l3 that Poly2.__call__ builds per chunk.  Each value
-    depends on its own simplex only, so the result is bit-identical to one
-    pass over all points; the quadrature sums run over the full arrays,
+    Points are built as (P, n) planes x = x_0 + sum_i xi_i (x_i - x_0) and
+    likewise y, simplices innermost, and evaluated in chunks of about
+    _CHUNK_POINTS, which bounds the table of powers of l3 that
+    Poly2.__call__ builds per chunk.  Each value depends on its own simplex
+    only, so the result is bit-identical to one pass; the values go into an
+    (N, P) C-ordered array, whose quadrature sums run over the full arrays,
     since summing per chunk would round differently.
     """
     k = form.degree
@@ -556,24 +560,25 @@ def _integrate_simplices(form: PolyForm, corners: np.ndarray) -> np.ndarray:
     # point values are a one-point evaluation
     xi = rule.points.reshape(len(rule.weights), k) if k else np.zeros((1, 0))
     n, step = len(corners), max(1, _CHUNK_POINTS // len(xi))
-    # a component shared between slots (u = p dx + p dy) is evaluated once;
-    # Poly2 hashes by identity
-    values = {c: np.empty((n, len(xi))) for c in form.components}
+    cx, cy = corners.T  # (k+1, N) planes
+    ex, ey = cx[1:] - cx[0], cy[1:] - cy[0]  # edge vectors from corner 0
+    out = np.empty((n, len(xi)))
     for lo in range(0, n, step):
-        c = corners[lo : lo + step]
-        pts = c[:, None, 0]
+        s = slice(lo, lo + step)
+        x, y = cx[None, 0, s], cy[None, 0, s]
         for i in range(k):
-            pts = pts + xi[None, :, i, None] * (c[:, i + 1] - c[:, 0])[:, None, :]
-        for comp, out in values.items():
-            out[lo : lo + step] = comp(pts[..., 0], pts[..., 1])
-    vals = [values[c] for c in form.components]
+            x = x + xi[:, i, None] * ex[i, s]
+            y = y + xi[:, i, None] * ey[i, s]
+        # a component shared between slots (u = p dx + p dy) is evaluated
+        # once; Poly2 hashes by identity
+        values = {c: c(x, y) for c in form.components}
+        vals = [values[c] for c in form.components]
+        out[s] = (vals[0] * ex[0, s] + vals[1] * ey[0, s] if k == 1 else vals[0]).T
     if k == 0:
-        return vals[0][:, 0]
-    p0 = corners[:, 0]
-    e1 = corners[:, 1] - p0
+        return out[:, 0]
     if k == 1:
-        return (vals[0] * e1[:, None, 0] + vals[1] * e1[:, None, 1]) @ rule.weights
-    return _cross2(e1, corners[:, 2] - p0) * (vals[0] @ rule.weights)
+        return out @ rule.weights
+    return (ex[0] * ey[1] - ey[0] * ex[1]) * (out @ rule.weights)
 
 
 # ---------------------------------------------------------------------------

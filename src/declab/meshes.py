@@ -47,7 +47,7 @@ from numbers import Integral
 
 import numpy as np
 
-from .complex import SimplicialComplex, build_complex
+from .complex import SimplicialComplex, _planes, build_complex
 from .dual import WELL_CENTERED_TOL, _triangle_circum_bary, is_well_centered
 
 __all__ = [
@@ -218,10 +218,9 @@ def perturbed_mesh(m: int, seed: int, alpha: float = 0.15) -> SimplicialComplex:
         cand = base[s : s + count] + rho[:, None] * np.array([np.cos(theta), np.sin(theta)]).T
         rel = ring_pos[s : s + count] - s
         take = (rel >= 0) & (rel <= np.arange(count)[:, None, None])
-        pts = coords[ring[s : s + count]]
-        pts[take] = cand[rel[take]]
-        bary = _triangle_circum_bary(pts.reshape(-1, 3, 2)).reshape(count, -1)
-        ok = bary.min(axis=1) > WELL_CENTERED_TOL
+        pts = _planes(coords, ring[s : s + count])  # (2, 3, 6, count)
+        pts[:, take.T] = cand.T[:, rel.T[take.T]]
+        ok = _triangle_circum_bary(*pts).min(axis=(0, 1)) > WELL_CENTERED_TOL
         n_ok = count if ok.all() else int(np.argmin(ok))
         coords[interior[s : s + n_ok]] = cand[:n_ok]
         if n_ok == count:

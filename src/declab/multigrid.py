@@ -41,7 +41,7 @@ from __future__ import annotations
 import numpy as np
 import scipy.sparse as sp
 
-from .complex import SimplicialComplex
+from .complex import SimplicialComplex, _planes
 from .dual import _cotangent_stars, _cross2
 from .meshes import _Grid, _vid, symmetric_mesh
 from .operators import dec_system
@@ -85,16 +85,18 @@ def transfers(vertices: np.ndarray, m: int, k: int):
             child, cols, vals = point, coarse.tri[:, None, :], _LAM[None]
         elif k == 1:
             child, tail, head = fine.edge(point[:, _EDGES[:, 0]], point[:, _EDGES[:, 1]])
-            p = x[point[:, :3]]
-            e = p[:, [2, 0, 1]] - p[:, [1, 2, 0]]  # edge opposite each corner
-            grad = e[..., ::-1] * [-1.0, 1.0] / _cross2(e[:, 2], -e[:, 1])[:, None, None]
-            # grad . (b - a) by hand: einsum crawls over an axis of length 2
-            dx = x[head] - x[tail]
-            g = grad[:, None, :, 0] * dx[:, :, None, 0] + grad[:, None, :, 1] * dx[:, :, None, 1]
+            # x and y planes, coarse triangles innermost: (corner, T) and (edge, T)
+            px, py = _planes(x, point[:, :3])
+            ex, ey = (p[[2, 0, 1]] - p[[1, 2, 0]] for p in (px, py))  # edge opposite each corner
+            cross = ex[2] * -ey[1] - ey[2] * -ex[1]
+            gx, gy = -ey / cross, ex / cross  # grad lam at each corner
+            dx, dy = _planes(x, head) - _planes(x, tail)
+            g = gx * dx[:, None] + gy * dy[:, None]  # (edge, corner, T)
             lam = (_LAM[_EDGES[:, 0]] + _LAM[_EDGES[:, 1]]) / 2
             i, j = _PAIRS.T
-            vals = lam[:, i] * g[:, :, j]
-            vals -= lam[:, j] * g[:, :, i]
+            vals = lam[:, i, None] * g[:, j]
+            vals -= lam[:, j, None] * g[:, i]
+            vals = vals.transpose(2, 0, 1)  # (T, edge, pair), as the other degrees
             cols = coarse.edge(coarse.tri[:, i], coarse.tri[:, j])[0][:, None, :]
         else:
             child = fine.triangle(point[:, _TRIANGLES])

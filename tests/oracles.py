@@ -23,7 +23,9 @@ from declab import (
     triangle_rule,
 )
 from declab import forms, meshes
-from declab.dual import _cross2, _triangle_circum_bary
+from declab.dual import _cross2
+from declab.meshes import _Grid, _vid
+from declab.multigrid import _A, _B, _EDGES, _LAM, _PAIRS, _TRIANGLES
 
 _MASK64 = (1 << 64) - 1
 
@@ -135,6 +137,81 @@ def exact_stars(K: SimplicialComplex) -> list[list[Fraction]]:
             a0[p] += length2 * cot / 8
             a0[q] += length2 * cot / 8
     return [a0, a1, a2]
+
+
+# -- the geometry kernels in the stacked layout -----------------------------------
+#
+# Coordinates as (N, k+1, 2) stacks, the sums over the stacked axes taken by
+# numpy: the library computes the same formulas on x and y planes, and must
+# give these bits.
+
+
+def circum_bary_stacked(pts: np.ndarray) -> np.ndarray:
+    """Circumcenter barycentrics (m, 3) of triangles pts (m, 3, 2):
+    w_i = s_i^2 (s_j^2 + s_k^2 - s_i^2) over their sum, s_i the side
+    opposite corner i."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        d2 = ((pts[:, [1, 0, 0]] - pts[:, [2, 2, 1]]) ** 2).sum(axis=2)
+        w = d2 * (d2.sum(axis=1, keepdims=True) - 2.0 * d2)
+        return w / w.sum(axis=1, keepdims=True)
+
+
+def cotangent_stars_stacked(x: np.ndarray, K: SimplicialComplex):
+    """a_0, a_1, a_2 by the cotangent formulas of `exact_stars`, in float64
+    on K's triangles at vertex coordinates x."""
+    p = x[K.simplices(2)]
+    e = p[:, [2, 0, 1]] - p[:, [1, 2, 0]]  # edge opposite each corner
+    twice_area = np.abs(_cross2(e[:, 2], -e[:, 1]))
+    cot = -np.einsum("tcx,tcx->tc", e[:, [1, 2, 0]], e[:, [2, 0, 1]]) / twice_area[:, None]
+    w = (e**2).sum(axis=2) * cot / 8
+    s0 = np.bincount(K.simplices(2).ravel(), (w.sum(axis=1, keepdims=True) - w).ravel())
+    s1 = np.bincount(K.cell_edges.ravel(), (cot[:, [2, 1, 0]] / 2).ravel())
+    return s0, s1, 2.0 / twice_area
+
+
+def transfers_stacked(vertices: np.ndarray, m: int, k: int) -> list[sp.csr_matrix]:
+    """multigrid.transfers with its weights formed on (T, c, 2) stacks: the
+    k = 1 weight of fine edge [a, b] in coarse edge (i, j) is
+    (lam_i grad lam_j - lam_j grad lam_i) . (b - a), with grad . (b - a) by
+    einsum; k = 0 takes lam and k = 2 the area fractions."""
+    fine, x = _Grid(2**m), vertices
+    d = x[fine.tri[:, 1:]] - x[fine.tri[:, :1]]
+    area = np.abs(_cross2(d[:, 0], d[:, 1])) / 2
+    Ps = []
+    for level in range(m, 3, -1):
+        coarse = _Grid(2 ** (level - 1))
+        corner = np.stack([coarse.r[coarse.tri], coarse.j[coarse.tri]], axis=-1)
+        point = _vid(fine.n, *np.moveaxis(corner[:, _A] + corner[:, _B], -1, 0))
+        if k == 0:
+            child, cols, vals = point, coarse.tri[:, None, :], _LAM[None]
+        elif k == 1:
+            child, tail, head = fine.edge(point[:, _EDGES[:, 0]], point[:, _EDGES[:, 1]])
+            p = x[point[:, :3]]
+            e = p[:, [2, 0, 1]] - p[:, [1, 2, 0]]
+            grad = e[..., ::-1] * [-1.0, 1.0] / _cross2(e[:, 2], -e[:, 1])[:, None, None]
+            g = np.einsum("tcx,tex->tec", grad, x[head] - x[tail])
+            lam = (_LAM[_EDGES[:, 0]] + _LAM[_EDGES[:, 1]]) / 2
+            i, j = _PAIRS.T
+            vals = lam[:, i] * g[:, :, j] - lam[:, j] * g[:, :, i]
+            cols = coarse.edge(coarse.tri[:, i], coarse.tri[:, j])[0][:, None, :]
+        else:
+            child = fine.triangle(point[:, _TRIANGLES])
+            parent = area[child].sum(axis=1)
+            vals = (area[child] / parent[:, None] * [1, 1, 1, -1])[..., None]
+            cols = np.arange(len(point))[:, None, None]
+            area = parent
+        share = np.bincount(child.ravel(), minlength=fine.counts[k])
+        vals = vals / share[child][..., None]
+        rows = np.broadcast_to(child[..., None], vals.shape).ravel()
+        P = sp.csr_matrix(
+            (vals.ravel(), (rows, np.broadcast_to(cols, vals.shape).ravel())),
+            (fine.counts[k], coarse.counts[k]),
+        )
+        P.data[np.abs(P.data) < 1e-13] = 0.0
+        P.eliminate_zeros()
+        Ps.append(P)
+        fine, x = coarse, x[_vid(2 * coarse.n, 2 * coarse.r, 2 * coarse.j)]
+    return Ps
 
 
 def dense_barycentric_horner(B: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -358,7 +435,7 @@ def perturbed_mesh_sequential(m: int, seed: int, alpha: float = 0.15) -> Simplic
             theta = 2.0 * np.pi * u2
             cand = base + rho * np.array([np.cos(theta), np.sin(theta)])
             tri_pts[local] = cand
-            if _triangle_circum_bary(tri_pts).min() > meshes.WELL_CENTERED_TOL:
+            if circum_bary_stacked(tri_pts).min() > meshes.WELL_CENTERED_TOL:
                 coords[v] = cand
                 break
         else:

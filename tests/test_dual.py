@@ -31,8 +31,8 @@ from declab import (
     perturbed_mesh,
     well_centered_margin,
 )
-from declab.dual import _flags, triangle_circumcenters
-from oracles import diamond_volumes, exact_stars
+from declab.dual import _cotangent_stars, _flags, _triangle_circum_bary, triangle_circumcenters
+from oracles import circum_bary_stacked, cotangent_stars_stacked, diamond_volumes, exact_stars
 
 SQRT3 = np.sqrt(3.0)
 EQ_TRI = np.array([[0.0, 0.0], [1.0, 0.0], [0.5, SQRT3 / 2]])
@@ -147,6 +147,33 @@ def test_build_dual_stars_match_exact_rational_stars():
         for k, want in enumerate(exact_stars(K)):
             rel = max(abs(Fraction(g) - w) / abs(w) for g, w in zip(got[k].tolist(), want))
             assert rel <= 3e-15, f"{name} a_{k}: relative error {float(rel):.3g}"
+
+
+STACKED = pytest.mark.parametrize(
+    "K",
+    [symmetric_mesh(6), perturbed_mesh(6, 1), perturbed_mesh(6, 2)],
+    ids=["symmetric-6", "perturbed-6-1", "perturbed-6-2"],
+)
+
+
+def _same_bits(got, want) -> bool:
+    return got.shape == want.shape and np.ascontiguousarray(got).tobytes() == want.tobytes()
+
+
+@STACKED
+def test_circumcenter_kernels_on_planes_match_the_stacked_formula_bit_for_bit(K):
+    pts = K.vertices[K.simplices(2)]
+    want = circum_bary_stacked(pts)
+    assert _same_bits(_triangle_circum_bary(*pts.T).T, want)
+    centers, bary = triangle_circumcenters(pts)
+    assert _same_bits(bary, want)
+    assert _same_bits(centers, np.einsum("mi,min->mn", want, pts))
+
+
+@STACKED
+def test_cotangent_stars_on_planes_match_the_stacked_formula_bit_for_bit(K):
+    for got, want in zip(_cotangent_stars(K.vertices, K), cotangent_stars_stacked(K.vertices, K)):
+        assert _same_bits(got, want)
 
 
 def test_dual_complex_keeps_only_the_arrays_that_define_the_dual():

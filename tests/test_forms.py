@@ -754,6 +754,21 @@ def test_multi_chunk_kernel_is_bit_identical_to_one_chunk(k, monkeypatch):
                 assert _kernel_bytes(monkeypatch, chunk, kernel, form, cells) == serial
 
 
+@pytest.mark.parametrize("k", [0, 1, 2])
+def test_kernel_values_follow_their_simplices_through_any_corner_layout(k):
+    """The kernel reads its corners as x and y planes, transposed from the
+    (N, k+1, 2) stack: a reversed view gives the reversed values and a
+    Fortran-ordered copy the same values, bit for bit.  At level 6 the
+    reversal moves every chunk boundary of the k = 1 and k = 2 rules."""
+    K = perturbed_mesh(6, seed=1)
+    corners = K.vertices[K.simplices(k)]
+    kernel = forms_module._integrate_simplices
+    for form in _kernel_forms(k):
+        values = kernel(form, corners)
+        assert kernel(form, corners[::-1]).tobytes() == values[::-1].tobytes()
+        assert kernel(form, np.asfortranarray(corners)).tobytes() == values.tobytes()
+
+
 @pytest.mark.parametrize("m", [0, 1, 2])
 def test_multi_chunk_de_rham_dual_is_bit_identical_to_one_chunk(m, monkeypatch):
     K = perturbed_mesh(3, seed=1)

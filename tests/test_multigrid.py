@@ -34,7 +34,7 @@ from declab import (
 from declab.dual import _cotangent_stars
 from declab.multigrid import _operators, _visit, grid_level, transfers, w_cycle
 from declab.operators import dec_system
-from oracles import hodge_laplacian_matrix, whitney_evaluate
+from oracles import hodge_laplacian_matrix, transfers_stacked, whitney_evaluate
 
 
 def _lattice(level: int):
@@ -196,6 +196,22 @@ def test_transfers_are_fine_de_rham_maps_of_coarse_whitney_forms(k):
         elif k == 2:
             want = want * _signed_areas(fine)[:, None]
         assert np.abs(P.toarray() - want).max() <= 1e-14
+
+
+@pytest.mark.parametrize("k", [0, 1, 2])
+@pytest.mark.parametrize(
+    "K",
+    [symmetric_mesh(6), perturbed_mesh(6, 1), perturbed_mesh(6, 2)],
+    ids=["symmetric-6", "perturbed-6-1", "perturbed-6-2"],
+)
+def test_transfers_match_the_stacked_formula_bit_for_bit(K, k):
+    """The weights, formed on x and y planes, against the same formulas on
+    (T, c, 2) stacks: the superconvergent k = 1 norms sit near their gate,
+    so no transfer may move by an ulp."""
+    Ps, stacked = transfers(K.vertices, 6, k), transfers_stacked(K.vertices, 6, k)
+    for P, want in zip(Ps, stacked, strict=True):
+        assert np.array_equal(P.indptr, want.indptr) and np.array_equal(P.indices, want.indices)
+        assert P.data.tobytes() == want.data.tobytes()
 
 
 def test_transfers_store_no_roundoff():
