@@ -45,7 +45,7 @@ de Rham map and the dual de Rham map (over circumcenters, dual segments
 and flag triangles) both go through it.  It evaluates its points in
 chunks, on the calling thread, bit-identical to one pass over all of them.
 It builds them on x and y planes with the simplices innermost, each point
-by the operations of an (N, P, 2) stack in the same order, so its bits.
+by the operations of an (N, P, 2) stack in the same order, so with its bits.
 """
 
 from __future__ import annotations
@@ -54,7 +54,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .complex import SimplicialComplex
+from .complex import SimplicialComplex, _planes
 from .dual import DualComplex, _cross2, _flags
 
 __all__ = [
@@ -594,7 +594,7 @@ def de_rham(K: SimplicialComplex, form: PolyForm) -> np.ndarray:
     orientation of the ascending vertex tuple.  Quadrature is sized to the
     polynomial degree, so values are exact up to roundoff.
     """
-    return _integrate_simplices(form, K.vertices[K.simplices(form.degree)])
+    return _integrate_simplices(form, _planes(K.vertices, K.simplices(form.degree)).T)
 
 
 def de_rham_dual(
