@@ -571,7 +571,7 @@ def _integrate_simplices(form: PolyForm, corners: np.ndarray) -> np.ndarray:
             y = y + xi[:, i, None] * ey[i, s]
         # a component shared between slots (u = p dx + p dy) is evaluated
         # once; Poly2 hashes by identity
-        values = {c: c(x, y) for c in form.components}
+        values = {c: c(x, y) for c in set(form.components)}
         vals = [values[c] for c in form.components]
         out[s] = (vals[0] * ex[0, s] + vals[1] * ey[0, s] if k == 1 else vals[0]).T
     if k == 0:

@@ -769,6 +769,19 @@ def test_kernel_values_follow_their_simplices_through_any_corner_layout(k):
         assert kernel(form, np.asfortranarray(corners)).tobytes() == values.tobytes()
 
 
+def test_kernel_evaluates_a_shared_component_once_per_chunk(monkeypatch):
+    """u = p dx + p dy holds one Poly2 in both slots, so each chunk of the
+    8-point line rule evaluates p once, not once per slot."""
+    calls = []
+    evaluate = Poly2.__call__
+    monkeypatch.setattr(Poly2, "__call__", lambda p, x, y: calls.append(p) or evaluate(p, x, y))
+    monkeypatch.setattr(forms_module, "_CHUNK_POINTS", 1000)
+    K = perturbed_mesh(4, seed=1)
+    u, _ = manufactured_solution(1)
+    forms_module._integrate_simplices(u, K.vertices[K.simplices(1)])
+    assert calls == [u.components[0]] * math.ceil(K.n_simplices(1) / (1000 // 8))
+
+
 @pytest.mark.parametrize("m", [0, 1, 2])
 def test_multi_chunk_de_rham_dual_is_bit_identical_to_one_chunk(m, monkeypatch):
     K = perturbed_mesh(3, seed=1)
