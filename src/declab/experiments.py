@@ -6,8 +6,8 @@ and its circumcentric dual, assembles the symmetric system
     M u = S_k R(f),   f = Hodge-Laplacian of u_exact,
     M = S_k L_k = G S_{k-1}^-1 G^T + D_k^T S_{k+1} D_k,   G = S_k D_{k-1},
 
-solves by preconditioned CG (a multigrid cycle on grid meshes of any
-level, Jacobi on other meshes and where the cycle declines), recovers
+solves by preconditioned CG (the multigrid cycle, which recognises grid
+meshes of any level, and Jacobi where it declines), recovers
 rho_h = delta_h u_h for k >= 1, and records the cochain error norms
 
     e_u    = R(u) - u_h                  (on k-simplices)
@@ -36,6 +36,7 @@ import functools
 import math
 import time
 from dataclasses import dataclass, field
+from numbers import Integral
 
 import numpy as np
 
@@ -57,7 +58,7 @@ from .operators import (
     j_interpolant,
     pi_minus_j,
 )
-from .multigrid import grid_level, w_cycle
+from .multigrid import multigrid_cycle
 from .solver import SolverConfig, SolverResult, _dot, cg_solve
 
 __all__ = [
@@ -84,7 +85,7 @@ class ErrorRecord:
     h: float
     norms: dict[str, float]
     iterations: int = 0
-    wall_time: float = 0.0
+    wall_time: float = 0.0  # seconds from the mesh build to the error norms
 
 
 @dataclass
@@ -123,8 +124,7 @@ def solve_problem(
     rhs = dual.hodge_ratio_a[k] * de_rham(K, f)
 
     cfg = SolverConfig(tol=tol, max_iterations=max_iterations)
-    level = grid_level(K)
-    cycle = None if level is None else w_cycle(M, K.vertices, level, k)
+    cycle = multigrid_cycle(M, K, k)
     if k > 0:
         result = cg_solve(M, rhs, cfg, cycle)
         return result.x, codifferential_matrix(K, dual, k) @ result.x, result
@@ -181,7 +181,11 @@ def run_convergence(
     tol: float = 1e-12,
     max_iterations: int | None = None,
 ) -> ConvergenceReport:
-    """One convergence study: a record per level plus observed rates."""
+    """One convergence study: a record per level plus observed rates.
+    k, levels and the solver arguments are checked before any mesh is built."""
+    if isinstance(k, bool) or not isinstance(k, Integral) or k not in NORM_KEYS:
+        raise ValueError(f"k must be 0, 1 or 2, got {k!r}")
+    SolverConfig(tol, max_iterations)  # raises on a bad tol or max_iterations
     levels = list(levels)
     if any(a >= b for a, b in zip(levels, levels[1:])):
         raise ValueError("levels must be strictly ascending")
@@ -196,15 +200,9 @@ def run_convergence(
         u_h, rho_h, result = solve_problem(
             K, dual, k, tol=tol, max_iterations=max_iterations
         )
-        elapsed = time.perf_counter() - start
+        norms = compute_errors(K, dual, k, u_h, rho_h)
         report.records.append(
-            ErrorRecord(
-                level=m,
-                h=K.mesh_size(),
-                norms=compute_errors(K, dual, k, u_h, rho_h),
-                iterations=result.iterations,
-                wall_time=elapsed,
-            )
+            ErrorRecord(m, K.mesh_size(), norms, result.iterations, time.perf_counter() - start)
         )
     report.rates = {
         key: [

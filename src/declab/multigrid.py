@@ -25,7 +25,8 @@ each coarse grid's own DEC system, the paper's Whitney-form reading: the
 fine level's `dec_system` on that grid's coboundaries and circumcentric
 stars by the signed (cotangent) formulas of `dual._cotangent_stars`, which
 need no well-centered coarse grid.  It is positive semidefinite when every
-vertex star is positive; w_cycle declines a grid where one is not.
+vertex star is positive; multigrid_cycle declines a grid where one is not,
+as it declines a mesh that is not a grid.
 The cycle's shape is fixed per degree (_CYCLE): V(2,2) at k = 0 and 1, two
 smoothing steps before and after one coarse visit, and at k = 2 the W(1,1)
 cycle, one step before and after two visits.  P_2 is piecewise constant, and
@@ -68,16 +69,19 @@ def grid_level(K: SimplicialComplex) -> int | None:
     return n.bit_length() - 1 if np.array_equal(K.simplices(2), _Grid(n).tri) else None
 
 
-def transfers(vertices: np.ndarray, m: int, k: int):
-    """The transfers P_k into levels m, m-1, ..., 4 of the level-m grid with
-    these vertex coordinates, finest first (none for m <= 3)."""
-    fine, x = _Grid(2**m), vertices
+def _levels(M: sp.csr_matrix, vertices: np.ndarray, m: int, k: int):
+    """(A, Ps) on the level-m grid with these vertex coordinates: M and the
+    operators of levels m-1, ..., 3, and the transfers P_k into levels m,
+    ..., 4, finest first.  Each step builds P_k, gathers the coarse vertices
+    and takes the coarse operator: Galerkin P^T A P at k = 0 and 2, at k = 1
+    the grid's own DEC system from those vertices' cotangent stars; None if
+    a vertex star S0 there is not positive."""
+    fine, x, A, Ps = _Grid(2**m), vertices, [M], []
     if k == 2:
         d = x[fine.tri[:, 1:]] - x[fine.tri[:, :1]]
         area = np.abs(_cross2(d[:, 0], d[:, 1])) / 2
-    Ps = []
-    for level in range(m, 3, -1):  # down to level 3
-        coarse = _Grid(2 ** (level - 1))
+    for level in range(m - 1, 2, -1):  # the coarse level, down to 3
+        coarse = _Grid(2**level)
         corner = np.stack([coarse.r[coarse.tri], coarse.j[coarse.tri]], axis=-1)
         point = _vid(fine.n, *np.moveaxis(corner[:, _A] + corner[:, _B], -1, 0))
         # child ids (T, c), and for each child its coarse ids and weights (T, c, w)
@@ -114,38 +118,29 @@ def transfers(vertices: np.ndarray, m: int, k: int):
         P.data[np.abs(P.data) < 1e-13] = 0.0  # O(1) weights: roundoff of exact zeros
         P.eliminate_zeros()
         Ps.append(P)
-        fine, x = coarse, x[_vid(2 * coarse.n, 2 * coarse.r, 2 * coarse.j)]
-    return Ps
-
-
-def _operators(M: sp.csr_matrix, vertices: np.ndarray, m: int, k: int, Ps) -> list | None:
-    """M and the operators of levels m-1, ..., 3: Galerkin P^T A P at k = 0
-    and 2, at k = 1 each grid's own DEC system, dec_system with its
-    cotangent stars; None if a vertex star S0 there is not positive."""
-    A = [M]
-    for level, P in zip(range(m - 1, 2, -1), Ps):
+        fine, x = coarse, x[_vid(fine.n, 2 * coarse.r, 2 * coarse.j)]
         if k != 1:
             A.append((P.T @ A[-1] @ P).tocsr())
             continue
         # reference-grid topology: the star check is all the coarse x must pass
-        g, s, K = _Grid(2**level), 2 ** (m - level), symmetric_mesh(level)
-        stars = _cotangent_stars(vertices[_vid(2**m, s * g.r, s * g.j)], K)
+        K = symmetric_mesh(level)
+        stars = _cotangent_stars(x, K)
         if not ((stars[0] > 0) & np.isfinite(stars[0])).all():
             return None
         A.append(dec_system(K, stars, 1))
-    return A
+    return A, Ps
 
 
-def w_cycle(M: sp.csr_matrix, vertices: np.ndarray, m: int, k: int):
-    """One multigrid cycle for M, the degree-k system on the level-m grid
-    with these vertices (V(2,2) at k = 0 and 1, W(1,1) at k = 2), as a
-    function r -> z approximating M^+ r (at m <= 3 it is M^+ itself, a dense
-    pseudo-inverse); None when a coarse k = 1 grid has a vertex star that is
-    not positive."""
-    Ps = transfers(vertices, m, k)
-    A = _operators(M, vertices, m, k, Ps)
-    if A is None:
+def multigrid_cycle(M: sp.csr_matrix, K: SimplicialComplex, k: int):
+    """One multigrid cycle for M, the degree-k system on the grid mesh K
+    (V(2,2) at k = 0 and 1, W(1,1) at k = 2), as a function r -> z
+    approximating M^+ r (on a grid of level 3 or below it is M^+ itself, a
+    dense pseudo-inverse); None when K is not a grid (grid_level) or a
+    coarse k = 1 grid has a vertex star that is not positive."""
+    m = grid_level(K)
+    if m is None or (levels := _levels(M, K.vertices, m, k)) is None:
         return None
+    A, Ps = levels
     smoothers = []
     for Al in A[:-1]:
         inv_d = 1.0 / Al.diagonal()

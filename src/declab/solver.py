@@ -1,9 +1,9 @@
 """Preconditioned conjugate gradient for symmetric sparse systems.
 
 Matrices are scipy sparse, converted to CSR on entry.  The solver is a
-hand-rolled CG, preconditioned by Jacobi or by the caller's operator (the
-multigrid cycle of ``multigrid``, from ``experiments.solve_problem``), for
-symmetric positive definite systems, and for semidefinite ones whose
+hand-rolled CG, preconditioned by the caller's operator (``solve_problem``
+passes ``multigrid_cycle``) or, given None, by Jacobi, for symmetric
+positive definite systems, and for semidefinite ones whose
 right-hand side lies in the range of the matrix: CG then stays in that
 range.  It knows nothing of null spaces; the caller projects the
 right-hand side and fixes the gauge (see ``experiments.solve_problem``

@@ -170,10 +170,10 @@ def cotangent_stars_stacked(x: np.ndarray, K: SimplicialComplex):
 
 
 def transfers_stacked(vertices: np.ndarray, m: int, k: int) -> list[sp.csr_matrix]:
-    """multigrid.transfers with its weights formed on (T, c, 2) stacks: the
-    k = 1 weight of fine edge [a, b] in coarse edge (i, j) is
-    (lam_i grad lam_j - lam_j grad lam_i) . (b - a), with grad . (b - a) by
-    einsum; k = 0 takes lam and k = 2 the area fractions."""
+    """The transfers of multigrid._levels with their weights formed on
+    (T, c, 2) stacks: the k = 1 weight of fine edge [a, b] in coarse edge
+    (i, j) is (lam_i grad lam_j - lam_j grad lam_i) . (b - a), with
+    grad . (b - a) by einsum; k = 0 takes lam and k = 2 the area fractions."""
     fine, x = _Grid(2**m), vertices
     d = x[fine.tri[:, 1:]] - x[fine.tri[:, :1]]
     area = np.abs(_cross2(d[:, 0], d[:, 1])) / 2

@@ -9,6 +9,7 @@ errors reduce to the de Rham commutation defect, which is pure rounding.
 from __future__ import annotations
 
 import math
+import time
 import warnings
 
 import numpy as np
@@ -193,6 +194,38 @@ def test_run_convergence_rejects_unsorted_levels():
     for levels in ([3, 2], [2, 2]):
         with pytest.raises(ValueError, match="ascending"):
             run_convergence(0, "symmetric", levels)
+
+
+@pytest.mark.parametrize(
+    "k, family, levels, options",
+    [
+        (1, "perturbed", [8], {"tol": math.nan}),
+        (1, "perturbed", [8], {"max_iterations": 0}),
+        (5, "symmetric", [], {}),
+        (5, "symmetric", [3], {}),
+        (True, "symmetric", [], {}),
+        (1.0, "symmetric", [3], {}),
+    ],
+    ids=["nan-tol", "no-iterations", "k-5-no-levels", "k-5", "k-bool", "k-float"],
+)
+def test_run_convergence_rejects_bad_input_before_any_mesh(k, family, levels, options, monkeypatch):
+    def no_mesh(spec):
+        raise AssertionError(f"built {spec} before checking the arguments")
+
+    monkeypatch.setattr("declab.experiments.build_mesh", no_mesh)
+    with pytest.raises(ValueError):
+        run_convergence(k, family, levels, **options)
+
+
+def test_wall_time_includes_the_error_norms(monkeypatch):
+    real = compute_errors
+
+    def slow(*args):
+        time.sleep(0.05)
+        return real(*args)
+
+    monkeypatch.setattr("declab.experiments.compute_errors", slow)
+    assert run_convergence(0, "symmetric", [1]).records[0].wall_time >= 0.05
 
 
 # -- rendering ----------------------------------------------------------------

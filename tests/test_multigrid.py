@@ -1,4 +1,4 @@
-"""The geometric W-cycle on the nested grid family.
+"""The geometric multigrid cycle on the nested grid family.
 
 Every level of a transfer test is built independently of the multigrid
 module: the level-l grid is `build_complex` on the cells of
@@ -32,7 +32,8 @@ from declab import (
     write_mesh,
 )
 from declab.dual import _cotangent_stars
-from declab.multigrid import _operators, _visit, grid_level, transfers, w_cycle
+from declab.meshes import _Grid
+from declab.multigrid import _levels, _visit, grid_level, multigrid_cycle
 from declab.operators import dec_system
 from oracles import hodge_laplacian_matrix, transfers_stacked, whitney_evaluate
 
@@ -136,6 +137,12 @@ def test_grid_level_rejects_a_non_grid_mesh():
 # -- transfers ----------------------------------------------------------------
 
 
+def _transfers(K, m: int, k: int):
+    """The transfers P_k of the level-m grid K, from _levels on the
+    identity: they depend on the vertices alone, not on the operator."""
+    return _levels(sp.identity(K.n_simplices(k), format="csr"), K.vertices, m, k)[1]
+
+
 def _edge_cochain(K, w):
     e = K.simplices(1)
     return (K.vertices[e[:, 1]] - K.vertices[e[:, 0]]) @ w
@@ -145,7 +152,7 @@ def _edge_cochain(K, w):
 def test_transfers_map_constant_forms_exactly(k):
     m = 5
     K = perturbed_mesh(m, 2, 0.3)
-    Ps = transfers(K.vertices, m, k)
+    Ps = _transfers(K, m, k)
     assert len(Ps) == m - 3
     for level, P in zip(range(m, 3, -1), Ps):
         coarse, fine = _on_level(K, m, level - 1), _on_level(K, m, level)
@@ -163,7 +170,7 @@ def test_transfers_map_constant_forms_exactly(k):
 def test_transfers_commute_with_the_coboundary(k):
     m = 5
     K = symmetric_mesh(m)
-    lower, upper = transfers(K.vertices, m, k), transfers(K.vertices, m, k + 1)
+    lower, upper = _transfers(K, m, k), _transfers(K, m, k + 1)
     for level, P, Q in zip(range(m, 3, -1), lower, upper):
         D_fine = _on_level(K, m, level).coboundary_matrix(k)
         D_coarse = _on_level(K, m, level - 1).coboundary_matrix(k)
@@ -179,7 +186,7 @@ def test_transfers_are_fine_de_rham_maps_of_coarse_whitney_forms(k):
     each exact for the linear and constant Whitney forms."""
     m = 5
     K = symmetric_mesh(m)
-    for level, P in zip(range(m, 3, -1), transfers(K.vertices, m, k)):
+    for level, P in zip(range(m, 3, -1), _transfers(K, m, k)):
         coarse, fine = _on_level(K, m, level - 1), _on_level(K, m, level)
         # evaluate each fine simplex in the parent of a fine triangle that holds it
         cells = np.arange(fine.n_simplices(2))
@@ -208,7 +215,7 @@ def test_transfers_match_the_stacked_formula_bit_for_bit(K, k):
     """The weights, formed on x and y planes, against the same formulas on
     (T, c, 2) stacks: the superconvergent k = 1 norms sit near their gate,
     so no transfer may move by an ulp."""
-    Ps, stacked = transfers(K.vertices, 6, k), transfers_stacked(K.vertices, 6, k)
+    Ps, stacked = _transfers(K, 6, k), transfers_stacked(K.vertices, 6, k)
     for P, want in zip(Ps, stacked, strict=True):
         assert np.array_equal(P.indptr, want.indptr) and np.array_equal(P.indices, want.indices)
         assert P.data.tobytes() == want.data.tobytes()
@@ -218,7 +225,7 @@ def test_transfers_store_no_roundoff():
     """Whitney weights that cancel in exact arithmetic are not stored: on the
     symmetric grid a third of P_1's entries would otherwise be ~1e-15."""
     K = symmetric_mesh(7)
-    for P in transfers(K.vertices, 7, 1):
+    for P in _transfers(K, 7, 1):
         assert np.abs(P.data).min() >= 1e-13
 
 
@@ -229,7 +236,7 @@ def test_k1_coarse_operators_are_the_coarse_grids_own_systems():
     m = 7
     K = symmetric_mesh(m)
     M, _, _ = _system(K, 1)
-    A = _operators(M, K.vertices, m, 1, transfers(K.vertices, m, 1))
+    A, _ = _levels(M, K.vertices, m, 1)
     assert len(A) == m - 2
     for level, Al in zip(range(m - 1, 2, -1), A[1:]):
         want, _, _ = _system(symmetric_mesh(level), 1)
@@ -259,8 +266,33 @@ def _bent_grid(tmp_path):
 def test_cycle_declines_a_coarse_grid_with_a_negative_vertex_star(tmp_path):
     K = _bent_grid(tmp_path)
     M, _, _ = _system(K, 1)
-    assert w_cycle(M, K.vertices, 7, 1) is None
-    assert w_cycle(_system(K, 2)[0], K.vertices, 7, 2) is not None  # Galerkin
+    assert multigrid_cycle(M, K, 1) is None
+    assert multigrid_cycle(_system(K, 2)[0], K, 2) is not None  # Galerkin
+
+
+def test_cycle_declines_a_mesh_that_is_not_a_grid():
+    K = _reversed_ids(symmetric_mesh(4))
+    assert multigrid_cycle(_system(K, 1)[0], K, 1) is None
+
+
+@pytest.mark.parametrize("k", [0, 1, 2])
+def test_cycle_walks_the_grid_levels_once(k, monkeypatch):
+    """The cycle on the level-m grid walks its levels once: grid_level's
+    grid, the fine grid and coarse grids m-1, ..., 3 (m - 1 in all), and at
+    k = 1 the coarse symmetric meshes too (2m - 4)."""
+    m = 6
+    K = perturbed_mesh(m, 1)
+    M, _, _ = _system(K, k)
+    built = []
+    init = _Grid.__init__
+
+    def counted(self, n):
+        built.append(n)
+        init(self, n)
+
+    monkeypatch.setattr(_Grid, "__init__", counted)
+    assert multigrid_cycle(M, K, k) is not None
+    assert len(built) <= (2 * m - 4 if k == 1 else m - 1)
 
 
 # -- the cycle ----------------------------------------------------------------
@@ -282,7 +314,7 @@ def test_cycle_is_symmetric_and_positive(k, mesh):
     if m == 7:  # the coarse operators need no circumcentric dual
         assert _not_well_centered_levels(K, m) == [6]
     M, _, _ = _system(K, k)
-    cycle = w_cycle(M, K.vertices, m, k)
+    cycle = multigrid_cycle(M, K, k)
     rng = np.random.default_rng(k)
     for _ in range(3):
         x, y = rng.standard_normal((2, M.shape[0]))
@@ -302,7 +334,7 @@ def test_cycle_shape_per_degree(k, visits, monkeypatch):
     the V-cycle of k = 0 and 1, 1 + 2 + 4 + 8 times in the W-cycle of k = 2."""
     K = perturbed_mesh(6, 1)
     M, rhs, _ = _system(K, k)
-    cycle = w_cycle(M, K.vertices, 6, k)
+    cycle = multigrid_cycle(M, K, k)
     calls = []
 
     def counted(levels, level, b):
@@ -328,7 +360,7 @@ def test_cycle_levels_die_with_the_cycle():
     gc.disable()
     try:
         before = finest_transfers()
-        cycle = w_cycle(M, K.vertices, 5, 1)
+        cycle = multigrid_cycle(M, K, 1)
         assert finest_transfers() == before + 1
         del cycle
         assert finest_transfers() == before
@@ -355,7 +387,7 @@ def test_cycle_solution_matches_jacobi(family, k):
         assert _not_well_centered_levels(K, 7)
     M, rhs, a = _system(K, k)
     want = cg_solve(M, rhs).x
-    result = cg_solve(M, rhs, precondition=w_cycle(M, K.vertices, 7, k))
+    result = cg_solve(M, rhs, precondition=multigrid_cycle(M, K, k))
     got = result.x
     if k == 0:
         want, got = want - (a @ want) / a.sum(), got - (a @ got) / a.sum()
@@ -381,11 +413,11 @@ def test_solve_problem_runs_the_cycle_on_every_grid_level(family, k, monkeypatch
     so CG converges in one iteration."""
     calls = []
 
-    def counted(M, vertices, m, degree):
-        calls.append(m)
-        return w_cycle(M, vertices, m, degree)
+    def counted(M, K, degree):
+        calls.append(grid_level(K))
+        return multigrid_cycle(M, K, degree)
 
-    monkeypatch.setattr("declab.experiments.w_cycle", counted)
+    monkeypatch.setattr("declab.experiments.multigrid_cycle", counted)
     for m in range(1, 7):
         K = symmetric_mesh(m) if family == "symmetric" else perturbed_mesh(m, 1)
         _, _, result = solve_problem(K, build_dual(K), k)

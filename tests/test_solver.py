@@ -16,7 +16,7 @@ from declab import (
     star_matrix,
     symmetric_mesh,
 )
-from declab.multigrid import w_cycle
+from declab.multigrid import multigrid_cycle
 from oracles import hodge_laplacian_matrix
 
 
@@ -149,9 +149,9 @@ def test_solver_is_deterministic():
     assert np.array_equal(r1.x, r2.x)
     assert r1.iterations == r2.iterations
     assert r1.residual_history == r2.residual_history
-    # and with the W-cycle as the preconditioner
+    # and with the multigrid cycle as the preconditioner
     M, b = _k0_system(5)
-    cycle = w_cycle(M, symmetric_mesh(5).vertices, 5, 0)
+    cycle = multigrid_cycle(M, symmetric_mesh(5), 0)
     r1 = cg_solve(M, b, precondition=cycle)
     r2 = cg_solve(M, b, precondition=cycle)
     assert np.array_equal(r1.x, r2.x)
