@@ -128,6 +128,12 @@ def _planes(x: np.ndarray, cells: np.ndarray) -> np.ndarray:
     return x.T.take(cells.T, axis=1)  # take: indexing x.T[:, cells.T] is 4x slower
 
 
+def _cross(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Twice the signed area of triangles with corner planes x and y (3, ...),
+    positive where the corners run counterclockwise."""
+    return (x[1] - x[0]) * (y[2] - y[0]) - (y[1] - y[0]) * (x[2] - x[0])
+
+
 def build_complex(vertices: np.ndarray, cells: np.ndarray) -> SimplicialComplex:
     """Build a 2-D simplicial complex from vertex coordinates and triangles.
 
@@ -170,7 +176,7 @@ def build_complex(vertices: np.ndarray, cells: np.ndarray) -> SimplicialComplex:
     x, y = _planes(vertices, tris)
     with np.errstate(over="ignore", invalid="ignore"):
         dx, dy = x[1:] - x[0], y[1:] - y[0]
-        cross = dx[0] * dy[1] - dy[0] * dx[1]
+        cross = _cross(x, y)
         scale = np.maximum(abs(dx), abs(dy)).max(axis=0) ** 2 + np.finfo(np.float64).tiny
         if not (np.abs(cross) > 1e-12 * scale).all():  # also rejects NaN
             bad = int(np.argmin(np.abs(cross) / scale))

@@ -17,10 +17,10 @@ cot(t_opp) / 2 over the triangles at e, the cotangent weight of the Whitney
 so these equal the unsigned sums over the flag pieces; they exist on any
 mesh, and the coarse multigrid grids take them too.  ``DualComplex`` stores
 no flag pieces: the one private helper ``_flags`` forms them for the
-integrals over dual cells.  The per-triangle kernels run on x and y planes
-(3, T) with the triangles innermost, and write each sum over the three
-corners out as (a + b) + c, numpy's order over a stacked axis: the bits of
-the (T, 3, 2) formulas.
+integrals over dual cells.  Every kernel holds its corners as x and y
+planes with the simplices innermost, (3, T) for the triangles and (2, 3, 6T)
+for the flags, and writes each sum over the three corners out as
+(a + b) + c, numpy's order over a stacked axis.
 """
 
 from __future__ import annotations
@@ -29,10 +29,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .complex import SimplicialComplex, _planes
+from .complex import SimplicialComplex, _cross, _planes
 
 __all__ = [
-    "triangle_circumcenters",
     "is_well_centered",
     "well_centered_margin",
     "DualComplex",
@@ -41,11 +40,6 @@ __all__ = [
 ]
 
 WELL_CENTERED_TOL = 1e-10
-
-
-def _cross2(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """z-component of the cross product of stacked planar vectors."""
-    return a[..., 0] * b[..., 1] - a[..., 1] * b[..., 0]
 
 
 def _triangle_circum_bary(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -62,23 +56,6 @@ def _triangle_circum_bary(x: np.ndarray, y: np.ndarray) -> np.ndarray:
         d2 = (x[[1, 0, 0]] - x[[2, 2, 1]]) ** 2 + (y[[1, 0, 0]] - y[[2, 2, 1]]) ** 2
         w = d2 * ((d2[0] + d2[1] + d2[2]) - 2.0 * d2)
         return w / (w[0] + w[1] + w[2])
-
-
-def triangle_circumcenters(pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized circumcenters of triangles.
-
-    Parameters
-    ----------
-    pts : (m, 3, 2) vertex coordinates.
-
-    Returns
-    -------
-    centers : (m, 2); barycentric : (m, 3).
-    """
-    x, y = pts.T  # (3, m) planes, triangles innermost
-    bary = _triangle_circum_bary(x, y)
-    centers = [bary[0] * c[0] + bary[1] * c[1] + bary[2] * c[2] for c in (x, y)]
-    return np.stack(centers, axis=1), bary.T
 
 
 def well_centered_margin(K: SimplicialComplex) -> float:
@@ -102,13 +79,13 @@ def is_well_centered(K: SimplicialComplex) -> tuple[bool, np.ndarray]:
     whose circumcenter barycentric coordinates are not all above
     WELL_CENTERED_TOL (so a NaN from overflow counts as offending).
     """
-    bad = _offenders(_triangle_circum_bary(*_planes(K.vertices, K.simplices(2))).T)
+    bad = _offenders(_triangle_circum_bary(*_planes(K.vertices, K.simplices(2))))
     return len(bad) == 0, bad
 
 
 def _offenders(bary: np.ndarray) -> np.ndarray:
-    """Rows of bary (m, 3) not all above WELL_CENTERED_TOL (NaN fails)."""
-    return np.flatnonzero(~(bary.min(axis=1) > WELL_CENTERED_TOL))
+    """Columns of bary (3, m) not all above WELL_CENTERED_TOL (NaN fails)."""
+    return np.flatnonzero(~(bary.min(axis=0) > WELL_CENTERED_TOL))
 
 
 @dataclass
@@ -133,18 +110,16 @@ def _flags(K: SimplicialComplex, centers: list[np.ndarray]) -> tuple[np.ndarray,
     """The 6T flag triangles [v, c(e), c(T)] over the chains v < e < T.
 
     Per triangle, 3 edges x 2 endpoints, so the (e, T) pairs are the even
-    flags ([::2]).  Returns the vertex and edge index of each flag (6T,),
-    its rows [v, c(e), c(T)] (6T, 3, 2) and its area (6T,), signed by the
-    orientation of the rows.
+    flags ([::2]), whose vertex is the tail of the edge.  Returns the
+    vertex and edge index of each flag (6T,), its corners [v, c(e), c(T)]
+    as x and y planes (2, 3, 6T) and its area (6T,), signed by the
+    orientation of the corners.
     """
     edge = np.repeat(K.cell_edges.reshape(-1), 2)
     vertex = K.simplices(1)[K.cell_edges.reshape(-1)].reshape(-1)
-    coords = np.empty((len(edge), 3, 2))
-    coords[:, 0] = centers[0][vertex]
-    coords[:, 1] = centers[1][edge]
-    coords[:, 2] = np.repeat(centers[2], 6, axis=0)
-    area = 0.5 * _cross2(coords[:, 1] - coords[:, 0], coords[:, 2] - coords[:, 0])
-    return vertex, edge, coords, area
+    tri = np.repeat(np.arange(K.n_simplices(2)), 6)
+    corners = np.stack([c.T.take(i, axis=1) for c, i in zip(centers, (vertex, edge, tri))], 1)
+    return vertex, edge, corners, 0.5 * _cross(*corners)
 
 
 def build_dual(K: SimplicialComplex) -> DualComplex:
@@ -155,14 +130,14 @@ def build_dual(K: SimplicialComplex) -> DualComplex:
     ValueError
         If the complex is not well-centered.
     """
-    x, y = xy = _planes(K.vertices, K.simplices(2))
+    x, y = _planes(K.vertices, K.simplices(2))
     # one evaluation of the circumcenter barycentrics: the check and the centers
-    tri_centers, bary = triangle_circumcenters(xy.T)
+    bary = _triangle_circum_bary(x, y)
     offenders = _offenders(bary)
     if len(offenders):
         t = offenders[0]
         vertices = K.simplices(2)[t]
-        if np.isfinite(bary[t]).all():
+        if np.isfinite(bary[:, t]).all():
             why = "does not contain its circumcenter"
         else:
             why = "has circumcenter weights that overflow"
@@ -173,10 +148,11 @@ def build_dual(K: SimplicialComplex) -> DualComplex:
 
     ex, ey = _planes(K.vertices, K.simplices(1))
     edge_centers = np.stack([0.5 * (c[0] + c[1]) for c in (ex, ey)], axis=1)
+    tri_centers = np.stack([bary[0] * c[0] + bary[1] * c[1] + bary[2] * c[2] for c in (x, y)], 1)
     centers = [K.vertices.copy(), edge_centers, tri_centers]
 
     edge_len = np.sqrt((ex[1] - ex[0]) ** 2 + (ey[1] - ey[0]) ** 2)
-    cross = (x[1] - x[0]) * (y[2] - y[0]) - (y[1] - y[0]) * (x[2] - x[0])
+    cross = _cross(x, y)
     primal_volumes = [np.ones(K.n_simplices(0)), edge_len, 0.5 * np.abs(cross)]
 
     # |*sigma| = a |sigma|, and |*T| = 1 since a_2 = 2 / |cross| = 1 / |T|
@@ -199,7 +175,7 @@ def _cotangent_stars(x: np.ndarray, K: SimplicialComplex):
     1 / |T|.  They are build_dual's on a well-centered mesh, exist on any."""
     px, py = _planes(x, K.simplices(2))
     ex, ey = (p[[2, 0, 1]] - p[[1, 2, 0]] for p in (px, py))  # edge opposite each corner
-    twice_area = np.abs(ex[2] * -ey[1] - ey[2] * -ex[1])
+    twice_area = np.abs(_cross(px, py))
     cot = -(ex[[1, 2, 0]] * ex[[2, 0, 1]] + ey[[1, 2, 0]] * ey[[2, 0, 1]]) / twice_area
     w = (ex**2 + ey**2) * cot / 8  # what each edge gives both its ends
     # bincount adds in input order, which stays triangle-major
@@ -226,29 +202,27 @@ def check_centroid_condition(
     over interior k-simplices is <= 1e-12 (vacuously true if there are
     none).
     """
-    nk = K.n_simplices(k)
-    primal_centroid = K.vertices[K.simplices(k)].mean(axis=1)
-
     if k == 2:
-        dual_centroid = dual.centers[2]
+        dual_centroid = dual.centers[2].T
     elif k in (0, 1):
-        vertex, edge, coords, area = _flags(K, dual.centers)
+        vertex, edge, corners, area = _flags(K, dual.centers)
         if k == 1:
-            a, b = coords[::2, 1], coords[::2, 2]
-            index, weight, centroid = edge[::2], np.linalg.norm(b - a, axis=1), 0.5 * (a + b)
+            a, b = corners[:, 1, ::2], corners[:, 2, ::2]
+            index, weight, centroid = edge[::2], np.linalg.norm(b - a, axis=0), 0.5 * (a + b)
         else:
-            index, weight, centroid = vertex, np.abs(area), coords.mean(axis=1)
-        # each piece adds weight * (centroid, 1): the centroid is divided by
-        # the total weight of the pieces themselves, not by the star's volume
-        acc = np.zeros((nk, 3))
-        np.add.at(acc, index, weight[:, None] * np.column_stack([centroid, np.ones(len(index))]))
-        dual_centroid = acc[:, :2] / acc[:, 2:]
+            index, weight, centroid = vertex, np.abs(area), corners.mean(axis=1)
+        # each piece adds weight * (centroid, 1), in order: the centroid is
+        # divided by the total weight of the pieces, not by the star's volume
+        nk = K.n_simplices(k)
+        total = np.bincount(index, weight, nk)
+        dual_centroid = np.stack([np.bincount(index, weight * c, nk) for c in centroid]) / total
     else:
         raise ValueError(f"no {k}-simplices in the plane")
 
     interior = ~K.is_boundary(k)
     if not interior.any():
         return True, 0.0
-    dev = np.linalg.norm((primal_centroid - dual_centroid)[interior], axis=1)
+    primal_centroid = _planes(K.vertices, K.simplices(k)).mean(axis=1)
+    dev = np.linalg.norm((primal_centroid - dual_centroid)[:, interior], axis=0)
     max_dev = float(dev.max())
     return max_dev <= 1e-12, max_dev

@@ -40,12 +40,11 @@ Quadrature: Gauss-Legendre on [0, 1] for line integrals, and a collapsed
 tensor-product (Duffy) rule on the reference triangle
 {(x, y) : x, y >= 0, x + y <= 1} that is exact for any requested total
 degree.  One private kernel, ``_integrate_simplices``, integrates a k-form
-over a stack of oriented k-simplices given by their corners; the primal
-de Rham map and the dual de Rham map (over circumcenters, dual segments
-and flag triangles) both go through it.  It evaluates its points in
-chunks, on the calling thread, bit-identical to one pass over all of them.
-It builds them on x and y planes with the simplices innermost, each point
-by the operations of an (N, P, 2) stack in the same order, so with its bits.
+over oriented k-simplices given by the x and y planes of their corners,
+simplices innermost; the primal de Rham map and the dual de Rham map (over
+circumcenters, dual segments and flag triangles) both go through it.  It
+evaluates its points in chunks, on the calling thread, bit-identical to one
+pass over all of them.
 """
 
 from __future__ import annotations
@@ -54,8 +53,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .complex import SimplicialComplex, _planes
-from .dual import DualComplex, _cross2, _flags
+from .complex import SimplicialComplex, _cross, _planes
+from .dual import DualComplex, _flags
 
 __all__ = [
     "Poly2",
@@ -536,7 +535,8 @@ def _integrate_simplices(form: PolyForm, corners: np.ndarray) -> np.ndarray:
     """Integrals of a k-form over N oriented k-simplices: the one quadrature
     kernel behind every de Rham map.
 
-    corners: (N, k+1, 2); the vertex order of each row is its orientation.
+    corners: x and y planes (2, k+1, N); the corner order of each simplex
+    is its orientation.
     k = 0 takes point values, k = 1 a Gauss-Legendre rule along each segment
     applied to (P, Q) . t, and k = 2 the collapsed triangle rule times the
     signed determinant of the edge vectors.  The rule is sized to the
@@ -559,8 +559,8 @@ def _integrate_simplices(form: PolyForm, corners: np.ndarray) -> np.ndarray:
         rule = triangle_rule(max(form.poly_degree, 2))
     # point values are a one-point evaluation
     xi = rule.points.reshape(len(rule.weights), k) if k else np.zeros((1, 0))
-    n, step = len(corners), max(1, _CHUNK_POINTS // len(xi))
-    cx, cy = corners.T  # (k+1, N) planes
+    n, step = corners.shape[-1], max(1, _CHUNK_POINTS // len(xi))
+    cx, cy = corners
     ex, ey = cx[1:] - cx[0], cy[1:] - cy[0]  # edge vectors from corner 0
     out = np.empty((n, len(xi)))
     for lo in range(0, n, step):
@@ -578,7 +578,7 @@ def _integrate_simplices(form: PolyForm, corners: np.ndarray) -> np.ndarray:
         return out[:, 0]
     if k == 1:
         return out @ rule.weights
-    return (ex[0] * ey[1] - ey[0] * ex[1]) * (out @ rule.weights)
+    return _cross(cx, cy) * (out @ rule.weights)
 
 
 # ---------------------------------------------------------------------------
@@ -594,7 +594,7 @@ def de_rham(K: SimplicialComplex, form: PolyForm) -> np.ndarray:
     orientation of the ascending vertex tuple.  Quadrature is sized to the
     polynomial degree, so values are exact up to roundoff.
     """
-    return _integrate_simplices(form, _planes(K.vertices, K.simplices(form.degree)).T)
+    return _integrate_simplices(form, _planes(K.vertices, K.simplices(form.degree)))
 
 
 def de_rham_dual(
@@ -616,18 +616,16 @@ def de_rham_dual(
     m = form.degree
     c = dual.centers
     if m == 0:
-        return dual.tri_orientation * _integrate_simplices(form, c[2][:, None, :])
-    vertex, edge, coords, area = _flags(K, c)
+        return dual.tri_orientation * _integrate_simplices(form, c[2].T[:, None])
+    vertex, edge, corners, area = _flags(K, c)
     if m == 1:
-        owner, cells = edge[::2], coords[::2, 1:]
-        # +1 where the dual segment runs along the +90-degree rotation of e
-        tang = np.diff(K.vertices[K.simplices(1)[owner]], axis=1)[:, 0]
-        sign = np.sign(_cross2(tang, cells[:, 1] - cells[:, 0]))
+        # the segment [c(e), c(T)] runs along the +90-degree rotation of
+        # e = [a, b] where the flag [a, c(e), c(T)] turns counterclockwise
+        owner, cells, sign = edge[::2], corners[:, 1:, ::2], np.sign(area[::2])
     else:
-        owner, cells = vertex, coords
         # the kernel signs each flag integral by its vertex order; multiply
         # that sign back out (|integral| would also drop the form's sign)
-        sign = np.sign(area)
+        owner, cells, sign = vertex, corners, np.sign(area)
     out = np.zeros(K.n_simplices(2 - m))
     np.add.at(out, owner, sign * _integrate_simplices(form, cells))
     return out

@@ -42,8 +42,8 @@ from __future__ import annotations
 import numpy as np
 import scipy.sparse as sp
 
-from .complex import SimplicialComplex, _planes
-from .dual import _cotangent_stars, _cross2
+from .complex import SimplicialComplex, _cross, _planes
+from .dual import _cotangent_stars
 from .meshes import _Grid, _vid, symmetric_mesh
 from .operators import dec_system
 
@@ -59,28 +59,36 @@ _PAIRS = np.array([[0, 1], [0, 2], [1, 2]])  # K.cell_edges' local order
 _CYCLE = {0: (2, 1), 1: (2, 1), 2: (1, 2)}
 
 
-def grid_level(K: SimplicialComplex) -> int | None:
-    """m when K has the vertex count and cell table of the level-m grid
-    (either family, whatever the vertex positions), else None."""
+def _grid(K: SimplicialComplex) -> _Grid | None:
+    """The lattice of the level-m grid when K has its vertex count and cell
+    table (either family, whatever the vertex positions), else None."""
     nv = K.n_simplices(0)
     n = int(round((np.sqrt(8.0 * nv + 1.0) - 3.0) / 2.0))
     if n < 2 or n & (n - 1) or (n + 1) * (n + 2) // 2 != nv or K.n_simplices(2) != n * n:
         return None
-    return n.bit_length() - 1 if np.array_equal(K.simplices(2), _Grid(n).tri) else None
+    grid = _Grid(n)
+    return grid if np.array_equal(K.simplices(2), grid.tri) else None
 
 
-def _levels(M: sp.csr_matrix, vertices: np.ndarray, m: int, k: int):
-    """(A, Ps) on the level-m grid with these vertex coordinates: M and the
-    operators of levels m-1, ..., 3, and the transfers P_k into levels m,
-    ..., 4, finest first.  Each step builds P_k, gathers the coarse vertices
-    and takes the coarse operator: Galerkin P^T A P at k = 0 and 2, at k = 1
-    the grid's own DEC system from those vertices' cotangent stars; None if
-    a vertex star S0 there is not positive."""
-    fine, x, A, Ps = _Grid(2**m), vertices, [M], []
+def grid_level(K: SimplicialComplex) -> int | None:
+    """m when K is the level-m grid (_grid), else None."""
+    return None if (grid := _grid(K)) is None else grid.n.bit_length() - 1
+
+
+def _levels(M: sp.csr_matrix, K: SimplicialComplex, k: int):
+    """(A, Ps) on the level-m grid K: M and the operators of levels m-1, ...,
+    3, and the transfers P_k into levels m, ..., 4, finest first.  Each step
+    builds P_k, gathers the coarse vertices and takes the coarse operator:
+    Galerkin P^T A P at k = 0 and 2, at k = 1 the grid's own DEC system from
+    those vertices' cotangent stars.  None if K is not a grid (_grid) or a
+    vertex star S0 there is not positive.  It recognises the grid itself, so
+    the fine lattice is freed once the walk leaves it (3.3 MB at level 8)."""
+    fine, x, A, Ps = _grid(K), K.vertices, [M], []
+    if fine is None:
+        return None
     if k == 2:
-        d = x[fine.tri[:, 1:]] - x[fine.tri[:, :1]]
-        area = np.abs(_cross2(d[:, 0], d[:, 1])) / 2
-    for level in range(m - 1, 2, -1):  # the coarse level, down to 3
+        area = np.abs(_cross(*_planes(x, fine.tri))) / 2
+    for level in range(fine.n.bit_length() - 2, 2, -1):  # the coarse level, down to 3
         coarse = _Grid(2**level)
         corner = np.stack([coarse.r[coarse.tri], coarse.j[coarse.tri]], axis=-1)
         point = _vid(fine.n, *np.moveaxis(corner[:, _A] + corner[:, _B], -1, 0))
@@ -92,7 +100,7 @@ def _levels(M: sp.csr_matrix, vertices: np.ndarray, m: int, k: int):
             # x and y planes, coarse triangles innermost: (corner, T) and (edge, T)
             px, py = _planes(x, point[:, :3])
             ex, ey = (p[[2, 0, 1]] - p[[1, 2, 0]] for p in (px, py))  # edge opposite each corner
-            cross = ex[2] * -ey[1] - ey[2] * -ex[1]
+            cross = _cross(px, py)
             gx, gy = -ey / cross, ex / cross  # grad lam at each corner
             dx, dy = _planes(x, head) - _planes(x, tail)
             g = gx * dx[:, None] + gy * dy[:, None]  # (edge, corner, T)
@@ -135,10 +143,9 @@ def multigrid_cycle(M: sp.csr_matrix, K: SimplicialComplex, k: int):
     """One multigrid cycle for M, the degree-k system on the grid mesh K
     (V(2,2) at k = 0 and 1, W(1,1) at k = 2), as a function r -> z
     approximating M^+ r (on a grid of level 3 or below it is M^+ itself, a
-    dense pseudo-inverse); None when K is not a grid (grid_level) or a
+    dense pseudo-inverse); None when K is not a grid (_grid) or a
     coarse k = 1 grid has a vertex star that is not positive."""
-    m = grid_level(K)
-    if m is None or (levels := _levels(M, K.vertices, m, k)) is None:
+    if (levels := _levels(M, K, k)) is None:
         return None
     A, Ps = levels
     smoothers = []

@@ -23,11 +23,15 @@ from declab import (
     triangle_rule,
 )
 from declab import forms, meshes
-from declab.dual import _cross2
 from declab.meshes import _Grid, _vid
 from declab.multigrid import _A, _B, _EDGES, _LAM, _PAIRS, _TRIANGLES
 
 _MASK64 = (1 << 64) - 1
+
+
+def _cross2(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """z-component of the cross product of stacked planar vectors (..., 2)."""
+    return a[..., 0] * b[..., 1] - a[..., 1] * b[..., 0]
 
 
 def codifferential_matrix_stencil(
@@ -154,6 +158,20 @@ def circum_bary_stacked(pts: np.ndarray) -> np.ndarray:
         d2 = ((pts[:, [1, 0, 0]] - pts[:, [2, 2, 1]]) ** 2).sum(axis=2)
         w = d2 * (d2.sum(axis=1, keepdims=True) - 2.0 * d2)
         return w / w.sum(axis=1, keepdims=True)
+
+
+def flags_stacked(K: SimplicialComplex, centers: list[np.ndarray]):
+    """The 6T flag triangles [v, c(e), c(T)] of `dual._flags` as (6T, 3, 2)
+    stacks: the vertex and edge index of each flag, its rows and its area,
+    signed by the orientation of the rows."""
+    edge = np.repeat(K.cell_edges.reshape(-1), 2)
+    vertex = K.simplices(1)[K.cell_edges.reshape(-1)].reshape(-1)
+    coords = np.empty((len(edge), 3, 2))
+    coords[:, 0] = centers[0][vertex]
+    coords[:, 1] = centers[1][edge]
+    coords[:, 2] = np.repeat(centers[2], 6, axis=0)
+    area = 0.5 * _cross2(coords[:, 1] - coords[:, 0], coords[:, 2] - coords[:, 0])
+    return vertex, edge, coords, area
 
 
 def cotangent_stars_stacked(x: np.ndarray, K: SimplicialComplex):

@@ -25,14 +25,24 @@ from declab import (
     build_complex,
     build_dual,
     check_centroid_condition,
+    de_rham_dual,
     is_well_centered,
+    manufactured_solution,
     star_inverse_matrix,
     symmetric_mesh,
     perturbed_mesh,
     well_centered_margin,
 )
-from declab.dual import _cotangent_stars, _flags, _triangle_circum_bary, triangle_circumcenters
-from oracles import circum_bary_stacked, cotangent_stars_stacked, diamond_volumes, exact_stars
+from declab.dual import _cotangent_stars, _flags, _triangle_circum_bary
+from declab.forms import _integrate_simplices
+from oracles import (
+    _cross2,
+    circum_bary_stacked,
+    cotangent_stars_stacked,
+    diamond_volumes,
+    exact_stars,
+    flags_stacked,
+)
 
 SQRT3 = np.sqrt(3.0)
 EQ_TRI = np.array([[0.0, 0.0], [1.0, 0.0], [0.5, SQRT3 / 2]])
@@ -49,18 +59,18 @@ def test_circumcenter_of_edge_is_midpoint():
 
 
 def test_circumcenter_of_equilateral_triangle():
-    centers, bary = triangle_circumcenters(EQ_TRI[None])
+    centers = build_dual(build_complex(EQ_TRI, [[0, 1, 2]])).centers[2]
     np.testing.assert_allclose(centers[0], [0.5, SQRT3 / 6], rtol=1e-14, atol=1e-15)
-    np.testing.assert_allclose(bary[0], 1.0 / 3.0, rtol=1e-14)
+    np.testing.assert_allclose(_triangle_circum_bary(*EQ_TRI.T), 1.0 / 3.0, rtol=1e-14)
 
 
 def test_circumcenter_of_right_triangle_on_hypotenuse():
     pts = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
-    centers, bary = triangle_circumcenters(pts[None])
-    np.testing.assert_allclose(centers[0], [0.5, 0.5], atol=1e-15)
+    bary = _triangle_circum_bary(*pts.T)
+    np.testing.assert_allclose(bary @ pts, [0.5, 0.5], atol=1e-15)
     # ... with a zero barycentric weight on the right-angle vertex, which is
     # why the right triangle is not well-centered
-    assert abs(bary[0, 0]) <= 1e-15
+    assert abs(bary[0]) <= 1e-15
     K = build_complex(pts, [[0, 1, 2]])
     ok, offenders = is_well_centered(K)
     assert not ok
@@ -85,7 +95,7 @@ def test_circumcenter_equidistance_random_triangles():
     rng = np.random.default_rng(3)
     pts = rng.uniform(-2.0, 2.0, size=(50, 3, 2))
     diam = np.linalg.norm(pts[:, :, None] - pts[:, None], axis=-1).max(axis=(1, 2))
-    centers, _ = triangle_circumcenters(pts)
+    centers = np.einsum("im,min->mn", _triangle_circum_bary(*pts.T), pts)
     r = np.linalg.norm(pts - centers[:, None], axis=-1)
     assert (r.max(axis=1) - r.min(axis=1) <= 1e-10 * diam).all()
 
@@ -165,15 +175,35 @@ def test_circumcenter_kernels_on_planes_match_the_stacked_formula_bit_for_bit(K)
     pts = K.vertices[K.simplices(2)]
     want = circum_bary_stacked(pts)
     assert _same_bits(_triangle_circum_bary(*pts.T).T, want)
-    centers, bary = triangle_circumcenters(pts)
-    assert _same_bits(bary, want)
-    assert _same_bits(centers, np.einsum("mi,min->mn", want, pts))
+    assert _same_bits(build_dual(K).centers[2], np.einsum("mi,min->mn", want, pts))
 
 
 @STACKED
 def test_cotangent_stars_on_planes_match_the_stacked_formula_bit_for_bit(K):
     for got, want in zip(_cotangent_stars(K.vertices, K), cotangent_stars_stacked(K.vertices, K)):
         assert _same_bits(got, want)
+
+
+@pytest.mark.parametrize(
+    "K", [symmetric_mesh(4), perturbed_mesh(4, 1)], ids=["symmetric-4", "perturbed-4-1"]
+)
+def test_flag_planes_match_the_stacked_formula_bit_for_bit(K):
+    dual = build_dual(K)
+    vertex, edge, corners, area = _flags(K, dual.centers)
+    want_vertex, want_edge, rows, want_area = flags_stacked(K, dual.centers)
+    assert _same_bits(vertex, want_vertex) and _same_bits(edge, want_edge)
+    assert _same_bits(corners.T, rows)
+    assert _same_bits(area, want_area)
+    # the m = 1 dual de Rham map runs each segment [c(e), c(T)] along the
+    # +90-degree rotation of the tangent of e, and gives the stacked sums
+    owner, segments = want_edge[::2], rows[::2, 1:]
+    tangent = np.diff(K.vertices[K.simplices(1)[owner]], axis=1)[:, 0]
+    sign = np.sign(_cross2(tangent, segments[:, 1] - segments[:, 0]))
+    assert (sign == np.sign(area[::2])).all() and (sign != 0).all()
+    u, _ = manufactured_solution(1)
+    want = np.zeros(K.n_simplices(1))
+    np.add.at(want, owner, sign * _integrate_simplices(u, segments.T))
+    assert _same_bits(de_rham_dual(K, dual, u), want)
 
 
 def test_dual_complex_keeps_only_the_arrays_that_define_the_dual():

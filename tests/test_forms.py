@@ -52,6 +52,7 @@ from declab import (
     triangle_rule,
 )
 from declab import forms as forms_module
+from declab.complex import _planes
 from oracles import dense_barycentric_horner, integrate_over_simplex
 
 SQRT3 = np.sqrt(3.0)
@@ -742,12 +743,12 @@ def _kernel_bytes(monkeypatch, chunk, fn, *args):
 @pytest.mark.parametrize("k", [0, 1, 2])
 def test_multi_chunk_kernel_is_bit_identical_to_one_chunk(k, monkeypatch):
     K = perturbed_mesh(4, seed=2)
-    corners = K.vertices[K.simplices(k)]
+    corners = _planes(K.vertices, K.simplices(k))
     kernel = forms_module._integrate_simplices
     # 101 is prime and every rule here has 1 to 72 points, so a 1000-point
     # chunk holds 2 to 100 simplices and the last chunk is always shorter;
     # the stretched copy mixes points in the domain and off it in a chunk
-    for cells in (corners, corners[:101], 1.5 * corners[:101] - 0.25):
+    for cells in (corners, corners[..., :101], 1.5 * corners[..., :101] - 0.25):
         for form in _kernel_forms(k):
             serial = _kernel_bytes(monkeypatch, ONE_CHUNK, kernel, form, cells)
             for chunk in (1, 1000):
@@ -756,16 +757,16 @@ def test_multi_chunk_kernel_is_bit_identical_to_one_chunk(k, monkeypatch):
 
 @pytest.mark.parametrize("k", [0, 1, 2])
 def test_kernel_values_follow_their_simplices_through_any_corner_layout(k):
-    """The kernel reads its corners as x and y planes, transposed from the
-    (N, k+1, 2) stack: a reversed view gives the reversed values and a
+    """The kernel reads its corners as x and y planes (2, k+1, N): a view
+    with the simplices reversed gives the reversed values and a
     Fortran-ordered copy the same values, bit for bit.  At level 6 the
     reversal moves every chunk boundary of the k = 1 and k = 2 rules."""
     K = perturbed_mesh(6, seed=1)
-    corners = K.vertices[K.simplices(k)]
+    corners = _planes(K.vertices, K.simplices(k))
     kernel = forms_module._integrate_simplices
     for form in _kernel_forms(k):
         values = kernel(form, corners)
-        assert kernel(form, corners[::-1]).tobytes() == values[::-1].tobytes()
+        assert kernel(form, corners[..., ::-1]).tobytes() == values[::-1].tobytes()
         assert kernel(form, np.asfortranarray(corners)).tobytes() == values.tobytes()
 
 
@@ -778,7 +779,7 @@ def test_kernel_evaluates_a_shared_component_once_per_chunk(monkeypatch):
     monkeypatch.setattr(forms_module, "_CHUNK_POINTS", 1000)
     K = perturbed_mesh(4, seed=1)
     u, _ = manufactured_solution(1)
-    forms_module._integrate_simplices(u, K.vertices[K.simplices(1)])
+    forms_module._integrate_simplices(u, _planes(K.vertices, K.simplices(1)))
     assert calls == [u.components[0]] * math.ceil(K.n_simplices(1) / (1000 // 8))
 
 

@@ -137,10 +137,10 @@ def test_grid_level_rejects_a_non_grid_mesh():
 # -- transfers ----------------------------------------------------------------
 
 
-def _transfers(K, m: int, k: int):
-    """The transfers P_k of the level-m grid K, from _levels on the
-    identity: they depend on the vertices alone, not on the operator."""
-    return _levels(sp.identity(K.n_simplices(k), format="csr"), K.vertices, m, k)[1]
+def _transfers(K, k: int):
+    """The transfers P_k of the grid K, from _levels on the identity: they
+    depend on the vertices alone, not on the operator."""
+    return _levels(sp.identity(K.n_simplices(k), format="csr"), K, k)[1]
 
 
 def _edge_cochain(K, w):
@@ -152,7 +152,7 @@ def _edge_cochain(K, w):
 def test_transfers_map_constant_forms_exactly(k):
     m = 5
     K = perturbed_mesh(m, 2, 0.3)
-    Ps = _transfers(K, m, k)
+    Ps = _transfers(K, k)
     assert len(Ps) == m - 3
     for level, P in zip(range(m, 3, -1), Ps):
         coarse, fine = _on_level(K, m, level - 1), _on_level(K, m, level)
@@ -170,7 +170,7 @@ def test_transfers_map_constant_forms_exactly(k):
 def test_transfers_commute_with_the_coboundary(k):
     m = 5
     K = symmetric_mesh(m)
-    lower, upper = _transfers(K, m, k), _transfers(K, m, k + 1)
+    lower, upper = _transfers(K, k), _transfers(K, k + 1)
     for level, P, Q in zip(range(m, 3, -1), lower, upper):
         D_fine = _on_level(K, m, level).coboundary_matrix(k)
         D_coarse = _on_level(K, m, level - 1).coboundary_matrix(k)
@@ -186,7 +186,7 @@ def test_transfers_are_fine_de_rham_maps_of_coarse_whitney_forms(k):
     each exact for the linear and constant Whitney forms."""
     m = 5
     K = symmetric_mesh(m)
-    for level, P in zip(range(m, 3, -1), _transfers(K, m, k)):
+    for level, P in zip(range(m, 3, -1), _transfers(K, k)):
         coarse, fine = _on_level(K, m, level - 1), _on_level(K, m, level)
         # evaluate each fine simplex in the parent of a fine triangle that holds it
         cells = np.arange(fine.n_simplices(2))
@@ -215,7 +215,7 @@ def test_transfers_match_the_stacked_formula_bit_for_bit(K, k):
     """The weights, formed on x and y planes, against the same formulas on
     (T, c, 2) stacks: the superconvergent k = 1 norms sit near their gate,
     so no transfer may move by an ulp."""
-    Ps, stacked = _transfers(K, 6, k), transfers_stacked(K.vertices, 6, k)
+    Ps, stacked = _transfers(K, k), transfers_stacked(K.vertices, 6, k)
     for P, want in zip(Ps, stacked, strict=True):
         assert np.array_equal(P.indptr, want.indptr) and np.array_equal(P.indices, want.indices)
         assert P.data.tobytes() == want.data.tobytes()
@@ -225,7 +225,7 @@ def test_transfers_store_no_roundoff():
     """Whitney weights that cancel in exact arithmetic are not stored: on the
     symmetric grid a third of P_1's entries would otherwise be ~1e-15."""
     K = symmetric_mesh(7)
-    for P in _transfers(K, 7, 1):
+    for P in _transfers(K, 1):
         assert np.abs(P.data).min() >= 1e-13
 
 
@@ -236,7 +236,7 @@ def test_k1_coarse_operators_are_the_coarse_grids_own_systems():
     m = 7
     K = symmetric_mesh(m)
     M, _, _ = _system(K, 1)
-    A, _ = _levels(M, K.vertices, m, 1)
+    A, _ = _levels(M, K, 1)
     assert len(A) == m - 2
     for level, Al in zip(range(m - 1, 2, -1), A[1:]):
         want, _, _ = _system(symmetric_mesh(level), 1)
@@ -277,9 +277,9 @@ def test_cycle_declines_a_mesh_that_is_not_a_grid():
 
 @pytest.mark.parametrize("k", [0, 1, 2])
 def test_cycle_walks_the_grid_levels_once(k, monkeypatch):
-    """The cycle on the level-m grid walks its levels once: grid_level's
-    grid, the fine grid and coarse grids m-1, ..., 3 (m - 1 in all), and at
-    k = 1 the coarse symmetric meshes too (2m - 4)."""
+    """The cycle on the level-m grid walks its levels once: the fine grid it
+    recognises K by and coarse grids m-1, ..., 3 (m - 2 in all), and at
+    k = 1 the coarse symmetric meshes too (2m - 5)."""
     m = 6
     K = perturbed_mesh(m, 1)
     M, _, _ = _system(K, k)
@@ -292,7 +292,7 @@ def test_cycle_walks_the_grid_levels_once(k, monkeypatch):
 
     monkeypatch.setattr(_Grid, "__init__", counted)
     assert multigrid_cycle(M, K, k) is not None
-    assert len(built) <= (2 * m - 4 if k == 1 else m - 1)
+    assert len(built) <= (2 * m - 5 if k == 1 else m - 2)
 
 
 # -- the cycle ----------------------------------------------------------------

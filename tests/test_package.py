@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import ast
+import importlib
 import os
 import subprocess
 import sys
@@ -36,6 +37,15 @@ def test_public_api_is_pinned():
     assert sorted(declab.__all__) == PUBLIC_API
     for name in PUBLIC_API:
         getattr(declab, name)  # raises AttributeError on a dangling export
+    # each submodule's __all__ resolves and is re-exported by the package,
+    # apart from cli.main, the console script
+    for path in sorted((ROOT / "src" / "declab").glob("[!_]*.py")):
+        module = importlib.import_module(f"declab.{path.stem}")
+        for name in getattr(module, "__all__", []):
+            getattr(module, name)
+            assert (path.stem, name) == ("cli", "main") or name in declab.__all__, (
+                f"declab.{path.stem}.{name} is not re-exported by declab"
+            )
 
 
 def test_every_export_has_a_production_caller():
