@@ -18,23 +18,28 @@ Coarse operators go down to level 3, solved there by a dense
 pseudo-inverse; on a grid of level 3 or below there is no coarser level,
 and the cycle is M's own pseudo-inverse.  At k = 0 and 2 they are Galerkin
 P^T A P, which keeps the stencil (7.0 and 4.0 nonzeros per row at
-perturbed level 8, 5.8 and 3.6 at level 3).  At k = 1 Galerkin fills in
-(10.9 per row at level 8, 28.5 to 43 below; even its curl-curl half has
-23.5 on perturbed (5, 2, 0.3), 9.7 on the symmetric grid), so k = 1 takes
-each coarse grid's own DEC system, the paper's Whitney-form reading: the
-fine level's `dec_system` on that grid's coboundaries and circumcentric
-stars by the signed (cotangent) formulas of `dual._cotangent_stars`, which
-need no well-centered coarse grid.  It is positive semidefinite when every
-vertex star is positive; multigrid_cycle declines a grid where one is not,
-as it declines a mesh that is not a grid.
-The cycle's shape is fixed per degree (_CYCLE): V(2,2) at k = 0 and 1, two
-smoothing steps before and after one coarse visit, and at k = 2 the W(1,1)
-cycle, one step before and after two visits.  P_2 is piecewise constant, and
-so is its transpose; their orders sum to 2, not more, which Hemker's rule
-asks of a second-order problem, so a single coarse visit per level would
-not carry k = 2 (at perturbed (8, 1) V(2,2) takes 56 iterations against the
-W-cycle's 29).  The smoother is one degree-2 Chebyshev step on D^-1 A and
-runs as often after the coarse visits as before, so the cycle is symmetric.
+perturbed level 8, 5.8 and 3.6 at level 3), halved at k = 2.  At k = 1
+Galerkin fills in (10.9 per row at level 8, 28.5 to 43 below; even its
+curl-curl half has 23.5 on perturbed (5, 2, 0.3), 9.7 on the symmetric
+grid), so k = 1 takes each coarse grid's own DEC system, the paper's
+Whitney-form reading: the fine level's `dec_system` on that grid's
+coboundaries and circumcentric stars by the signed (cotangent) formulas of
+`dual._cotangent_stars`, which need no well-centered coarse grid.  It is
+positive semidefinite when every vertex star is positive; multigrid_cycle
+declines a grid where one is not, as it declines a mesh that is not a grid.
+
+The k = 2 system is a two-point flux scheme on the dual, with energy
+sum_e (|e| / |*e|) (jump of S_2 u across e)^2.  A coarse edge holds two
+fine edges of half its length and half its dual length, and the piecewise
+constant P_2 gives both the coarse jump, so P^T A P counts each coarse
+flux twice: on the symmetric grid it is exactly twice the coarse grid's
+own DEC system, and its correction comes back half as large (Braess's
+observation for aggregation multigrid, Computing 55, 1995).  Halved, it
+lets one cycle serve every degree: V(2,2), two smoothing steps before and
+after one coarse visit (at perturbed (8, 1), k = 2, 13 CG iterations
+against 56 unhalved).  The smoother is one degree-2 Chebyshev step on
+D^-1 A and runs as often after the coarse visit as before, so the cycle is
+symmetric.
 """
 
 from __future__ import annotations
@@ -54,9 +59,6 @@ _LAM = (np.eye(3)[_A] + np.eye(3)[_B]) / 2
 _EDGES = np.array([[0, 3], [3, 1], [0, 4], [4, 2], [1, 5], [5, 2], [3, 4], [3, 5], [4, 5]])
 _TRIANGLES = np.array([[0, 3, 4], [1, 3, 5], [2, 4, 5], [3, 4, 5]])
 _PAIRS = np.array([[0, 1], [0, 2], [1, 2]])  # K.cell_edges' local order
-# (nu, gamma) per degree: nu smoothing steps before and after gamma coarse
-# visits, V(2,2) at k = 0 and 1 and the W(1,1) cycle at k = 2
-_CYCLE = {0: (2, 1), 1: (2, 1), 2: (1, 2)}
 
 
 def _grid(K: SimplicialComplex) -> _Grid | None:
@@ -79,8 +81,8 @@ def _levels(M: sp.csr_matrix, K: SimplicialComplex, k: int):
     """(A, Ps) on the level-m grid K: M and the operators of levels m-1, ...,
     3, and the transfers P_k into levels m, ..., 4, finest first.  Each step
     builds P_k, gathers the coarse vertices and takes the coarse operator:
-    Galerkin P^T A P at k = 0 and 2, at k = 1 the grid's own DEC system from
-    those vertices' cotangent stars.  None if K is not a grid (_grid) or a
+    Galerkin P^T A P at k = 0, half of it at k = 2, at k = 1 the grid's own
+    DEC system from those vertices' cotangent stars.  None if K is not a grid (_grid) or a
     vertex star S0 there is not positive.  It recognises the grid itself, so
     the fine lattice is freed once the walk leaves it (3.3 MB at level 8)."""
     fine, x, A, Ps = _grid(K), K.vertices, [M], []
@@ -127,8 +129,8 @@ def _levels(M: sp.csr_matrix, K: SimplicialComplex, k: int):
         P.eliminate_zeros()
         Ps.append(P)
         fine, x = coarse, x[_vid(fine.n, 2 * coarse.r, 2 * coarse.j)]
-        if k != 1:
-            A.append((P.T @ A[-1] @ P).tocsr())
+        if k != 1:  # a piecewise-constant P_2 counts each coarse flux twice
+            A.append((P.T @ A[-1] @ P).tocsr() * (0.5 if k == 2 else 1.0))
             continue
         # reference-grid topology: the star check is all the coarse x must pass
         K = symmetric_mesh(level)
@@ -140,11 +142,11 @@ def _levels(M: sp.csr_matrix, K: SimplicialComplex, k: int):
 
 
 def multigrid_cycle(M: sp.csr_matrix, K: SimplicialComplex, k: int):
-    """One multigrid cycle for M, the degree-k system on the grid mesh K
-    (V(2,2) at k = 0 and 1, W(1,1) at k = 2), as a function r -> z
-    approximating M^+ r (on a grid of level 3 or below it is M^+ itself, a
-    dense pseudo-inverse); None when K is not a grid (_grid) or a
-    coarse k = 1 grid has a vertex star that is not positive."""
+    """The V(2,2) multigrid cycle for M, the degree-k system on the grid
+    mesh K, as a function r -> z approximating M^+ r (on a grid of level 3
+    or below it is M^+ itself, a dense pseudo-inverse); None when K is not a
+    grid (_grid) or a coarse k = 1 grid has a vertex star that is not
+    positive."""
     if (levels := _levels(M, K, k)) is None:
         return None
     A, Ps = levels
@@ -163,17 +165,17 @@ def multigrid_cycle(M: sp.csr_matrix, K: SimplicialComplex, k: int):
     restrictions = [P.T.tocsr() for P in Ps]
     for R in restrictions:
         R.sort_indices()
-    levels = (A, Ps, restrictions, smoothers, coarse_inv, _CYCLE[k])
+    levels = (A, Ps, restrictions, smoothers, coarse_inv)
     if k == 0:  # M^+ maps into the range of M, the vectors that sum to zero
         return lambda r: (z := _visit(levels, 0, r)) - z.mean()
     return lambda r: _visit(levels, 0, r)
 
 
 def _visit(levels, level: int, b: np.ndarray) -> np.ndarray:
-    """The cycle from `level` down applied to b: nu smoothing steps, gamma
-    coarse visits, nu smoothing steps; not a closure, which would call
+    """V(2,2) from `level` down applied to b: two smoothing steps, one
+    coarse visit, two smoothing steps; not a closure, which would call
     itself and keep the levels alive in a reference cycle."""
-    A, Ps, restrictions, smoothers, coarse_inv, (nu, gamma) = levels
+    A, Ps, restrictions, smoothers, coarse_inv = levels
     if level == len(Ps):
         return coarse_inv @ b
     Al, (inv_d, c0, c1) = A[level], smoothers[level]
@@ -182,13 +184,8 @@ def _visit(levels, level: int, b: np.ndarray) -> np.ndarray:
         return inv_d * (c0 * r + c1 * (Al @ (inv_d * r)))
 
     x = smooth(b)
-    for _ in range(nu - 1):
-        x += smooth(b - Al @ x)
-    rc = restrictions[level] @ (b - Al @ x)
-    e = _visit(levels, level + 1, rc)
-    for _ in range(gamma - 1):
-        e += _visit(levels, level + 1, rc - A[level + 1] @ e)
-    x += Ps[level] @ e
-    for _ in range(nu):
-        x += smooth(b - Al @ x)
+    x += smooth(b - Al @ x)
+    x += Ps[level] @ _visit(levels, level + 1, restrictions[level] @ (b - Al @ x))
+    x += smooth(b - Al @ x)
+    x += smooth(b - Al @ x)
     return x

@@ -55,14 +55,15 @@ def test_convergence_solver_failure_exit_code(capsys):
     assert "solver failure" in capsys.readouterr().err
 
 
-def test_convergence_csv_does_not_depend_on_the_blas_thread_count():
+@pytest.mark.parametrize("k", ["1", "2"])
+def test_convergence_csv_does_not_depend_on_the_blas_thread_count(k):
     """A threaded BLAS dot product splits its sum by thread and rounds
     differently, so no reduction behind a reported norm goes through BLAS:
     the CSV under one and two threads is the same but for wall_time.  (On a
     one-core host OpenBLAS runs one thread either way.)"""
     src = str(Path(declab.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    command = [sys.executable, "-m", "declab.cli", "convergence", "--k", "1",
+    command = [sys.executable, "-m", "declab.cli", "convergence", "--k", k,
                "--family", "symmetric", "--levels", "7", "--format", "csv"]
     runs = [
         subprocess.Popen(command, stdout=subprocess.PIPE, text=True,
