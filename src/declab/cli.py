@@ -17,6 +17,8 @@ writes a mesh file, so an unwritable --out is a mesh-file failure there).
 from __future__ import annotations
 
 import argparse
+import errno
+import os
 import sys
 
 import numpy as np
@@ -106,10 +108,33 @@ def _emit(text: str, out: str | None) -> None:
         sys.stdout.write(text)
 
 
+def _check_out(out: str | None) -> None:
+    """Raise _emit's error for an --out that open() would refuse (a
+    directory, a file without write permission, a new file whose directory
+    is missing or not writable), creating and truncating nothing."""
+    if not out:
+        return
+    parent = os.path.dirname(out) or "."
+    if os.path.isdir(out):
+        code = errno.EISDIR
+    elif os.path.exists(out):
+        code = None if os.access(out, os.W_OK) else errno.EACCES
+    elif not os.path.exists(parent):
+        code = errno.ENOENT
+    elif not os.path.isdir(parent):
+        code = errno.ENOTDIR
+    else:
+        code = None if os.access(parent, os.W_OK | os.X_OK) else errno.EACCES
+    if code is not None:
+        exc = OSError(code, os.strerror(code), out)
+        raise ValueError(f"cannot write output: {exc}")
+
+
 # -- subcommands -------------------------------------------------------------
 
 
 def _cmd_convergence(args: argparse.Namespace) -> int:
+    _check_out(args.out)  # before the study, which may run for minutes
     report = run_convergence(
         k=args.k,
         family=args.family,

@@ -459,6 +459,13 @@ def manufactured_solution(k: int) -> tuple[PolyForm, PolyForm]:
     boundary, so p (as a k-form: p, p dx + p dy, or p dx ^ dy) satisfies
     both natural and essential boundary conditions of the Hodge
     Laplacian.  Returns (u, f) with f = L u (degree 13).
+
+    L acts componentwise on the flat frame dx, dy, dx ^ dy, so f is
+    g = L p in the frame of u: g, g dx + g dy or g dx ^ dy, with g built
+    once and shared by both slots at k = 1, where the de Rham map then
+    evaluates it once per point.  At k = 0 and 2 this is hodge_laplacian(u)
+    coefficient for coefficient; at k = 1 hodge_laplacian(u) differs from it
+    only in the rounding of the longdouble coefficients.
     """
     if k not in (0, 1, 2):
         raise ValueError(f"no {k}-forms in the plane")
@@ -469,13 +476,9 @@ def manufactured_solution(k: int) -> tuple[PolyForm, PolyForm]:
     lam2 = x - inv_sqrt3 * y
     lam3 = (2.0 * inv_sqrt3) * y
     p = (lam1 * lam2 * lam3) ** 5 * 1.0e8
-    if k == 0:
-        u = PolyForm(0, (p,))
-    elif k == 1:
-        u = PolyForm(1, (p, p))
-    else:
-        u = PolyForm(2, (p,))
-    return u, hodge_laplacian(u)
+    (g,) = hodge_laplacian(PolyForm(0, (p,))).components
+    slots = (p, p) if k == 1 else (p,)
+    return PolyForm(k, slots), PolyForm(k, (g,) * len(slots))
 
 
 # ---------------------------------------------------------------------------

@@ -174,18 +174,32 @@ def multigrid_cycle(M: sp.csr_matrix, K: SimplicialComplex, k: int):
 def _visit(levels, level: int, b: np.ndarray) -> np.ndarray:
     """V(2,2) from `level` down applied to b: two smoothing steps, one
     coarse visit, two smoothing steps; not a closure, which would call
-    itself and keep the levels alive in a reference cycle."""
+    itself and keep the levels alive in a reference cycle.  The vector
+    operations write into three arrays made once per visit, in the order
+    of x = smooth(b); x += smooth(b - A x) and so on, so the bits are
+    those of the plain expressions; only the sparse products allocate."""
     A, Ps, restrictions, smoothers, coarse_inv = levels
     if level == len(Ps):
         return coarse_inv @ b
     Al, (inv_d, c0, c1) = A[level], smoothers[level]
+    x, r, s = np.empty_like(b), np.empty_like(b), np.empty_like(b)
 
-    def smooth(r):
-        return inv_d * (c0 * r + c1 * (Al @ (inv_d * r)))
+    def smooth(v, out):
+        """out = inv_d * (c0 v + c1 A (inv_d v)), the degree-2 Chebyshev step."""
+        np.multiply(inv_d, v, out=out)
+        q = Al @ out
+        q *= c1
+        np.multiply(c0, v, out=out)
+        out += q
+        out *= inv_d
+        return out
 
-    x = smooth(b)
-    x += smooth(b - Al @ x)
-    x += Ps[level] @ _visit(levels, level + 1, restrictions[level] @ (b - Al @ x))
-    x += smooth(b - Al @ x)
-    x += smooth(b - Al @ x)
+    def residual():
+        return np.subtract(b, Al @ x, out=r)
+
+    smooth(b, x)
+    x += smooth(residual(), s)
+    x += Ps[level] @ _visit(levels, level + 1, restrictions[level] @ residual())
+    x += smooth(residual(), s)
+    x += smooth(residual(), s)
     return x

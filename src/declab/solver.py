@@ -83,7 +83,13 @@ def cg_solve(
 
     precondition maps a residual r to B r, B symmetric and positive on the
     range of M; None means Jacobi.  Deterministic: fixed reduction order,
-    whatever the BLAS thread count, and no randomness.
+    whatever the BLAS thread count, and no randomness.  M's symmetry is
+    checked to 1e-12 of its largest entry, unless M is the very matrix
+    that ``operators.dec_system`` built and marked symmetric by
+    construction, as ``solve_problem``'s system is (the check costs it
+    20-27 ms and a transient M - M^T of about 40 MB at perturbed k = 1,
+    h = 2^-8).  A copy of that matrix, or one derived from it, is checked;
+    the marked matrix itself must not be edited in place.
 
     Raises
     ------
@@ -105,7 +111,8 @@ def cg_solve(
         raise ValueError(f"right-hand side shape {b.shape} != ({n},)")
     if not np.isfinite(b).all():
         raise ValueError("right-hand side has non-finite entries")
-    _check_symmetry(M)
+    if not getattr(M, "_symmetric_by_construction", False):
+        _check_symmetry(M)
 
     max_iterations = cfg.max_iterations
     if max_iterations is None:
@@ -133,6 +140,7 @@ def cg_solve(
 
     iterations = 0
     converged = False
+    step = np.empty(n)  # alpha p, then alpha q: the updates run in place
     for iterations in range(1, max_iterations + 1):
         q = M @ p
         pq = _dot(p, q)
@@ -142,8 +150,8 @@ def cg_solve(
                 f"(p^T M p = {pq:.3e} at iteration {iterations})"
             )
         alpha = rho / pq
-        x += alpha * p
-        r -= alpha * q
+        x += np.multiply(alpha, p, out=step)
+        r -= np.multiply(alpha, q, out=step)
         norm_r = math.sqrt(_dot(r, r))
         history.append(norm_r)
         best = min(best, norm_r)
@@ -152,7 +160,8 @@ def cg_solve(
             break
         z = precondition(r)
         rho_new = _dot(r, z)
-        p = z + (rho_new / rho) * p
+        p *= rho_new / rho
+        p += z
         rho = rho_new
 
     if not converged:

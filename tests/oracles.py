@@ -81,6 +81,51 @@ def hodge_laplacian_matrix(
     return L.tocsr()
 
 
+def dec_system_by_star_matrices(K: SimplicialComplex, stars, k: int) -> sp.csr_matrix:
+    """S_k L_k as products with diagonal star matrices: G = diag(a_k) D_{k-1},
+    G diag(1 / a_{k-1}) G^T + D_k^T diag(a_{k+1}) D_k, each added to an
+    empty matrix, as the library assembled it before it scaled the
+    coboundary entries itself.  The library must match it bit for bit,
+    the order of each row's column indices included."""
+    M = sp.csr_matrix((K.n_simplices(k),) * 2)
+    if k >= 1:
+        G = sp.diags(stars[k]) @ K.coboundary_matrix(k - 1)
+        M = M + G @ sp.diags(1.0 / stars[k - 1]) @ G.T
+    if k <= K.dim - 1:
+        D = K.coboundary_matrix(k)
+        M = M + D.T @ sp.diags(stars[k + 1]) @ D
+    return M.tocsr()
+
+
+def codifferential_by_star_matrices(
+    K: SimplicialComplex, dual: DualComplex, k: int
+) -> sp.csr_matrix:
+    """delta_k = diag(1 / a_{k-1}) (D_{k-1}^T diag(a_k)) by sparse products."""
+    a = dual.hodge_ratio_a
+    Dt = K.coboundary_matrix(k - 1).T.tocsr()
+    return (sp.diags(1.0 / a[k - 1], format="csr") @ (Dt @ sp.diags(a[k], format="csr"))).tocsr()
+
+
+def visit_allocating(levels, level: int, b: np.ndarray) -> np.ndarray:
+    """The V(2,2) cycle of multigrid._visit written as plain expressions,
+    one new array per operation; the in-place cycle must match it bit for
+    bit."""
+    A, Ps, restrictions, smoothers, coarse_inv = levels
+    if level == len(Ps):
+        return coarse_inv @ b
+    Al, (inv_d, c0, c1) = A[level], smoothers[level]
+
+    def smooth(r):
+        return inv_d * (c0 * r + c1 * (Al @ (inv_d * r)))
+
+    x = smooth(b)
+    x += smooth(b - Al @ x)
+    x += Ps[level] @ visit_allocating(levels, level + 1, restrictions[level] @ (b - Al @ x))
+    x += smooth(b - Al @ x)
+    x += smooth(b - Al @ x)
+    return x
+
+
 def discrete_inner(dual: DualComplex, k: int, u: np.ndarray, v: np.ndarray) -> float:
     """Cochain inner product [[u, v]]_k = sum a_sigma u_sigma v_sigma."""
     if len(u) != len(v):

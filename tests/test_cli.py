@@ -12,7 +12,9 @@ import numpy as np
 import pytest
 
 import declab
-from declab import build_dual, perturbed_mesh, read_mesh, star_inverse_matrix, symmetric_mesh
+from declab import (
+    SolverError, build_dual, perturbed_mesh, read_mesh, star_inverse_matrix, symmetric_mesh,
+)
 from declab.cli import main
 from declab.operators import dec_system
 from oracles import hodge_laplacian_matrix
@@ -307,6 +309,43 @@ def test_unwritable_out_is_a_one_line_error(tmp_path, capsys, command, code):
     stdout, err = capsys.readouterr()
     assert stdout == ""
     assert err.count("\n") == 1 and str(out) in err
+
+
+@pytest.mark.parametrize("where", ["missing-dir", "directory", "file-as-dir", "trailing-slash"])
+def test_convergence_checks_out_before_the_study(where, tmp_path, capsys, monkeypatch):
+    def no_study(*args, **kwargs):
+        raise AssertionError("the study ran before --out was checked")
+
+    monkeypatch.setattr("declab.cli.run_convergence", no_study)
+    (tmp_path / "file").write_text("kept")
+    out = {
+        "missing-dir": tmp_path / "missing" / "out.csv",
+        "directory": tmp_path,
+        "file-as-dir": tmp_path / "file" / "out.csv",
+        "trailing-slash": f"{tmp_path / 'new'}{os.sep}",
+    }[where]
+    assert main(["convergence", "--k", "2", "--levels", "2..7", "--out", str(out)]) == 1
+    stdout, err = capsys.readouterr()
+    assert stdout == ""
+    assert err.count("\n") == 1 and err.startswith("error: cannot write output:")
+    assert str(out) in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["file"]
+    assert (tmp_path / "file").read_text() == "kept"
+
+
+def test_convergence_out_check_creates_and_truncates_nothing(tmp_path, monkeypatch):
+    """A writable --out passes the check untouched: a study that fails
+    leaves an existing file as it was and a new path uncreated."""
+    def failing_study(*args, **kwargs):
+        raise SolverError("stop")
+
+    monkeypatch.setattr("declab.cli.run_convergence", failing_study)
+    kept, new = tmp_path / "kept.csv", tmp_path / "new.csv"
+    kept.write_text("previous table")
+    for out in (kept, new):
+        assert main(["convergence", "--k", "0", "--levels", "2", "--out", str(out)]) == 2
+    assert kept.read_text() == "previous table"
+    assert not new.exists()
 
 
 # -- packaging ----------------------------------------------------------------

@@ -35,7 +35,7 @@ from declab.dual import _cotangent_stars
 from declab.meshes import _Grid
 from declab.multigrid import _levels, _visit, grid_level, multigrid_cycle
 from declab.operators import dec_system
-from oracles import hodge_laplacian_matrix, transfers_stacked, whitney_evaluate
+from oracles import hodge_laplacian_matrix, transfers_stacked, visit_allocating, whitney_evaluate
 
 
 def _lattice(level: int):
@@ -359,6 +359,24 @@ def test_cycle_shape_per_degree(k, visits, monkeypatch):
     cycle(rhs)
     assert len(calls) == visits
     assert sorted(set(calls)) == [0, 1, 2, 3]
+
+
+@pytest.mark.parametrize("mesh", [(6,), (6, 1)], ids=["symmetric", "perturbed"])
+@pytest.mark.parametrize("k", [0, 1, 2])
+def test_in_place_cycle_matches_the_allocating_one_bit_for_bit(mesh, k, monkeypatch):
+    """_visit writes its vector operations into its own arrays; the cycle
+    gives the bits of the same V(2,2) written as plain expressions and
+    leaves its argument alone."""
+    K = symmetric_mesh(*mesh) if len(mesh) == 1 else perturbed_mesh(*mesh)
+    dual = build_dual(K)
+    M = dec_system(K, dual.hodge_ratio_a, k)
+    r = np.random.default_rng(k).standard_normal(M.shape[0])
+    before = r.copy()
+    cycle = multigrid_cycle(M, K, k)
+    got = cycle(r)
+    assert np.array_equal(r, before)
+    monkeypatch.setattr("declab.multigrid._visit", visit_allocating)
+    assert got.tobytes() == cycle(r).tobytes()
 
 
 def test_cycle_levels_die_with_the_cycle():

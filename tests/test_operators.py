@@ -39,7 +39,9 @@ from declab import (
 )
 from declab.operators import dec_system
 from oracles import (
+    codifferential_by_star_matrices,
     codifferential_matrix_stencil,
+    dec_system_by_star_matrices,
     discrete_inner,
     hodge_laplacian_matrix as composed_laplacian,
     l2_norm_whitney,
@@ -212,6 +214,50 @@ def test_dec_system_is_the_weighted_laplacian_assembled_symmetric(mesh, k):
     scale = np.abs(M.data).max()
     assert np.abs(M.data - want.data).max() <= 1e-13 * scale
     assert abs(M - M.T).max() <= 1e-15 * scale
+
+
+@pytest.mark.parametrize("mesh", [(5,), (5, 1)], ids=["symmetric", "perturbed"])
+@pytest.mark.parametrize("k", [0, 1, 2])
+def test_dec_system_is_symmetric_to_one_rounding_per_entry(mesh, k):
+    """The stored pattern is symmetric.  At k = 0 every entry is a sum of
+    exact +-a_1 terms, so M = M^T exactly; at k = 1 and 2 an entry of
+    G S^-1 G^T is a_i / a_l * a_j rounded in one order and its mirror in
+    the other, so the two differ by at most 2 eps of their size.  Far
+    inside cg_solve's symmetry check, which allows 1e-12 of max |M|."""
+    K = symmetric_mesh(*mesh) if len(mesh) == 1 else perturbed_mesh(*mesh)
+    M = dec_system(K, build_dual(K).hodge_ratio_a, k)
+    M.sort_indices()
+    T = M.T.tocsr()
+    assert np.array_equal(M.indptr, T.indptr)
+    assert np.array_equal(M.indices, T.indices)
+    gap = np.abs(M.data - T.data)
+    if k == 0:
+        assert not gap.any()
+    assert (gap <= 2 * np.finfo(float).eps * np.abs(M.data)).all()
+
+
+@pytest.mark.parametrize("mesh", [(6,), (6, 1)], ids=["symmetric", "perturbed"])
+@pytest.mark.parametrize("k", [0, 1, 2])
+def test_star_scalings_match_the_diagonal_star_products_bit_for_bit(mesh, k):
+    """dec_system and codifferential_matrix scale the cached coboundary
+    entries by the stars: the entries, their order in each row and the row
+    pointers are those of the products with diagonal star matrices, and
+    the cached coboundaries, whose index arrays they share, stay as built."""
+    K = symmetric_mesh(*mesh) if len(mesh) == 1 else perturbed_mesh(*mesh)
+    dual = build_dual(K)
+    cached = [K.coboundary_matrix(j).copy() for j in range(2)]
+    pairs = [(dec_system(K, dual.hodge_ratio_a, k),
+              dec_system_by_star_matrices(K, dual.hodge_ratio_a, k))]
+    if k >= 1:
+        pairs.append((codifferential_matrix(K, dual, k), codifferential_by_star_matrices(K, dual, k)))
+    for got, want in pairs:
+        assert got.shape == want.shape
+        assert np.array_equal(got.indptr, want.indptr)
+        assert np.array_equal(got.indices, want.indices)
+        assert got.data.tobytes() == want.data.tobytes()
+    for j, D in enumerate(cached):
+        now = K.coboundary_matrix(j)
+        assert (now != D).nnz == 0 and np.array_equal(now.indices, D.indices)
 
 
 def test_k2_weighted_laplacian_positive_definite():

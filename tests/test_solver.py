@@ -13,10 +13,13 @@ from declab import (
     de_rham,
     build_dual,
     manufactured_solution,
+    perturbed_mesh,
+    solve_problem,
     star_matrix,
     symmetric_mesh,
 )
 from declab.multigrid import multigrid_cycle
+from declab.operators import dec_system
 from oracles import hodge_laplacian_matrix
 
 
@@ -85,6 +88,36 @@ def test_rejects_asymmetric_matrix():
     M = sp.csr_matrix(np.array([[1.0, 2.0], [0.0, 1.0]]))
     with pytest.raises(SolverError, match="not symmetric"):
         cg_solve(M, np.ones(2))
+
+
+def _refuse(M):
+    raise AssertionError("symmetry re-checked")
+
+
+@pytest.mark.parametrize("mesh", [(3,), (4, 1)], ids=["grid", "perturbed"])
+@pytest.mark.parametrize("k", [0, 1, 2])
+def test_solve_problem_does_not_recheck_the_symmetry_dec_system_builds_in(mesh, k, monkeypatch):
+    K = symmetric_mesh(*mesh) if len(mesh) == 1 else perturbed_mesh(*mesh)
+    monkeypatch.setattr("declab.solver._check_symmetry", _refuse)
+    assert solve_problem(K, build_dual(K), k)[2].residual <= 1e-12
+
+
+def test_copies_of_a_dec_system_matrix_are_checked(monkeypatch):
+    """The mark belongs to the matrix dec_system built: a copy, scaled or
+    edited, is checked like any other input."""
+    K = symmetric_mesh(2)
+    M = dec_system(K, build_dual(K).hodge_ratio_a, 1)
+    b = np.ones(M.shape[0])
+    rows = np.repeat(np.arange(M.shape[0]), np.diff(M.indptr))
+    edited = M.copy()
+    edited.data[np.flatnonzero(edited.indices != rows)[0]] += 1.0
+    with pytest.raises(SolverError, match="not symmetric"):
+        cg_solve(edited, b)
+    monkeypatch.setattr("declab.solver._check_symmetry", _refuse)
+    cg_solve(M, b)  # the marked matrix itself
+    for derived in (M.copy(), 2.0 * M, M.tocsc()):
+        with pytest.raises(AssertionError, match="re-checked"):
+            cg_solve(derived, b)
 
 
 def test_rejects_indefinite_matrix():
