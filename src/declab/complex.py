@@ -99,27 +99,22 @@ class SimplicialComplex:
         return self._coboundary[k]
 
     def _build_coboundary(self, k: int) -> sp.csr_matrix:
+        """D_k in canonical CSR: each row's faces ascend, an edge [a, b]'s
+        vertices and a triangle [a, b, c]'s edges (a, b) < (a, c) < (b, c)."""
         if k == 0:
-            edges = self._table(1)
-            ne = len(edges)
-            rows = np.repeat(np.arange(ne, dtype=np.int64), 2)
-            cols = edges.ravel()
+            faces = self._table(1)
             # boundary [a, b] = [b] - [a]
-            vals = np.tile(np.array([-1.0, 1.0]), ne)
+            signs = [-1.0, 1.0]
         else:  # k == 1
-            nt = self.n_simplices(2)
-            rows = np.repeat(np.arange(nt, dtype=np.int64), 3)
-            cols = self.cell_edges.ravel()
+            faces = self.cell_edges
             # local pair order [(0,1), (0,2), (1,2)] drops vertex 2, 1, 0:
             # signs (+1, -1, +1)
-            vals = np.tile(np.array([1.0, -1.0, 1.0]), nt)
-        mat = sp.csr_matrix(
-            (vals, (rows, cols)),
-            shape=(self.n_simplices(k + 1), self.n_simplices(k)),
+            signs = [1.0, -1.0, 1.0]
+        n, width = faces.shape
+        return sp.csr_matrix(
+            (np.tile(signs, n), faces.ravel(), np.arange(0, n * width + 1, width)),
+            shape=(n, self.n_simplices(k)),
         )
-        mat.sum_duplicates()
-        mat.sort_indices()
-        return mat
 
 
 def _planes(x: np.ndarray, cells: np.ndarray) -> np.ndarray:

@@ -182,18 +182,18 @@ def run_convergence(
     max_iterations: int | None = None,
 ) -> ConvergenceReport:
     """One convergence study: a record per level plus observed rates.
-    k, levels and the solver arguments are checked before any mesh is built."""
+    k, every level and the solver arguments are checked before any mesh is built."""
     if isinstance(k, bool) or not isinstance(k, Integral) or k not in NORM_KEYS:
         raise ValueError(f"k must be 0, 1 or 2, got {k!r}")
     SolverConfig(tol, max_iterations)  # raises on a bad tol or max_iterations
     levels = list(levels)
+    specs = [MeshFamilySpec(family=family, level=m, seed=seed, alpha=alpha) for m in levels]
     if any(a >= b for a, b in zip(levels, levels[1:])):
         raise ValueError("levels must be strictly ascending")
     report = ConvergenceReport(
         k=k, family=family, seed=seed, alpha=alpha, levels=levels
     )
-    for m in levels:
-        spec = MeshFamilySpec(family=family, level=m, seed=seed, alpha=alpha)
+    for m, spec in zip(levels, specs):
         start = time.perf_counter()
         K = build_mesh(spec)
         dual = build_dual(K)

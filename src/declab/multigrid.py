@@ -131,6 +131,7 @@ def _levels(M: sp.csr_matrix, K: SimplicialComplex, k: int):
         fine, x = coarse, x[_vid(fine.n, 2 * coarse.r, 2 * coarse.j)]
         if k != 1:  # a piecewise-constant P_2 counts each coarse flux twice
             A.append((P.T @ A[-1] @ P).tocsr() * (0.5 if k == 2 else 1.0))
+            A[-1].sum_duplicates()  # canonical, as dec_system's
             continue
         # reference-grid topology: the star check is all the coarse x must pass
         K = symmetric_mesh(level)
@@ -146,25 +147,24 @@ def multigrid_cycle(M: sp.csr_matrix, K: SimplicialComplex, k: int):
     mesh K, as a function r -> z approximating M^+ r (on a grid of level 3
     or below it is M^+ itself, a dense pseudo-inverse); None when K is not a
     grid (_grid) or a coarse k = 1 grid has a vertex star that is not
-    positive."""
+    positive.  It reads M and edits none of its arrays; the operators,
+    transfers and restrictions it builds are canonical CSR."""
     if (levels := _levels(M, K, k)) is None:
         return None
     A, Ps = levels
     smoothers = []
     for Al in A[:-1]:
         inv_d = 1.0 / Al.diagonal()
-        g = (abs(Al).sum(axis=1).A1 * inv_d).max()  # Gershgorin bound of D^-1 A
+        # Gershgorin bound of D^-1 A; abs(Al) would sort Al in place
+        g = (np.add.reduceat(np.abs(Al.data), Al.indptr[:-1]) * inv_d).max()
         # 1 - t (c0 + c1 t) is the degree-2 Chebyshev residual on [g/10, g]
         smoothers.append((inv_d, 2.2 / (0.4025 * g), -2.0 / (0.4025 * g * g)))
     w, V = np.linalg.eigh(A[-1].toarray())
     keep = w > 1e-10 * w.max()
     # numpy's own loop: a BLAS product's bits depend on its thread count
     coarse_inv = np.einsum("ik,jk->ij", V[:, keep] / w[keep], V[:, keep])
-    # P^T as CSR with sorted columns: each coarse sum runs over the fine
-    # indices in the order P.T's CSC product takes them, so bit-identical
+    # P^T as CSR, each row sorted by the conversion
     restrictions = [P.T.tocsr() for P in Ps]
-    for R in restrictions:
-        R.sort_indices()
     levels = (A, Ps, restrictions, smoothers, coarse_inv)
     if k == 0:  # M^+ maps into the range of M, the vectors that sum to zero
         return lambda r: (z := _visit(levels, 0, r)) - z.mean()

@@ -104,21 +104,20 @@ def dec_system(K: SimplicialComplex, stars, k: int) -> sp.csr_matrix:
     the star ratios (a_0, a_1, a_2): symmetric by construction.
 
     The stars scale the entries of the cached coboundaries, so the two
-    sparse products are the only ones.  They are added to an empty matrix,
-    which puts each row's column indices in the order the products of
-    diagonal star matrices gave: CG's matvec sums in that order, so the
-    bits of every solve are kept (the indices of k = 1 and 2 are not
-    sorted).  M and M^T differ by at most 2 eps of an entry, the rounding
-    of a_i / a_l * a_j in two orders; the result is marked
+    sparse products are the only ones; their sum is made canonical CSR
+    (sorted rows, no duplicates), the order CG and the smoother sum rows in.
+    M and M^T differ by at most 2 eps of an entry, the rounding of
+    a_i / a_l * a_j in two orders; the result is marked
     _symmetric_by_construction, and cg_solve does not check it again."""
-    M = sp.csr_matrix((K.n_simplices(k),) * 2)
+    products = []
     if k >= 1:
         G = _scaled(K.coboundary_matrix(k - 1), row=stars[k])
-        M = M + _scaled(G, col=1.0 / stars[k - 1]) @ G.T
+        products.append(_scaled(G, col=1.0 / stars[k - 1]) @ G.T)
     if k <= K.dim - 1:
         D = K.coboundary_matrix(k)
-        M = M + D.T @ _scaled(D, row=stars[k + 1])
-    M = M.tocsr()
+        products.append(D.T @ _scaled(D, row=stars[k + 1]))
+    M = sum(products[1:], products[0]).tocsr()
+    M.sum_duplicates()  # sorts; the products and their sum store no zeros
     M._symmetric_by_construction = True
     return M
 
@@ -126,8 +125,9 @@ def dec_system(K: SimplicialComplex, stars, k: int) -> sp.csr_matrix:
 def _scaled(D: sp.csr_matrix, row=None, col=None) -> sp.csr_matrix:
     """diag(row) D diag(col), D in CSR, as D's entries times row[i] and then
     col[j].  The result shares D's index arrays (copying them raised peak
-    memory by 14 MB at level 8), so sorting or editing either one in place
-    changes the other; the products and sums that take it do neither."""
+    memory by 14 MB at level 8), so editing either one in place changes the
+    other; the products that take it do not, and D, a cached coboundary,
+    is canonical already."""
     data = D.data
     if row is not None:
         data = data * np.repeat(row, np.diff(D.indptr))

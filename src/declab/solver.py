@@ -89,7 +89,8 @@ def cg_solve(
     construction, as ``solve_problem``'s system is (the check costs it
     20-27 ms and a transient M - M^T of about 40 MB at perturbed k = 1,
     h = 2^-8).  A copy of that matrix, or one derived from it, is checked;
-    the marked matrix itself must not be edited in place.
+    the marked matrix itself, canonical CSR whose rows the matvec sums in
+    ascending column order, must not be edited in place.
 
     Raises
     ------

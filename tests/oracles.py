@@ -85,8 +85,8 @@ def dec_system_by_star_matrices(K: SimplicialComplex, stars, k: int) -> sp.csr_m
     """S_k L_k as products with diagonal star matrices: G = diag(a_k) D_{k-1},
     G diag(1 / a_{k-1}) G^T + D_k^T diag(a_{k+1}) D_k, each added to an
     empty matrix, as the library assembled it before it scaled the
-    coboundary entries itself.  The library must match it bit for bit,
-    the order of each row's column indices included."""
+    coboundary entries itself.  Its rows come out in the products' order,
+    not sorted; the library must match its sorted form bit for bit."""
     M = sp.csr_matrix((K.n_simplices(k),) * 2)
     if k >= 1:
         G = sp.diags(stars[k]) @ K.coboundary_matrix(k - 1)
@@ -95,6 +95,16 @@ def dec_system_by_star_matrices(K: SimplicialComplex, stars, k: int) -> sp.csr_m
         D = K.coboundary_matrix(k)
         M = M + D.T @ sp.diags(stars[k + 1]) @ D
     return M.tocsr()
+
+
+def is_canonical_csr(A) -> bool:
+    """A is CSR and each row's column indices strictly ascend (sorted, no
+    duplicates), read off the index arrays rather than scipy's flags."""
+    if A.format != "csr":
+        return False
+    row_start = np.zeros(A.nnz + 1, dtype=bool)
+    row_start[A.indptr] = True
+    return bool((np.diff(A.indices) > 0)[~row_start[1:-1]].all())
 
 
 def codifferential_by_star_matrices(

@@ -205,8 +205,10 @@ def test_run_convergence_rejects_unsorted_levels():
         (5, "symmetric", [3], {}),
         (True, "symmetric", [], {}),
         (1.0, "symmetric", [3], {}),
+        (0, "symmetric", [2, 2.5], {}),
     ],
-    ids=["nan-tol", "no-iterations", "k-5-no-levels", "k-5", "k-bool", "k-float"],
+    ids=["nan-tol", "no-iterations", "k-5-no-levels", "k-5", "k-bool", "k-float",
+         "level-float-after-a-good-one"],
 )
 def test_run_convergence_rejects_bad_input_before_any_mesh(k, family, levels, options, monkeypatch):
     def no_mesh(spec):

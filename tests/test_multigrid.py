@@ -35,7 +35,13 @@ from declab.dual import _cotangent_stars
 from declab.meshes import _Grid
 from declab.multigrid import _levels, _visit, grid_level, multigrid_cycle
 from declab.operators import dec_system
-from oracles import hodge_laplacian_matrix, transfers_stacked, visit_allocating, whitney_evaluate
+from oracles import (
+    hodge_laplacian_matrix,
+    is_canonical_csr,
+    transfers_stacked,
+    visit_allocating,
+    whitney_evaluate,
+)
 
 
 def _lattice(level: int):
@@ -377,6 +383,47 @@ def test_in_place_cycle_matches_the_allocating_one_bit_for_bit(mesh, k, monkeypa
     assert np.array_equal(r, before)
     monkeypatch.setattr("declab.multigrid._visit", visit_allocating)
     assert got.tobytes() == cycle(r).tobytes()
+
+
+def _rows_reversed(M: sp.csr_matrix) -> sp.csr_matrix:
+    """M with each row's entries stored in reverse column order."""
+    row = np.repeat(np.arange(M.shape[0]), np.diff(M.indptr))
+    order = M.indptr[row] + M.indptr[row + 1] - 1 - np.arange(M.nnz)
+    return sp.csr_matrix((M.data[order], M.indices[order], M.indptr.copy()), M.shape)
+
+
+@pytest.mark.parametrize("k", [0, 1, 2])
+def test_cycle_leaves_its_matrix_untouched(k):
+    """Setting up the cycle reads M and edits none of its arrays, whether M
+    is dec_system's canonical CSR or has its rows stored unsorted."""
+    K = perturbed_mesh(5, 1)
+    M = dec_system(K, build_dual(K).hodge_ratio_a, k)
+    for A in (M, _rows_reversed(M)):
+        before = [a.tobytes() for a in (A.data, A.indices, A.indptr)]
+        assert multigrid_cycle(A, K, k) is not None
+        assert [a.tobytes() for a in (A.data, A.indices, A.indptr)] == before
+
+
+@pytest.mark.parametrize("mesh", [(6,), (6, 1)], ids=["symmetric", "perturbed"])
+@pytest.mark.parametrize("k", [0, 1, 2])
+def test_cycle_matrices_are_canonical_csr(mesh, k, monkeypatch):
+    """Every operator, transfer and restriction the cycle multiplies by is
+    canonical CSR as built: no one sorts them later."""
+    K = symmetric_mesh(*mesh) if len(mesh) == 1 else perturbed_mesh(*mesh)
+    M = dec_system(K, build_dual(K).hodge_ratio_a, k)
+    cycle = multigrid_cycle(M, K, k)
+    seen = []
+
+    def record(levels, level, b):
+        seen.append(levels)
+        return b
+
+    monkeypatch.setattr("declab.multigrid._visit", record)
+    cycle(np.zeros(M.shape[0]))
+    A, Ps, restrictions, _, _ = seen[0]
+    assert len(A) == 4 and len(Ps) == len(restrictions) == 3
+    for S in A + Ps + restrictions:
+        assert is_canonical_csr(S)
 
 
 def test_cycle_levels_die_with_the_cycle():

@@ -44,6 +44,7 @@ from oracles import (
     dec_system_by_star_matrices,
     discrete_inner,
     hodge_laplacian_matrix as composed_laplacian,
+    is_canonical_csr,
     l2_norm_whitney,
     whitney_evaluate,
 )
@@ -200,15 +201,15 @@ def test_weighted_laplacian_is_symmetric(k):
 )
 @pytest.mark.parametrize("k", [0, 1, 2])
 def test_dec_system_is_the_weighted_laplacian_assembled_symmetric(mesh, k):
-    """dec_system against S_k times the composition D delta + delta D: the
-    same entries to rounding, the same stored pattern, and symmetric to
-    rounding of its own products."""
+    """dec_system, built as canonical CSR, against S_k times the composition
+    D delta + delta D: the same entries to rounding, the same stored
+    pattern, and symmetric to rounding of its own products."""
     K = symmetric_mesh(*mesh) if len(mesh) == 1 else perturbed_mesh(*mesh)
     dual = build_dual(K)
     M = dec_system(K, dual.hodge_ratio_a, k)
     want = (star_matrix(dual, k) @ composed_laplacian(K, dual, k)).tocsr()
-    M.sort_indices()
     want.sort_indices()
+    assert is_canonical_csr(M)
     assert np.array_equal(M.indptr, want.indptr)
     assert np.array_equal(M.indices, want.indices)
     scale = np.abs(M.data).max()
@@ -226,7 +227,6 @@ def test_dec_system_is_symmetric_to_one_rounding_per_entry(mesh, k):
     inside cg_solve's symmetry check, which allows 1e-12 of max |M|."""
     K = symmetric_mesh(*mesh) if len(mesh) == 1 else perturbed_mesh(*mesh)
     M = dec_system(K, build_dual(K).hodge_ratio_a, k)
-    M.sort_indices()
     T = M.T.tocsr()
     assert np.array_equal(M.indptr, T.indptr)
     assert np.array_equal(M.indices, T.indices)
@@ -240,9 +240,9 @@ def test_dec_system_is_symmetric_to_one_rounding_per_entry(mesh, k):
 @pytest.mark.parametrize("k", [0, 1, 2])
 def test_star_scalings_match_the_diagonal_star_products_bit_for_bit(mesh, k):
     """dec_system and codifferential_matrix scale the cached coboundary
-    entries by the stars: the entries, their order in each row and the row
-    pointers are those of the products with diagonal star matrices, and
-    the cached coboundaries, whose index arrays they share, stay as built."""
+    entries by the stars: the entries, row pointers and column indices are
+    those of the products with diagonal star matrices once sorted, and the
+    cached coboundaries, whose index arrays they share, stay as built."""
     K = symmetric_mesh(*mesh) if len(mesh) == 1 else perturbed_mesh(*mesh)
     dual = build_dual(K)
     cached = [K.coboundary_matrix(j).copy() for j in range(2)]
@@ -251,6 +251,7 @@ def test_star_scalings_match_the_diagonal_star_products_bit_for_bit(mesh, k):
     if k >= 1:
         pairs.append((codifferential_matrix(K, dual, k), codifferential_by_star_matrices(K, dual, k)))
     for got, want in pairs:
+        want.sort_indices()
         assert got.shape == want.shape
         assert np.array_equal(got.indptr, want.indptr)
         assert np.array_equal(got.indices, want.indices)
