@@ -129,6 +129,12 @@ def _cross(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return (x[1] - x[0]) * (y[2] - y[0]) - (y[1] - y[0]) * (x[2] - x[0])
 
 
+def _opposite(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The edge vectors opposite each corner of triangles with corner planes
+    x and y (3, ...), running counterclockwise where the corners do."""
+    return x[[2, 0, 1]] - x[[1, 2, 0]], y[[2, 0, 1]] - y[[1, 2, 0]]
+
+
 def build_complex(vertices: np.ndarray, cells: np.ndarray) -> SimplicialComplex:
     """Build a 2-D simplicial complex from vertex coordinates and triangles.
 

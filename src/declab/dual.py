@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .complex import SimplicialComplex, _cross, _planes
+from .complex import SimplicialComplex, _cross, _opposite, _planes
 
 __all__ = [
     "is_well_centered",
@@ -53,7 +53,8 @@ def _triangle_circum_bary(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     # weights that overflow come out NaN; the well-centeredness checks
     # reject them, so the overflow is not also warned of
     with np.errstate(over="ignore", invalid="ignore"):
-        d2 = (x[[1, 0, 0]] - x[[2, 2, 1]]) ** 2 + (y[[1, 0, 0]] - y[[2, 2, 1]]) ** 2
+        ex, ey = _opposite(x, y)
+        d2 = ex**2 + ey**2
         w = d2 * ((d2[0] + d2[1] + d2[2]) - 2.0 * d2)
         return w / (w[0] + w[1] + w[2])
 
@@ -174,7 +175,7 @@ def _cotangent_stars(x: np.ndarray, K: SimplicialComplex):
     cot t2) / 8 over T's edges e1, e2 at v, |*e| / |e| = sum_T cot(t_opp) / 2,
     1 / |T|.  They are build_dual's on a well-centered mesh, exist on any."""
     px, py = _planes(x, K.simplices(2))
-    ex, ey = (p[[2, 0, 1]] - p[[1, 2, 0]] for p in (px, py))  # edge opposite each corner
+    ex, ey = _opposite(px, py)
     twice_area = np.abs(_cross(px, py))
     cot = -(ex[[1, 2, 0]] * ex[[2, 0, 1]] + ey[[1, 2, 0]] * ey[[2, 0, 1]]) / twice_area
     w = (ex**2 + ey**2) * cot / 8  # what each edge gives both its ends

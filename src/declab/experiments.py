@@ -99,6 +99,12 @@ class ConvergenceReport:
     rates: dict[str, list[float]] = field(default_factory=dict)
 
 
+def _check_degree(k) -> None:
+    """Reject a degree other than the ints 0, 1 and 2 (bools and floats too)."""
+    if isinstance(k, bool) or not isinstance(k, Integral) or k not in NORM_KEYS:
+        raise ValueError(f"k must be 0, 1 or 2, got {k!r}")
+
+
 @functools.cache
 def _manufactured_forms(k: int) -> tuple[PolyForm, PolyForm, PolyForm | None]:
     """(u, f, delta u) of the degree-k manufactured problem (delta u is None
@@ -119,6 +125,7 @@ def solve_problem(
     Returns (u_h, rho_h, solver result); rho_h is None for k = 0, where
     u_h has zero S-weighted mean.
     """
+    _check_degree(k)
     _, f, _ = _manufactured_forms(k)
     M = dec_system(K, dual.hodge_ratio_a, k)
     rhs = dual.hodge_ratio_a[k] * de_rham(K, f)
@@ -146,6 +153,7 @@ def compute_errors(
     the manufactured forms; at k = 0 the error is taken modulo constants.
     u_h must be a finite k-cochain and, for k >= 1, rho_h a finite
     (k-1)-cochain."""
+    _check_degree(k)
     u, _, delta_u = _manufactured_forms(k)
     for name, x, j in (("u_h", u_h, k), ("rho_h", rho_h, k - 1)):
         n = K.n_simplices(max(j, 0))
@@ -183,8 +191,7 @@ def run_convergence(
 ) -> ConvergenceReport:
     """One convergence study: a record per level plus observed rates.
     k, every level and the solver arguments are checked before any mesh is built."""
-    if isinstance(k, bool) or not isinstance(k, Integral) or k not in NORM_KEYS:
-        raise ValueError(f"k must be 0, 1 or 2, got {k!r}")
+    _check_degree(k)
     SolverConfig(tol, max_iterations)  # raises on a bad tol or max_iterations
     levels = list(levels)
     specs = [MeshFamilySpec(family=family, level=m, seed=seed, alpha=alpha) for m in levels]
@@ -265,6 +272,7 @@ def diagnostics(K: SimplicialComplex, dual: DualComplex, k: int) -> str:
     check, the constant-form and centered-linear-form kernels of Pi - J,
     and (for k >= 1) the commuting-interpolant residual.
     """
+    _check_degree(k)
     lines = [
         f"diagnostics for k={k} on {K.n_simplices(2)} triangles",
         f"well-centered margin: {well_centered_margin(K):.3e} "

@@ -47,7 +47,7 @@ from __future__ import annotations
 import numpy as np
 import scipy.sparse as sp
 
-from .complex import SimplicialComplex, _cross, _planes
+from .complex import SimplicialComplex, _cross, _opposite, _planes
 from .dual import _cotangent_stars
 from .meshes import _Grid, _vid, symmetric_mesh
 from .operators import dec_system
@@ -70,11 +70,6 @@ def _grid(K: SimplicialComplex) -> _Grid | None:
         return None
     grid = _Grid(n)
     return grid if np.array_equal(K.simplices(2), grid.tri) else None
-
-
-def grid_level(K: SimplicialComplex) -> int | None:
-    """m when K is the level-m grid (_grid), else None."""
-    return None if (grid := _grid(K)) is None else grid.n.bit_length() - 1
 
 
 def _levels(M: sp.csr_matrix, K: SimplicialComplex, k: int):
@@ -101,7 +96,7 @@ def _levels(M: sp.csr_matrix, K: SimplicialComplex, k: int):
             child, tail, head = fine.edge(point[:, _EDGES[:, 0]], point[:, _EDGES[:, 1]])
             # x and y planes, coarse triangles innermost: (corner, T) and (edge, T)
             px, py = _planes(x, point[:, :3])
-            ex, ey = (p[[2, 0, 1]] - p[[1, 2, 0]] for p in (px, py))  # edge opposite each corner
+            ex, ey = _opposite(px, py)
             cross = _cross(px, py)
             gx, gy = -ey / cross, ex / cross  # grad lam at each corner
             dx, dy = _planes(x, head) - _planes(x, tail)

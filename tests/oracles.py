@@ -24,7 +24,7 @@ from declab import (
 )
 from declab import forms, meshes
 from declab.meshes import _Grid, _vid
-from declab.multigrid import _A, _B, _EDGES, _LAM, _PAIRS, _TRIANGLES
+from declab.multigrid import _A, _B, _EDGES, _LAM, _PAIRS, _TRIANGLES, _grid
 
 _MASK64 = (1 << 64) - 1
 
@@ -114,6 +114,11 @@ def codifferential_by_star_matrices(
     a = dual.hodge_ratio_a
     Dt = K.coboundary_matrix(k - 1).T.tocsr()
     return (sp.diags(1.0 / a[k - 1], format="csr") @ (Dt @ sp.diags(a[k], format="csr"))).tocsr()
+
+
+def grid_level(K: SimplicialComplex) -> int | None:
+    """m when K is the level-m grid (multigrid._grid), else None."""
+    return None if (grid := _grid(K)) is None else grid.n.bit_length() - 1
 
 
 def visit_allocating(levels, level: int, b: np.ndarray) -> np.ndarray:

@@ -219,6 +219,21 @@ def test_run_convergence_rejects_bad_input_before_any_mesh(k, family, levels, op
         run_convergence(k, family, levels, **options)
 
 
+@pytest.mark.parametrize("k", [True, 1.0, "1", 3, -1], ids=repr)
+def test_every_entry_rejects_a_bad_degree(k):
+    K, dual = _mesh("symmetric", 2)
+    u_h = np.zeros(K.n_simplices(1))
+    entries = {
+        "solve_problem": lambda: solve_problem(K, dual, k),
+        "compute_errors": lambda: compute_errors(K, dual, k, u_h, np.zeros(K.n_simplices(0))),
+        "diagnostics": lambda: diagnostics(K, dual, k),
+        "run_convergence": lambda: run_convergence(k, "symmetric", [2]),
+    }
+    for name, call in entries.items():
+        with pytest.raises(ValueError, match="k must be 0, 1 or 2"):
+            call()
+
+
 def test_wall_time_includes_the_error_norms(monkeypatch):
     real = compute_errors
 

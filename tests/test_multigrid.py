@@ -33,9 +33,10 @@ from declab import (
 )
 from declab.dual import _cotangent_stars
 from declab.meshes import _Grid
-from declab.multigrid import _levels, _visit, grid_level, multigrid_cycle
+from declab.multigrid import _levels, _visit, multigrid_cycle
 from declab.operators import dec_system
 from oracles import (
+    grid_level,
     hodge_laplacian_matrix,
     is_canonical_csr,
     transfers_stacked,

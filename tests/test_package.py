@@ -48,18 +48,45 @@ def test_public_api_is_pinned():
             )
 
 
-def test_every_export_has_a_production_caller():
-    """An export that only tests and demos use belongs in tests/oracles.py."""
+def _production_reads() -> set[str]:
+    """Names and attributes that src/declab reads outside their own
+    definition; the package's re-exports are not callers."""
     used = set()
     for path in (ROOT / "src" / "declab").glob("*.py"):
         if path.name == "__init__.py":
             continue
-        for node in ast.walk(ast.parse(path.read_text())):
-            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-                used.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                used.add(node.attr)
-    assert set(declab.__all__) - used == set()
+        for top in ast.parse(path.read_text()).body:
+            reads = set()
+            for node in ast.walk(top):
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                    reads.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    reads.add(node.attr)
+            reads.discard(getattr(top, "name", None))  # recursion is not a caller
+            used |= reads
+    return used
+
+
+def test_every_export_has_a_production_caller():
+    """An export that only tests and demos use belongs in tests/oracles.py."""
+    assert set(declab.__all__) - _production_reads() == set()
+
+
+def test_every_public_function_has_a_production_caller():
+    """A public function or class of any src/declab module, exported or not,
+    that only tests use belongs in tests/oracles.py; cli.main, the console
+    script, is the one exemption."""
+    used = _production_reads()
+    uncalled = [
+        f"{path.stem}.{top.name}"
+        for path in sorted((ROOT / "src" / "declab").glob("*.py"))
+        for top in ast.parse(path.read_text()).body
+        if isinstance(top, (ast.FunctionDef, ast.ClassDef))
+        and not top.name.startswith("_")
+        and top.name not in used
+        and (path.stem, top.name) != ("cli", "main")
+    ]
+    assert uncalled == []
 
 
 @pytest.mark.parametrize("demo", sorted(p.name for p in (ROOT / "demos").glob("*.py")))

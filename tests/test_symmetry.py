@@ -19,6 +19,14 @@ positive area.  A reflection reverses it, so
 The stars depend only on lengths and areas, so they and the assembled
 system of gK are K's.
 
+The claim is about triangulations, not numberings: relabelling the
+vertices, shuffling the cells and the corners of each cell gives a complex
+whose k-simplices are K's under a signed permutation Pi_k (-1 where the
+new ascending order reverses a simplex), so every cochain and operator of
+the relabelled mesh is Pi_k times K's, and the error norms are K's.  Every
+other test sees only the lattice numbering of the mesh families, where an
+orientation slip that is consistent under that numbering would pass.
+
 g*w is written here by affine substitution with Poly2 arithmetic: with
 y = A x + b, g*p = p o g, g*(P dy1 + Q dy2) = (a11 P o g + a21 Q o g) dx
 + (a12 P o g + a22 Q o g) dy, and g*(R dy1 dy2) = det A (R o g) dx dy.
@@ -28,17 +36,23 @@ integral would fail.
 
 from __future__ import annotations
 
+import functools
+import itertools
+
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from declab import (
     Poly2,
     PolyForm,
     build_complex,
     build_dual,
+    compute_errors,
     de_rham,
     de_rham_dual,
     perturbed_mesh,
+    solve_problem,
     symmetric_mesh,
 )
 from declab.operators import dec_system
@@ -142,3 +156,58 @@ def test_stars_and_system_are_invariant_under_the_symmetries(name, mesh):
         _assert_close(g_a[k], a[k])
         M, g_M = dec_system(K, a, k), dec_system(gK, g_a, k)
         assert abs(g_M - M).max() <= 1e-13 * abs(M).max()
+
+
+# -- relabelling ----------------------------------------------------------------
+
+
+@functools.cache
+def _relabelled():
+    """Perturbed (5, 1) and the same triangulation with its vertex ids
+    permuted, its cells shuffled and each cell's corners shuffled (fixed
+    seed), their duals, and the vertex permutation old id -> new id."""
+    K = perturbed_mesh(5, 1)
+    rng = np.random.default_rng(20)
+    perm = rng.permutation(K.n_simplices(0))
+    vertices = np.empty_like(K.vertices)
+    vertices[perm] = K.vertices
+    cells = perm[K.simplices(2)][rng.permutation(K.n_simplices(2))]
+    L = build_complex(vertices, rng.permuted(cells, axis=1))
+    return K, build_dual(K), L, build_dual(L), perm
+
+
+def _signed_permutation(K, L, perm, k: int) -> sp.csr_matrix:
+    """Pi_k: entry (i, j) is +-1 where k-simplex i of L is k-simplex j of K,
+    -1 where the relabelling reverses its ascending orientation."""
+    new = perm[K.simplices(k)]
+    inversions = sum(new[:, i] > new[:, j] for i, j in itertools.combinations(range(k + 1), 2))
+    index = {tuple(s): i for i, s in enumerate(L.simplices(k).tolist())}
+    rows = [index[tuple(s)] for s in np.sort(new, axis=1).tolist()]
+    n = len(rows)
+    signs = (-1.0) ** np.broadcast_to(inversions, (n,))
+    return sp.csr_matrix((signs, (rows, np.arange(n))), shape=(n, n))
+
+
+@pytest.mark.parametrize("k", [0, 1, 2])
+def test_cochains_and_system_follow_a_relabelling(k):
+    K, dual, L, l_dual, perm = _relabelled()
+    Pi = _signed_permutation(K, L, perm, k)
+    _assert_close(de_rham(L, FORMS[k]), Pi @ de_rham(K, FORMS[k]))
+    # the dual of a k-simplex is oriented by the simplex
+    _assert_close(de_rham_dual(L, l_dual, FORMS[2 - k]), Pi @ de_rham_dual(K, dual, FORMS[2 - k]))
+    _assert_close(l_dual.hodge_ratio_a[k], np.abs(Pi) @ dual.hodge_ratio_a[k])
+    M = dec_system(K, dual.hodge_ratio_a, k)
+    l_M = dec_system(L, l_dual.hodge_ratio_a, k)
+    assert abs(l_M - Pi @ M @ Pi.T).max() <= 1e-13 * abs(M).max()
+
+
+@pytest.mark.parametrize("k", [0, 1, 2])
+def test_error_norms_do_not_depend_on_the_numbering(k):
+    """K is a grid and solves under the multigrid cycle; the relabelled mesh
+    is not recognised as one and solves by Jacobi-PCG."""
+    K, dual, L, l_dual, _ = _relabelled()
+    norms = compute_errors(K, dual, k, *solve_problem(K, dual, k)[:2])
+    l_norms = compute_errors(L, l_dual, k, *solve_problem(L, l_dual, k)[:2])
+    assert l_norms.keys() == norms.keys()
+    for key, value in norms.items():
+        assert l_norms[key] == pytest.approx(value, rel=1e-9), key
