@@ -30,7 +30,7 @@ exactly, to its coefficients in the domain's barycentric coordinates
 in [0, 1] on the domain, so nothing cancels; the homogeneous Horner on
 them runs in float64.  It skips the exact zeros of those coefficients
 (86 of p's 136), about 163 operations per point on p and 161 on f instead
-of 544 and 420, and gives the dense Horner's float64 results bit for bit.
+of 544 and 420, and every nonzero value has the dense Horner's bits.
 Against exact evaluation of the same coefficients at 300 random points of
 the domain the error is 8.0e-15 on the manufactured u (maximum 6.97) and
 1.3e-12 on f (maximum 1.25e3).  Points off the domain, which no de Rham
@@ -76,12 +76,13 @@ __all__ = [
 class Poly2:
     """Bivariate polynomial sum_{i,j} c[i, j] x^i y^j.
 
-    Coefficients are kept and combined in ``np.longdouble``; evaluation
-    runs in float64 on their exact conversion to the domain's barycentric
-    coordinates, made on first use with a plan that skips its exact zeros
-    and changes no bit of a value (see the module docstring).  Instances
-    are immutable by convention (operations return new polynomials) and
-    trailing all-zero coefficient rows/columns are trimmed on construction.
+    Coefficients are finite, kept and combined in ``np.longdouble``;
+    evaluation runs in float64 on their exact conversion to the domain's
+    barycentric coordinates, made on first use, skipping its exact zeros:
+    every nonzero value has the dense Horner's bits (see the module
+    docstring).  Instances are immutable by convention (operations return
+    new polynomials) and trailing all-zero coefficient rows/columns are
+    trimmed on construction.
     """
 
     __slots__ = ("coeffs", "_domain")
@@ -92,6 +93,8 @@ class Poly2:
             raise ValueError("coefficients must form a 2-d array")
         if c.size == 0:
             raise ValueError("coefficients must not be empty")
+        if not np.isfinite(c).all():
+            raise ValueError("coefficients must be finite")
         while c.shape[0] > 1 and not c[-1].any():
             c = c[:-1]
         while c.shape[1] > 1 and not c[:, -1].any():
@@ -205,41 +208,37 @@ class Poly2:
 
     def _domain_coeffs(self) -> np.ndarray:
         """The float64 B[a, b] of l1^a l2^b l3^(n-a-b), made on first use
-        together with what __call__ reads: B's zero-skipping and dense
-        _horner_plan, and the monomial coefficients rounded to float64."""
+        together with the monomial coefficients rounded to float64, which
+        __call__ reads off the domain."""
         if self._domain is None:
             B = _to_barycentric(self.coeffs, self.degree)
-            plans = _horner_plan(B, skip_zeros=True), _horner_plan(B, skip_zeros=False)
-            self._domain = (B, *plans, self.coeffs.astype(np.float64))
+            self._domain = (B, self.coeffs.astype(np.float64))
         return self._domain[0]
 
     def __call__(self, x, y):
         """Evaluate at points, in float64.
 
-        Points within _MARGIN of the domain take the homogeneous Horner of
-        _domain_coeffs, an outer Horner in l1 over the rows and in each row
-        a Horner in l2 on a table of the powers of l3: there every l is in
-        [0, 1], so the error stays within a small multiple of
-        n eps sum |B| l^alpha.  Its plan skips the exact zeros of B, which
-        changes no value, so every value has the bits of the dense Horner
-        (see _horner).  Other points take Horner in x and y on the
-        coefficients rounded to float64.  A point's path and value depend on
-        that point alone.  Scalar x and y give a float; otherwise an array of
-        their broadcast shape.
+        Points within _MARGIN of the domain take _horner, the homogeneous
+        Horner of _domain_coeffs: there every l is in [0, 1], so the error
+        stays within a small multiple of n eps sum |B| l^alpha, and every
+        nonzero value has the dense Horner's bits.  Other points take Horner
+        in x and y on the coefficients rounded to float64.  A point's path
+        and value depend on that point alone.  Scalar x and y give a float;
+        otherwise an array of their broadcast shape.
         """
         xs, ys = np.broadcast_arrays(*(np.asarray(v, dtype=np.float64) for v in (x, y)))
         l3 = ys / _S
         l2 = xs - 0.5 * l3
         l1 = 1.0 - l2 - l3
         inside = np.minimum(np.minimum(l1, l2), l3) >= -_MARGIN
-        self._domain_coeffs()  # the plans, made on first use
+        self._domain_coeffs()  # made on first use
         if inside.all():  # always so on a domain mesh
             out = self._horner(np.ravel(l1), np.ravel(l2), np.ravel(l3)).reshape(xs.shape)
         else:
             out = np.empty(xs.shape)
             out[inside] = self._horner(l1[inside], l2[inside], l3[inside])
             xo, yo = xs[~inside], ys[~inside]
-            c = self._domain[3]
+            c = self._domain[1]
             acc = np.zeros_like(xo)
             for i in range(c.shape[0] - 1, -1, -1):
                 row = np.full_like(xo, c[i, -1])
@@ -249,44 +248,43 @@ class Poly2:
             out[~inside] = acc
         return float(out) if np.isscalar(x) and np.isscalar(y) else out
 
-    def _horner(self, l1, l2, l3, dense: bool = False) -> np.ndarray:
-        """Run the zero-skipping _horner_plan (or with dense=True the dense
-        one) at 1-d arrays of barycentric coordinates.
+    def _horner(self, l1, l2, l3) -> np.ndarray:
+        """The homogeneous Horner of B at 1-d arrays of barycentric
+        coordinates: an outer Horner in l1 over the rows a = n down to 0, and
+        in each row a Horner in l2 from its first nonzero entry down to b = 0
+        that adds power[m - low] * B[a, b], m = n - a - b, at nonzero entries
+        only; acc takes no work before the first non-empty row.
 
-        Skipping a term adds nothing but an exact zero, so each intermediate
-        equals the dense Horner's in value and every nonzero result has its
-        bits.  A zero result could differ in sign; those points are run
-        again on the dense plan, which is the dense Horner operation for
-        operation.
+        Skipping a zero adds an exact zero, so each intermediate equals the
+        dense Horner's in value and every nonzero result has its bits; a zero
+        result may differ in sign.
         """
-        low, top, rows = self._domain[2 if dense else 1]
+        B = self._domain[0]
+        n = len(B) - 1
+        used = (n - np.add(*np.nonzero(B))).tolist() or [0]  # powers of l3
+        low, top = min(used), max(used)
         # l3^m by running products, kept in power[m - low] for m >= low
         power = np.empty((top - low + 1, len(l3)))
         power[0] = 1.0
         for m in range(1, top + 1):
             np.multiply(power[max(m - 1 - low, 0)], l3, out=power[max(m - low, 0)])
         acc, term = None, np.empty_like(l3)
-        for terms in rows:
+        for a, coeffs in zip(range(n, -1, -1), B[::-1].tolist()):
             if acc is not None:
                 acc *= l1
-            if not terms:
-                continue
-            (m, c), *rest = terms
-            row = power[m - low] * c
-            for m, c in rest:
-                row *= l2
-                if c is not None:
-                    row += np.multiply(power[m - low], c, out=term)
-            if acc is None:
-                acc = row
-            else:
-                acc += row
-        if acc is None:
-            acc = np.zeros_like(l3)
-        if not dense and not acc.all():
-            zero = acc == 0
-            acc[zero] = self._horner(l1[zero], l2[zero], l3[zero], dense=True)
-        return acc
+            row = None
+            for b in range(n - a, -1, -1):
+                if row is not None:
+                    row *= l2
+                if not coeffs[b]:
+                    continue
+                if row is None:
+                    row = np.multiply(power[n - a - b - low], coeffs[b])
+                else:
+                    row += np.multiply(power[n - a - b - low], coeffs[b], out=term)
+            if row is not None:
+                acc = row if acc is None else np.add(acc, row, out=acc)
+        return np.zeros_like(l3) if acc is None else acc
 
     def __repr__(self) -> str:
         return f"Poly2(degree={self.degree}, shape={self.coeffs.shape})"
@@ -326,31 +324,6 @@ def _to_barycentric(coeffs: np.ndarray, n: int) -> np.ndarray:
                 acc[: k + 1, : k + 1] += scaled * w[k]
     scale = common * 2**n * d**n
     return np.array([[v / scale for v in row] for row in acc], dtype=np.float64)
-
-
-def _horner_plan(B: np.ndarray, skip_zeros: bool) -> tuple[int, int, list[list]]:
-    """The homogeneous Horner of B as (low, top, rows) for Poly2._horner.
-
-    rows holds, for each row a of B from a = n down, the terms (m, B[a, b])
-    of its Horner in l2, m = n - a - b the power of l3, for b from the row's
-    first term down to 0; low and top are the lowest and the highest power
-    of l3 that a term uses (0 and 0 if none does).  With skip_zeros a row
-    starts at its first nonzero entry, a later zero keeps its place as
-    (m, None) (the row is multiplied by l2 there and nothing is added), and
-    an all-zero row is empty: one multiply-add per nonzero entry.  Without,
-    every entry is a term, as in the dense Horner.
-    """
-    n = len(B) - 1
-    rows = []
-    for a in range(n, -1, -1):
-        terms = [(n - a - b, float(B[a, b])) for b in range(n - a, -1, -1)]
-        if skip_zeros:
-            while terms and not terms[0][1]:
-                terms.pop(0)
-            terms = terms[:1] + [(m, c or None) for m, c in terms[1:]]
-        rows.append(terms)
-    used = [m for terms in rows for m, c in terms if c is not None] or [0]
-    return min(used), max(used), rows
 
 
 def _check_exponents(i: int, j: int) -> None:

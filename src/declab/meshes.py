@@ -270,9 +270,9 @@ def write_mesh(K: SimplicialComplex, path) -> None:
 def read_mesh(path) -> SimplicialComplex:
     """Read the shared text format; raises MeshError on malformed input."""
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             raw = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise MeshError(f"cannot read mesh file: {exc}") from exc
 
     tokens: list[str] = []

@@ -296,7 +296,8 @@ def dense_barycentric_horner(B: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.
     """The dense homogeneous Horner of B[a, b] l1^a l2^b l3^(n-a-b) at 1-d
     float64 points of the domain, four operations for every entry of B,
     zero or not, with the coordinates computed as Poly2 computes them:
-    Poly2's zero-skipping evaluator must give its results bit for bit."""
+    Poly2's zero-skipping evaluator must give its values, and the bits of
+    every nonzero one."""
     l3 = y / forms._S
     l2 = x - 0.5 * l3
     l1 = 1.0 - l2 - l3

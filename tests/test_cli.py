@@ -170,6 +170,16 @@ def test_missing_mesh_file_is_a_mesh_error(capsys):
     assert "mesh generation failure" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", [["dual-report"], ["diagnostics", "--k", "0"]])
+def test_binary_mesh_file_is_a_mesh_error(tmp_path, capsys, command):
+    path = tmp_path / "mesh.bin"
+    path.write_bytes(b"\xff\xfe\x00garbage\x80")
+    assert main([*command, "--mesh", str(path)]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "cannot read mesh file" in err
+
+
 # -- dual-report --------------------------------------------------------------
 
 

@@ -86,6 +86,12 @@ def test_poly_rejects_an_empty_coefficient_array(coeffs):
         Poly2(coeffs)
 
 
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+def test_poly_rejects_non_finite_coefficients(bad):
+    with pytest.raises(ValueError, match="must be finite"):
+        Poly2([[1.0, 2.0], [bad, 0.0]])
+
+
 @pytest.mark.parametrize("i, j", [(-1, 0), (-2, 0), (0, -3)])
 def test_poly_monomial_rejects_negative_exponents(i, j):
     with pytest.raises(ValueError, match=rf"non-negative, got x\^{i} y\^{j}"):
@@ -365,7 +371,7 @@ def _zero_patterns(B: np.ndarray) -> set[str]:
     return seen
 
 
-def _sign_pinning_points() -> np.ndarray:
+def _edge_and_interior_points() -> np.ndarray:
     """The dyadic domain points (vertices and points with one barycentric
     coordinate exactly 0), points on the edges whose coordinate is -0.0 or
     a few ulps below 0, and random interior points."""
@@ -383,12 +389,19 @@ def _sign_pinning_points() -> np.ndarray:
     return np.concatenate([_dyadic_domain_points(), below, interior])
 
 
+def _same_value_and_nonzero_bits(got, want) -> bool:
+    """Equal values everywhere (0.0 == -0.0) and equal bits at every
+    nonzero value."""
+    nonzero = want != 0
+    return bool((got == want).all()) and _same_bits(got[nonzero], want[nonzero])
+
+
 def test_poly_evaluation_is_bit_identical_to_the_dense_horner():
-    """Skipping B's exact zeros changes no bit, signs of zero included:
-    every value, batched, alone and batched with a point off the domain, is
-    the dense homogeneous Horner's, on every platform (the oracle runs on
-    the same float64 B)."""
-    points = _sign_pinning_points()
+    """Skipping B's exact zeros changes no value and no bit of a nonzero
+    value: every value, batched, alone and batched with a point off the
+    domain, equals the dense homogeneous Horner's, on every platform (the
+    oracle runs on the same float64 B); the sign of a zero is not pinned."""
+    points = _edge_and_interior_points()
     xs, ys = points[:, 0], points[:, 1]
     l3 = ys / S
     l2 = xs - 0.5 * l3
@@ -398,32 +411,36 @@ def test_poly_evaluation_is_bit_identical_to_the_dense_horner():
         want = dense_barycentric_horner(p._domain_coeffs(), xs, ys)
         zeros += np.count_nonzero(want == 0)
         patterns |= _zero_patterns(p._domain_coeffs())
-        assert _same_bits(p(xs, ys), want), p
+        assert _same_value_and_nonzero_bits(p(xs, ys), want), p
         alone = np.array([p(x, y) for x, y in points])
-        assert _same_bits(alone, want), p
+        assert _same_value_and_nonzero_bits(alone, want), p
         # with a point off the domain, the others take the masked path
         mixed = p(np.append(xs, 2.0), np.append(ys, 2.0))
-        assert _same_bits(mixed[:-1], want), p
+        assert _same_value_and_nonzero_bits(mixed[:-1], want), p
     assert patterns == {"zero row", "leading zeros", "trailing zeros"}
-    assert zeros > 100  # the signs of zeros are pinned, not just values
+    assert zeros > 100  # zero values are checked, not just nonzero ones
 
 
-def test_horner_plan_makes_one_multiply_add_per_nonzero_entry():
-    """The zero-skipping plan adds a term for each nonzero entry of B and no
-    other (p: 50 of 136); the dense plan adds a term for every entry."""
-    for k in (0, 1, 2):
-        u, f = manufactured_solution(k)
-        polys = [*u.components, *f.components]
-        if k:
-            polys += list(codifferential(u).components)
-        for p in polys:
-            B = p._domain_coeffs()
-            n = len(B) - 1
-            for skip, want in ((True, np.count_nonzero(B)), (False, (n + 1) * (n + 2) // 2)):
-                low, top, rows = forms_module._horner_plan(B, skip_zeros=skip)
-                terms = [(m, c) for row in rows for m, c in row if c is not None]
-                assert len(terms) == want
-                assert (low, top) == (min(m for m, _ in terms), max(m for m, _ in terms))
+def test_horner_plan_makes_one_multiply_add_per_nonzero_entry(monkeypatch):
+    """The evaluator multiplies a power of l3 by a coefficient once for each
+    nonzero entry of B and for no other (p: 50 of 136), on the manufactured
+    forms and on B with zero rows and leading and trailing zeros."""
+    points = _dyadic_domain_points()
+    xs, ys = points[:, 0], points[:, 1]
+    multiply, coefficients = np.multiply, []
+
+    def counting(a, b, *args, **kwargs):
+        if np.ndim(b) == 0:
+            coefficients.append(b)
+        return multiply(a, b, *args, **kwargs)
+
+    for p in _zero_pattern_polys():
+        B = p._domain_coeffs()
+        coefficients.clear()
+        with monkeypatch.context() as patch:
+            patch.setattr(np, "multiply", counting)
+            p(xs, ys)
+        assert sorted(coefficients) == sorted(B[B != 0]), p
     B = manufactured_solution(0)[0].components[0]._domain_coeffs()
     assert (np.count_nonzero(B), len(B) * (len(B) + 1) // 2) == (50, 136)
 
@@ -831,7 +848,7 @@ def test_forms_functions_run_on_the_calling_thread(monkeypatch):
         forms_module.de_rham(K, f)
         forms_module.de_rham_dual(K, dual, forms_module.codifferential(u) if k else u)
     assert {
-        "de_rham", "de_rham_dual", "_integrate_simplices", "triangle_rule", "_horner_plan",
+        "de_rham", "de_rham_dual", "_integrate_simplices", "triangle_rule", "_to_barycentric",
         "Poly2.__call__",
     } <= set(calls)
     main = threading.get_ident()

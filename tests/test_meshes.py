@@ -283,6 +283,13 @@ def test_read_mesh_missing_file():
         read_mesh("/nonexistent/mesh.txt")
 
 
+def test_read_mesh_binary_file_is_a_mesh_error(tmp_path):
+    path = tmp_path / "mesh.bin"
+    path.write_bytes(b"\xff\xfe\x00garbage\x80")
+    with pytest.raises(MeshError, match="cannot read"):
+        read_mesh(path)
+
+
 def test_write_mesh_unwritable_path_is_a_mesh_error(tmp_path):
     with pytest.raises(MeshError, match="cannot write"):
         write_mesh(symmetric_mesh(1), tmp_path / "missing" / "mesh.txt")

@@ -17,7 +17,10 @@ positive area.  A reflection reverses it, so
     de_rham_dual(gK, w) = det A * de_rham_dual(K, g*w).
 
 The stars depend only on lengths and areas, so they and the assembled
-system of gK are K's.
+system of gK are K's, and the solve on gK with data w is the solve on K
+with data g*w.  On the symmetric mesh g maps K onto itself: gK is K
+renumbered, and K's system commutes with the signed permutation that the
+renumbering induces on its k-simplices.
 
 The claim is about triangulations, not numberings: relabelling the
 vertices, shuffling the cells and the corners of each cell gives a complex
@@ -46,8 +49,10 @@ import scipy.sparse as sp
 from declab import (
     Poly2,
     PolyForm,
+    SolverConfig,
     build_complex,
     build_dual,
+    cg_solve,
     compute_errors,
     de_rham,
     de_rham_dual,
@@ -55,6 +60,7 @@ from declab import (
     solve_problem,
     symmetric_mesh,
 )
+from declab.multigrid import multigrid_cycle
 from declab.operators import dec_system
 
 SQRT3 = np.sqrt(3.0)
@@ -158,6 +164,34 @@ def test_stars_and_system_are_invariant_under_the_symmetries(name, mesh):
         assert abs(g_M - M).max() <= 1e-13 * abs(M).max()
 
 
+SOLVER_TOL = 1e-12
+
+
+def _solve(K, form: PolyForm) -> np.ndarray:
+    """The DEC solution with data form, assembled and solved as
+    solve_problem does: S R(form), projected and gauged at k = 0."""
+    k, a = form.degree, build_dual(K).hodge_ratio_a
+    M, rhs = dec_system(K, a, k), a[k] * de_rham(K, form)
+    if k == 0:
+        rhs = rhs - (rhs.sum() / a[0].sum()) * a[0]
+    cycle = multigrid_cycle(M, K, k)
+    assert cycle is not None  # gK keeps K's cell table: both take the cycle
+    x = cg_solve(M, rhs, SolverConfig(tol=SOLVER_TOL), cycle).x
+    return x - (a[0] @ x) / a[0].sum() if k == 0 else x
+
+
+@pytest.mark.parametrize("k", [0, 1, 2])
+@pytest.mark.parametrize("mesh", list(MESHES))
+@pytest.mark.parametrize("name", ["rotate-120", "reflect"])
+def test_solutions_commute_with_the_symmetries(name, mesh, k):
+    """The solve on gK with data w is the solve on K with data g*w."""
+    A, b = SYMMETRIES[name]
+    K = MESHES[mesh]()
+    x = _solve(K, _pull_back(FORMS[k], A, b))
+    g_x = _solve(_image(K, A, b), FORMS[k])
+    assert np.abs(g_x - x).max() <= 10 * SOLVER_TOL * np.abs(x).max()
+
+
 # -- relabelling ----------------------------------------------------------------
 
 
@@ -211,3 +245,23 @@ def test_error_norms_do_not_depend_on_the_numbering(k):
     assert l_norms.keys() == norms.keys()
     for key, value in norms.items():
         assert l_norms[key] == pytest.approx(value, rel=1e-9), key
+
+
+@pytest.mark.parametrize("name", list(SYMMETRIES))
+def test_system_commutes_with_the_lattice_permutation(name):
+    """g maps the symmetric mesh onto itself: gK is K with its vertices
+    renumbered, and the signed permutation Pi_k that renumbering induces on
+    the k-simplices commutes with K's system, Pi_k M Pi_k^T = M."""
+    A, b = SYMMETRIES[name]
+    K = symmetric_mesh(4)
+    gK = _image(K, A, b)
+    gap = np.abs(gK.vertices[:, None] - K.vertices[None]).max(axis=-1)
+    image = gap.argmin(axis=1)  # vertex i of gK sits on vertex image[i] of K
+    assert gap.min(axis=1).max() <= 1e-12
+    perm = np.argsort(image)  # K's vertex id -> gK's
+    assert np.array_equal(image[perm], np.arange(len(perm)))
+    a = build_dual(K).hodge_ratio_a
+    for k in range(3):
+        Pi = _signed_permutation(K, gK, perm, k)
+        M = dec_system(K, a, k)
+        assert abs(Pi @ M @ Pi.T - M).max() <= 1e-13 * abs(M).max()
