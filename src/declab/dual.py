@@ -157,7 +157,7 @@ def build_dual(K: SimplicialComplex) -> DualComplex:
     primal_volumes = [np.ones(K.n_simplices(0)), edge_len, 0.5 * np.abs(cross)]
 
     # |*sigma| = a |sigma|, and |*T| = 1 since a_2 = 2 / |cross| = 1 / |T|
-    a = list(_cotangent_stars(K.vertices, K))
+    a = list(_cotangent_stars(K))
     dual_volumes = [a[0] * primal_volumes[0], a[1] * edge_len, np.ones(len(cross))]
 
     return DualComplex(
@@ -169,12 +169,12 @@ def build_dual(K: SimplicialComplex) -> DualComplex:
     )
 
 
-def _cotangent_stars(x: np.ndarray, K: SimplicialComplex):
-    """Circumcentric star ratios a_0, a_1, a_2 of K's simplices at vertices x
-    by the signed (cotangent) formulas: |*v| = sum_T (|e1|^2 cot t1 + |e2|^2
-    cot t2) / 8 over T's edges e1, e2 at v, |*e| / |e| = sum_T cot(t_opp) / 2,
-    1 / |T|.  They are build_dual's on a well-centered mesh, exist on any."""
-    px, py = _planes(x, K.simplices(2))
+def _cotangent_stars(K: SimplicialComplex):
+    """Circumcentric star ratios a_0, a_1, a_2 of K's simplices by the signed
+    (cotangent) formulas: |*v| = sum_T (|e1|^2 cot t1 + |e2|^2 cot t2) / 8
+    over T's edges e1, e2 at v, |*e| / |e| = sum_T cot(t_opp) / 2, 1 / |T|.
+    They are build_dual's on a well-centered mesh, exist on any."""
+    px, py = _planes(K.vertices, K.simplices(2))
     ex, ey = _opposite(px, py)
     twice_area = np.abs(_cross(px, py))
     cot = -(ex[[1, 2, 0]] * ex[[2, 0, 1]] + ey[[1, 2, 0]] * ey[[2, 0, 1]]) / twice_area

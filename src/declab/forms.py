@@ -125,9 +125,6 @@ class Poly2:
             return 0
         return int((nz[0] + nz[1]).max())
 
-    def max_abs(self) -> float:
-        return float(np.abs(self.coeffs).max())
-
     def is_zero(self) -> bool:
         return not self.coeffs.any()
 
@@ -363,9 +360,6 @@ class PolyForm:
     @property
     def poly_degree(self) -> int:
         return max(c.degree for c in self.components)
-
-    def is_zero(self) -> bool:
-        return all(c.is_zero() for c in self.components)
 
 
 def exterior_derivative(form: PolyForm) -> PolyForm:

@@ -12,9 +12,9 @@ Both families share the level-m lattice of n = 2^m rows (`_Grid`): row r
 j = 0..n-r, x = (j + r/2) * h.  Vertices are numbered row by row, which is
 lexicographic (y, x) order, so point (r, j) has id r (n+1) - r (r-1)/2 + j.
 Each cell is ascending: up triangles (r, j), (r, j+1), (r+1, j) and down
-triangles (r, j), (r+1, j-1), (r+1, j).  Edges and triangles are numbered
-as build_complex sorts them, by lowest vertex: from (r, j) the edges run to
-(r, j+1), (r+1, j-1), (r+1, j), and the up triangle precedes the down.
+triangles (r, j), (r+1, j-1), (r+1, j).  The grid's tables come from the
+lattice in lexicographic order, the order build_complex gives any complex:
+from (r, j) edges run to (r, j+1), (r+1, j-1), (r+1, j), up triangle first.
 
 Randomness is counter-based so meshes are reproducible from (m, seed,
 alpha) alone, independent of platform or library versions.  Draw i of a
@@ -131,8 +131,8 @@ def _vid(n: int, r, j):  # vertex id of lattice point (r, j) on the n-row grid
 
 
 class _Grid:
-    """Lattice coordinates and simplex numbering of the n-row grid, in
-    build_complex's order (see the module docstring)."""
+    """Lattice coordinates and simplex numbering of the n-row grid in
+    lexicographic order, build_complex's for any complex (module docstring)."""
 
     def __init__(self, n: int):
         self.n = n
@@ -159,17 +159,25 @@ class _Grid:
         v = np.sort(v, axis=-1)
         return self.tri_rank[2 * v[..., 0] + (v[..., 1] != v[..., 0] + 1)]
 
-
-def _reference(m: int):
-    """Vertex coordinates and cell table of the level-m symmetric mesh."""
-    g, h = _Grid(2**m), 0.5**m
-    return np.stack([g.j * h + 0.5 * g.r * h, g.r * (SQRT3 / 2.0) * h], axis=1), g.tri
+    def complex(self, x: np.ndarray) -> SimplicialComplex:
+        """The grid's complex at vertex coordinates x (V, 2), with the tables
+        build_complex would derive: each vertex's edges in edge_rank's slots,
+        and on the boundary what lies on one side of the domain."""
+        n, r, j = self.n, self.r, self.j
+        # the slots edge_rank counts, from (r, j) to (r, j+1), (r+1, j-1), (r+1, j)
+        tail, slot = np.divmod(np.flatnonzero(np.diff(self.edge_rank, prepend=-1)), 3)
+        e = np.stack([tail, tail + np.where(slot == 0, 1, n - r[tail] + slot - 1)], 1)
+        side = np.stack([r == 0, j == 0, r + j == n])
+        flags = [side.any(0), (side[:, e[:, 0]] & side[:, e[:, 1]]).any(0), np.zeros(n * n, bool)]
+        cell_edges = self.edge(self.tri[:, [0, 0, 1]], self.tri[:, [1, 2, 2]])[0]
+        return SimplicialComplex(x, e, self.tri, cell_edges, flags)
 
 
 def symmetric_mesh(m: int) -> SimplicialComplex:
     """Uniform equilateral subdivision of the domain triangle, h = 2^-m."""
     _check_mesh_args(m)
-    return build_complex(*_reference(m))
+    g, h = _Grid(2**m), 0.5**m
+    return g.complex(np.stack([g.j * h + 0.5 * g.r * h, g.r * (SQRT3 / 2.0) * h], axis=1))
 
 
 def perturbed_mesh(m: int, seed: int, alpha: float = 0.15) -> SimplicialComplex:
@@ -189,8 +197,8 @@ def perturbed_mesh(m: int, seed: int, alpha: float = 0.15) -> SimplicialComplex:
     is bit for bit that of the one-vertex-at-a-time visit.
     """
     _check_mesh_args(m, seed, alpha)
-    coords, cells = _reference(m)
-    h = 0.5**m
+    K = symmetric_mesh(m)  # its vertices move in place
+    coords, cells, h = K.vertices, K.simplices(2), 0.5**m
 
     # interior vertices are those with six incident cells; `ring` holds the
     # vertex ids of each one's cells, `ring_pos` their interior positions
@@ -235,7 +243,6 @@ def perturbed_mesh(m: int, seed: int, alpha: float = 0.15) -> SimplicialComplex:
                 f"{interior[s]} at {tuple(base[s].tolist())} after 20 radius halvings"
             )
 
-    K = build_complex(coords, cells)
     ok, offenders = is_well_centered(K)
     if not ok:
         t = offenders[0]

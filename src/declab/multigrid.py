@@ -49,7 +49,7 @@ import scipy.sparse as sp
 
 from .complex import SimplicialComplex, _cross, _opposite, _planes
 from .dual import _cotangent_stars
-from .meshes import _Grid, _vid, symmetric_mesh
+from .meshes import _Grid, _vid
 from .operators import dec_system
 
 # the six fine vertices of a coarse triangle as midpoints of corners a, b,
@@ -73,12 +73,12 @@ def _grid(K: SimplicialComplex) -> _Grid | None:
 
 
 def _levels(M: sp.csr_matrix, K: SimplicialComplex, k: int):
-    """(A, Ps) on the level-m grid K: M and the operators of levels m-1, ...,
-    3, and the transfers P_k into levels m, ..., 4, finest first.  Each step
-    builds P_k, gathers the coarse vertices and takes the coarse operator:
-    Galerkin P^T A P at k = 0, half of it at k = 2, at k = 1 the grid's own
-    DEC system from those vertices' cotangent stars.  None if K is not a grid (_grid) or a
-    vertex star S0 there is not positive.  It recognises the grid itself, so
+    """(A, Ps) on the level-m grid K: M and the operators of levels m-1, ..., 3,
+    and the transfers P_k into levels m, ..., 4, finest first.  Each step builds
+    P_k, gathers the coarse vertices and takes the coarse operator: Galerkin
+    P^T A P at k = 0, half of it at k = 2, at k = 1 the grid's own DEC system
+    from those vertices' cotangent stars.  None if K is not a grid (_grid) or
+    a coarse vertex star S0 is not positive.  It recognises the grid itself, so
     the fine lattice is freed once the walk leaves it (3.3 MB at level 8)."""
     fine, x, A, Ps = _grid(K), K.vertices, [M], []
     if fine is None:
@@ -128,9 +128,8 @@ def _levels(M: sp.csr_matrix, K: SimplicialComplex, k: int):
             A.append((P.T @ A[-1] @ P).tocsr() * (0.5 if k == 2 else 1.0))
             A[-1].sum_duplicates()  # canonical, as dec_system's
             continue
-        # reference-grid topology: the star check is all the coarse x must pass
-        K = symmetric_mesh(level)
-        stars = _cotangent_stars(x, K)
+        K = coarse.complex(x)  # the lattice's tables: x need only pass the star check
+        stars = _cotangent_stars(K)
         if not ((stars[0] > 0) & np.isfinite(stars[0])).all():
             return None
         A.append(dec_system(K, stars, 1))

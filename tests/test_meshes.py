@@ -17,6 +17,7 @@ import pytest
 from declab import (
     MeshError,
     MeshFamilySpec,
+    build_complex,
     build_dual,
     build_mesh,
     counter_uniform,
@@ -127,14 +128,20 @@ def test_symmetric_vertices_are_lexicographically_ordered():
     assert keys == sorted(keys)
 
 
-@pytest.mark.parametrize("m", range(1, 7))
+@pytest.mark.parametrize("m", range(1, 8))
 def test_grid_numbering_is_build_complex_order(m):
-    """The closed-form lattice ranks agree with build_complex's sort: the
-    cell table, and the edge and triangle id of every simplex."""
-    K, grid = symmetric_mesh(m), _Grid(2**m)
-    assert np.array_equal(grid.tri, K.simplices(2))
-    assert np.array_equal(grid.edge(*K.simplices(1).T)[0], np.arange(K.n_simplices(1)))
-    assert np.array_equal(grid.triangle(K.simplices(2)), np.arange(K.n_simplices(2)))
+    """build_complex is the oracle of the lattice's tables: on both families
+    the generated complex has its simplices, cell edges and boundary flags,
+    dtypes included, and the closed-form ranks number its simplices."""
+    grid = _Grid(2**m)
+    for K in (symmetric_mesh(m), perturbed_mesh(m, 1, 0.45)):
+        want = build_complex(K.vertices, K.simplices(2))
+        pairs = [(K.simplices(k), want.simplices(k)) for k in (1, 2)]
+        pairs += [(K.is_boundary(k), want.is_boundary(k)) for k in range(3)]
+        for got, expected in pairs + [(K.cell_edges, want.cell_edges)]:
+            assert got.dtype == expected.dtype and np.array_equal(got, expected)
+    assert np.array_equal(grid.edge(*want.simplices(1).T)[0], np.arange(want.n_simplices(1)))
+    assert np.array_equal(grid.triangle(want.simplices(2)), np.arange(want.n_simplices(2)))
 
 
 def test_symmetric_area_partition():
@@ -183,6 +190,22 @@ def test_perturbed_failure_names_the_first_interior_vertex(monkeypatch):
         f"after 20 radius halvings"
     )
     assert "np.float64" not in str(got.value)
+
+
+def test_perturbed_mesh_final_check_names_the_first_offender(monkeypatch):
+    """The whole-mesh well-centeredness check after the vertex visit is the
+    last guard on a generated mesh; its error gives the count of offending
+    triangles, the first one and its vertices.  The visit's own test does
+    not call is_well_centered, so only the final check sees the patch."""
+    offenders = np.array([7, 12])
+    monkeypatch.setattr(meshes_module, "is_well_centered", lambda K: (False, offenders))
+    with pytest.raises(MeshError) as got:
+        perturbed_mesh(3, 1)
+    # level 3: triangle 7 is the up triangle of vertex 4, (0, 4) (0, 5) (1, 4)
+    assert str(got.value) == (
+        "perturbed mesh lost well-centeredness at 2 triangle(s), "
+        "first triangle 7 with vertices [4, 5, 13]"
+    )
 
 
 def test_perturbed_is_deterministic_and_seed_dependent():

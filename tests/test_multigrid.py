@@ -256,11 +256,11 @@ def test_k2_coarse_operators_are_the_coarse_grids_own_systems():
     would count each coarse flux twice."""
     m = 6
     K = symmetric_mesh(m)
-    A, _ = _levels(dec_system(K, _cotangent_stars(K.vertices, K), 2), K, 2)
+    A, _ = _levels(dec_system(K, _cotangent_stars(K), 2), K, 2)
     assert len(A) == m - 2
     for level, Al in zip(range(m - 1, 2, -1), A[1:]):
         coarse = symmetric_mesh(level)
-        want = dec_system(coarse, _cotangent_stars(coarse.vertices, coarse), 2)
+        want = dec_system(coarse, _cotangent_stars(coarse), 2)
         assert abs(Al - want).max() <= 1e-13 * abs(want).max()
 
 
@@ -280,7 +280,7 @@ def _bent_grid(tmp_path):
     K = read_mesh(tmp_path / "bent.txt")
     assert grid_level(K) == 7 and is_well_centered(K)[0]
     coarse = _on_level(K, 7, 4)
-    assert _cotangent_stars(coarse.vertices, coarse)[0].min() < 0.0
+    assert _cotangent_stars(coarse)[0].min() < 0.0
     return K
 
 
@@ -299,8 +299,8 @@ def test_cycle_declines_a_mesh_that_is_not_a_grid():
 @pytest.mark.parametrize("k", [0, 1, 2])
 def test_cycle_walks_the_grid_levels_once(k, monkeypatch):
     """The cycle on the level-m grid walks its levels once: the fine grid it
-    recognises K by and coarse grids m-1, ..., 3 (m - 2 in all), and at
-    k = 1 the coarse symmetric meshes too (2m - 5)."""
+    recognises K by and coarse grids m-1, ..., 3 (m - 2 in all), which at
+    k = 1 also give the coarse complexes."""
     m = 6
     K = perturbed_mesh(m, 1)
     M, _, _ = _system(K, k)
@@ -313,7 +313,7 @@ def test_cycle_walks_the_grid_levels_once(k, monkeypatch):
 
     monkeypatch.setattr(_Grid, "__init__", counted)
     assert multigrid_cycle(M, K, k) is not None
-    assert len(built) <= (2 * m - 5 if k == 1 else m - 2)
+    assert len(built) <= m - 2
 
 
 # -- the cycle ----------------------------------------------------------------
