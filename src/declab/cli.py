@@ -217,8 +217,10 @@ def build_parser() -> argparse.ArgumentParser:
     _add_mesh_args(p, with_level=False)
     p.add_argument("--format", choices=("markdown", "csv"), default="markdown")
     p.add_argument("--out", default=None, help="output path (default stdout)")
-    p.add_argument("--solver-tol", type=float, default=1e-12)
-    p.add_argument("--solver-maxit", type=int, default=None)
+    p.add_argument("--solver-tol", type=float, default=1e-12,
+                   help="CG's relative residual target (default 1e-12)")
+    p.add_argument("--solver-maxit", type=int, default=None,
+                   help="CG's iteration budget (default 50 sqrt(n) + 1000 for n unknowns)")
     p.set_defaults(func=_cmd_convergence)
 
     p = sub.add_parser("diagnostics", help="superconvergence diagnostics for one mesh")

@@ -59,7 +59,7 @@ from .operators import (
     pi_minus_j,
 )
 from .multigrid import multigrid_cycle
-from .solver import SolverConfig, SolverResult, _dot, cg_solve
+from .solver import SolverResult, _check_solver_args, _dot, cg_solve
 
 __all__ = [
     "ErrorRecord",
@@ -126,19 +126,19 @@ def solve_problem(
     u_h has zero S-weighted mean.
     """
     _check_degree(k)
+    _check_solver_args(tol, max_iterations)
     _, f, _ = _manufactured_forms(k)
     M = dec_system(K, dual.hodge_ratio_a, k)
     rhs = dual.hodge_ratio_a[k] * de_rham(K, f)
 
-    cfg = SolverConfig(tol=tol, max_iterations=max_iterations)
-    cycle = multigrid_cycle(M, K, k)
-    if k > 0:
-        result = cg_solve(M, rhs, cfg, cycle)
-        return result.x, codifferential_matrix(K, dual, k) @ result.x, result
-
-    # ker M = span{1}: 1^T rhs = 0 makes the system consistent
     a = dual.hodge_ratio_a[0]
-    result = cg_solve(M, rhs - (rhs.sum() / a.sum()) * a, cfg, cycle)
+    if k == 0:  # ker M = span{1}: 1^T rhs = 0 makes the system consistent
+        rhs = rhs - (rhs.sum() / a.sum()) * a
+    result = cg_solve(
+        M, rhs, tol=tol, max_iterations=max_iterations, precondition=multigrid_cycle(M, K, k)
+    )
+    if k > 0:
+        return result.x, codifferential_matrix(K, dual, k) @ result.x, result
     return result.x - _dot(a, result.x) / a.sum(), None, result
 
 
@@ -192,8 +192,10 @@ def run_convergence(
     """One convergence study: a record per level plus observed rates.
     k, every level and the solver arguments are checked before any mesh is built."""
     _check_degree(k)
-    SolverConfig(tol, max_iterations)  # raises on a bad tol or max_iterations
+    _check_solver_args(tol, max_iterations)
     levels = list(levels)
+    if not levels:
+        raise ValueError("levels must not be empty")
     specs = [MeshFamilySpec(family=family, level=m, seed=seed, alpha=alpha) for m in levels]
     if any(a >= b for a, b in zip(levels, levels[1:])):
         raise ValueError("levels must be strictly ascending")

@@ -1,13 +1,14 @@
 """Preconditioned conjugate gradient for symmetric sparse systems.
 
-Matrices are scipy sparse, converted to CSR on entry.  The solver is a
-hand-rolled CG, preconditioned by the caller's operator (``solve_problem``
-passes ``multigrid_cycle``) or, given None, by Jacobi, for symmetric
-positive definite systems, and for semidefinite ones whose
-right-hand side lies in the range of the matrix: CG then stays in that
-range.  It knows nothing of null spaces; the caller projects the
-right-hand side and fixes the gauge (see ``experiments.solve_problem``
-for the k = 0 Hodge-Laplacian, whose kernel is the constants).
+Matrices must be scipy sparse; they are converted to CSR on entry.  The
+solver is a hand-rolled CG on plain vector expressions, preconditioned by
+the caller's operator (``solve_problem`` passes ``multigrid_cycle``) or,
+given None, by Jacobi, for symmetric positive definite systems, and for
+semidefinite ones whose right-hand side lies in the range of the matrix:
+CG then stays in that range.  It knows nothing of null spaces; the caller
+projects the right-hand side and fixes the gauge (see
+``experiments.solve_problem`` for the k = 0 Hodge-Laplacian, whose kernel
+is the constants).
 """
 
 from __future__ import annotations
@@ -19,29 +20,7 @@ from numbers import Integral, Real
 import numpy as np
 import scipy.sparse as sp
 
-__all__ = ["SolverConfig", "SolverResult", "SolverError", "cg_solve"]
-
-
-@dataclass
-class SolverConfig:
-    """Conjugate-gradient parameters.
-
-    tol must be a finite positive real (not bool); max_iterations defaults (None) to
-    50 * sqrt(unknowns) + 1000 and must otherwise be an int (not bool) >= 1.
-    """
-
-    tol: float = 1e-12
-    max_iterations: int | None = None
-
-    def __post_init__(self):
-        t = self.tol
-        if not (isinstance(t, Real) and not isinstance(t, bool) and np.isfinite(t) and t > 0):
-            raise ValueError(f"tolerance must be a finite positive number, got {t!r}")
-        n = self.max_iterations
-        if n is not None and not (isinstance(n, Integral) and not isinstance(n, bool) and n >= 1):
-            raise ValueError(
-                f"max_iterations must be an integer of at least 1, got {n!r}"
-            )
+__all__ = ["SolverResult", "SolverError", "cg_solve"]
 
 
 @dataclass
@@ -62,6 +41,16 @@ def _dot(x: np.ndarray, y: np.ndarray) -> float:
     return float(np.einsum("i,i->", x, y))
 
 
+def _check_solver_args(tol, max_iterations) -> None:
+    """Reject a tol that is not a finite positive real (bools too) and a
+    max_iterations that is neither None nor an int (not bool) >= 1."""
+    if not (isinstance(tol, Real) and not isinstance(tol, bool) and np.isfinite(tol) and tol > 0):
+        raise ValueError(f"tolerance must be a finite positive number, got {tol!r}")
+    n = max_iterations
+    if n is not None and not (isinstance(n, Integral) and not isinstance(n, bool) and n >= 1):
+        raise ValueError(f"max_iterations must be an integer of at least 1, got {n!r}")
+
+
 def _check_symmetry(M: sp.spmatrix) -> None:
     scale = np.abs(M.data).max() if M.nnz else 1.0
     gap = np.abs((M - M.T).tocsr().data)
@@ -75,11 +64,14 @@ def _check_symmetry(M: sp.spmatrix) -> None:
 def cg_solve(
     M: sp.spmatrix,
     b: np.ndarray,
-    config: SolverConfig | None = None,
+    *,
+    tol: float = 1e-12,
+    max_iterations: int | None = None,
     precondition=None,
 ) -> SolverResult:
     """Solve the symmetric positive (semi)definite system M x = b by CG,
-    starting from x = 0.
+    starting from x = 0, to the relative residual ||b - M x|| / ||b|| <= tol
+    within max_iterations steps (None: 50 sqrt(n) + 1000 for n unknowns).
 
     precondition maps a residual r to B r, B symmetric and positive on the
     range of M; None means Jacobi.  Deterministic: fixed reduction order,
@@ -95,14 +87,18 @@ def cg_solve(
     Raises
     ------
     ValueError
-        On a non-square matrix or a mismatched or non-finite right-hand
-        side.
+        On a tol that is not a finite positive number, a max_iterations
+        that is not an integer of at least 1, an M that is not a scipy
+        sparse matrix (a dense array is not converted), a non-square
+        matrix, or a mismatched or non-finite right-hand side.
     SolverError
         On detected asymmetry, a non-positive (or NaN) curvature p^T M p,
         or non-convergence within the iteration budget (the message
         reports the best residual reached).
     """
-    cfg = config or SolverConfig()
+    _check_solver_args(tol, max_iterations)
+    if not sp.issparse(M):
+        raise ValueError(f"system matrix must be scipy sparse, got {type(M).__name__}")
     M = M.tocsr()
     n = M.shape[0]
     if M.shape[0] != M.shape[1]:
@@ -114,8 +110,6 @@ def cg_solve(
         raise ValueError("right-hand side has non-finite entries")
     if not getattr(M, "_symmetric_by_construction", False):
         _check_symmetry(M)
-
-    max_iterations = cfg.max_iterations
     if max_iterations is None:
         max_iterations = int(50 * np.sqrt(n)) + 1000
 
@@ -137,11 +131,6 @@ def cg_solve(
     p = z.copy()
     rho = _dot(r, z)
     history = [norm_b]
-    best = norm_b
-
-    iterations = 0
-    converged = False
-    step = np.empty(n)  # alpha p, then alpha q: the updates run in place
     for iterations in range(1, max_iterations + 1):
         q = M @ p
         pq = _dot(p, q)
@@ -151,24 +140,19 @@ def cg_solve(
                 f"(p^T M p = {pq:.3e} at iteration {iterations})"
             )
         alpha = rho / pq
-        x += np.multiply(alpha, p, out=step)
-        r -= np.multiply(alpha, q, out=step)
-        norm_r = math.sqrt(_dot(r, r))
-        history.append(norm_r)
-        best = min(best, norm_r)
-        if norm_r <= cfg.tol * norm_b:
-            converged = True
+        x += alpha * p
+        r -= alpha * q
+        history.append(math.sqrt(_dot(r, r)))
+        if history[-1] <= tol * norm_b:
             break
         z = precondition(r)
         rho_new = _dot(r, z)
-        p *= rho_new / rho
-        p += z
+        p = z + (rho_new / rho) * p
         rho = rho_new
-
-    if not converged:
+    else:
         raise SolverError(
             f"CG did not converge in {max_iterations} iterations: best "
-            f"relative residual {best / norm_b:.3e} (target {cfg.tol:.1e})"
+            f"relative residual {min(history) / norm_b:.3e} (target {tol:.1e})"
         )
 
     return SolverResult(x, history[-1] / norm_b, iterations, history)

@@ -121,26 +121,6 @@ def grid_level(K: SimplicialComplex) -> int | None:
     return None if (grid := _grid(K)) is None else grid.n.bit_length() - 1
 
 
-def visit_allocating(levels, level: int, b: np.ndarray) -> np.ndarray:
-    """The V(2,2) cycle of multigrid._visit written as plain expressions,
-    one new array per operation; the in-place cycle must match it bit for
-    bit."""
-    A, Ps, restrictions, smoothers, coarse_inv = levels
-    if level == len(Ps):
-        return coarse_inv @ b
-    Al, (inv_d, c0, c1) = A[level], smoothers[level]
-
-    def smooth(r):
-        return inv_d * (c0 * r + c1 * (Al @ (inv_d * r)))
-
-    x = smooth(b)
-    x += smooth(b - Al @ x)
-    x += Ps[level] @ visit_allocating(levels, level + 1, restrictions[level] @ (b - Al @ x))
-    x += smooth(b - Al @ x)
-    x += smooth(b - Al @ x)
-    return x
-
-
 def discrete_inner(dual: DualComplex, k: int, u: np.ndarray, v: np.ndarray) -> float:
     """Cochain inner product [[u, v]]_k = sum a_sigma u_sigma v_sigma."""
     if len(u) != len(v):

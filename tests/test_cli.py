@@ -121,7 +121,11 @@ def test_help_exits_0(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["convergence", "--help"])
     assert exc.value.code == 0
-    assert capsys.readouterr().out.startswith("usage: declab convergence")
+    out = capsys.readouterr().out
+    assert out.startswith("usage: declab convergence")
+    text = " ".join(out.split())  # argparse wraps the help to the terminal's width
+    assert "--solver-tol SOLVER_TOL CG's relative residual target (default 1e-12)" in text
+    assert "--solver-maxit SOLVER_MAXIT CG's iteration budget (default 50 sqrt(n) + 1000" in text
 
 
 # -- gen-mesh -----------------------------------------------------------------

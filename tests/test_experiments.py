@@ -134,6 +134,17 @@ def test_density_is_the_discrete_codifferential_of_the_solution():
     assert np.array_equal(rho_h, codifferential_matrix_stencil(K, dual, 1) @ u_h)
 
 
+@pytest.mark.parametrize("options", [{"tol": 0.0}, {"max_iterations": 2.5}], ids=["tol", "max_iterations"])
+def test_solve_problem_rejects_bad_solver_arguments_before_assembly(options, monkeypatch):
+    def no_assembly(*args):
+        raise AssertionError("assembled before checking the solver arguments")
+
+    K, dual = _mesh("symmetric", 2)
+    monkeypatch.setattr("declab.experiments.dec_system", no_assembly)
+    with pytest.raises(ValueError, match="tolerance|max_iterations"):
+        solve_problem(K, dual, 1, **options)
+
+
 @pytest.mark.parametrize("family", ["symmetric", "perturbed"])
 def test_k0_solution_has_zero_weighted_mean(family):
     K, dual = _mesh(family, 3)
@@ -201,13 +212,14 @@ def test_run_convergence_rejects_unsorted_levels():
     [
         (1, "perturbed", [8], {"tol": math.nan}),
         (1, "perturbed", [8], {"max_iterations": 0}),
+        (1, "symmetric", [], {}),
         (5, "symmetric", [], {}),
         (5, "symmetric", [3], {}),
         (True, "symmetric", [], {}),
         (1.0, "symmetric", [3], {}),
         (0, "symmetric", [2, 2.5], {}),
     ],
-    ids=["nan-tol", "no-iterations", "k-5-no-levels", "k-5", "k-bool", "k-float",
+    ids=["nan-tol", "no-iterations", "no-levels", "k-5-no-levels", "k-5", "k-bool", "k-float",
          "level-float-after-a-good-one"],
 )
 def test_run_convergence_rejects_bad_input_before_any_mesh(k, family, levels, options, monkeypatch):

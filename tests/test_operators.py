@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from declab import (
     Poly2,
@@ -39,6 +40,7 @@ from declab import (
 )
 from declab.operators import dec_system
 from oracles import (
+    _triangle_frames,
     codifferential_by_star_matrices,
     codifferential_matrix_stencil,
     dec_system_by_star_matrices,
@@ -234,6 +236,30 @@ def test_dec_system_is_symmetric_to_one_rounding_per_entry(mesh, k):
     if k == 0:
         assert not gap.any()
     assert (gap <= 2 * np.finfo(float).eps * np.abs(M.data)).all()
+
+
+@pytest.mark.parametrize(
+    "mesh", [(4,), (5, 1, 0.15), (5, 2, 0.45), (7, 3, 0.45)],
+    ids=["symmetric", "seed1", "seed2-alpha-0.45", "seed3-alpha-0.45"],
+)
+def test_dec_system_is_the_whitney_stiffness_and_curl_curl(mesh):
+    """The paper's FEEC reading of the diagonal-Hodge system.  At k = 0 it
+    is the P1 stiffness sum_T |T| grad lam_i . grad lam_j, from the
+    oracle's own barycentric gradients.  S_2 is 1 / |T|, the Whitney
+    2-form mass matrix (exactly on the symmetric grid), so D_1^T S_2 D_1
+    is the Whitney curl-curl matrix."""
+    K = symmetric_mesh(*mesh) if len(mesh) == 1 else perturbed_mesh(*mesh)
+    dual = build_dual(K)
+    _, grads, det = _triangle_frames(K, np.arange(K.n_simplices(2)))
+    local = np.abs(det)[:, None, None] / 2 * np.einsum("tid,tjd->tij", grads, grads)
+    tri = K.simplices(2)
+    rows, cols = np.repeat(tri, 3, axis=1), np.tile(tri, 3)
+    n = K.n_simplices(0)
+    stiffness = sp.csr_matrix((local.ravel(), (rows.ravel(), cols.ravel())), (n, n))
+    M = dec_system(K, dual.hodge_ratio_a, 0)
+    assert abs(M - stiffness).max() <= 1e-14 * abs(M).max()
+    gap = np.abs(dual.hodge_ratio_a[2] * dual.primal_volumes[2] - 1.0).max()
+    assert gap <= (0.0 if len(mesh) == 1 else 2.3e-16)
 
 
 @pytest.mark.parametrize("mesh", [(6,), (6, 1)], ids=["symmetric", "perturbed"])

@@ -19,7 +19,7 @@ ROOT = Path(__file__).resolve().parent.parent
 PUBLIC_API = [
     "ConvergenceReport", "DualComplex", "ErrorRecord", "MeshError",
     "MeshFamilySpec", "NORM_KEYS", "Poly2", "PolyForm", "QuadratureRule",
-    "SimplicialComplex", "SolverConfig", "SolverError", "SolverResult",
+    "SimplicialComplex", "SolverError", "SolverResult",
     "build_complex", "build_dual", "build_mesh", "cg_solve",
     "check_centroid_condition", "codifferential", "codifferential_matrix",
     "commuting_j_check", "compute_errors", "counter_uniform", "de_rham",

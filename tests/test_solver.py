@@ -7,7 +7,6 @@ import pytest
 import scipy.sparse as sp
 
 from declab import (
-    SolverConfig,
     SolverError,
     cg_solve,
     de_rham,
@@ -59,7 +58,7 @@ def test_matches_dense_solve_on_random_spd():
     M = A.T @ A + 30.0 * np.eye(30)
     b = rng.standard_normal(30)
     want = np.linalg.solve(M, b)
-    got = cg_solve(sp.csr_matrix(M), b, SolverConfig(tol=1e-14)).x
+    got = cg_solve(sp.csr_matrix(M), b, tol=1e-14).x
     assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
 
 
@@ -142,26 +141,31 @@ def test_nan_curvature_fails_at_first_iteration():
 
 def test_reports_non_convergence():
     M, b = _k0_system(3)
-    cfg = SolverConfig(max_iterations=2)
-    with pytest.raises(SolverError, match="did not converge"):
-        cg_solve(M, b, cfg)
+    with pytest.raises(SolverError, match="did not converge in 2 iterations: best"):
+        cg_solve(M, b, max_iterations=2)
 
 
 @pytest.mark.parametrize("bad", [2.5, 3.0, True, "3", 0, -5])
 def test_config_rejects_max_iterations_that_are_not_positive_integers(bad):
     with pytest.raises(ValueError, match="max_iterations"):
-        SolverConfig(max_iterations=bad)
+        cg_solve(sp.identity(3, format="csr"), np.ones(3), max_iterations=bad)
 
 
 @pytest.mark.parametrize("bad", [True, False, "1e-3", np.nan, np.inf, 0.0, -1e-12])
 def test_config_rejects_tol_that_is_not_a_finite_positive_number(bad):
     with pytest.raises(ValueError, match="tolerance"):
-        SolverConfig(tol=bad)
+        cg_solve(sp.identity(3, format="csr"), np.ones(3), tol=bad)
 
 
 def test_config_accepts_numpy_integer_max_iterations():
     M, b = _k0_system(2)
-    assert cg_solve(M, b, SolverConfig(max_iterations=np.int64(500))).iterations <= 500
+    assert cg_solve(M, b, max_iterations=np.int64(500)).iterations <= 500
+
+
+@pytest.mark.parametrize("dense", [np.eye(3), np.eye(3).tolist()], ids=["ndarray", "list"])
+def test_rejects_a_matrix_that_is_not_sparse(dense):
+    with pytest.raises(ValueError, match=f"scipy sparse, got {type(dense).__name__}"):
+        cg_solve(dense, np.ones(3))
 
 
 def test_rejects_bad_shapes():

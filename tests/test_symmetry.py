@@ -49,7 +49,6 @@ import scipy.sparse as sp
 from declab import (
     Poly2,
     PolyForm,
-    SolverConfig,
     build_complex,
     build_dual,
     cg_solve,
@@ -176,7 +175,7 @@ def _solve(K, form: PolyForm) -> np.ndarray:
         rhs = rhs - (rhs.sum() / a[0].sum()) * a[0]
     cycle = multigrid_cycle(M, K, k)
     assert cycle is not None  # gK keeps K's cell table: both take the cycle
-    x = cg_solve(M, rhs, SolverConfig(tol=SOLVER_TOL), cycle).x
+    x = cg_solve(M, rhs, tol=SOLVER_TOL, precondition=cycle).x
     return x - (a[0] @ x) / a[0].sum() if k == 0 else x
 
 
