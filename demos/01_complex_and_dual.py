@@ -39,8 +39,8 @@ ratios = dual.hodge_ratio_a[1]
 print("interior |*e|/|e| ratios are all 1/sqrt(3):",
       np.allclose(ratios[interior], 1 / np.sqrt(3)))
 
-# dual 2-cells tile the domain: their areas sum to the domain area
-print("sum of vertex dual areas =", dual.dual_volumes[0].sum(),
+# dual 2-cells tile the domain: their areas a_0 |v| sum to the domain area
+print("sum of vertex dual areas =", (dual.hodge_ratio_a[0] * K.volumes(0)).sum(),
       " (domain area =", np.sqrt(3) / 4, ")")
 
 # every dual cell of this mesh family is centred on its primal simplex

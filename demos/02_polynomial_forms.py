@@ -35,7 +35,7 @@ print("laplacian(x^2 + y^2) =", hodge_laplacian(f).components[0](0.0, 0.0))
 
 # d o d vanishes identically, coefficient by coefficient
 ddf = exterior_derivative(df)
-print("d(d f) is the zero 2-form:", ddf.components[0].is_zero())
+print("d(d f) is the zero 2-form:", not ddf.components[0].coeffs.any())
 
 # -- quadrature ----------------------------------------------------------------
 

@@ -167,13 +167,11 @@ def _cmd_dual_report(args: argparse.Namespace) -> int:
     K, dual = _mesh_and_dual(args)
     lines = ["dim,simplex_id,primal_volume,dual_volume,ratio_a,is_boundary"]
     for k in range(3):
-        flags = K.is_boundary(k)
-        for i in range(K.n_simplices(k)):
-            lines.append(
-                f"{k},{i},{dual.primal_volumes[k][i]:.17g},"
-                f"{dual.dual_volumes[k][i]:.17g},"
-                f"{dual.hodge_ratio_a[k][i]:.17g},{int(flags[i])}"
-            )
+        flags, a, volume = K.is_boundary(k), dual.hodge_ratio_a[k], K.volumes(k)
+        # |*T| = 1, the volume of a point
+        dual_volume = a * volume if k < 2 else np.ones_like(volume)
+        for i, row in enumerate(zip(volume, dual_volume, a)):
+            lines.append(f"{k},{i}," + ",".join(f"{v:.17g}" for v in row) + f",{int(flags[i])}")
     _emit("\n".join(lines) + "\n", args.out)
     return 0
 

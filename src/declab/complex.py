@@ -17,6 +17,8 @@ Stokes pairing <D w, tau> = <w, boundary tau> holds by construction.
 
 from __future__ import annotations
 
+from numbers import Integral
+
 import numpy as np
 import scipy.sparse as sp
 
@@ -74,13 +76,23 @@ class SimplicialComplex:
         self._table(k)
         return self._boundary[k]
 
+    def volumes(self, k: int) -> np.ndarray:
+        """|sigma| for every k-simplex: 1 for a vertex, an edge's length,
+        a triangle's area."""
+        table = self._table(k)
+        if k == 0:
+            return np.ones(len(table))
+        x, y = _planes(self.vertices, table)
+        if k == 1:
+            return np.sqrt((x[1] - x[0]) ** 2 + (y[1] - y[0]) ** 2)
+        return 0.5 * np.abs(_cross(x, y))
+
     def mesh_size(self) -> float:
         """Mesh parameter h: the largest simplex diameter (longest edge)."""
-        x, y = _planes(self.vertices, self._table(1))
-        return float(np.sqrt((x[1] - x[0]) ** 2 + (y[1] - y[0]) ** 2).max())
+        return float(self.volumes(1).max())
 
     def _table(self, k: int) -> np.ndarray:
-        if not 0 <= k <= self.dim:
+        if not _is_int(k) or not 0 <= k <= self.dim:
             raise ValueError(f"no {k}-simplices in a {self.dim}-complex")
         return self._tables[k]
 
@@ -92,7 +104,7 @@ class SimplicialComplex:
         D_k[tau, sigma] = (-1)^j when sigma is tau with its j-th vertex
         removed.  Entries are exact +-1 stored as float64.  Cached.
         """
-        if not 0 <= k < self.dim:
+        if not _is_int(k) or not 0 <= k < self.dim:
             raise ValueError(f"coboundary_matrix: k must be in [0, {self.dim}), got {k}")
         if k not in self._coboundary:
             self._coboundary[k] = self._build_coboundary(k)
@@ -115,6 +127,11 @@ class SimplicialComplex:
             (np.tile(signs, n), faces.ravel(), np.arange(0, n * width + 1, width)),
             shape=(n, self.n_simplices(k)),
         )
+
+
+def _is_int(k) -> bool:
+    """True for an integer degree, level or seed: an Integral that is not a bool."""
+    return isinstance(k, Integral) and not isinstance(k, bool)
 
 
 def _planes(x: np.ndarray, cells: np.ndarray) -> np.ndarray:

@@ -15,12 +15,13 @@ and every S^-1 reads it as 1 / a.  There is one star formula, the signed
 cot(t_opp) / 2 over the triangles at e, the cotangent weight of the Whitney
 1-forms.  On a well-centered mesh every flag piece is consistently oriented,
 so these equal the unsigned sums over the flag pieces; they exist on any
-mesh, and the coarse multigrid grids take them too.  ``DualComplex`` stores
-no flag pieces: the one private helper ``_flags`` forms them for the
-integrals over dual cells.  Every kernel holds its corners as x and y
-planes with the simplices innermost, (3, T) for the triangles and (2, 3, 6T)
-for the flags, and writes each sum over the three corners out as
-(a + b) + c, numpy's order over a stacked axis.
+mesh, and the coarse multigrid grids take them too.  ``DualComplex`` holds
+the circumcenters c(T) and the ratios a; |sigma| is ``K.volumes(k)``, and
+the one private helper ``_flags`` forms the flag pieces, with K's vertices
+and edge midpoints, for the integrals over dual cells.  Every kernel holds
+its corners as x and y planes with the simplices innermost, (3, T) for the
+triangles and (2, 3, 6T) for the flags, and writes each sum over the three
+corners out as (a + b) + c, numpy's order over a stacked axis.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .complex import SimplicialComplex, _cross, _opposite, _planes
+from .complex import SimplicialComplex, _cross, _is_int, _opposite, _planes
 
 __all__ = [
     "is_well_centered",
@@ -91,35 +92,33 @@ def _offenders(bary: np.ndarray) -> np.ndarray:
 
 @dataclass
 class DualComplex:
-    """Circumcentric dual of a well-centered complex.
-
-    Per-degree arrays (k = 0, 1, 2) are indexed by primal simplex index.
-    The diagonal Hodge star is S_k = diag(hodge_ratio_a[k]), the cotangent
-    ratios, and its inverse is read as 1 / a; the dual volumes are
-    a * |sigma|.  No flag pieces are stored: the integrals over dual cells
-    form them when they need them.
+    """Circumcentric dual of a well-centered complex: the circumcenters c(T)
+    (T, 2) and the cotangent ratios a = |*sigma| / |sigma| per degree k,
+    by primal simplex index.  S_k = diag(hodge_ratio_a[k]), and S^-1 reads
+    it as 1 / a; the dual volumes are a * K.volumes(k), and |*T| = 1.  The
+    other flag corners, vertices and edge midpoints, are K's: the integrals
+    over dual cells form the flags when they need them.
     """
 
-    centers: list[np.ndarray]  # circumcenters per degree
-    primal_volumes: list[np.ndarray]
-    dual_volumes: list[np.ndarray]
+    circumcenters: np.ndarray  # (T, 2)
     hodge_ratio_a: list[np.ndarray]  # a = |*sigma| / |sigma|
-    tri_orientation: np.ndarray  # (T,) +1 if ascending tuple is CCW, else -1
 
 
-def _flags(K: SimplicialComplex, centers: list[np.ndarray]) -> tuple[np.ndarray, ...]:
+def _flags(K: SimplicialComplex, circumcenters: np.ndarray) -> tuple[np.ndarray, ...]:
     """The 6T flag triangles [v, c(e), c(T)] over the chains v < e < T.
 
     Per triangle, 3 edges x 2 endpoints, so the (e, T) pairs are the even
-    flags ([::2]), whose vertex is the tail of the edge.  Returns the
-    vertex and edge index of each flag (6T,), its corners [v, c(e), c(T)]
-    as x and y planes (2, 3, 6T) and its area (6T,), signed by the
-    orientation of the corners.
+    flags ([::2]), whose vertex is the tail of the edge; c(e) is the
+    midpoint 0.5 * (a + b) of e = [a, b].  Returns the vertex and edge
+    index of each flag (6T,), its corners [v, c(e), c(T)] as x and y planes
+    (2, 3, 6T) and its area (6T,), signed by the orientation of the corners.
     """
     edge = np.repeat(K.cell_edges.reshape(-1), 2)
     vertex = K.simplices(1)[K.cell_edges.reshape(-1)].reshape(-1)
-    tri = np.repeat(np.arange(K.n_simplices(2)), 6)
-    corners = np.stack([c.T.take(i, axis=1) for c, i in zip(centers, (vertex, edge, tri))], 1)
+    ends = _planes(K.vertices, K.simplices(1))
+    midpoint = (0.5 * (ends[:, 0] + ends[:, 1])).take(edge, axis=1)
+    center = np.repeat(circumcenters.T, 6, axis=1)  # six flags per triangle
+    corners = np.stack([_planes(K.vertices, vertex), midpoint, center], 1)
     return vertex, edge, corners, 0.5 * _cross(*corners)
 
 
@@ -147,26 +146,8 @@ def build_dual(K: SimplicialComplex) -> DualComplex:
             f"fail, first triangle {t} with vertices {vertices.tolist()} {why}"
         )
 
-    ex, ey = _planes(K.vertices, K.simplices(1))
-    edge_centers = np.stack([0.5 * (c[0] + c[1]) for c in (ex, ey)], axis=1)
-    tri_centers = np.stack([bary[0] * c[0] + bary[1] * c[1] + bary[2] * c[2] for c in (x, y)], 1)
-    centers = [K.vertices.copy(), edge_centers, tri_centers]
-
-    edge_len = np.sqrt((ex[1] - ex[0]) ** 2 + (ey[1] - ey[0]) ** 2)
-    cross = _cross(x, y)
-    primal_volumes = [np.ones(K.n_simplices(0)), edge_len, 0.5 * np.abs(cross)]
-
-    # |*sigma| = a |sigma|, and |*T| = 1 since a_2 = 2 / |cross| = 1 / |T|
-    a = list(_cotangent_stars(K))
-    dual_volumes = [a[0] * primal_volumes[0], a[1] * edge_len, np.ones(len(cross))]
-
-    return DualComplex(
-        centers=centers,
-        primal_volumes=primal_volumes,
-        dual_volumes=dual_volumes,
-        hodge_ratio_a=a,
-        tri_orientation=np.where(cross > 0.0, 1.0, -1.0),
-    )
+    centers = np.stack([bary[0] * c[0] + bary[1] * c[1] + bary[2] * c[2] for c in (x, y)], 1)
+    return DualComplex(circumcenters=centers, hodge_ratio_a=list(_cotangent_stars(K)))
 
 
 def _cotangent_stars(K: SimplicialComplex):
@@ -203,10 +184,12 @@ def check_centroid_condition(
     over interior k-simplices is <= 1e-12 (vacuously true if there are
     none).
     """
+    if not _is_int(k) or not 0 <= k <= 2:
+        raise ValueError(f"no {k}-simplices in the plane")
     if k == 2:
-        dual_centroid = dual.centers[2].T
-    elif k in (0, 1):
-        vertex, edge, corners, area = _flags(K, dual.centers)
+        dual_centroid = dual.circumcenters.T
+    else:
+        vertex, edge, corners, area = _flags(K, dual.circumcenters)
         if k == 1:
             a, b = corners[:, 1, ::2], corners[:, 2, ::2]
             index, weight, centroid = edge[::2], np.linalg.norm(b - a, axis=0), 0.5 * (a + b)
@@ -217,8 +200,6 @@ def check_centroid_condition(
         nk = K.n_simplices(k)
         total = np.bincount(index, weight, nk)
         dual_centroid = np.stack([np.bincount(index, weight * c, nk) for c in centroid]) / total
-    else:
-        raise ValueError(f"no {k}-simplices in the plane")
 
     interior = ~K.is_boundary(k)
     if not interior.any():

@@ -36,11 +36,10 @@ import functools
 import math
 import time
 from dataclasses import dataclass, field
-from numbers import Integral
 
 import numpy as np
 
-from .complex import SimplicialComplex
+from .complex import SimplicialComplex, _is_int
 from .dual import DualComplex, build_dual, check_centroid_condition, well_centered_margin
 from .forms import (
     Poly2,
@@ -101,7 +100,7 @@ class ConvergenceReport:
 
 def _check_degree(k) -> None:
     """Reject a degree other than the ints 0, 1 and 2 (bools and floats too)."""
-    if isinstance(k, bool) or not isinstance(k, Integral) or k not in NORM_KEYS:
+    if not _is_int(k) or k not in NORM_KEYS:
         raise ValueError(f"k must be 0, 1 or 2, got {k!r}")
 
 

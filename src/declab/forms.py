@@ -125,9 +125,6 @@ class Poly2:
             return 0
         return int((nz[0] + nz[1]).max())
 
-    def is_zero(self) -> bool:
-        return not self.coeffs.any()
-
     def coefficient(self, i: int, j: int) -> float:
         """The coefficient of x^i y^j (0 beyond the stored array)."""
         _check_exponents(i, j)
@@ -584,10 +581,10 @@ def de_rham_dual(
         over the flag triangles).
     """
     m = form.degree
-    c = dual.centers
     if m == 0:
-        return dual.tri_orientation * _integrate_simplices(form, c[2].T[:, None])
-    vertex, edge, corners, area = _flags(K, c)
+        sign = np.where(_cross(*_planes(K.vertices, K.simplices(2))) > 0.0, 1.0, -1.0)
+        return sign * _integrate_simplices(form, dual.circumcenters.T[:, None])
+    vertex, edge, corners, area = _flags(K, dual.circumcenters)
     if m == 1:
         # the segment [c(e), c(T)] runs along the +90-degree rotation of
         # e = [a, b] where the flag [a, c(e), c(T)] turns counterclockwise

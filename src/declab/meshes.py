@@ -43,11 +43,11 @@ whitespace-separated, `#` starts a comment.  Coordinates are written with
 from __future__ import annotations
 
 from dataclasses import dataclass
-from numbers import Integral
+from numbers import Real
 
 import numpy as np
 
-from .complex import SimplicialComplex, _planes, build_complex
+from .complex import SimplicialComplex, _is_int, _planes, build_complex
 from .dual import WELL_CENTERED_TOL, _triangle_circum_bary, is_well_centered
 
 __all__ = [
@@ -91,12 +91,12 @@ class MeshFamilySpec:
 
 def _check_mesh_args(level, seed=0, alpha=0.0) -> None:
     """Raise ValueError unless level is an integer >= 1, seed an integer of
-    any size, and alpha in [0, 0.5); bools are not integers here."""
-    if isinstance(level, bool) or not isinstance(level, Integral) or level < 1:
+    any size, and alpha a real number in [0, 0.5); bools are not numbers here."""
+    if not _is_int(level) or level < 1:
         raise ValueError(f"refinement level must be an integer >= 1, got {level!r}")
-    if isinstance(seed, bool) or not isinstance(seed, Integral):
+    if not _is_int(seed):
         raise ValueError(f"seed must be an integer, got {seed!r}")
-    if not 0.0 <= alpha < 0.5:
+    if isinstance(alpha, bool) or not isinstance(alpha, Real) or not 0.0 <= alpha < 0.5:
         raise ValueError(f"alpha must lie in [0, 0.5), got {alpha!r}")
 
 
@@ -112,8 +112,12 @@ def counter_uniform(seed: int, counter):
     `counter` is a non-negative int (giving a float) or an integer array
     (giving a float64 array of the same shape); the arithmetic wraps in
     uint64, and the seed is reduced mod 2^64 first, so any int is exact.
+    Any other counter (negative, a float or a bool) raises ValueError.
     """
-    z = np.array(counter, dtype=np.uint64, ndmin=1)
+    c = np.asarray(counter)
+    if c.dtype.kind not in "iu" or (c.size and c.min() < 0):
+        raise ValueError(f"counter must be a non-negative integer (array), got {counter!r}")
+    z = np.array(c, dtype=np.uint64, ndmin=1)
     z += 1
     z *= _GOLDEN
     z += int(seed) & _MASK64
@@ -123,7 +127,7 @@ def counter_uniform(seed: int, counter):
     z *= 0x94D049BB133111EB
     z ^= z >> 31
     u = np.ldexp((z >> 11).astype(np.float64), -53)
-    return float(u[0]) if np.ndim(counter) == 0 else u
+    return float(u[0]) if c.ndim == 0 else u
 
 
 def _vid(n: int, r, j):  # vertex id of lattice point (r, j) on the n-row grid

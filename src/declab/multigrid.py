@@ -84,7 +84,7 @@ def _levels(M: sp.csr_matrix, K: SimplicialComplex, k: int):
     if fine is None:
         return None
     if k == 2:
-        area = np.abs(_cross(*_planes(x, fine.tri))) / 2
+        area = K.volumes(2)
     for level in range(fine.n.bit_length() - 2, 2, -1):  # the coarse level, down to 3
         coarse = _Grid(2**level)
         corner = np.stack([coarse.r[coarse.tri], coarse.j[coarse.tri]], axis=-1)

@@ -42,7 +42,7 @@ from __future__ import annotations
 import numpy as np
 import scipy.sparse as sp
 
-from .complex import SimplicialComplex
+from .complex import SimplicialComplex, _is_int
 from .dual import DualComplex
 from .forms import (
     PolyForm,
@@ -67,7 +67,7 @@ __all__ = [
 def _at_degree(ratios: list, k: int) -> np.ndarray:
     """ratios[k], raising ValueError for a degree with no cochains rather
     than indexing from the end."""
-    if not 0 <= k < len(ratios):
+    if not _is_int(k) or not 0 <= k < len(ratios):
         raise ValueError(f"no {k}-cochains on a {len(ratios) - 1}-complex")
     return ratios[k]
 
@@ -86,7 +86,7 @@ def codifferential_matrix(
     K: SimplicialComplex, dual: DualComplex, k: int
 ) -> sp.csr_matrix:
     """delta_k = S_{k-1}^{-1} D_{k-1}^T S_k mapping k-cochains to (k-1)-cochains."""
-    if not 1 <= k <= K.dim:
+    if not _is_int(k) or not 1 <= k <= K.dim:
         raise ValueError(f"codifferential is defined for 1 <= k <= {K.dim}")
     a = dual.hodge_ratio_a
     return _scaled(K.coboundary_matrix(k - 1).T.tocsr(), 1.0 / a[k - 1], a[k])

@@ -128,10 +128,11 @@ def discrete_inner(dual: DualComplex, k: int, u: np.ndarray, v: np.ndarray) -> f
     return float(np.sum(dual.hodge_ratio_a[k] * u * v))
 
 
-def diamond_volumes(K: SimplicialComplex, dual: DualComplex, k: int) -> np.ndarray:
+def diamond_volumes(K: SimplicialComplex, circumcenters: np.ndarray, k: int) -> np.ndarray:
     """|dc(sigma)| for every k-simplex sigma: the unsigned areas of the flag
-    triangles [v, c(e), c(T)] whose chain contains sigma.  For each k the
-    diamond cells of the k-simplices partition the domain.
+    triangles [v, c(e), c(T)] whose chain contains sigma, c(e) the midpoint
+    of e and c(T) = circumcenters[T].  For each k the diamond cells of the
+    k-simplices partition the domain.
 
     The flags are formed here one triangle and one of its edges at a time,
     and their areas by the shoelace formula, apart from the library."""
@@ -140,10 +141,10 @@ def diamond_volumes(K: SimplicialComplex, dual: DualComplex, k: int) -> np.ndarr
     out = np.zeros(K.n_simplices(k))
     edge_id = {tuple(e): i for i, e in enumerate(K.simplices(1).tolist())}
     for t, tri in enumerate(K.simplices(2).tolist()):
-        cx, cy = dual.centers[2][t]
+        cx, cy = circumcenters[t]
         for i, j in ((0, 1), (0, 2), (1, 2)):
             e = edge_id[tri[i], tri[j]]
-            mx, my = dual.centers[1][e]
+            mx, my = 0.5 * (K.vertices[tri[i]] + K.vertices[tri[j]])
             for v in (tri[i], tri[j]):
                 vx, vy = K.vertices[v]
                 shoelace = vx * (my - cy) + mx * (cy - vy) + cx * (vy - my)
@@ -200,16 +201,17 @@ def circum_bary_stacked(pts: np.ndarray) -> np.ndarray:
         return w / w.sum(axis=1, keepdims=True)
 
 
-def flags_stacked(K: SimplicialComplex, centers: list[np.ndarray]):
+def flags_stacked(K: SimplicialComplex, circumcenters: np.ndarray):
     """The 6T flag triangles [v, c(e), c(T)] of `dual._flags` as (6T, 3, 2)
-    stacks: the vertex and edge index of each flag, its rows and its area,
-    signed by the orientation of the rows."""
+    stacks, c(e) the midpoint of e: the vertex and edge index of each flag,
+    its rows and its area, signed by the orientation of the rows."""
     edge = np.repeat(K.cell_edges.reshape(-1), 2)
     vertex = K.simplices(1)[K.cell_edges.reshape(-1)].reshape(-1)
     coords = np.empty((len(edge), 3, 2))
-    coords[:, 0] = centers[0][vertex]
-    coords[:, 1] = centers[1][edge]
-    coords[:, 2] = np.repeat(centers[2], 6, axis=0)
+    coords[:, 0] = K.vertices[vertex]
+    ends = K.vertices[K.simplices(1)[edge]]
+    coords[:, 1] = 0.5 * (ends[:, 0] + ends[:, 1])
+    coords[:, 2] = np.repeat(circumcenters, 6, axis=0)
     area = 0.5 * _cross2(coords[:, 1] - coords[:, 0], coords[:, 2] - coords[:, 0])
     return vertex, edge, coords, area
 

@@ -193,13 +193,23 @@ def test_dual_report_consistency(capsys):
     assert lines[0] == "dim,simplex_id,primal_volume,dual_volume,ratio_a,is_boundary"
     assert len(lines) == 1 + 6 + 9 + 4
     K = symmetric_mesh(1)
-    dual = build_dual(K)
     for line in lines[1:]:
         dim_s, idx_s, pv_s, dv_s, a_s, bd_s = line.split(",")
         k, i = int(dim_s), int(idx_s)
-        assert float(pv_s) == dual.primal_volumes[k][i]
+        assert float(pv_s) == K.volumes(k)[i]
         assert float(a_s) * float(pv_s) == pytest.approx(float(dv_s), rel=1e-12)
         assert int(bd_s) == int(K.is_boundary(k)[i])
+
+
+def test_dual_report_gives_every_triangle_a_point_dual_of_volume_1(capsys):
+    # |*T| = 1, the volume of a point, where a_2 |T| rounds off 1
+    K = perturbed_mesh(4, 1)
+    assert (build_dual(K).hodge_ratio_a[2] * K.volumes(2) != 1.0).any()
+    assert main(["dual-report", "--family", "perturbed", "--level", "4", "--seed", "1"]) == 0
+    rows = [line.split(",") for line in capsys.readouterr().out.splitlines()[1:]]
+    star_volumes = [dv for dim, _, _, dv, _, _ in rows if dim == "2"]
+    assert len(star_volumes) == K.n_simplices(2)
+    assert set(star_volumes) == {"1"}
 
 
 @pytest.mark.parametrize("bad", ["nan", "inf"])

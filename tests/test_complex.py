@@ -22,7 +22,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from declab import build_complex
+from declab import build_complex, perturbed_mesh, symmetric_mesh
 
 TWO_TRI_VERTS = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
 TWO_TRI_CELLS = np.array([[0, 1, 2], [1, 2, 3]])
@@ -123,6 +123,26 @@ def test_stokes_pairing_against_transpose(two_tri):
 
 def test_mesh_size_is_longest_edge(two_tri):
     assert two_tri.mesh_size() == pytest.approx(np.sqrt(2.0))
+
+
+@pytest.mark.parametrize(
+    "K",
+    [symmetric_mesh(5), perturbed_mesh(5, 1), perturbed_mesh(5, 2, 0.45)],
+    ids=["symmetric-5", "perturbed-5-1", "perturbed-5-2-0.45"],
+)
+def test_volumes_tile_the_domain_and_give_the_mesh_size(K):
+    assert K.volumes(2).sum() == pytest.approx(np.sqrt(3.0) / 4, rel=1e-13)
+    assert K.volumes(1).max() == K.mesh_size()
+    assert np.array_equal(K.volumes(0), np.ones(K.n_simplices(0)))
+
+
+@pytest.mark.parametrize("k", [True, 1.0, -1, 3], ids=repr)
+def test_simplex_tables_reject_a_bad_degree(two_tri, k):
+    for call in (two_tri.simplices, two_tri.n_simplices, two_tri.is_boundary, two_tri.volumes):
+        with pytest.raises(ValueError, match="-simplices in a 2-complex"):
+            call(k)
+    with pytest.raises(ValueError, match="coboundary_matrix: k must be"):
+        two_tri.coboundary_matrix(k)
 
 
 def test_rejects_duplicate_cell():

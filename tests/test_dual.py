@@ -49,17 +49,15 @@ EQ_TRI = np.array([[0.0, 0.0], [1.0, 0.0], [0.5, SQRT3 / 2]])
 
 
 def test_circumcenter_of_edge_is_midpoint():
-    dual = build_dual(build_complex(EQ_TRI, [[0, 1, 2]]))
-    # edges (0,1), (0,2), (1,2)
-    np.testing.assert_allclose(
-        dual.centers[1],
-        [[0.5, 0.0], [0.25, SQRT3 / 4], [0.75, SQRT3 / 4]],
-        atol=1e-15,
-    )
+    K = build_complex(EQ_TRI, [[0, 1, 2]])
+    _, edge, corners, _ = _flags(K, build_dual(K).circumcenters)
+    # the c(e) corner of each flag, edges (0,1), (0,2), (1,2)
+    midpoints = np.array([[0.5, 0.0], [0.25, SQRT3 / 4], [0.75, SQRT3 / 4]])
+    np.testing.assert_allclose(corners[:, 1].T, midpoints[edge], atol=1e-15)
 
 
 def test_circumcenter_of_equilateral_triangle():
-    centers = build_dual(build_complex(EQ_TRI, [[0, 1, 2]])).centers[2]
+    centers = build_dual(build_complex(EQ_TRI, [[0, 1, 2]])).circumcenters
     np.testing.assert_allclose(centers[0], [0.5, SQRT3 / 6], rtol=1e-14, atol=1e-15)
     np.testing.assert_allclose(_triangle_circum_bary(*EQ_TRI.T), 1.0 / 3.0, rtol=1e-14)
 
@@ -102,10 +100,10 @@ def test_circumcenter_equidistance_random_triangles():
 
 def test_primal_volumes():
     ell = 0.25
-    dual = build_dual(build_complex(ell * EQ_TRI, [[0, 1, 2]]))
-    np.testing.assert_array_equal(dual.primal_volumes[0], 1.0)
-    np.testing.assert_allclose(dual.primal_volumes[1], ell, rtol=1e-15)
-    np.testing.assert_allclose(dual.primal_volumes[2], SQRT3 / 4 * ell**2, rtol=1e-14)
+    K = build_complex(ell * EQ_TRI, [[0, 1, 2]])
+    np.testing.assert_array_equal(K.volumes(0), 1.0)
+    np.testing.assert_allclose(K.volumes(1), ell, rtol=1e-15)
+    np.testing.assert_allclose(K.volumes(2), SQRT3 / 4 * ell**2, rtol=1e-14)
 
 
 @pytest.fixture(scope="module")
@@ -114,31 +112,35 @@ def sym3():
     return K, build_dual(K)
 
 
+def _star_volumes(K, dual) -> list[np.ndarray]:
+    """|*sigma| = a |sigma| per degree (a_2 |T|, which rounds near 1)."""
+    return [a * K.volumes(k) for k, a in enumerate(dual.hodge_ratio_a)]
+
+
 def test_symmetric_mesh_dual_volumes_closed_form(sym3):
     K, dual = sym3
+    star_volumes = _star_volumes(K, dual)
     ell = 2.0**-3
     interior_e = ~K.is_boundary(1)
     np.testing.assert_allclose(
-        dual.dual_volumes[1][interior_e], ell / SQRT3, rtol=1e-12
+        star_volumes[1][interior_e], ell / SQRT3, rtol=1e-12
     )
     np.testing.assert_allclose(
-        dual.dual_volumes[1][~interior_e], ell / (2 * SQRT3), rtol=1e-12
+        star_volumes[1][~interior_e], ell / (2 * SQRT3), rtol=1e-12
     )
     interior_v = ~K.is_boundary(0)
     np.testing.assert_allclose(
-        dual.dual_volumes[0][interior_v], SQRT3 / 2 * ell**2, rtol=1e-12
+        star_volumes[0][interior_v], SQRT3 / 2 * ell**2, rtol=1e-12
     )
-    np.testing.assert_allclose(dual.dual_volumes[2], 1.0)
+    np.testing.assert_allclose(star_volumes[2], 1.0)
     # vertex duals tile the domain
-    assert dual.dual_volumes[0].sum() == pytest.approx(SQRT3 / 4, rel=1e-12)
+    assert star_volumes[0].sum() == pytest.approx(SQRT3 / 4, rel=1e-12)
 
 
 def test_hodge_ratios_reciprocal(sym3):
-    _, dual = sym3
-    a, pv, dv = dual.hodge_ratio_a, dual.primal_volumes, dual.dual_volumes
-    for k in (0, 1):
-        assert np.array_equal(dv[k], a[k] * pv[k])
-    assert np.array_equal(a[2], 1.0 / pv[2])
+    K, dual = sym3
+    a = dual.hodge_ratio_a
+    assert np.array_equal(a[2], 1.0 / K.volumes(2))
     for k in range(3):
         np.testing.assert_allclose(
             a[k] * star_inverse_matrix(dual, k).diagonal(), 1.0, rtol=1e-14
@@ -175,7 +177,7 @@ def test_circumcenter_kernels_on_planes_match_the_stacked_formula_bit_for_bit(K)
     pts = K.vertices[K.simplices(2)]
     want = circum_bary_stacked(pts)
     assert _same_bits(_triangle_circum_bary(*pts.T).T, want)
-    assert _same_bits(build_dual(K).centers[2], np.einsum("mi,min->mn", want, pts))
+    assert _same_bits(build_dual(K).circumcenters, np.einsum("mi,min->mn", want, pts))
 
 
 @STACKED
@@ -189,8 +191,8 @@ def test_cotangent_stars_on_planes_match_the_stacked_formula_bit_for_bit(K):
 )
 def test_flag_planes_match_the_stacked_formula_bit_for_bit(K):
     dual = build_dual(K)
-    vertex, edge, corners, area = _flags(K, dual.centers)
-    want_vertex, want_edge, rows, want_area = flags_stacked(K, dual.centers)
+    vertex, edge, corners, area = _flags(K, dual.circumcenters)
+    want_vertex, want_edge, rows, want_area = flags_stacked(K, dual.circumcenters)
     assert _same_bits(vertex, want_vertex) and _same_bits(edge, want_edge)
     assert _same_bits(corners.T, rows)
     assert _same_bits(area, want_area)
@@ -207,13 +209,7 @@ def test_flag_planes_match_the_stacked_formula_bit_for_bit(K):
 
 
 def test_dual_complex_keeps_only_the_arrays_that_define_the_dual():
-    assert [f.name for f in dataclasses.fields(DualComplex)] == [
-        "centers",
-        "primal_volumes",
-        "dual_volumes",
-        "hodge_ratio_a",
-        "tri_orientation",
-    ]
+    assert [f.name for f in dataclasses.fields(DualComplex)] == ["circumcenters", "hodge_ratio_a"]
 
 
 def test_interior_edge_ratio_value(sym3):
@@ -236,7 +232,7 @@ def test_interior_vertex_ratio_value(sym3):
 def test_diamond_cells_partition_domain(sym3):
     K, dual = sym3
     for k in range(3):
-        vols = diamond_volumes(K, dual, k)
+        vols = diamond_volumes(K, dual.circumcenters, k)
         assert len(vols) == K.n_simplices(k)
         assert vols.sum() == pytest.approx(SQRT3 / 4, rel=1e-12)
 
@@ -244,7 +240,7 @@ def test_diamond_cells_partition_domain(sym3):
 def test_interior_edge_diamond_is_kite(sym3):
     K, dual = sym3
     tri_area = SQRT3 / 4 * (2.0**-3) ** 2
-    vols = diamond_volumes(K, dual, 1)
+    vols = diamond_volumes(K, dual.circumcenters, 1)
     interior = ~K.is_boundary(1)
     np.testing.assert_allclose(vols[interior], 2 * tri_area / 3, rtol=1e-12)
 
@@ -258,21 +254,21 @@ def test_dual_volumes_match_the_diamond_oracle(K):
     # the diamond of v is its dual cell, the kite of e is 1/2 |e| |*e|, and
     # the diamonds of the triangles are the triangles themselves
     dual = build_dual(K)
-    pv, dv = dual.primal_volumes, dual.dual_volumes
+    pv, dv = [K.volumes(k) for k in range(3)], _star_volumes(K, dual)
     for k, want in enumerate([dv[0], 0.5 * pv[1] * dv[1], pv[2]]):
-        np.testing.assert_allclose(diamond_volumes(K, dual, k), want, rtol=1e-13)
+        np.testing.assert_allclose(diamond_volumes(K, dual.circumcenters, k), want, rtol=1e-13)
 
 
 def test_dual_cell_pieces_shapes(sym3):
     K, dual = sym3
     # an interior vertex dual is a hexagon of 12 flag triangles, an interior
     # edge dual two segments [c(e), c(T)] (each flag pair visits one twice)
-    vertex, edge, _, _ = _flags(K, dual.centers)
+    vertex, edge, _, _ = _flags(K, dual.circumcenters)
     v_flags = np.bincount(vertex, minlength=K.n_simplices(0))
     assert (v_flags[~K.is_boundary(0)] == 12).all()
     e_flags = np.bincount(edge[::2], minlength=K.n_simplices(1))
     assert (e_flags[~K.is_boundary(1)] == 2).all()
-    assert dual.centers[2].shape == (K.n_simplices(2), 2)
+    assert dual.circumcenters.shape == (K.n_simplices(2), 2)
 
 
 def test_centroid_condition_symmetric_mesh(sym3):

@@ -218,9 +218,10 @@ def test_run_convergence_rejects_unsorted_levels():
         (True, "symmetric", [], {}),
         (1.0, "symmetric", [3], {}),
         (0, "symmetric", [2, 2.5], {}),
+        (0, "perturbed", [3], {"alpha": "0.1"}),
     ],
     ids=["nan-tol", "no-iterations", "no-levels", "k-5-no-levels", "k-5", "k-bool", "k-float",
-         "level-float-after-a-good-one"],
+         "level-float-after-a-good-one", "alpha-str"],
 )
 def test_run_convergence_rejects_bad_input_before_any_mesh(k, family, levels, options, monkeypatch):
     def no_mesh(spec):

@@ -90,6 +90,15 @@ def test_counter_uniform_on_arrays_matches_stream(seed):
     assert type(scalar) is float and scalar == want[1][2]
 
 
+@pytest.mark.parametrize(
+    "counter", [-1, 1.5, True, np.array([-1, 0]), np.array([1.0, 2.0]), None, "1"], ids=repr
+)
+def test_counter_uniform_rejects_a_counter_that_is_not_a_non_negative_integer(counter):
+    """-1 in an array wrapped to draw 2^64 - 1, and 1.5 gave draw 1."""
+    with pytest.raises(ValueError, match="counter must be"):
+        counter_uniform(0, counter)
+
+
 def test_counter_uniform_range_and_spread():
     draws = np.array([counter_uniform(9, i) for i in range(1000)])
     assert ((0.0 <= draws) & (draws < 1.0)).all()
@@ -254,12 +263,14 @@ def test_mesh_family_spec_validation_and_dispatch():
             MeshFamilySpec("perturbed", 2, seed=seed)
         with pytest.raises(ValueError, match="seed"):
             perturbed_mesh(2, seed)
-    for alpha in (0.5, -0.1, float("nan")):
+    for alpha in (0.5, -0.1, float("nan"), "0.1", None, False, True):
         with pytest.raises(ValueError, match="alpha"):
             MeshFamilySpec("perturbed", 1, alpha=alpha)
         with pytest.raises(ValueError, match="alpha"):
             perturbed_mesh(2, 1, alpha)
     assert symmetric_mesh(np.int64(2)).vertices.tobytes() == symmetric_mesh(2).vertices.tobytes()
+    want = perturbed_mesh(3, 1, 0.3).vertices.tobytes()
+    assert perturbed_mesh(3, 1, np.float64(0.3)).vertices.tobytes() == want
 
 
 # -- mesh file IO -------------------------------------------------------------

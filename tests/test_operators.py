@@ -22,6 +22,7 @@ from declab import (
     PolyForm,
     build_complex,
     build_dual,
+    check_centroid_condition,
     codifferential,
     codifferential_matrix,
     commuting_j_check,
@@ -90,9 +91,10 @@ def test_star_inverse_round_trip():
         np.testing.assert_allclose(prod.diagonal(), 1.0, rtol=1e-14)
 
 
-@pytest.mark.parametrize("k", [-1, 3])
+@pytest.mark.parametrize("k", [-1, 3, True, 1.0])
 def test_star_and_norm_reject_degrees_without_cochains(k):
-    """k = -1 must not index the triangle ratios from the end."""
+    """k = -1 must not index the triangle ratios from the end, True must not
+    run as k = 1, nor 1.0 fail as a list index."""
     K, dual = _with_dual(symmetric_mesh(1))
     for call in (
         lambda: star_matrix(dual, k),
@@ -102,6 +104,15 @@ def test_star_and_norm_reject_degrees_without_cochains(k):
     ):
         with pytest.raises(ValueError, match=f"no {k}-cochains"):
             call()
+
+
+@pytest.mark.parametrize("k", [True, 1.0], ids=repr)
+def test_codifferential_and_centroid_check_reject_bools_and_floats(k):
+    K, dual = _with_dual(symmetric_mesh(2))
+    with pytest.raises(ValueError, match="codifferential is defined"):
+        codifferential_matrix(K, dual, k)
+    with pytest.raises(ValueError, match="-simplices in the plane"):
+        check_centroid_condition(K, dual, k)
 
 
 # -- codifferential: two routes, adjointness ----------------------------------
@@ -258,7 +269,7 @@ def test_dec_system_is_the_whitney_stiffness_and_curl_curl(mesh):
     stiffness = sp.csr_matrix((local.ravel(), (rows.ravel(), cols.ravel())), (n, n))
     M = dec_system(K, dual.hodge_ratio_a, 0)
     assert abs(M - stiffness).max() <= 1e-14 * abs(M).max()
-    gap = np.abs(dual.hodge_ratio_a[2] * dual.primal_volumes[2] - 1.0).max()
+    gap = np.abs(dual.hodge_ratio_a[2] * K.volumes(2) - 1.0).max()
     assert gap <= (0.0 if len(mesh) == 1 else 2.3e-16)
 
 
@@ -433,11 +444,11 @@ def test_whitney_one_forms_reproduce_constant_fields():
 
 def test_whitney_density_respects_orientation():
     K = symmetric_mesh(1)
-    dual = build_dual(K)
     cochain = de_rham(K, PolyForm(2, (Poly2.constant(4.0),)))
     tris = K.simplices(2)
-    up = int(np.flatnonzero(dual.tri_orientation > 0)[0])
-    down = int(np.flatnonzero(dual.tri_orientation < 0)[0])
+    _, _, det = _triangle_frames(K, np.arange(len(tris)))
+    up = int(np.flatnonzero(det > 0)[0])
+    down = int(np.flatnonzero(det < 0)[0])
     for t in (up, down):
         centroid = K.vertices[tris[t]].mean(axis=0)
         assert whitney_evaluate(K, 2, cochain, t, centroid)[0] == pytest.approx(

@@ -89,6 +89,30 @@ def test_every_public_function_has_a_production_caller():
     assert uncalled == []
 
 
+@pytest.mark.parametrize(
+    "option, marker, exit_code",
+    [("filterwarnings", "@pytest.mark.slowww\n", 2), ("filterwarning", "", 4)],
+    ids=["misspelt-marker", "misspelt-option"],
+)
+def test_pytest_config_fails_a_misspelling(tmp_path, option, marker, exit_code):
+    """The suite's config fails collection on an unregistered marker, and on
+    a misspelt option instead of dropping its warnings-as-errors policy."""
+    config = (ROOT / "pyproject.toml").read_text().replace("\nfilterwarnings =", f"\n{option} =")
+    (tmp_path / "pyproject.toml").write_text(config)
+    for folder in ("src", "tests", "perfbench"):
+        (tmp_path / folder).mkdir()
+    (tmp_path / "tests" / "test_x.py").write_text(f"import pytest\n\n{marker}def test_x():\n    pass\n")
+    proc = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider"],
+        cwd=tmp_path,
+        env={k: v for k, v in os.environ.items() if k != "PYTEST_ADDOPTS"},
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert proc.returncode == exit_code, proc.stdout + proc.stderr
+
+
 @pytest.mark.parametrize("demo", sorted(p.name for p in (ROOT / "demos").glob("*.py")))
 def test_demo_runs(demo):
     proc = subprocess.run(
