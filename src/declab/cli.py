@@ -76,6 +76,8 @@ def _add_mesh_args(
 
 def _mesh_from_args(args: argparse.Namespace) -> SimplicialComplex:
     if getattr(args, "mesh", None):
+        if args.level is not None:
+            raise ValueError("give --mesh or --level, not both")
         return read_mesh(args.mesh)
     if args.level is None:
         raise ValueError("either --mesh or --level is required")

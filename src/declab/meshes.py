@@ -111,9 +111,12 @@ def counter_uniform(seed: int, counter):
 
     `counter` is a non-negative int (giving a float) or an integer array
     (giving a float64 array of the same shape); the arithmetic wraps in
-    uint64, and the seed is reduced mod 2^64 first, so any int is exact.
-    Any other counter (negative, a float or a bool) raises ValueError.
+    uint64, and the seed, an integer of any size, is reduced mod 2^64 first.
+    Any other seed, or any other counter (negative, a float or a bool),
+    raises ValueError.
     """
+    if not _is_int(seed):
+        raise ValueError(f"seed must be an integer, got {seed!r}")
     c = np.asarray(counter)
     if c.dtype.kind not in "iu" or (c.size and c.min() < 0):
         raise ValueError(f"counter must be a non-negative integer (array), got {counter!r}")

@@ -17,7 +17,9 @@ from declab import (
     SimplicialComplex,
     build_complex,
     codifferential_matrix,
+    exterior_derivative,
     gauss_legendre_unit,
+    hodge_star,
     is_well_centered,
     symmetric_mesh,
     triangle_rule,
@@ -329,6 +331,39 @@ def integrate_over_simplex(
     if k == 1:  # (P, Q) . (b - a) ds on the unit parameter interval
         return float(rule.weights @ (vals[0] * edges[0, 0] + vals[1] * edges[0, 1]))
     return float(_cross2(edges[0], edges[1]) * (rule.weights @ vals[0]))
+
+
+# -- form operators as compositions ---------------------------------------------
+
+
+def _negated(form: PolyForm) -> PolyForm:
+    return PolyForm(form.degree, tuple(-c for c in form.components))
+
+
+def hodge_star_inverse(form: PolyForm) -> PolyForm:
+    """star^{-1} = (-1)^(k (2-k)) star: -star on 1-forms, star itself on
+    0- and 2-forms."""
+    starred = hodge_star(form)
+    return _negated(starred) if form.degree == 1 else starred
+
+
+def codifferential_by_stars(form: PolyForm) -> PolyForm:
+    """delta = (-1)^k star^{-1} d star on k-forms (k >= 1), composed from the
+    library's star and d rather than written in components."""
+    out = hodge_star_inverse(exterior_derivative(hodge_star(form)))
+    return _negated(out) if form.degree % 2 else out
+
+
+def hodge_laplacian_by_composition(form: PolyForm) -> PolyForm:
+    """L = d delta + delta d on k-forms, the undefined half dropped at k = 0
+    and k = 2, rather than the scalar -(c_xx + c_yy) on each component."""
+    if form.degree == 0:
+        return codifferential_by_stars(exterior_derivative(form))
+    d_delta = exterior_derivative(codifferential_by_stars(form))
+    if form.degree == 2:
+        return d_delta
+    delta_d = codifferential_by_stars(exterior_derivative(form))
+    return PolyForm(1, tuple(a + b for a, b in zip(d_delta.components, delta_d.components)))
 
 
 # -- Whitney forms --------------------------------------------------------------

@@ -262,6 +262,18 @@ def test_dual_report_requires_mesh_or_level(capsys):
     assert "either --mesh or --level" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "command", [["diagnostics", "--k", "0"], ["dual-report"], ["dump-operators", "--k", "1"]]
+)
+def test_mesh_and_level_together_are_rejected_before_the_file_is_read(capsys, command):
+    """--level was dropped silently; the path does not exist, so exit code 1
+    rather than 3 shows that the file was never read."""
+    code = main([*command, "--mesh", "/nonexistent/mesh.txt", "--level", "3"])
+    assert code == 1
+    out, err = capsys.readouterr()
+    assert out == "" and "give --mesh or --level, not both" in err
+
+
 # -- dump-operators -----------------------------------------------------------
 
 

@@ -145,6 +145,22 @@ def test_simplex_tables_reject_a_bad_degree(two_tri, k):
         two_tri.coboundary_matrix(k)
 
 
+@pytest.mark.parametrize(
+    "vertices, cells, match",
+    [
+        (np.zeros((3, 3)), [[0, 1, 2]], r"vertices must have shape \(V, 2\)"),
+        (np.zeros(6), [[0, 1, 2]], r"vertices must have shape \(V, 2\)"),
+        (TWO_TRI_VERTS, [[0, 1, 2, 3]], r"cells must have shape \(T, 3\)"),
+        (TWO_TRI_VERTS, [0, 1, 2], r"cells must have shape \(T, 3\)"),
+        (TWO_TRI_VERTS, np.zeros((0, 3), dtype=int), "complex needs at least one cell"),
+    ],
+    ids=["vertices-3d", "vertices-flat", "cells-4", "cells-flat", "no-cells"],
+)
+def test_build_complex_rejects_tables_of_the_wrong_shape(vertices, cells, match):
+    with pytest.raises(ValueError, match=match):
+        build_complex(vertices, cells)
+
+
 def test_rejects_duplicate_cell():
     with pytest.raises(ValueError, match="duplicate"):
         build_complex(TWO_TRI_VERTS, [[0, 1, 2], [2, 1, 0]])

@@ -7,8 +7,9 @@ Oracles
   integer arithmetic on the same coefficients, and its barycentric
   coefficients with an independent multinomial expansion of the monomials.
 * Hand codifferential on the plane: delta(P dx + Q dy) = -(P_x + Q_y) and
-  delta(R dx dy) = R_y dx - R_x dy; these are frozen below and checked
-  against the star/d composition the library uses.
+  delta(R dx dy) = R_y dx - R_x dy, the formulas the library writes; its
+  codifferential and Hodge Laplacian are checked against the compositions
+  delta = (-1)^k star^{-1} d star and L = d delta + delta d (tests/oracles.py).
 * Dual line integrals on one equilateral triangle [0,1,2] with vertices
   (0,0), (1,0), (1/2, sqrt(3)/2): each dual edge runs from the edge
   midpoint to the circumcenter (0.5, sqrt(3)/6), oriented as the +90-degree
@@ -45,7 +46,6 @@ from declab import (
     gauss_legendre_unit,
     hodge_laplacian,
     hodge_star,
-    hodge_star_inverse,
     manufactured_solution,
     symmetric_mesh,
     perturbed_mesh,
@@ -53,7 +53,13 @@ from declab import (
 )
 from declab import forms as forms_module
 from declab.complex import _planes
-from oracles import _cross2, dense_barycentric_horner, integrate_over_simplex
+from oracles import (
+    _cross2,
+    codifferential_by_stars,
+    dense_barycentric_horner,
+    hodge_laplacian_by_composition,
+    integrate_over_simplex,
+)
 
 SQRT3 = np.sqrt(3.0)
 REF_TRI = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
@@ -101,6 +107,31 @@ def test_poly_rejects_non_finite_coefficients(bad):
 def test_poly_monomial_rejects_negative_exponents(i, j):
     with pytest.raises(ValueError, match=rf"non-negative, got x\^{i} y\^{j}"):
         Poly2.monomial(i, j)
+
+
+@pytest.mark.parametrize(
+    "call, error, match",
+    [
+        (lambda: Poly2(np.ones((2, 2, 2))), ValueError, "coefficients must form a 2-d array"),
+        (lambda: Poly2.monomial(1, 0) ** -1, ValueError, "exponent must be a non-negative integer"),
+        (lambda: Poly2.monomial(1, 0) ** 1.5, ValueError, "exponent must be a non-negative integer"),
+        (lambda: Poly2.monomial(1, 0).deriv(2), ValueError, r"axis must be 0 \(x\) or 1 \(y\)"),
+        (lambda: Poly2.monomial(1, 0) * "x", TypeError, "cannot interpret str as a polynomial"),
+        (lambda: "2" * Poly2.monomial(1, 0), TypeError, "cannot interpret str as a polynomial"),
+        (lambda: PolyForm(3, (Poly2.zero(),)), ValueError, "no 3-forms in the plane"),
+        (lambda: PolyForm(1, (Poly2.zero(),)), ValueError, r"a 1-form needs 2 component\(s\), got 1"),
+        (lambda: manufactured_solution(3), ValueError, "no 3-forms in the plane"),
+        (lambda: gauss_legendre_unit(0), ValueError, "need at least one quadrature point"),
+        (lambda: triangle_rule(-1), ValueError, "degree must be non-negative"),
+    ],
+    ids=[
+        "poly-3d", "pow-negative", "pow-float", "deriv-2", "times-str", "str-times",
+        "form-degree-3", "form-components", "manufactured-3", "gauss-0", "triangle-negative",
+    ],
+)
+def test_form_constructors_reject_bad_arguments(call, error, match):
+    with pytest.raises(error, match=match):
+        call()
 
 
 def test_poly_vectorized_evaluation():
@@ -540,11 +571,6 @@ def test_double_star_signs():
     ss = hodge_star(hodge_star(w1))
     for i in range(2):
         assert _is_zero(ss.components[i] + w1.components[i])
-    # star_inverse undoes star
-    for w in (w0, w1):
-        back = hodge_star_inverse(hodge_star(w))
-        for c_back, c_w in zip(back.components, w.components):
-            assert _is_zero(c_back - c_w)
 
 
 def test_star_pointwise_isometry():
@@ -558,7 +584,7 @@ def test_star_pointwise_isometry():
 
 
 def test_codifferential_hand_formulas():
-    """The star/d composition must agree with the flat-plane formulas
+    """The codifferential gives the flat-plane formulas
     delta(P dx + Q dy) = -(P_x + Q_y) and delta(R dx dy) = R_y dx - R_x dy."""
     P = Poly2.monomial(3, 1, 0.5) + Poly2.monomial(1, 0, -2.0)
     Q = Poly2.monomial(2, 2, 1.5) + Poly2.monomial(0, 1, 1.0)
@@ -602,6 +628,58 @@ def test_laplacian_examples():
     assert all(_is_zero(c) for c in lap1.components)
 
 
+def _random_form(rng, k: int) -> PolyForm:
+    """A k-form with random polynomial components of mixed size, sign and
+    shape, some coefficients exactly zero."""
+    comps = []
+    for _ in range(2 if k == 1 else 1):
+        c = rng.normal(scale=10.0 ** rng.integers(0, 6), size=rng.integers(1, 8, 2))
+        c[rng.random(c.shape) < 0.3] = 0.0
+        comps.append(Poly2(c))
+    return PolyForm(k, tuple(comps))
+
+
+def _close_forms(got: PolyForm, want: PolyForm) -> bool:
+    """Same degree, and each component within longdouble rounding."""
+    scale = max(_max_abs(c) for c in want.components) or 1.0
+    return got.degree == want.degree and all(
+        _max_abs(a - b) <= 1e-17 * scale for a, b in zip(got.components, want.components)
+    )
+
+
+@pytest.mark.parametrize("k", [0, 1, 2])
+def test_form_operators_match_their_compositions_on_random_forms(k):
+    """codifferential and hodge_laplacian, written in components, agree with
+    delta = (-1)^k star^{-1} d star and L = d delta + delta d."""
+    rng = np.random.default_rng(20 + k)
+    for _ in range(20):
+        w = _random_form(rng, k)
+        if k:
+            assert _close_forms(codifferential(w), codifferential_by_stars(w))
+        assert _close_forms(hodge_laplacian(w), hodge_laplacian_by_composition(w))
+
+
+def _same_coefficients(got: Poly2, want: Poly2) -> bool:
+    """Equal monomial coefficients, compared by value and by sign bit."""
+    a, b = got.coeffs, want.coeffs
+    return a.shape == b.shape and bool((a == b).all() and (np.signbit(a) == np.signbit(b)).all())
+
+
+@pytest.mark.parametrize("k", [0, 1, 2])
+def test_form_operators_on_the_manufactured_u_are_their_compositions_bit_for_bit(k):
+    """On the manufactured u, delta u has the bits of the star/d composition,
+    and each slot of L u has the bits of the composition delta d on that
+    slot as a function, the scalar L acts as on the flat frame (at k = 0
+    that is the whole composition)."""
+    u, _ = manufactured_solution(k)
+    if k:
+        got, want = codifferential(u), codifferential_by_stars(u)
+        assert all(map(_same_coefficients, got.components, want.components))
+    for c, g in zip(u.components, hodge_laplacian(u).components):
+        (want,) = hodge_laplacian_by_composition(PolyForm(0, (c,))).components
+        assert _same_coefficients(g, want)
+
+
 # -- manufactured solution ----------------------------------------------------
 
 
@@ -633,12 +711,12 @@ def test_manufactured_k1_duplicates_scalar():
 
 @pytest.mark.parametrize("mesh", [(4,), (4, 2, 0.15)], ids=["symmetric", "perturbed"])
 def test_manufactured_k1_forcing_is_the_hodge_laplacian_of_u(mesh):
-    """hodge_laplacian(u), built from the two slots of u, stays the oracle:
-    its de Rham map differs from R(f) only by the rounding of the
+    """d delta u + delta d u, composed from the two slots of u, is the
+    oracle: its de Rham map differs from R(f) only by the rounding of the
     longdouble coefficients (4.1e-13 and 4.3e-13 of the maximum here)."""
     K = symmetric_mesh(*mesh) if len(mesh) == 1 else perturbed_mesh(*mesh)
     u, f = manufactured_solution(1)
-    want = de_rham(K, hodge_laplacian(u))
+    want = de_rham(K, hodge_laplacian_by_composition(u))
     assert np.abs(de_rham(K, f) - want).max() <= 1e-12 * np.abs(want).max()
 
 

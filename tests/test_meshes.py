@@ -99,6 +99,19 @@ def test_counter_uniform_rejects_a_counter_that_is_not_a_non_negative_integer(co
         counter_uniform(0, counter)
 
 
+@pytest.mark.parametrize("seed", [1.5, True, "7", None], ids=repr)
+def test_counter_uniform_rejects_a_seed_that_is_not_an_integer(seed):
+    """1.5 and True gave seed 1's draws, and "7" seed 7's."""
+    with pytest.raises(ValueError, match="seed must be an integer"):
+        counter_uniform(seed, 0)
+
+
+def test_counter_uniform_takes_a_numpy_integer_seed():
+    counters = np.arange(4)
+    assert counter_uniform(np.int64(7), counters).tolist() == counter_uniform(7, counters).tolist()
+    assert counter_uniform(np.uint64(7), 3) == counter_uniform(7, 3)
+
+
 def test_counter_uniform_range_and_spread():
     draws = np.array([counter_uniform(9, i) for i in range(1000)])
     assert ((0.0 <= draws) & (draws < 1.0)).all()
@@ -298,6 +311,7 @@ def test_read_mesh_accepts_comments_and_whitespace(tmp_path):
     "text,match",
     [
         ("", "header"),
+        ("2 x 3\n", "malformed mesh header: invalid literal for int"),
         ("3 3 1\n0 0\n1 0\n0.5 1\n0 1 2\n", "planar"),
         ("2 3 1\n0 0\n1 0\n0.5 1\n0 1\n", "malformed|expected"),
         ("2 3 1\n0 0\n1 0\n0.5 1\n0 1 5\n", "outside"),

@@ -25,7 +25,7 @@ PUBLIC_API = [
     "commuting_j_check", "compute_errors", "counter_uniform", "de_rham",
     "de_rham_dual", "diagnostics", "discrete_norm", "exterior_derivative",
     "gauss_legendre_unit", "hodge_laplacian", "hodge_laplacian_matrix",
-    "hodge_star", "hodge_star_inverse", "is_well_centered", "j_interpolant",
+    "hodge_star", "is_well_centered", "j_interpolant",
     "manufactured_solution", "perturbed_mesh", "pi_minus_j", "read_mesh",
     "render_report", "run_convergence", "solve_problem", "star_inverse_matrix",
     "star_matrix", "symmetric_mesh", "triangle_rule", "well_centered_margin",
