@@ -59,6 +59,7 @@ _LAM = (np.eye(3)[_A] + np.eye(3)[_B]) / 2
 _EDGES = np.array([[0, 3], [3, 1], [0, 4], [4, 2], [1, 5], [5, 2], [3, 4], [3, 5], [4, 5]])
 _TRIANGLES = np.array([[0, 3, 4], [1, 3, 5], [2, 4, 5], [3, 4, 5]])
 _PAIRS = np.array([[0, 1], [0, 2], [1, 2]])  # K.cell_edges' local order
+_ROWS = 8192  # rows per block of the Gershgorin bound
 
 
 def _grid(K: SimplicialComplex) -> _Grid | None:
@@ -75,53 +76,21 @@ def _grid(K: SimplicialComplex) -> _Grid | None:
 def _levels(M: sp.csr_matrix, K: SimplicialComplex, k: int):
     """(A, Ps) on the level-m grid K: M and the operators of levels m-1, ..., 3,
     and the transfers P_k into levels m, ..., 4, finest first.  Each step builds
-    P_k, gathers the coarse vertices and takes the coarse operator: Galerkin
-    P^T A P at k = 0, half of it at k = 2, at k = 1 the grid's own DEC system
-    from those vertices' cotangent stars.  None if K is not a grid (_grid) or
-    a coarse vertex star S0 is not positive.  It recognises the grid itself, so
-    the fine lattice is freed once the walk leaves it (3.3 MB at level 8)."""
+    P_k (_transfer, whose temporaries are freed when it returns, before the
+    coarse operator is built: at perturbed (8, 1), k = 1, they held 25 MB under
+    the level-7 dec_system), gathers the coarse vertices and takes the coarse
+    operator: Galerkin P^T A P at k = 0, half of it at k = 2, at k = 1 the
+    grid's own DEC system from those vertices' cotangent stars.  None if K is
+    not a grid (_grid) or a coarse vertex star S0 is not positive.  It
+    recognises the grid itself, so the fine lattice is freed once the walk
+    leaves it (3.3 MB at level 8)."""
     fine, x, A, Ps = _grid(K), K.vertices, [M], []
     if fine is None:
         return None
-    if k == 2:
-        area = K.volumes(2)
+    area = K.volumes(2) if k == 2 else None
     for level in range(fine.n.bit_length() - 2, 2, -1):  # the coarse level, down to 3
         coarse = _Grid(2**level)
-        corner = np.stack([coarse.r[coarse.tri], coarse.j[coarse.tri]], axis=-1)
-        point = _vid(fine.n, *np.moveaxis(corner[:, _A] + corner[:, _B], -1, 0))
-        # child ids (T, c), and for each child its coarse ids and weights (T, c, w)
-        if k == 0:
-            child, cols, vals = point, coarse.tri[:, None, :], _LAM[None]
-        elif k == 1:
-            child, tail, head = fine.edge(point[:, _EDGES[:, 0]], point[:, _EDGES[:, 1]])
-            # x and y planes, coarse triangles innermost: (corner, T) and (edge, T)
-            px, py = _planes(x, point[:, :3])
-            ex, ey = _opposite(px, py)
-            cross = _cross(px, py)
-            gx, gy = -ey / cross, ex / cross  # grad lam at each corner
-            dx, dy = _planes(x, head) - _planes(x, tail)
-            g = gx * dx[:, None] + gy * dy[:, None]  # (edge, corner, T)
-            lam = (_LAM[_EDGES[:, 0]] + _LAM[_EDGES[:, 1]]) / 2
-            i, j = _PAIRS.T
-            vals = lam[:, i, None] * g[:, j]
-            vals -= lam[:, j, None] * g[:, i]
-            vals = vals.transpose(2, 0, 1)  # (T, edge, pair), as the other degrees
-            cols = coarse.edge(coarse.tri[:, i], coarse.tri[:, j])[0][:, None, :]
-        else:
-            child = fine.triangle(point[:, _TRIANGLES])
-            parent = area[child].sum(axis=1)
-            # the middle child points the other way from its parent
-            vals = (area[child] / parent[:, None] * [1, 1, 1, -1])[..., None]
-            cols = np.arange(len(point))[:, None, None]
-            area = parent
-        # a fine simplex shared by several parents takes their mean
-        share = np.bincount(child.ravel(), minlength=fine.counts[k])
-        vals = vals / share[child][..., None]
-        rows = np.broadcast_to(child[..., None].astype(np.int32), vals.shape).ravel()
-        cols = np.broadcast_to(cols.astype(np.int32), vals.shape).ravel()
-        P = sp.csr_matrix((vals.ravel(), (rows, cols)), (fine.counts[k], coarse.counts[k]))
-        P.data[np.abs(P.data) < 1e-13] = 0.0  # O(1) weights: roundoff of exact zeros
-        P.eliminate_zeros()
+        P, area = _transfer(fine, coarse, x, k, area)
         Ps.append(P)
         fine, x = coarse, x[_vid(fine.n, 2 * coarse.r, 2 * coarse.j)]
         if k != 1:  # a piecewise-constant P_2 counts each coarse flux twice
@@ -136,40 +105,106 @@ def _levels(M: sp.csr_matrix, K: SimplicialComplex, k: int):
     return A, Ps
 
 
+def _transfer(fine: _Grid, coarse: _Grid, x: np.ndarray, k: int, area):
+    """(P_k, coarse areas) from the level of `coarse` into that of `fine`, whose
+    vertices are x; area holds the fine triangles' measures at k = 2 (the
+    coarse ones, the sums of their children's, come back for the next step)
+    and is None, and stays None, at k = 0 and 1."""
+    corner = np.stack([coarse.r[coarse.tri], coarse.j[coarse.tri]], axis=-1)
+    point = _vid(fine.n, *np.moveaxis(corner[:, _A] + corner[:, _B], -1, 0))
+    # child ids (T, c), and for each child its coarse ids and weights (T, c, w)
+    if k == 0:
+        child, cols, vals = point, coarse.tri[:, None, :], _LAM[None]
+    elif k == 1:
+        child, cols, vals = _edge_weights(fine, coarse, x, point)
+    else:
+        child = fine.triangle(point[:, _TRIANGLES])
+        parent = area[child].sum(axis=1)
+        # the middle child points the other way from its parent
+        vals = (area[child] / parent[:, None] * [1, 1, 1, -1])[..., None]
+        cols = np.arange(len(point))[:, None, None]
+        area = parent
+    # a fine simplex shared by several parents takes their mean
+    share = np.bincount(child.ravel(), minlength=fine.counts[k])
+    vals = vals / share[child][..., None]
+    rows = np.broadcast_to(child[..., None].astype(np.int32), vals.shape).ravel()
+    cols = np.broadcast_to(cols.astype(np.int32), vals.shape).ravel()
+    P = sp.csr_matrix((vals.ravel(), (rows, cols)), (fine.counts[k], coarse.counts[k]))
+    # O(1) weights: roundoff of exact zeros (|w| < 1e-13 with no nnz-sized |w|)
+    P.data[(P.data < 1e-13) & (P.data > -1e-13)] = 0.0
+    P.eliminate_zeros()
+    return P, area
+
+
+def _edge_weights(fine: _Grid, coarse: _Grid, x: np.ndarray, point: np.ndarray):
+    """The k = 1 children of each coarse triangle, whose six fine vertices
+    are `point` (T, 6): its nine fine edge ids (T, 9), the coarse edges of
+    its corner pairs (T, 1, 3) and the weights (T, 9, 3) of fine edge [a, b]
+    in them, (lam_i grad lam_j - lam_j grad lam_i) . (b - a) with lam at the
+    edge's midpoint, formed one fine edge at a time on x and y planes with
+    the coarse triangles innermost, so that no (9, 3, T) temporary exists."""
+    child, tail, head = fine.edge(point[:, _EDGES[:, 0]], point[:, _EDGES[:, 1]])
+    px, py = _planes(x, point[:, :3])
+    ex, ey = _opposite(px, py)
+    cross = _cross(px, py)
+    gx, gy = -ey / cross, ex / cross  # grad lam at each corner (corner, T)
+    i, j = _PAIRS.T
+    vals = np.empty(child.shape + (3,))
+    for e, lam in enumerate((_LAM[_EDGES[:, 0]] + _LAM[_EDGES[:, 1]]) / 2):
+        dx, dy = _planes(x, head[:, e]) - _planes(x, tail[:, e])
+        g = gx * dx + gy * dy  # (corner, T)
+        vals[:, e] = (lam[i, None] * g[j] - lam[j, None] * g[i]).T
+    cols = coarse.edge(coarse.tri[:, i], coarse.tri[:, j])[0][:, None, :]
+    return child, cols, vals
+
+
 def multigrid_cycle(M: sp.csr_matrix, K: SimplicialComplex, k: int):
     """The V(2,2) multigrid cycle for M, the degree-k system on the grid
     mesh K, as a function r -> z approximating M^+ r (on a grid of level 3
     or below it is M^+ itself, a dense pseudo-inverse); None when K is not a
     grid (_grid) or a coarse k = 1 grid has a vertex star that is not
-    positive.  It reads M and edits none of its arrays; the operators,
-    transfers and restrictions it builds are canonical CSR."""
+    positive.  It reads M and edits none of its arrays; the operators and
+    transfers it builds are canonical CSR, and it restricts by P^T, a view
+    of P that sums each coarse entry over the fine ones in ascending order,
+    the bits of a CSR copy of P^T without the copy (4.7 MB at perturbed
+    k = 1, level 8; each restriction takes about 0.1 ms longer there)."""
     if (levels := _levels(M, K, k)) is None:
         return None
     A, Ps = levels
     smoothers = []
     for Al in A[:-1]:
         inv_d = 1.0 / Al.diagonal()
-        # Gershgorin bound of D^-1 A; abs(Al) would sort Al in place
-        g = (np.add.reduceat(np.abs(Al.data), Al.indptr[:-1]) * inv_d).max()
+        g = _gershgorin(Al, inv_d)
         # 1 - t (c0 + c1 t) is the degree-2 Chebyshev residual on [g/10, g]
         smoothers.append((inv_d, 2.2 / (0.4025 * g), -2.0 / (0.4025 * g * g)))
     w, V = np.linalg.eigh(A[-1].toarray())
     keep = w > 1e-10 * w.max()
     # numpy's own loop: a BLAS product's bits depend on its thread count
     coarse_inv = np.einsum("ik,jk->ij", V[:, keep] / w[keep], V[:, keep])
-    # P^T as CSR, each row sorted by the conversion
-    restrictions = [P.T.tocsr() for P in Ps]
-    levels = (A, Ps, restrictions, smoothers, coarse_inv)
+    levels = (A, Ps, smoothers, coarse_inv)
     if k == 0:  # M^+ maps into the range of M, the vectors that sum to zero
         return lambda r: (z := _visit(levels, 0, r)) - z.mean()
     return lambda r: _visit(levels, 0, r)
+
+
+def _gershgorin(A: sp.csr_matrix, inv_d: np.ndarray) -> float:
+    """max_i inv_d[i] sum_j |A_ij|, the Gershgorin bound of D^-1 A, a block
+    of rows at a time: |A| whole would be an nnz-sized temporary (8.6 MB at
+    perturbed k = 1, level 8), and abs(A) would sort A in place."""
+    bound, n = 0.0, A.shape[0]
+    for lo in range(0, n, _ROWS):
+        hi = min(lo + _ROWS, n)
+        start = A.indptr[lo]
+        sums = np.add.reduceat(np.abs(A.data[start:A.indptr[hi]]), A.indptr[lo:hi] - start)
+        bound = max(bound, (sums * inv_d[lo:hi]).max())
+    return bound
 
 
 def _visit(levels, level: int, b: np.ndarray) -> np.ndarray:
     """V(2,2) from `level` down applied to b: two smoothing steps, one
     coarse visit, two smoothing steps; not a closure, which would call
     itself and keep the levels alive in a reference cycle."""
-    A, Ps, restrictions, smoothers, coarse_inv = levels
+    A, Ps, smoothers, coarse_inv = levels
     if level == len(Ps):
         return coarse_inv @ b
     Al, (inv_d, c0, c1) = A[level], smoothers[level]
@@ -180,7 +215,7 @@ def _visit(levels, level: int, b: np.ndarray) -> np.ndarray:
 
     x = smooth(b)
     x += smooth(b - Al @ x)
-    x += Ps[level] @ _visit(levels, level + 1, restrictions[level] @ (b - Al @ x))
+    x += Ps[level] @ _visit(levels, level + 1, Ps[level].T @ (b - Al @ x))
     x += smooth(b - Al @ x)
     x += smooth(b - Al @ x)
     return x

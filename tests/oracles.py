@@ -27,6 +27,7 @@ from declab import (
 from declab import forms, meshes
 from declab.meshes import _Grid, _vid
 from declab.multigrid import _A, _B, _EDGES, _LAM, _PAIRS, _TRIANGLES, _grid
+from declab.operators import _scaled
 
 _MASK64 = (1 << 64) - 1
 
@@ -97,6 +98,24 @@ def dec_system_by_star_matrices(K: SimplicialComplex, stars, k: int) -> sp.csr_m
         D = K.coboundary_matrix(k)
         M = M + D.T @ sp.diags(stars[k + 1]) @ D
     return M.tocsr()
+
+
+def dec_system_product_sum(K: SimplicialComplex, stars, k: int) -> sp.csr_matrix:
+    """S_k L_k as the library assembled it before it formed both terms in one
+    product: the cached coboundaries' entries scaled by the stars, the two
+    sparse products G S_{k-1}^-1 G^T and D_k^T S_{k+1} D_k formed apart and
+    added by scipy, the sum sorted into canonical CSR.  Its arrays keep the
+    sum's buffer, one slot per entry of either product."""
+    products = []
+    if k >= 1:
+        G = _scaled(K.coboundary_matrix(k - 1), row=stars[k])
+        products.append(_scaled(G, col=1.0 / stars[k - 1]) @ G.T)
+    if k <= K.dim - 1:
+        D = K.coboundary_matrix(k)
+        products.append(D.T @ _scaled(D, row=stars[k + 1]))
+    M = sum(products[1:], products[0]).tocsr()
+    M.sum_duplicates()  # sorts; the products and their sum store no zeros
+    return M
 
 
 def is_canonical_csr(A) -> bool:

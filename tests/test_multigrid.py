@@ -404,8 +404,10 @@ def test_cycle_leaves_its_matrix_untouched(k):
 @pytest.mark.parametrize("mesh", [(6,), (6, 1)], ids=["symmetric", "perturbed"])
 @pytest.mark.parametrize("k", [0, 1, 2])
 def test_cycle_matrices_are_canonical_csr(mesh, k, monkeypatch):
-    """Every operator, transfer and restriction the cycle multiplies by is
-    canonical CSR as built: no one sorts them later."""
+    """Every operator and transfer the cycle multiplies by is canonical CSR
+    as built: no one sorts them later.  It restricts by P^T, a view of P,
+    which sums each coarse entry over the fine ones in ascending order, so
+    its bits are those of P^T in CSR."""
     K = symmetric_mesh(*mesh) if len(mesh) == 1 else perturbed_mesh(*mesh)
     M = dec_system(K, build_dual(K).hodge_ratio_a, k)
     cycle = multigrid_cycle(M, K, k)
@@ -417,10 +419,14 @@ def test_cycle_matrices_are_canonical_csr(mesh, k, monkeypatch):
 
     monkeypatch.setattr("declab.multigrid._visit", record)
     cycle(np.zeros(M.shape[0]))
-    A, Ps, restrictions, _, _ = seen[0]
-    assert len(A) == 4 and len(Ps) == len(restrictions) == 3
-    for S in A + Ps + restrictions:
+    A, Ps, _, _ = seen[0]
+    assert len(A) == 4 and len(Ps) == 3
+    for S in A + Ps:
         assert is_canonical_csr(S)
+    rng = np.random.default_rng(k)
+    for P in Ps:
+        r = rng.standard_normal(P.shape[0])
+        assert (P.T @ r).tobytes() == (P.T.tocsr() @ r).tobytes()
 
 
 def test_cycle_levels_die_with_the_cycle():

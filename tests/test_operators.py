@@ -45,6 +45,7 @@ from oracles import (
     codifferential_by_star_matrices,
     codifferential_matrix_stencil,
     dec_system_by_star_matrices,
+    dec_system_product_sum,
     discrete_inner,
     hodge_laplacian_matrix as composed_laplacian,
     is_canonical_csr,
@@ -271,6 +272,27 @@ def test_dec_system_is_the_whitney_stiffness_and_curl_curl(mesh):
     assert abs(M - stiffness).max() <= 1e-14 * abs(M).max()
     gap = np.abs(dual.hodge_ratio_a[2] * K.volumes(2) - 1.0).max()
     assert gap <= (0.0 if len(mesh) == 1 else 2.3e-16)
+
+
+@pytest.mark.parametrize(
+    "mesh", [(4,), (5, 1), (5, 2, 0.45), (7, 3, 0.45)],
+    ids=["symmetric", "seed1", "seed2-alpha-0.45", "seed3-alpha-0.45"],
+)
+@pytest.mark.parametrize("k", [0, 1, 2])
+def test_dec_system_is_the_sum_of_its_two_products_bit_for_bit(mesh, k):
+    """The one stacked product, with each half's diagonal put back, has the
+    pattern and the bits of the two products formed apart and added; and
+    its arrays hold its nnz entries and no more, where the sum kept a slot
+    for every entry of either product."""
+    K = symmetric_mesh(*mesh) if len(mesh) == 1 else perturbed_mesh(*mesh)
+    stars = build_dual(K).hodge_ratio_a
+    M, want = dec_system(K, stars, k), dec_system_product_sum(K, stars, k)
+    assert is_canonical_csr(M)
+    assert M.indptr.tobytes() == want.indptr.tobytes()
+    assert M.indices.tobytes() == want.indices.tobytes()
+    assert M.data.tobytes() == want.data.tobytes()
+    for a in (M.data, M.indices):
+        assert (a if a.base is None else a.base).size == M.nnz
 
 
 @pytest.mark.parametrize("mesh", [(6,), (6, 1)], ids=["symmetric", "perturbed"])
