@@ -14,9 +14,7 @@ from topology alone let iterations grow like h^-1 on the perturbed family,
 and these commute with the coboundary only on the symmetric family: on
 perturbed (5, 2, 0.3), |D1 P1 - P2 D1| reaches 0.13.
 
-Coarse operators go down to level 3, solved there by a dense
-pseudo-inverse; on a grid of level 3 or below there is no coarser level,
-and the cycle is M's own pseudo-inverse.  At k = 0 and 2 they are Galerkin
+Coarse operators go down to level 3.  At k = 0 and 2 they are Galerkin
 P^T A P, which keeps the stencil (7.0 and 4.0 nonzeros per row at
 perturbed level 8, 5.8 and 3.6 at level 3), halved at k = 2.  At k = 1
 Galerkin fills in (10.9 per row at level 8, 28.5 to 43 below; even its
@@ -27,6 +25,14 @@ coboundaries and circumcentric stars by the signed (cotangent) formulas of
 `dual._cotangent_stars`, which need no well-centered coarse grid.  It is
 positive semidefinite when every vertex star is positive; multigrid_cycle
 declines a grid where one is not, as it declines a mesh that is not a grid.
+
+The level-3 operator is solved exactly, by its dense inverse from a
+Cholesky factor formed in numpy's own loops (`_inverse`): no LAPACK or BLAS
+call, so the thread count reaches no bit.  At k = 0 its kernel is the
+constants, and the factor is that of A + c 11^T, c the mean diagonal over
+n, whose inverse is A^+ on the vectors that sum to zero, the range of A.
+On a grid of level 3 or below there is no coarser level, and the cycle is
+M's own inverse, M^+ at k = 0.
 
 The k = 2 system is a two-point flux scheme on the dual, with energy
 sum_e (|e| / |*e|) (jump of S_2 u across e)^2.  A coarse edge holds two
@@ -161,7 +167,7 @@ def _edge_weights(fine: _Grid, coarse: _Grid, x: np.ndarray, point: np.ndarray):
 def multigrid_cycle(M: sp.csr_matrix, K: SimplicialComplex, k: int):
     """The V(2,2) multigrid cycle for M, the degree-k system on the grid
     mesh K, as a function r -> z approximating M^+ r (on a grid of level 3
-    or below it is M^+ itself, a dense pseudo-inverse); None when K is not a
+    or below it is M^+ itself, the exact coarse solve); None when K is not a
     grid (_grid) or a coarse k = 1 grid has a vertex star that is not
     positive.  It reads M and edits none of its arrays; the operators and
     transfers it builds are canonical CSR, and it restricts by P^T, a view
@@ -177,14 +183,30 @@ def multigrid_cycle(M: sp.csr_matrix, K: SimplicialComplex, k: int):
         g = _gershgorin(Al, inv_d)
         # 1 - t (c0 + c1 t) is the degree-2 Chebyshev residual on [g/10, g]
         smoothers.append((inv_d, 2.2 / (0.4025 * g), -2.0 / (0.4025 * g * g)))
-    w, V = np.linalg.eigh(A[-1].toarray())
-    keep = w > 1e-10 * w.max()
-    # numpy's own loop: a BLAS product's bits depend on its thread count
-    coarse_inv = np.einsum("ik,jk->ij", V[:, keep] / w[keep], V[:, keep])
-    levels = (A, Ps, smoothers, coarse_inv)
+    coarse = A[-1].toarray()
+    if k == 0:  # ker = the constants: M + c 11^T, c the mean diagonal over n
+        coarse += coarse.diagonal().mean() / len(coarse)
+    levels = (A, Ps, smoothers, _inverse(coarse))
     if k == 0:  # M^+ maps into the range of M, the vectors that sum to zero
         return lambda r: (z := _visit(levels, 0, r)) - z.mean()
     return lambda r: _visit(levels, 0, r)
+
+
+def _inverse(C: np.ndarray) -> np.ndarray:
+    """C^-1 for a symmetric positive definite C: the Cholesky factor
+    C = L L^T by n rank-1 updates, L^-1 by forward substitution and
+    L^-T L^-1 by einsum, all in numpy's own loops.  No LAPACK or BLAS call,
+    whose bits would depend on the thread count and whose threads stalled
+    eigh (13-20 ms per 45 x 45 call under two OpenBLAS threads)."""
+    n = len(C)
+    C, L, inv = C.copy(), np.zeros((n, n)), np.zeros((n, n))
+    for j in range(n):
+        L[j:, j] = C[j:, j] / np.sqrt(C[j, j])
+        C[j:, j:] -= L[j:, j, None] * L[None, j:, j]
+    for i in range(n):
+        inv[i, :i] = -np.einsum("k,kj->j", L[i, :i], inv[:i, :i]) / L[i, i]
+        inv[i, i] = 1.0 / L[i, i]
+    return np.einsum("ki,kj->ij", inv, inv)
 
 
 def _gershgorin(A: sp.csr_matrix, inv_d: np.ndarray) -> float:
@@ -206,7 +228,7 @@ def _visit(levels, level: int, b: np.ndarray) -> np.ndarray:
     itself and keep the levels alive in a reference cycle."""
     A, Ps, smoothers, coarse_inv = levels
     if level == len(Ps):
-        return coarse_inv @ b
+        return np.einsum("ij,j->i", coarse_inv, b)
     Al, (inv_d, c0, c1) = A[level], smoothers[level]
 
     def smooth(v):
