@@ -41,6 +41,9 @@ __all__ = [
 ]
 
 WELL_CENTERED_TOL = 1e-10
+# largest deviation of a dual centroid from its primal one that
+# check_centroid_condition counts as coincidence
+CENTROID_TOL = 1e-12
 
 
 def _triangle_circum_bary(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -181,8 +184,8 @@ def check_centroid_condition(
     Returns
     -------
     (ok, max_deviation) : ok is true iff the maximum Euclidean deviation
-    over interior k-simplices is <= 1e-12 (vacuously true if there are
-    none).
+    over interior k-simplices is <= CENTROID_TOL (vacuously true if there
+    are none).
     """
     if not _is_int(k) or not 0 <= k <= 2:
         raise ValueError(f"no {k}-simplices in the plane")
@@ -207,4 +210,4 @@ def check_centroid_condition(
     primal_centroid = _planes(K.vertices, K.simplices(k)).mean(axis=1)
     dev = np.linalg.norm((primal_centroid - dual_centroid)[:, interior], axis=0)
     max_dev = float(dev.max())
-    return max_dev <= 1e-12, max_dev
+    return max_dev <= CENTROID_TOL, max_dev

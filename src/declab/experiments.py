@@ -40,7 +40,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .complex import SimplicialComplex, _is_int
-from .dual import DualComplex, build_dual, check_centroid_condition, well_centered_margin
+from .dual import (
+    CENTROID_TOL,
+    DualComplex,
+    build_dual,
+    check_centroid_condition,
+    well_centered_margin,
+)
 from .forms import (
     Poly2,
     PolyForm,
@@ -294,7 +300,7 @@ def diagnostics(K: SimplicialComplex, dual: DualComplex, k: int) -> str:
         lines.append(
             f"centroid condition: {'PASS' if ok else 'FAIL'} "
             f"(max deviation {dev:.3e} over {interior} interior simplices, "
-            f"tol 1e-12)"
+            f"tol {CENTROID_TOL:g})"
         )
 
     const = {

@@ -31,8 +31,12 @@ with the standard 64-bit mix finalizer
 and the quotient taken as (z >> 11) * 2^-53.  Each displacement attempt
 consumes exactly two draws (radius and angle), and the counter advances
 whether or not the attempt is accepted.  The vertices are visited in index
-order, but the stream is evaluated speculatively, many vertices and draws
-per numpy call (see `perturbed_mesh`), giving the same mesh to the bit.
+order, so the lattice neighbours below a vertex, (r-1, j), (r-1, j+1) and
+(r, j-1), have been visited and those above, (r, j+1), (r+1, j-1) and
+(r+1, j), have not: a vertex is tested against the placed coordinates below
+it and the lattice points above it.  The stream is evaluated speculatively,
+many vertices and draws per numpy call (see `perturbed_mesh`), giving the
+same mesh to the bit.
 
 The text format (shared with the complex builder): first line `n V C`,
 then V lines of n coordinates, then C lines of n+1 zero-based vertex ids;
@@ -47,7 +51,7 @@ from numbers import Real
 
 import numpy as np
 
-from .complex import SimplicialComplex, _is_int, _planes, build_complex
+from .complex import SimplicialComplex, _is_int, build_complex
 from .dual import WELL_CENTERED_TOL, _triangle_circum_bary, is_well_centered
 
 __all__ = [
@@ -180,11 +184,25 @@ class _Grid:
         return SimplicialComplex(x, e, self.tri, cell_edges, flags)
 
 
+def _lattice(m: int) -> tuple[_Grid, np.ndarray]:
+    """The level-m grid and its lattice points as x and y planes (2, V)."""
+    g, h = _Grid(2**m), 0.5**m
+    return g, np.stack([g.j * h + 0.5 * g.r * h, g.r * (SQRT3 / 2.0) * h])
+
+
 def symmetric_mesh(m: int) -> SimplicialComplex:
     """Uniform equilateral subdivision of the domain triangle, h = 2^-m."""
     _check_mesh_args(m)
-    g, h = _Grid(2**m), 0.5**m
-    return g.complex(np.stack([g.j * h + 0.5 * g.r * h, g.r * (SQRT3 / 2.0) * h], axis=1))
+    g, x = _lattice(m)
+    return g.complex(x.T.copy())
+
+
+# the 7-point stencil of lattice point (r, j) as steps in r and in j, in
+# ascending vertex id: (r-1, j), (r-1, j+1), (r, j-1), (r, j), (r, j+1),
+# (r+1, j-1), (r+1, j); and the six cells around (r, j) as ascending triples
+# of stencil places, in the order of the cell table
+_STEPS = np.array([[-1, -1, 0, 0, 0, 1, 1], [0, 1, -1, 0, 1, -1, 0]])
+_STAR = np.array([[0, 1, 3], [0, 2, 3], [1, 3, 4], [2, 3, 5], [3, 4, 6], [3, 5, 6]])
 
 
 def perturbed_mesh(m: int, seed: int, alpha: float = 0.15) -> SimplicialComplex:
@@ -196,48 +214,40 @@ def perturbed_mesh(m: int, seed: int, alpha: float = 0.15) -> SimplicialComplex:
     vertex stay strictly acute against the already-updated coordinates.
     Boundary vertices are never moved.  Deterministic in (m, seed, alpha).
 
-    The stream is evaluated speculatively, whole arrays at a time: vertices
-    s, s + 1, ... are drawn and tested as one batch as if each accepts (s
-    at its next attempt, the rest at their first), the longest passing
-    prefix is kept, and the vertex after it heads the next batch.  The
-    batch doubles after a full pass and halves after a failure.  The mesh
-    is bit for bit that of the one-vertex-at-a-time visit.
+    In index order the three stencil neighbours below a vertex, (r-1, j),
+    (r-1, j+1) and (r, j-1), have been visited and the three above, (r, j+1),
+    (r+1, j-1) and (r+1, j), have not: they still sit at their lattice
+    points.  The stream is evaluated speculatively, whole arrays at a time:
+    vertices s, s + 1, ... are drawn and tested as one batch as if each
+    accepts (s at its next attempt, the rest at their first), each reading
+    its stencil below from the placed coordinates and the batch's
+    candidates and above from the lattice; the longest passing prefix is
+    kept, and the vertex after it heads the next batch.  The batch doubles
+    after a full pass and halves after a failure.  The mesh is bit for bit
+    that of the one-vertex-at-a-time visit.
     """
     _check_mesh_args(m, seed, alpha)
-    K = symmetric_mesh(m)  # its vertices move in place
-    coords, cells, h = K.vertices, K.simplices(2), 0.5**m
+    g, lattice = _lattice(m)
+    n, h = g.n, 0.5**m
+    x = lattice.copy()  # placed vertices, then the candidates of a batch
+    interior = np.flatnonzero((g.r > 0) & (g.j > 0) & (g.r + g.j < n))
 
-    # interior vertices are those with six incident cells; `ring` holds the
-    # vertex ids of each one's cells, `ring_pos` their interior positions
-    # (visiting order), -1 on the boundary
-    degree = np.bincount(cells.ravel(), minlength=len(coords))
-    interior = np.flatnonzero(degree == 6)
-    first = np.cumsum(degree)[interior] - 6
-    ring = cells[np.argsort(cells.ravel(), kind="stable")[first[:, None] + np.arange(6)] // 3]
-    pos = np.full(len(coords), -1)
-    pos[interior] = np.arange(len(interior))
-    ring_pos = pos[ring]
-    base = coords[interior]
-
-    # a batch starts at vertex s, at its attempt `attempt`, drawing from
-    # `counter`; each corner at a batch vertex takes that vertex's candidate
-    n = len(interior)
+    # a batch starts at vertex s, at its attempt `attempt`, drawing from `counter`
     s = counter = attempt = 0
     batch = _BATCH_MIN
-    while s < n:
-        count = min(batch, n - s)
+    while s < len(interior):
+        v = interior[s : s + batch]
+        count = len(v)
         u = counter_uniform(seed, counter + np.arange(2 * count))
         radius = np.full(count, alpha * h)
         radius[0] = alpha * h * 0.5**attempt
         rho, theta = radius * np.sqrt(u[0::2]), 2.0 * np.pi * u[1::2]
-        cand = base[s : s + count] + rho[:, None] * np.array([np.cos(theta), np.sin(theta)]).T
-        rel = ring_pos[s : s + count] - s
-        take = (rel >= 0) & (rel <= np.arange(count)[:, None, None])
-        pts = _planes(coords, ring[s : s + count])  # (2, 3, 6, count)
-        pts[:, take.T] = cand.T[:, rel.T[take.T]]
-        ok = _triangle_circum_bary(*pts).min(axis=(0, 1)) > WELL_CENTERED_TOL
+        x[:, v] += rho * np.array([np.cos(theta), np.sin(theta)])
+        stencil = _vid(n, g.r[v] + _STEPS[0, :, None], g.j[v] + _STEPS[1, :, None])
+        pts = np.concatenate([x.take(stencil[:4], axis=1), lattice.take(stencil[4:], axis=1)], 1)
+        ok = _triangle_circum_bary(*pts[:, _STAR.T]).min(axis=(0, 1)) > WELL_CENTERED_TOL
         n_ok = count if ok.all() else int(np.argmin(ok))
-        coords[interior[s : s + n_ok]] = cand[:n_ok]
+        x[:, v[n_ok:]] = lattice[:, v[n_ok:]]
         if n_ok == count:
             s, counter, attempt = s + count, counter + 2 * count, 0
             batch = min(2 * batch, _BATCH_MAX)
@@ -246,10 +256,11 @@ def perturbed_mesh(m: int, seed: int, alpha: float = 0.15) -> SimplicialComplex:
         batch = max(batch // 2, _BATCH_MIN)
         if attempt > 20:
             raise MeshError(
-                f"could not keep the mesh well-centered around vertex "
-                f"{interior[s]} at {tuple(base[s].tolist())} after 20 radius halvings"
+                f"could not keep the mesh well-centered around vertex {interior[s]} at "
+                f"{tuple(lattice[:, interior[s]].tolist())} after 20 radius halvings"
             )
 
+    K = g.complex(x.T.copy())
     ok, offenders = is_well_centered(K)
     if not ok:
         t = offenders[0]

@@ -26,7 +26,7 @@ __all__ = ["SolverResult", "SolverError", "cg_solve"]
 @dataclass
 class SolverResult:
     x: np.ndarray
-    residual: float  # achieved relative residual ||b - Mx|| / ||b||
+    residual: float  # true relative residual ||b - Mx|| / ||b|| of the returned x
     iterations: int
     residual_history: list[float] = field(default_factory=list)
 
@@ -70,8 +70,11 @@ def cg_solve(
     precondition=None,
 ) -> SolverResult:
     """Solve the symmetric positive (semi)definite system M x = b by CG,
-    starting from x = 0, to the relative residual ||b - M x|| / ||b|| <= tol
-    within max_iterations steps (None: 50 sqrt(n) + 1000 for n unknowns).
+    starting from x = 0, until the recursively updated residual r falls to
+    ||r|| / ||b|| <= tol within max_iterations steps (None: 50 sqrt(n) + 1000
+    for n unknowns).  `residual_history` holds those ||r||; `residual` is
+    the true ||b - M x|| / ||b|| of the returned x, formed once after the
+    loop, which roundoff can leave above tol.
 
     precondition maps a residual r to B r, B symmetric and positive on the
     range of M; None means Jacobi.  Deterministic: fixed reduction order,
@@ -155,4 +158,5 @@ def cg_solve(
             f"relative residual {min(history) / norm_b:.3e} (target {tol:.1e})"
         )
 
-    return SolverResult(x, history[-1] / norm_b, iterations, history)
+    r = b - M @ x
+    return SolverResult(x, math.sqrt(_dot(r, r)) / norm_b, iterations, history)

@@ -20,8 +20,9 @@ CRITERIA = {
     2: "symmetric mesh, k=1: error values at h=2^-6 and finest-step rates "
        "(second order for e_u, fourth order for the density errors)",
     3: "symmetric mesh, k=2: error values at h=2^-5 and finest-step rates",
-    4: "perturbed meshes, seeds 1..3: first-order rate windows at the "
-       "finest step (second order for the k=1 density error)",
+    4: "perturbed meshes, seeds 1..3 (and seed 1 at alpha 0.45 for k=1, 2): "
+       "first-order rate windows at the finest step (second order for the "
+       "k=1 density error)",
     5: "structural suite: d o d, delta o delta, adjointness, stencil vs "
        "transpose assembly, commuting interpolant, constant-form kernel, "
        "centroid condition",
@@ -64,11 +65,11 @@ def convergence_runner():
     """
     cache: dict[tuple, tuple] = {}
 
-    def run(k: int, family: str, levels, seed: int = 0):
-        key = (k, family, tuple(levels), seed)
+    def run(k: int, family: str, levels, seed: int = 0, alpha: float = 0.15):
+        key = (k, family, tuple(levels), seed, alpha)
         if key not in cache:
             start = time.perf_counter()
-            report = run_convergence(k, family, list(levels), seed=seed)
+            report = run_convergence(k, family, list(levels), seed=seed, alpha=alpha)
             cache[key] = (report, time.perf_counter() - start)
         return cache[key]
 

@@ -113,19 +113,31 @@ def test_criterion_4_perturbed_k0_first_order(convergence_runner, seed):
     )
 
 
-@pytest.mark.parametrize("seed", [1, 2, 3])
-def test_criterion_4_perturbed_k1_rate_windows(convergence_runner, seed):
-    report, _ = convergence_runner(1, "perturbed", (7, 8), seed=seed)
-    _in_window(report.rates["de_u"][-1], 1.0, 0.2, f"k=1 de_u rate, seed {seed}")
-    _in_window(report.rates["de_rho"][-1], 1.0, 0.2, f"k=1 de_rho rate, seed {seed}")
-    _in_window(report.rates["e_rho"][-1], 2.0, 0.3, f"k=1 e_rho rate, seed {seed}")
+# seeds 1..3 at the pinned alpha = 0.15, and seed 1 off it at alpha = 0.45,
+# where the well-centered margin at h = 2^-8 is 1.3e-5 (0.039 at 0.15) and
+# k = 2 takes twice the CG iterations, so a change tuned to the pinned
+# amplitude shows; k = 0 on levels 8..9 at 0.45 takes 9-13 s and is left out
+_K12_MESHES = pytest.mark.parametrize(
+    "seed, alpha", [(1, 0.15), (2, 0.15), (3, 0.15), (1, 0.45)],
+    ids=["1", "2", "3", "1-alpha-0.45"],
+)
 
 
-@pytest.mark.parametrize("seed", [1, 2, 3])
-def test_criterion_4_perturbed_k2_rate_windows(convergence_runner, seed):
-    report, _ = convergence_runner(2, "perturbed", (7, 8), seed=seed)
-    _in_window(report.rates["e_u"][-1], 1.0, 0.2, f"k=2 e_u rate, seed {seed}")
-    _in_window(report.rates["e_rho"][-1], 1.0, 0.2, f"k=2 e_rho rate, seed {seed}")
+@_K12_MESHES
+def test_criterion_4_perturbed_k1_rate_windows(convergence_runner, seed, alpha):
+    report, _ = convergence_runner(1, "perturbed", (7, 8), seed=seed, alpha=alpha)
+    label = f"seed {seed}, alpha {alpha}"
+    _in_window(report.rates["de_u"][-1], 1.0, 0.2, f"k=1 de_u rate, {label}")
+    _in_window(report.rates["de_rho"][-1], 1.0, 0.2, f"k=1 de_rho rate, {label}")
+    _in_window(report.rates["e_rho"][-1], 2.0, 0.3, f"k=1 e_rho rate, {label}")
+
+
+@_K12_MESHES
+def test_criterion_4_perturbed_k2_rate_windows(convergence_runner, seed, alpha):
+    report, _ = convergence_runner(2, "perturbed", (7, 8), seed=seed, alpha=alpha)
+    label = f"seed {seed}, alpha {alpha}"
+    _in_window(report.rates["e_u"][-1], 1.0, 0.2, f"k=2 e_u rate, {label}")
+    _in_window(report.rates["e_rho"][-1], 1.0, 0.2, f"k=2 e_rho rate, {label}")
 
 
 # -- criterion 5: structural property suite -----------------------------------

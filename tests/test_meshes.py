@@ -10,6 +10,7 @@ sequence 6457827717110365317, 3203168211198807973, 9817491932198370423;
 from __future__ import annotations
 
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -249,6 +250,24 @@ def test_perturbed_moves_only_interior_vertices_within_alpha_h():
     assert disp[~boundary].max() > 0.0
     ok, _ = is_well_centered(Kp)
     assert ok
+
+
+def test_perturbed_mesh_holds_a_few_copies_of_its_tables_at_most():
+    """The traced peak of perturbed_mesh(8, 1) stays within 4.4 times the
+    bytes of the tables it returns (3.7 times, at the edge lookup of
+    `_Grid.complex`; sorting every corner to find the cells around each
+    vertex took it to 5.3)."""
+    K = perturbed_mesh(8, 1)
+    size = K.vertices.nbytes + K.cell_edges.nbytes
+    size += sum(K.simplices(k).nbytes + K.is_boundary(k).nbytes for k in range(3))
+    del K
+    tracemalloc.start()
+    try:
+        perturbed_mesh(8, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4.4 * size
 
 
 def test_perturbed_meshes_stay_well_centered_across_seeds():

@@ -203,4 +203,22 @@ def test_residual_history_shape_and_convergence():
     assert len(hist) == res.iterations + 1
     assert hist[0] == pytest.approx(np.linalg.norm(b))
     assert hist[-1] <= 1e-12 * hist[0]
-    assert res.residual == pytest.approx(hist[-1] / hist[0])
+    assert res.residual == pytest.approx(np.linalg.norm(b - M @ res.x) / np.linalg.norm(b))
+
+
+@pytest.mark.parametrize("k", [0, 1, 2])
+def test_residual_is_the_true_residual_of_the_returned_x(k):
+    """The reported residual is ||b - M x|| / ||b|| of x itself, not the
+    recursively updated residual the stopping test reads, on solve_problem's
+    system and cycle."""
+    K = perturbed_mesh(6, 1)
+    dual = build_dual(K)
+    a = dual.hodge_ratio_a
+    M = dec_system(K, a, k)
+    b = a[k] * de_rham(K, manufactured_solution(k)[1])
+    if k == 0:
+        b = b - (b.sum() / a[0].sum()) * a[0]
+    res = cg_solve(M, b, precondition=multigrid_cycle(M, K, k))
+    true = np.linalg.norm(b - M @ res.x) / np.linalg.norm(b)
+    assert res.residual == pytest.approx(true, rel=1e-12)
+    assert res.residual != res.residual_history[-1] / res.residual_history[0]
