@@ -26,7 +26,7 @@ __all__ = ["SimplicialComplex", "build_complex"]
 
 
 class SimplicialComplex:
-    """Two-dimensional simplicial complex with cached sparse incidence.
+    """Two-dimensional simplicial complex with sparse incidence on demand.
 
     Instances are produced by :func:`build_complex`; the constructor assumes
     pre-validated tables.
@@ -58,7 +58,6 @@ class SimplicialComplex:
         ]
         self.cell_edges = cell_edges
         self._boundary = boundary_flags
-        self._coboundary: dict[int, sp.csr_matrix] = {}
 
     # -- simplex tables ----------------------------------------------------
 
@@ -102,17 +101,12 @@ class SimplicialComplex:
         """Sparse coboundary D_k of shape (N_{k+1}, N_k).
 
         D_k[tau, sigma] = (-1)^j when sigma is tau with its j-th vertex
-        removed.  Entries are exact +-1 stored as float64.  Cached.
+        removed.  Entries are exact +-1 stored as float64, in canonical CSR:
+        each row's faces ascend, an edge [a, b]'s vertices and a triangle
+        [a, b, c]'s edges (a, b) < (a, c) < (b, c).  Built on each call.
         """
         if not _is_int(k) or not 0 <= k < self.dim:
             raise ValueError(f"coboundary_matrix: k must be in [0, {self.dim}), got {k}")
-        if k not in self._coboundary:
-            self._coboundary[k] = self._build_coboundary(k)
-        return self._coboundary[k]
-
-    def _build_coboundary(self, k: int) -> sp.csr_matrix:
-        """D_k in canonical CSR: each row's faces ascend, an edge [a, b]'s
-        vertices and a triangle [a, b, c]'s edges (a, b) < (a, c) < (b, c)."""
         if k == 0:
             faces = self._table(1)
             # boundary [a, b] = [b] - [a]

@@ -41,8 +41,8 @@ degree.  One private kernel, ``_integrate_simplices``, integrates a k-form
 over oriented k-simplices given by the x and y planes of their corners,
 simplices innermost; the primal de Rham map and the dual de Rham map (over
 circumcenters, dual segments and flag triangles) both go through it.  It
-evaluates its points in chunks, on the calling thread, bit-identical to one
-pass over all of them.
+sums its quadrature in chunks, on the calling thread, bit-identical to one
+pass over all points.
 """
 
 from __future__ import annotations
@@ -464,8 +464,10 @@ def triangle_rule(degree: int) -> QuadratureRule:
 
 # a chunk's table of powers of l3 holds 10 or 11 doubles per point on the
 # manufactured forms: chunks of 32768 points ran up to 8 % faster but raised
-# the benchmark's peak RSS by 6 %, 16384 left it flat
-_CHUNK_POINTS = 16384
+# the benchmark's peak RSS by 6 %, 16384 left it flat.  Row blocks of a gemv
+# that start on a multiple of 4 rows have the whole product's bits (227 rows
+# of 72 values do not), so a chunk holds a multiple of _ROWS simplices
+_CHUNK_POINTS, _ROWS = 16384, 64
 
 
 def _integrate_simplices(form: PolyForm, corners: np.ndarray) -> np.ndarray:
@@ -485,9 +487,9 @@ def _integrate_simplices(form: PolyForm, corners: np.ndarray) -> np.ndarray:
     likewise y, simplices innermost, and evaluated in chunks of about
     _CHUNK_POINTS, which bounds the table of powers of l3 that
     Poly2.__call__ builds per chunk.  Each value depends on its own simplex
-    only, so the result is bit-identical to one pass; the values go into an
-    (N, P) C-ordered array, whose quadrature sums run over the full arrays,
-    since summing per chunk would round differently.
+    only, and each chunk's values, a C-ordered (rows, P) block, are summed
+    at once by row blocks that keep one product's bits (_CHUNK_POINTS), so
+    the result is bit-identical to one pass.
     """
     k = form.degree
     if k == 1:
@@ -496,10 +498,10 @@ def _integrate_simplices(form: PolyForm, corners: np.ndarray) -> np.ndarray:
         rule = triangle_rule(max(form.poly_degree, 2))
     # point values are a one-point evaluation
     xi = rule.points.reshape(len(rule.weights), k) if k else np.zeros((1, 0))
-    n, step = corners.shape[-1], max(1, _CHUNK_POINTS // len(xi))
+    n, step = corners.shape[-1], max(_ROWS, _CHUNK_POINTS // len(xi) // _ROWS * _ROWS)
     cx, cy = corners
     ex, ey = cx[1:] - cx[0], cy[1:] - cy[0]  # edge vectors from corner 0
-    out = np.empty((n, len(xi)))
+    out = np.empty(n)
     for lo in range(0, n, step):
         s = slice(lo, lo + step)
         x, y = cx[None, 0, s], cy[None, 0, s]
@@ -510,12 +512,12 @@ def _integrate_simplices(form: PolyForm, corners: np.ndarray) -> np.ndarray:
         # once; Poly2 hashes by identity
         values = {c: c(x, y) for c in set(form.components)}
         vals = [values[c] for c in form.components]
-        out[s] = (vals[0] * ex[0, s] + vals[1] * ey[0, s] if k == 1 else vals[0]).T
-    if k == 0:
-        return out[:, 0]
-    if k == 1:
-        return out @ rule.weights
-    return _cross(cx, cy) * (out @ rule.weights)
+        if k == 0:
+            out[s] = vals[0][0]
+        else:
+            block = vals[0] * ex[0, s] + vals[1] * ey[0, s] if k == 1 else vals[0]
+            out[s] = np.ascontiguousarray(block.T) @ rule.weights
+    return _cross(cx, cy) * out if k == 2 else out
 
 
 # ---------------------------------------------------------------------------

@@ -143,19 +143,19 @@ def _vid(n: int, r, j):  # vertex id of lattice point (r, j) on the n-row grid
 
 class _Grid:
     """Lattice coordinates and simplex numbering of the n-row grid in
-    lexicographic order, build_complex's for any complex (module docstring)."""
+    lexicographic order, build_complex's for any complex (module docstring),
+    held as int32: every id fits below n = 2^15."""
 
     def __init__(self, n: int):
         self.n = n
         self.counts = ((n + 1) * (n + 2) // 2, 3 * n * (n + 1) // 2, n * n)
-        self.r = np.repeat(np.arange(n + 1), np.arange(n + 1, 0, -1))
-        self.j = np.arange(len(self.r)) - _vid(n, self.r, 0)
+        self.r = np.repeat(np.arange(n + 1, dtype=np.int32), np.arange(n + 1, 0, -1))
+        self.j = np.arange(len(self.r), dtype=np.int32) - _vid(n, self.r, 0)
         inner, left = self.j < n - self.r, self.j >= 1
-        self.edge_rank = np.cumsum(np.stack([inner, left, inner], axis=1).ravel()) - 1
+        self.edge_rank = np.cumsum(np.stack([inner, left, inner], 1).ravel(), dtype=np.int32) - 1
         has_tri = np.stack([inner, inner & left], axis=1).ravel()
-        self.tri_rank = np.cumsum(has_tri) - 1
-        key = np.flatnonzero(has_tri)
-        a, down = key // 2, key % 2
+        self.tri_rank = np.cumsum(has_tri, dtype=np.int32) - 1
+        a, down = np.divmod(np.flatnonzero(has_tri).astype(np.int32), 2)
         r, j = self.r[a], self.j[a]
         self.tri = np.stack([a, np.where(down, _vid(n, r + 1, j - 1), a + 1), _vid(n, r + 1, j)], 1)
 
@@ -180,8 +180,12 @@ class _Grid:
         e = np.stack([tail, tail + np.where(slot == 0, 1, n - r[tail] + slot - 1)], 1)
         side = np.stack([r == 0, j == 0, r + j == n])
         flags = [side.any(0), (side[:, e[:, 0]] & side[:, e[:, 1]]).any(0), np.zeros(n * n, bool)]
-        cell_edges = self.edge(self.tri[:, [0, 0, 1]], self.tri[:, [1, 2, 2]])[0]
-        return SimplicialComplex(x, e, self.tri, cell_edges, flags)
+        # (a, b), (a, c), (b, c) of cell [a, b, c] take slots 0, 2, 1 of a, a, b
+        # in an up cell (b = a + 1), slots 1, 2, 0 in a down cell
+        a, b = self.tri[:, :2].T
+        slots = np.stack([3 * a + (b != a + 1), 3 * a + 2, 3 * b + (b == a + 1)], 1)
+        cell_edges = self.edge_rank[slots].astype(np.int64)
+        return SimplicialComplex(x, e, self.tri.astype(np.int64), cell_edges, flags)
 
 
 def _lattice(m: int) -> tuple[_Grid, np.ndarray]:

@@ -53,7 +53,7 @@ from __future__ import annotations
 import numpy as np
 import scipy.sparse as sp
 
-from .complex import SimplicialComplex, _cross, _opposite, _planes
+from .complex import SimplicialComplex, _cross, _opposite
 from .dual import _cotangent_stars
 from .meshes import _Grid, _vid
 from .operators import dec_system
@@ -62,6 +62,7 @@ from .operators import dec_system
 # their barycentric coordinates there, and its nine edges and four triangles
 _A, _B = np.array([0, 1, 2, 0, 0, 1]), np.array([0, 1, 2, 1, 2, 2])
 _LAM = (np.eye(3)[_A] + np.eye(3)[_B]) / 2
+_HALVES, _ENDS = np.r_[0:6, 3:6], np.r_[_A, _B[3:]]  # P_0's pairs: a midpoint's twice
 _EDGES = np.array([[0, 3], [3, 1], [0, 4], [4, 2], [1, 5], [5, 2], [3, 4], [3, 5], [4, 5]])
 _TRIANGLES = np.array([[0, 3, 4], [1, 3, 5], [2, 4, 5], [3, 4, 5]])
 _PAIRS = np.array([[0, 1], [0, 2], [1, 2]])  # K.cell_edges' local order
@@ -115,12 +116,15 @@ def _transfer(fine: _Grid, coarse: _Grid, x: np.ndarray, k: int, area):
     """(P_k, coarse areas) from the level of `coarse` into that of `fine`, whose
     vertices are x; area holds the fine triangles' measures at k = 2 (the
     coarse ones, the sums of their children's, come back for the next step)
-    and is None, and stays None, at k = 0 and 1."""
+    and is None, and stays None, at k = 0 and 1.  P_k is compact canonical
+    CSR from each fine simplex's slots in turn; an entry sums one value, or
+    two on a fine edge of two coarse triangles, with the same bits in any
+    order (tests/oracles.py keeps the COO build it replaced)."""
     corner = np.stack([coarse.r[coarse.tri], coarse.j[coarse.tri]], axis=-1)
     point = _vid(fine.n, *np.moveaxis(corner[:, _A] + corner[:, _B], -1, 0))
     # child ids (T, c), and for each child its coarse ids and weights (T, c, w)
-    if k == 0:
-        child, cols, vals = point, coarse.tri[:, None, :], _LAM[None]
+    if k == 0:  # lam: 1 at a corner, 1/2 at each end of a midpoint's pair
+        child, cols, vals = point[:, _HALVES], coarse.tri[:, _ENDS, None], np.ones((1, 1, 1))
     elif k == 1:
         child, cols, vals = _edge_weights(fine, coarse, x, point)
     else:
@@ -133,13 +137,15 @@ def _transfer(fine: _Grid, coarse: _Grid, x: np.ndarray, k: int, area):
     # a fine simplex shared by several parents takes their mean
     share = np.bincount(child.ravel(), minlength=fine.counts[k])
     vals = vals / share[child][..., None]
-    rows = np.broadcast_to(child[..., None].astype(np.int32), vals.shape).ravel()
-    cols = np.broadcast_to(cols.astype(np.int32), vals.shape).ravel()
-    P = sp.csr_matrix((vals.ravel(), (rows, cols)), (fine.counts[k], coarse.counts[k]))
+    order, w = np.argsort(child, axis=None, kind="stable"), vals.shape[-1]
+    cols = np.broadcast_to(cols, vals.shape).reshape(-1, w)[order].ravel()
+    vals, indptr = vals.reshape(-1, w)[order].ravel(), np.r_[0, np.cumsum(w * share)]
+    P = sp.csr_matrix((vals, cols, indptr), (fine.counts[k], coarse.counts[k]))
+    P.sum_duplicates()
     # O(1) weights: roundoff of exact zeros (|w| < 1e-13 with no nnz-sized |w|)
     P.data[(P.data < 1e-13) & (P.data > -1e-13)] = 0.0
     P.eliminate_zeros()
-    return P, area
+    return P.copy(), area  # arrays of its nnz, not of the slots
 
 
 def _edge_weights(fine: _Grid, coarse: _Grid, x: np.ndarray, point: np.ndarray):
@@ -150,14 +156,15 @@ def _edge_weights(fine: _Grid, coarse: _Grid, x: np.ndarray, point: np.ndarray):
     edge's midpoint, formed one fine edge at a time on x and y planes with
     the coarse triangles innermost, so that no (9, 3, T) temporary exists."""
     child, tail, head = fine.edge(point[:, _EDGES[:, 0]], point[:, _EDGES[:, 1]])
-    px, py = _planes(x, point[:, :3])
+    planes = np.ascontiguousarray(x.T)  # taken from once: _planes copies x per call
+    px, py = planes.take(point[:, :3].T, axis=1)
     ex, ey = _opposite(px, py)
     cross = _cross(px, py)
     gx, gy = -ey / cross, ex / cross  # grad lam at each corner (corner, T)
     i, j = _PAIRS.T
     vals = np.empty(child.shape + (3,))
     for e, lam in enumerate((_LAM[_EDGES[:, 0]] + _LAM[_EDGES[:, 1]]) / 2):
-        dx, dy = _planes(x, head[:, e]) - _planes(x, tail[:, e])
+        dx, dy = planes.take(head[:, e], axis=1) - planes.take(tail[:, e], axis=1)
         g = gx * dx + gy * dy  # (corner, T)
         vals[:, e] = (lam[i, None] * g[j] - lam[j, None] * g[i]).T
     cols = coarse.edge(coarse.tri[:, i], coarse.tri[:, j])[0][:, None, :]

@@ -103,7 +103,7 @@ def dec_system(K: SimplicialComplex, stars, k: int) -> sp.csr_matrix:
     """S_k L_k = G S_{k-1}^-1 G^T + D_k^T S_{k+1} D_k, G = S_k D_{k-1}, from
     the star ratios (a_0, a_1, a_2): symmetric by construction.
 
-    The stars scale the entries of the cached coboundaries.  At k = 1 one
+    The stars scale the entries of the coboundaries.  At k = 1 one
     sparse product of the stacked halves, [G S_0^-1, D_1^T] [G^T; S_2 D_1],
     adds the two terms as it forms them, so neither is stored apart: at
     perturbed h = 2^-8 the assembly peaks at 27 MB of arrays, its 12.7 MB
@@ -146,8 +146,8 @@ def _scaled(D: sp.csr_matrix, row=None, col=None) -> sp.csr_matrix:
     """diag(row) D diag(col), D in CSR, as D's entries times row[i] and then
     col[j].  The result shares D's index arrays, which keeps a copy of them
     out of every assembly, so editing either one in place changes the
-    other; the products that take it do not, and D, a cached coboundary,
-    is canonical already."""
+    other; the products that take it do not, and D, a coboundary, is
+    canonical already."""
     data = D.data
     if row is not None:
         data = data * np.repeat(row, np.diff(D.indptr))

@@ -26,7 +26,7 @@ from declab import (
 )
 from declab import forms, meshes
 from declab.meshes import _Grid, _vid
-from declab.multigrid import _A, _B, _EDGES, _LAM, _PAIRS, _TRIANGLES, _grid
+from declab.multigrid import _A, _B, _EDGES, _LAM, _PAIRS, _TRIANGLES, _edge_weights, _grid
 from declab.operators import _scaled
 
 _MASK64 = (1 << 64) - 1
@@ -102,7 +102,7 @@ def dec_system_by_star_matrices(K: SimplicialComplex, stars, k: int) -> sp.csr_m
 
 def dec_system_product_sum(K: SimplicialComplex, stars, k: int) -> sp.csr_matrix:
     """S_k L_k as the library assembled it before it formed both terms in one
-    product: the cached coboundaries' entries scaled by the stars, the two
+    product: the coboundaries' entries scaled by the stars, the two
     sparse products G S_{k-1}^-1 G^T and D_k^T S_{k+1} D_k formed apart and
     added by scipy, the sum sorted into canonical CSR.  Its arrays keep the
     sum's buffer, one slot per entry of either product."""
@@ -293,6 +293,34 @@ def transfers_stacked(vertices: np.ndarray, m: int, k: int) -> list[sp.csr_matri
         Ps.append(P)
         fine, x = coarse, x[_vid(2 * coarse.n, 2 * coarse.r, 2 * coarse.j)]
     return Ps
+
+
+def transfer_coo(fine: _Grid, coarse: _Grid, x: np.ndarray, k: int, area):
+    """multigrid._transfer as the library built it before it wrote P_k
+    straight into CSR: every child's (row, column, weight) triplets, k = 0
+    with lam at all 18 entries of a coarse triangle, its zeros included,
+    through scipy's COO conversion, which sums the duplicates; then the
+    roundoff of exact zeros cleared and every zero eliminated."""
+    corner = np.stack([coarse.r[coarse.tri], coarse.j[coarse.tri]], axis=-1)
+    point = _vid(fine.n, *np.moveaxis(corner[:, _A] + corner[:, _B], -1, 0))
+    if k == 0:
+        child, cols, vals = point, coarse.tri[:, None, :], _LAM[None]
+    elif k == 1:
+        child, cols, vals = _edge_weights(fine, coarse, x, point)
+    else:
+        child = fine.triangle(point[:, _TRIANGLES])
+        parent = area[child].sum(axis=1)
+        vals = (area[child] / parent[:, None] * [1, 1, 1, -1])[..., None]
+        cols = np.arange(len(point))[:, None, None]
+        area = parent
+    share = np.bincount(child.ravel(), minlength=fine.counts[k])
+    vals = vals / share[child][..., None]
+    rows = np.broadcast_to(child[..., None].astype(np.int32), vals.shape).ravel()
+    cols = np.broadcast_to(cols.astype(np.int32), vals.shape).ravel()
+    P = sp.csr_matrix((vals.ravel(), (rows, cols)), (fine.counts[k], coarse.counts[k]))
+    P.data[(P.data < 1e-13) & (P.data > -1e-13)] = 0.0
+    P.eliminate_zeros()
+    return P, area
 
 
 def dense_barycentric_horner(B: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:

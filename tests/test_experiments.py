@@ -192,11 +192,12 @@ def test_k1_solve_holds_a_few_copies_of_its_matrix_at_most():
     within 3.2 times the bytes of its matrix M: the assembly keeps no sum
     buffer, the multigrid set-up frees each transfer's temporaries before
     the coarse operator and restricts by P^T as a view, and the Gershgorin
-    bound forms no nnz-sized |A| (2.7 times; a sum of two products, CSR
-    copies of P^T and live transfer temporaries took it to 4.7)."""
+    bound forms no nnz-sized |A| (2.6 times, the coboundaries built inside
+    it, since the complex keeps none; a sum of two products, CSR copies of
+    P^T and live transfer temporaries took it to 4.7)."""
     solve_problem(*_mesh("perturbed", 3), 1)  # the forms, built once per process
     K, dual = _mesh("perturbed", 7)
-    M = dec_system(K, dual.hodge_ratio_a, 1)  # also caches the coboundaries
+    M = dec_system(K, dual.hodge_ratio_a, 1)
     size = M.data.nbytes + M.indices.nbytes + M.indptr.nbytes
     del M
     tracemalloc.start()

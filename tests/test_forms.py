@@ -28,6 +28,7 @@ import math
 import os
 import sys
 import threading
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
@@ -894,7 +895,9 @@ def test_kernel_values_follow_their_simplices_through_any_corner_layout(k):
 
 def test_kernel_evaluates_a_shared_component_once_per_chunk(monkeypatch):
     """u = p dx + p dy holds one Poly2 in both slots, so each chunk of the
-    8-point line rule evaluates p once, not once per slot."""
+    8-point line rule evaluates p once, not once per slot.  A chunk holds a
+    multiple of 64 simplices: 1000 points give 1000 // 8 = 125 simplices,
+    rounded down to 64."""
     calls = []
     evaluate = Poly2.__call__
     monkeypatch.setattr(Poly2, "__call__", lambda p, x, y: calls.append(p) or evaluate(p, x, y))
@@ -902,7 +905,7 @@ def test_kernel_evaluates_a_shared_component_once_per_chunk(monkeypatch):
     K = perturbed_mesh(4, seed=1)
     u, _ = manufactured_solution(1)
     forms_module._integrate_simplices(u, _planes(K.vertices, K.simplices(1)))
-    assert calls == [u.components[0]] * math.ceil(K.n_simplices(1) / (1000 // 8))
+    assert calls == [u.components[0]] * math.ceil(K.n_simplices(1) / 64)
 
 
 @pytest.mark.parametrize("m", [0, 1, 2])
@@ -972,6 +975,25 @@ def test_concurrent_callers_get_the_serial_result(monkeypatch):
     finally:
         sys.setswitchinterval(interval)
     assert got == expected * 3
+
+
+def test_k2_de_rham_holds_its_result_and_one_chunk_at_most():
+    """The traced peak of de_rham at k = 2 on perturbed (7, 1) stays within
+    16 times its result plus 2.5 MB: the level's corner planes, edge vectors
+    and areas take at most 15 doubles per triangle besides the result, and
+    one chunk of _CHUNK_POINTS points, its table of powers of l3 (11 doubles
+    per point) and its planes, under 2.5 MB (3.5 MB in all).  An (N, P)
+    table of every point's value took R(u) to 12.8 MB."""
+    K = perturbed_mesh(7, 1)
+    for w in manufactured_solution(2):
+        size = de_rham(K, w).nbytes  # also converts w's coefficients, once
+        tracemalloc.start()
+        try:
+            de_rham(K, w)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 16 * size + 2.5 * 2**20
 
 
 # Golden digests: SHA-256 of the float64 bytes of de_rham(K, w) on

@@ -32,13 +32,14 @@ from declab import (
     write_mesh,
 )
 from declab.dual import _cotangent_stars
-from declab.meshes import _Grid
-from declab.multigrid import _levels, _visit, multigrid_cycle
+from declab.meshes import _Grid, _vid
+from declab.multigrid import _grid, _levels, _transfer, _visit, multigrid_cycle
 from declab.operators import dec_system
 from oracles import (
     grid_level,
     hodge_laplacian_matrix,
     is_canonical_csr,
+    transfer_coo,
     transfers_stacked,
     whitney_evaluate,
 )
@@ -225,6 +226,26 @@ def test_transfers_match_the_stacked_formula_bit_for_bit(K, k):
     for P, want in zip(Ps, stacked, strict=True):
         assert np.array_equal(P.indptr, want.indptr) and np.array_equal(P.indices, want.indices)
         assert P.data.tobytes() == want.data.tobytes()
+
+
+@pytest.mark.parametrize("mesh", [(5,), (5, 2, 0.3)], ids=["symmetric", "perturbed"])
+@pytest.mark.parametrize("k", [0, 1, 2])
+def test_transfers_are_the_coo_build_byte_for_byte(mesh, k):
+    """Each P_k, built straight into CSR, has the index arrays and entries of
+    the COO build it replaced, byte for byte, in arrays of its nnz, and the
+    same coarse areas at k = 2."""
+    K = symmetric_mesh(*mesh) if len(mesh) == 1 else perturbed_mesh(*mesh)
+    fine, x = _grid(K), K.vertices
+    area = want_area = K.volumes(2) if k == 2 else None
+    for level in (4, 3):
+        coarse = _Grid(2**level)
+        (P, area), (want, want_area) = (_transfer(fine, coarse, x, k, area),
+                                        transfer_coo(fine, coarse, x, k, want_area))
+        for got, expected in zip((P.indptr, P.indices, P.data), (want.indptr, want.indices, want.data)):
+            assert got.dtype == expected.dtype and got.tobytes() == expected.tobytes()
+            assert (got if got.base is None else got.base).nbytes == got.nbytes  # no spare slots
+        assert (area is None and want_area is None) or area.tobytes() == want_area.tobytes()
+        fine, x = coarse, x[_vid(fine.n, 2 * coarse.r, 2 * coarse.j)]
 
 
 def test_transfers_store_no_roundoff():

@@ -298,13 +298,13 @@ def test_dec_system_is_the_sum_of_its_two_products_bit_for_bit(mesh, k):
 @pytest.mark.parametrize("mesh", [(6,), (6, 1)], ids=["symmetric", "perturbed"])
 @pytest.mark.parametrize("k", [0, 1, 2])
 def test_star_scalings_match_the_diagonal_star_products_bit_for_bit(mesh, k):
-    """dec_system and codifferential_matrix scale the cached coboundary
-    entries by the stars: the entries, row pointers and column indices are
-    those of the products with diagonal star matrices once sorted, and the
-    cached coboundaries, whose index arrays they share, stay as built."""
+    """dec_system and codifferential_matrix scale the coboundary entries by
+    the stars: the entries, row pointers and column indices are those of the
+    products with diagonal star matrices once sorted, and the coboundaries,
+    whose index arrays they share, come out of the complex as before."""
     K = symmetric_mesh(*mesh) if len(mesh) == 1 else perturbed_mesh(*mesh)
     dual = build_dual(K)
-    cached = [K.coboundary_matrix(j).copy() for j in range(2)]
+    before = [K.coboundary_matrix(j).copy() for j in range(2)]
     pairs = [(dec_system(K, dual.hodge_ratio_a, k),
               dec_system_by_star_matrices(K, dual.hodge_ratio_a, k))]
     if k >= 1:
@@ -315,7 +315,7 @@ def test_star_scalings_match_the_diagonal_star_products_bit_for_bit(mesh, k):
         assert np.array_equal(got.indptr, want.indptr)
         assert np.array_equal(got.indices, want.indices)
         assert got.data.tobytes() == want.data.tobytes()
-    for j, D in enumerate(cached):
+    for j, D in enumerate(before):
         now = K.coboundary_matrix(j)
         assert (now != D).nnz == 0 and np.array_equal(now.indices, D.indices)
 
