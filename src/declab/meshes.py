@@ -144,7 +144,7 @@ def _vid(n: int, r, j):  # vertex id of lattice point (r, j) on the n-row grid
 class _Grid:
     """Lattice coordinates and simplex numbering of the n-row grid in
     lexicographic order, build_complex's for any complex (module docstring),
-    held as int32: every id fits below n = 2^15."""
+    held as int32, which holds every id up to n = 2^15."""
 
     def __init__(self, n: int):
         self.n = n

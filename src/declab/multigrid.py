@@ -138,8 +138,8 @@ def _transfer(fine: _Grid, coarse: _Grid, x: np.ndarray, k: int, area):
     share = np.bincount(child.ravel(), minlength=fine.counts[k])
     vals = vals / share[child][..., None]
     order, w = np.argsort(child, axis=None, kind="stable"), vals.shape[-1]
-    cols = np.broadcast_to(cols, vals.shape).reshape(-1, w)[order].ravel()
-    vals, indptr = vals.reshape(-1, w)[order].ravel(), np.r_[0, np.cumsum(w * share)]
+    cols = np.broadcast_to(cols, vals.shape).reshape(-1, w).take(order, 0).ravel()
+    vals, indptr = vals.reshape(-1, w).take(order, 0).ravel(), np.r_[0, np.cumsum(w * share)]
     P = sp.csr_matrix((vals, cols, indptr), (fine.counts[k], coarse.counts[k]))
     P.sum_duplicates()
     # O(1) weights: roundoff of exact zeros (|w| < 1e-13 with no nnz-sized |w|)
