@@ -29,11 +29,15 @@ class SimplicialComplex:
     """Two-dimensional simplicial complex with sparse incidence on demand.
 
     Instances are produced by :func:`build_complex`; the constructor assumes
-    pre-validated tables.
+    pre-validated tables.  The complex holds only what defines the mesh, its
+    coordinates and simplex tables; boundary flags and coboundaries are
+    derived from them on each call.
 
     Attributes
     ----------
-    vertices : (V, 2) float array of vertex coordinates.
+    vertices : (V, 2) float array of vertex coordinates, stored column-major,
+        so that vertices.T is the contiguous (2, V) x and y planes that every
+        corner gather (`_planes`) reads.
     dim : topological dimension (always 2).
     cell_edges : (T, 3) int array; row t holds the Delta_1 indices of the
         edges of triangle t in local pair order [(0,1), (0,2), (1,2)]
@@ -43,12 +47,7 @@ class SimplicialComplex:
     dim = 2
 
     def __init__(
-        self,
-        vertices: np.ndarray,
-        edges: np.ndarray,
-        triangles: np.ndarray,
-        cell_edges: np.ndarray,
-        boundary_flags: list[np.ndarray],
+        self, vertices: np.ndarray, edges: np.ndarray, triangles: np.ndarray, cell_edges: np.ndarray
     ):
         self.vertices = vertices
         self._tables = [
@@ -57,7 +56,6 @@ class SimplicialComplex:
             triangles,
         ]
         self.cell_edges = cell_edges
-        self._boundary = boundary_flags
 
     # -- simplex tables ----------------------------------------------------
 
@@ -71,9 +69,15 @@ class SimplicialComplex:
 
     def is_boundary(self, k: int) -> np.ndarray:
         """Boolean mask over Delta_k: True where the simplex lies in the
-        geometric boundary (i.e. is contained in an edge with one coface)."""
-        self._table(k)
-        return self._boundary[k]
+        geometric boundary, an edge with one coface and that edge's
+        vertices; no triangle.  Derived from cell_edges on each call."""
+        flags = np.zeros(len(self._table(k)), dtype=bool)
+        if k < 2:
+            edges = np.bincount(self.cell_edges.ravel(), minlength=len(self._tables[1])) == 1
+            if k == 1:
+                return edges
+            flags[self._tables[1][edges].ravel()] = True
+        return flags
 
     def volumes(self, k: int) -> np.ndarray:
         """|sigma| for every k-simplex: 1 for a vertex, an edge's length,
@@ -130,7 +134,9 @@ def _is_int(k) -> bool:
 
 def _planes(x: np.ndarray, cells: np.ndarray) -> np.ndarray:
     """The corners of simplices `cells` (N, ..., k+1) at vertices x (V, 2) as x and y
-    planes (2, k+1, ..., N): numpy loops over simplices, not an axis of 2 or 3."""
+    planes (2, k+1, ..., N): numpy loops over simplices, not an axis of 2 or 3.
+    On a complex's column-major vertices x.T is contiguous and no copy of the
+    vertex table is made (take copies a non-contiguous x.T whole first)."""
     return x.T.take(cells.T, axis=1)  # take: indexing x.T[:, cells.T] is 4x slower
 
 
@@ -163,7 +169,7 @@ def build_complex(vertices: np.ndarray, cells: np.ndarray) -> SimplicialComplex:
         duplicate cells, zero-area or overflowing cells, unreferenced
         vertices, or a non-manifold edge (more than two cofaces).
     """
-    vertices = np.ascontiguousarray(np.asarray(vertices, dtype=np.float64))
+    vertices = np.asarray(vertices, dtype=np.float64, order="F")  # column-major, as the class
     if vertices.ndim != 2 or vertices.shape[1] != 2:
         raise ValueError("vertices must have shape (V, 2); this library is two-dimensional")
     finite = np.isfinite(vertices).all(axis=1)
@@ -220,9 +226,4 @@ def build_complex(vertices: np.ndarray, cells: np.ndarray) -> SimplicialComplex:
             f"{int(coface_count[bad])} cofaces"
         )
 
-    boundary_edges = coface_count == 1
-    boundary_vertices = np.zeros(nv, dtype=bool)
-    boundary_vertices[edges[boundary_edges].ravel()] = True
-    flags = [boundary_vertices, boundary_edges, np.zeros(len(tris), dtype=bool)]
-
-    return SimplicialComplex(vertices, edges, tris, cell_edges, flags)
+    return SimplicialComplex(vertices, edges, tris, cell_edges)

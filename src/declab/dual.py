@@ -84,11 +84,12 @@ def is_well_centered(K: SimplicialComplex) -> tuple[bool, np.ndarray]:
     Returns (ok, offenders); offenders holds the indices of the triangles
     whose circumcenter barycentric coordinates are not all above
     WELL_CENTERED_TOL (so a NaN from overflow counts as offending).  Blocks
-    of triangles keep its temporaries small (whole, 11 MB at level 8).
+    of triangles, each gathered through `_planes`, keep its temporaries
+    small (whole, 11 MB at level 8).
     """
-    x, tris = np.ascontiguousarray(K.vertices.T), K.simplices(2)
+    tris = K.simplices(2)
     bad = np.concatenate([
-        lo + _offenders(_triangle_circum_bary(*x.take(tris[lo : lo + _BLOCK].T, 1)))
+        lo + _offenders(_triangle_circum_bary(*_planes(K.vertices, tris[lo : lo + _BLOCK])))
         for lo in range(0, len(tris), _BLOCK)
     ])
     return len(bad) == 0, bad

@@ -52,7 +52,7 @@ from numbers import Real
 
 import numpy as np
 
-from .complex import SimplicialComplex, _cross, _planes
+from .complex import SimplicialComplex, _cross, _is_int, _planes
 from .dual import DualComplex, _flags
 
 __all__ = [
@@ -332,7 +332,7 @@ class PolyForm:
 
     def __post_init__(self):
         expected = {0: 1, 1: 2, 2: 1}
-        if self.degree not in expected:
+        if not _is_int(self.degree) or self.degree not in expected:
             raise ValueError(f"no {self.degree}-forms in the plane")
         if len(self.components) != expected[self.degree]:
             raise ValueError(
@@ -402,7 +402,7 @@ def manufactured_solution(k: int) -> tuple[PolyForm, PolyForm]:
     in each slot of u, one polynomial shared by both slots at k = 1, where
     the de Rham map then evaluates it once per point.
     """
-    if k not in (0, 1, 2):
+    if not _is_int(k) or k not in (0, 1, 2):
         raise ValueError(f"no {k}-forms in the plane")
     inv_sqrt3 = np.longdouble(1.0) / np.sqrt(np.longdouble(3.0))
     x = Poly2.monomial(1, 0)

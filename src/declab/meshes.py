@@ -171,21 +171,18 @@ class _Grid:
         return self.tri_rank[2 * v[..., 0] + (v[..., 1] != v[..., 0] + 1)]
 
     def complex(self, x: np.ndarray) -> SimplicialComplex:
-        """The grid's complex at vertex coordinates x (V, 2), with the tables
-        build_complex would derive: each vertex's edges in edge_rank's slots,
-        and on the boundary what lies on one side of the domain."""
-        n, r, j = self.n, self.r, self.j
+        """The grid's complex at column-major vertex coordinates x (V, 2), the
+        transpose of (2, V) planes, with the tables build_complex would
+        derive: each vertex's edges in edge_rank's slots."""
         # the slots edge_rank counts, from (r, j) to (r, j+1), (r+1, j-1), (r+1, j)
         tail, slot = np.divmod(np.flatnonzero(np.diff(self.edge_rank, prepend=-1)), 3)
-        e = np.stack([tail, tail + np.where(slot == 0, 1, n - r[tail] + slot - 1)], 1)
-        side = np.stack([r == 0, j == 0, r + j == n])
-        flags = [side.any(0), (side[:, e[:, 0]] & side[:, e[:, 1]]).any(0), np.zeros(n * n, bool)]
+        e = np.stack([tail, tail + np.where(slot == 0, 1, self.n - self.r[tail] + slot - 1)], 1)
         # (a, b), (a, c), (b, c) of cell [a, b, c] take slots 0, 2, 1 of a, a, b
         # in an up cell (b = a + 1), slots 1, 2, 0 in a down cell
         a, b = self.tri[:, :2].T
         slots = np.stack([3 * a + (b != a + 1), 3 * a + 2, 3 * b + (b == a + 1)], 1)
         cell_edges = self.edge_rank[slots].astype(np.int64)
-        return SimplicialComplex(x, e, self.tri.astype(np.int64), cell_edges, flags)
+        return SimplicialComplex(x, e, self.tri.astype(np.int64), cell_edges)
 
 
 def _lattice(m: int) -> tuple[_Grid, np.ndarray]:
@@ -198,7 +195,7 @@ def symmetric_mesh(m: int) -> SimplicialComplex:
     """Uniform equilateral subdivision of the domain triangle, h = 2^-m."""
     _check_mesh_args(m)
     g, x = _lattice(m)
-    return g.complex(x.T.copy())
+    return g.complex(x.T)
 
 
 # the 7-point stencil of lattice point (r, j) as steps in r and in j, in
@@ -264,7 +261,7 @@ def perturbed_mesh(m: int, seed: int, alpha: float = 0.15) -> SimplicialComplex:
                 f"{tuple(lattice[:, interior[s]].tolist())} after 20 radius halvings"
             )
 
-    K = g.complex(x.T.copy())
+    K = g.complex(x.T)
     ok, offenders = is_well_centered(K)
     if not ok:
         t = offenders[0]

@@ -53,7 +53,7 @@ from __future__ import annotations
 import numpy as np
 import scipy.sparse as sp
 
-from .complex import SimplicialComplex, _cross, _opposite
+from .complex import SimplicialComplex, _cross, _opposite, _planes
 from .dual import _cotangent_stars
 from .meshes import _Grid, _vid
 from .operators import dec_system
@@ -85,12 +85,12 @@ def _levels(M: sp.csr_matrix, K: SimplicialComplex, k: int):
     and the transfers P_k into levels m, ..., 4, finest first.  Each step builds
     P_k (_transfer, whose temporaries are freed when it returns, before the
     coarse operator is built: at perturbed (8, 1), k = 1, they held 25 MB under
-    the level-7 dec_system), gathers the coarse vertices and takes the coarse
-    operator: Galerkin P^T A P at k = 0, half of it at k = 2, at k = 1 the
-    grid's own DEC system from those vertices' cotangent stars.  None if K is
-    not a grid (_grid) or a coarse vertex star S0 is not positive.  It
-    recognises the grid itself, so the fine lattice is freed once the walk
-    leaves it (3.3 MB at level 8)."""
+    the level-7 dec_system), gathers the coarse vertices, column-major as a
+    complex's, and takes the coarse operator: Galerkin P^T A P at k = 0, half
+    of it at k = 2, at k = 1 the grid's own DEC system from those vertices'
+    cotangent stars.  None if K is not a grid (_grid) or a coarse vertex star
+    S0 is not positive.  It recognises the grid itself, so the fine lattice
+    is freed once the walk leaves it (3.3 MB at level 8)."""
     fine, x, A, Ps = _grid(K), K.vertices, [M], []
     if fine is None:
         return None
@@ -99,7 +99,7 @@ def _levels(M: sp.csr_matrix, K: SimplicialComplex, k: int):
         coarse = _Grid(2**level)
         P, area = _transfer(fine, coarse, x, k, area)
         Ps.append(P)
-        fine, x = coarse, x[_vid(fine.n, 2 * coarse.r, 2 * coarse.j)]
+        fine, x = coarse, _planes(x, _vid(fine.n, 2 * coarse.r, 2 * coarse.j)).T  # column-major
         if k != 1:  # a piecewise-constant P_2 counts each coarse flux twice
             A.append((P.T @ A[-1] @ P).tocsr() * (0.5 if k == 2 else 1.0))
             A[-1].sum_duplicates()  # canonical, as dec_system's
@@ -120,8 +120,8 @@ def _transfer(fine: _Grid, coarse: _Grid, x: np.ndarray, k: int, area):
     CSR from each fine simplex's slots in turn; an entry sums one value, or
     two on a fine edge of two coarse triangles, with the same bits in any
     order (tests/oracles.py keeps the COO build it replaced)."""
-    corner = np.stack([coarse.r[coarse.tri], coarse.j[coarse.tri]], axis=-1)
-    point = _vid(fine.n, *np.moveaxis(corner[:, _A] + corner[:, _B], -1, 0))
+    r, j = coarse.r[coarse.tri], coarse.j[coarse.tri]
+    point = _vid(fine.n, r[:, _A] + r[:, _B], j[:, _A] + j[:, _B])
     # child ids (T, c), and for each child its coarse ids and weights (T, c, w)
     if k == 0:  # lam: 1 at a corner, 1/2 at each end of a midpoint's pair
         child, cols, vals = point[:, _HALVES], coarse.tri[:, _ENDS, None], np.ones((1, 1, 1))
@@ -154,17 +154,17 @@ def _edge_weights(fine: _Grid, coarse: _Grid, x: np.ndarray, point: np.ndarray):
     its corner pairs (T, 1, 3) and the weights (T, 9, 3) of fine edge [a, b]
     in them, (lam_i grad lam_j - lam_j grad lam_i) . (b - a) with lam at the
     edge's midpoint, formed one fine edge at a time on x and y planes with
-    the coarse triangles innermost, so that no (9, 3, T) temporary exists."""
+    the coarse triangles innermost, so that no (9, 3, T) temporary exists;
+    every corner is gathered through `_planes` from the column-major x."""
     child, tail, head = fine.edge(point[:, _EDGES[:, 0]], point[:, _EDGES[:, 1]])
-    planes = np.ascontiguousarray(x.T)  # taken from once: _planes copies x per call
-    px, py = planes.take(point[:, :3].T, axis=1)
+    px, py = _planes(x, point[:, :3])
     ex, ey = _opposite(px, py)
     cross = _cross(px, py)
     gx, gy = -ey / cross, ex / cross  # grad lam at each corner (corner, T)
     i, j = _PAIRS.T
     vals = np.empty(child.shape + (3,))
     for e, lam in enumerate((_LAM[_EDGES[:, 0]] + _LAM[_EDGES[:, 1]]) / 2):
-        dx, dy = planes.take(head[:, e], axis=1) - planes.take(tail[:, e], axis=1)
+        dx, dy = _planes(x, head[:, e]) - _planes(x, tail[:, e])
         g = gx * dx + gy * dy  # (corner, T)
         vals[:, e] = (lam[i, None] * g[j] - lam[j, None] * g[i]).T
     cols = coarse.edge(coarse.tri[:, i], coarse.tri[:, j])[0][:, None, :]

@@ -142,6 +142,22 @@ def grid_level(K: SimplicialComplex) -> int | None:
     return None if (grid := _grid(K)) is None else grid.n.bit_length() - 1
 
 
+def lattice_boundary(K: SimplicialComplex, k: int) -> np.ndarray:
+    """The boundary flags of the level-m grid K's k-simplices from the sides
+    of the lattice: vertex (r, j) of the n-row grid lies on the boundary when
+    r = 0, j = 0 or r + j = n, an edge when both its ends lie on one side,
+    and no triangle does.  Vertices are numbered row by row."""
+    n = 2 ** grid_level(K)
+    r, j = np.array([(r, j) for r in range(n + 1) for j in range(n + 1 - r)]).T
+    side = np.stack([r == 0, j == 0, r + j == n])
+    if k == 0:
+        return side.any(axis=0)
+    if k == 1:
+        a, b = K.simplices(1).T
+        return (side[:, a] & side[:, b]).any(axis=0)
+    return np.zeros(K.n_simplices(2), dtype=bool)
+
+
 def discrete_inner(dual: DualComplex, k: int, u: np.ndarray, v: np.ndarray) -> float:
     """Cochain inner product [[u, v]]_k = sum a_sigma u_sigma v_sigma."""
     if len(u) != len(v):

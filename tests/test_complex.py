@@ -22,7 +22,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from declab import build_complex, perturbed_mesh, symmetric_mesh
+from declab import build_complex, perturbed_mesh, read_mesh, symmetric_mesh, write_mesh
 
 TWO_TRI_VERTS = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
 TWO_TRI_CELLS = np.array([[0, 1, 2], [1, 2, 3]])
@@ -134,6 +134,26 @@ def test_volumes_tile_the_domain_and_give_the_mesh_size(K):
     assert K.volumes(2).sum() == pytest.approx(np.sqrt(3.0) / 4, rel=1e-13)
     assert K.volumes(1).max() == K.mesh_size()
     assert np.array_equal(K.volumes(0), np.ones(K.n_simplices(0)))
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda tmp: build_complex(np.ascontiguousarray(TWO_TRI_VERTS), TWO_TRI_CELLS),
+        lambda tmp: build_complex(np.asfortranarray(TWO_TRI_VERTS), TWO_TRI_CELLS),
+        lambda tmp: build_complex(TWO_TRI_VERTS.tolist(), TWO_TRI_CELLS),
+        lambda tmp: (write_mesh(perturbed_mesh(3, 1), tmp / "m.txt"), read_mesh(tmp / "m.txt"))[1],
+        lambda tmp: symmetric_mesh(3),
+        lambda tmp: perturbed_mesh(3, 1),
+    ],
+    ids=["c-order", "f-order", "list", "read-mesh", "symmetric", "perturbed"],
+)
+def test_vertices_are_stored_column_major(make, tmp_path):
+    """Every producer stores K.vertices column-major, so that K.vertices.T is
+    the contiguous (2, V) planes `_planes` gathers from without a copy."""
+    K = make(tmp_path)
+    assert K.vertices.shape == (K.n_simplices(0), 2)
+    assert K.vertices.T.flags.c_contiguous
 
 
 @pytest.mark.parametrize("k", [True, 1.0, -1, 3], ids=repr)

@@ -120,14 +120,18 @@ def test_poly_monomial_rejects_negative_exponents(i, j):
         (lambda: Poly2.monomial(1, 0) * "x", TypeError, "cannot interpret str as a polynomial"),
         (lambda: "2" * Poly2.monomial(1, 0), TypeError, "cannot interpret str as a polynomial"),
         (lambda: PolyForm(3, (Poly2.zero(),)), ValueError, "no 3-forms in the plane"),
+        (lambda: PolyForm(1.0, (Poly2.zero(), Poly2.zero())), ValueError, "no 1.0-forms in the plane"),
+        (lambda: PolyForm(True, (Poly2.zero(), Poly2.zero())), ValueError, "no True-forms in the plane"),
         (lambda: PolyForm(1, (Poly2.zero(),)), ValueError, r"a 1-form needs 2 component\(s\), got 1"),
         (lambda: manufactured_solution(3), ValueError, "no 3-forms in the plane"),
+        (lambda: manufactured_solution(1.0), ValueError, "no 1.0-forms in the plane"),
         (lambda: gauss_legendre_unit(0), ValueError, "need at least one quadrature point"),
         (lambda: triangle_rule(-1), ValueError, "degree must be non-negative"),
     ],
     ids=[
         "poly-3d", "pow-negative", "pow-float", "deriv-2", "times-str", "str-times",
-        "form-degree-3", "form-components", "manufactured-3", "gauss-0", "triangle-negative",
+        "form-degree-3", "form-degree-float", "form-degree-bool", "form-components",
+        "manufactured-3", "manufactured-float", "gauss-0", "triangle-negative",
     ],
 )
 def test_form_constructors_reject_bad_arguments(call, error, match):

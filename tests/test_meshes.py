@@ -30,7 +30,7 @@ from declab import (
 )
 from declab import meshes as meshes_module
 from declab.meshes import _Grid
-from oracles import perturbed_mesh_sequential
+from oracles import lattice_boundary, perturbed_mesh_sequential
 
 SQRT3 = np.sqrt(3.0)
 
@@ -154,13 +154,15 @@ def test_symmetric_vertices_are_lexicographically_ordered():
 @pytest.mark.parametrize("m", range(1, 8))
 def test_grid_numbering_is_build_complex_order(m):
     """build_complex is the oracle of the lattice's tables: on both families
-    the generated complex has its simplices, cell edges and boundary flags,
-    dtypes included, and the closed-form ranks number its simplices."""
+    the generated complex has its simplices and cell edges, dtypes included,
+    and the closed-form ranks number its simplices.  The boundary flags,
+    which every complex derives from its cell edges, are those of the
+    lattice's sides (oracles.lattice_boundary)."""
     grid = _Grid(2**m)
     for K in (symmetric_mesh(m), perturbed_mesh(m, 1, 0.45)):
         want = build_complex(K.vertices, K.simplices(2))
         pairs = [(K.simplices(k), want.simplices(k)) for k in (1, 2)]
-        pairs += [(K.is_boundary(k), want.is_boundary(k)) for k in range(3)]
+        pairs += [(K.is_boundary(k), lattice_boundary(K, k)) for k in range(3)]
         for got, expected in pairs + [(K.cell_edges, want.cell_edges)]:
             assert got.dtype == expected.dtype and np.array_equal(got, expected)
     assert np.array_equal(grid.edge(*want.simplices(1).T)[0], np.arange(want.n_simplices(1)))
@@ -253,14 +255,14 @@ def test_perturbed_moves_only_interior_vertices_within_alpha_h():
 
 
 def test_perturbed_mesh_holds_a_few_copies_of_its_tables_at_most():
-    """The traced peak of perturbed_mesh(8, 1) stays within 2.4 times the
-    bytes of the tables it returns: 2.1 times, at `_Grid.complex`, plus 0.3
-    (1.6 MB) of margin.  Cell edges looked up through `_Grid.edge` on int64
-    corner pairs and a whole-mesh final check took it to 3.7 times, and
-    sorting every corner to find the cells around each vertex to 5.3."""
+    """The traced peak of perturbed_mesh(8, 1) stays within 2.3 times the
+    bytes of the tables it returns: 2.0 times, at `_Grid.complex`, plus 0.28
+    (1.5 MB) of margin.  Eager boundary flags and a copy of the vertex
+    table took it to 2.2 times, cell edges looked up through `_Grid.edge`
+    on int64 corner pairs and a whole-mesh final check to 3.8, and sorting
+    every corner to find the cells around each vertex to 5.5."""
     K = perturbed_mesh(8, 1)
-    size = K.vertices.nbytes + K.cell_edges.nbytes
-    size += sum(K.simplices(k).nbytes + K.is_boundary(k).nbytes for k in range(3))
+    size = K.vertices.nbytes + K.cell_edges.nbytes + sum(K.simplices(k).nbytes for k in range(3))
     del K
     tracemalloc.start()
     try:
@@ -268,7 +270,7 @@ def test_perturbed_mesh_holds_a_few_copies_of_its_tables_at_most():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 2.4 * size
+    assert peak <= 2.3 * size
 
 
 def test_perturbed_meshes_stay_well_centered_across_seeds():

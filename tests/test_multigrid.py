@@ -33,7 +33,7 @@ from declab import (
 )
 from declab.dual import _cotangent_stars
 from declab.meshes import _Grid, _vid
-from declab.multigrid import _grid, _levels, _transfer, _visit, multigrid_cycle
+from declab.multigrid import _edge_weights, _grid, _levels, _transfer, _visit, multigrid_cycle
 from declab.operators import dec_system
 from oracles import (
     grid_level,
@@ -334,6 +334,27 @@ def test_cycle_walks_the_grid_levels_once(k, monkeypatch):
     monkeypatch.setattr(_Grid, "__init__", counted)
     assert multigrid_cycle(M, K, k) is not None
     assert len(built) <= m - 2
+
+
+def test_k1_set_up_keeps_coordinates_column_major(monkeypatch):
+    """Every level of a k = 1 set-up gathers from column-major coordinates:
+    the fine edge weights of each transfer and each coarse complex, so that
+    no `_planes` call copies a vertex table."""
+    K = perturbed_mesh(6, 1)
+    seen = []
+
+    def weights(fine, coarse, x, point):
+        seen.append(("transfer", x.T.flags.c_contiguous))
+        return _edge_weights(fine, coarse, x, point)
+
+    def stars(Kc):
+        seen.append(("coarse", Kc.vertices.T.flags.c_contiguous))
+        return _cotangent_stars(Kc)
+
+    monkeypatch.setattr("declab.multigrid._edge_weights", weights)
+    monkeypatch.setattr("declab.multigrid._cotangent_stars", stars)
+    assert multigrid_cycle(_system(K, 1)[0], K, 1) is not None
+    assert seen == [("transfer", True), ("coarse", True)] * 3
 
 
 # -- the cycle ----------------------------------------------------------------
