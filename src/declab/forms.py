@@ -22,17 +22,17 @@ Polynomial coefficients are stored and combined in extended precision
 (``np.longdouble``):  the manufactured solutions below expand into
 monomial coefficients of magnitude ~1e10 that cancel down to O(1) values,
 and double-precision Horner on them would leave ~1e-8 absolute noise.
-Evaluation does not run on them.  Each polynomial is converted once,
+Evaluation does not run on them.  A product such as p = 1e8 (l1 l2 l3)^5
+evaluates as its scale times its affine factors' values to their powers,
+13 operations per point on p.  A sum, such as f, is converted once,
 exactly, to its coefficients in the domain's barycentric coordinates
-(l1, l2, l3), in which p = 1e8 (l1 l2 l3)^5 is one term and every l lies
-in [0, 1] on the domain, so nothing cancels; the homogeneous Horner on
-them runs in float64.  It skips the exact zeros of those coefficients
-(86 of p's 136), about 163 operations per point on p and 161 on f instead
-of 544 and 420, and every nonzero value has the dense Horner's bits.
-Against exact evaluation of the same coefficients at 300 random points of
-the domain the error is 8.0e-15 on the manufactured u (maximum 6.97) and
-1.3e-12 on f (maximum 1.25e3).  Points off the domain, which no de Rham
-map of a domain mesh reaches, take float64 Horner in x and y.
+(l1, l2, l3), each in [0, 1] on the domain, so nothing cancels; the
+homogeneous Horner on them runs in float64 and skips their exact zeros,
+about 161 operations per point on f instead of 420, and every nonzero
+value has the dense Horner's bits.  Against exact evaluation of the same
+coefficients at 300 random points of the domain the error is 1.3e-12 on f
+(maximum 1.25e3).  Points off the domain, which no de Rham map of a domain
+mesh reaches, take float64 Horner in x and y.
 
 Quadrature: Gauss-Legendre on [0, 1] for line integrals, and a collapsed
 tensor-product (Duffy) rule on the reference triangle
@@ -47,6 +47,8 @@ pass over all points.
 
 from __future__ import annotations
 
+import math
+from collections import Counter
 from dataclasses import dataclass
 from numbers import Real
 
@@ -75,15 +77,18 @@ class Poly2:
     """Bivariate polynomial sum_{i,j} c[i, j] x^i y^j.
 
     Coefficients are finite, kept and combined in ``np.longdouble``;
-    evaluation runs in float64 on their exact conversion to the domain's
-    barycentric coordinates, made on first use, skipping its exact zeros:
-    every nonzero value has the dense Horner's bits (see the module
-    docstring).  Instances are immutable by convention (operations return
-    new polynomials) and trailing all-zero coefficient rows/columns are
-    trimmed on construction.
+    evaluation runs in float64.  A product (``*``, ``**``) of constants,
+    degree-1 polynomials and recorded products records its scale and its
+    affine factors, each object once with its exponent, and evaluates as them;
+    negation and scalar multiplication keep the record, and sums, ``deriv``
+    and the constructors make none.  Other polynomials evaluate by their
+    exact conversion to the domain's barycentric coordinates, made on first
+    use (see the module docstring).  Instances are immutable by convention
+    (operations return new polynomials) and trailing all-zero coefficient
+    rows/columns are trimmed on construction.
     """
 
-    __slots__ = ("coeffs", "_domain")
+    __slots__ = ("coeffs", "_domain", "_product")
 
     def __init__(self, coeffs):
         c = np.atleast_2d(np.asarray(coeffs, dtype=np.longdouble)).copy()
@@ -99,6 +104,8 @@ class Poly2:
             c = c[:, :-1]
         self.coeffs = c
         self._domain = None
+        # (scale, Counter({factor: exponent})) of a recorded product, else None
+        self._product = None
 
     @classmethod
     def constant(cls, value) -> "Poly2":
@@ -144,7 +151,9 @@ class Poly2:
         return self.__add__(other)
 
     def __neg__(self) -> "Poly2":
-        return Poly2(-self.coeffs)
+        out = Poly2(-self.coeffs)
+        out._product = self._product and (-self._product[0], self._product[1])
+        return out
 
     def __sub__(self, other) -> "Poly2":
         return self.__add__(-_as_poly(other))
@@ -153,7 +162,8 @@ class Poly2:
         return (-self).__add__(other)
 
     def __mul__(self, other) -> "Poly2":
-        a, b = self.coeffs, _as_poly(other).coeffs
+        other = _as_poly(other)
+        a, b = self.coeffs, other.coeffs
         out = np.zeros(
             (a.shape[0] + b.shape[0] - 1, a.shape[1] + b.shape[1] - 1),
             dtype=np.longdouble,
@@ -162,23 +172,19 @@ class Poly2:
             for j in range(a.shape[1]):
                 if a[i, j] != 0:
                     out[i : i + b.shape[0], j : j + b.shape[1]] += a[i, j] * b
-        return Poly2(out)
+        out = Poly2(out)
+        left, right = _factored(self), _factored(other)
+        if left and right and (factors := left[1] + right[1]):
+            out._product = (left[0] * right[0], factors)
+        return out
 
     def __rmul__(self, other) -> "Poly2":
         return self.__mul__(other)
 
     def __pow__(self, n: int) -> "Poly2":
-        if not isinstance(n, (int, np.integer)) or n < 0:
+        if not _is_int(n) or n < 0:
             raise ValueError("exponent must be a non-negative integer")
-        out = Poly2.constant(1.0)
-        base = self
-        e = int(n)
-        while e:
-            if e & 1:
-                out = out * base
-            base = base * base
-            e >>= 1
-        return out
+        return _power(self, int(n)) if n else Poly2.constant(1.0)
 
     def deriv(self, axis: int) -> "Poly2":
         """Partial derivative: axis 0 -> d/dx, axis 1 -> d/dy."""
@@ -203,8 +209,9 @@ class Poly2:
         Horner of _domain_coeffs: there every l is in [0, 1], so the error
         stays within a small multiple of n eps sum |B| l^alpha, and every
         nonzero value has the dense Horner's bits.  Other points take Horner
-        in x and y on the coefficients rounded to float64.  A point's path
-        and value depend on that point alone.  Scalar x and y give a float;
+        in x and y on the coefficients rounded to float64; a recorded
+        product's factors take these paths (_values).  A point's path and
+        value depend on that point alone.  Scalar x and y give a float;
         otherwise an array of their broadcast shape.
         """
         xs, ys = np.broadcast_arrays(*(np.asarray(v, dtype=np.float64) for v in (x, y)))
@@ -213,20 +220,44 @@ class Poly2:
         l1 = 1.0 - l2 - l3
         inside = np.minimum(np.minimum(l1, l2), l3) >= -_MARGIN
         if inside.all():  # always so on a domain mesh
-            out = self._horner(np.ravel(l1), np.ravel(l2), np.ravel(l3)).reshape(xs.shape)
+            out = self._values(True, np.ravel(l1), np.ravel(l2), np.ravel(l3)).reshape(xs.shape)
         else:
             out = np.empty(xs.shape)
-            out[inside] = self._horner(l1[inside], l2[inside], l3[inside])
-            xo, yo = xs[~inside], ys[~inside]
-            c = self.coeffs.astype(np.float64)
-            acc = np.zeros_like(xo)
-            for i in range(c.shape[0] - 1, -1, -1):
-                row = np.full_like(xo, c[i, -1])
-                for j in range(c.shape[1] - 2, -1, -1):
-                    row = row * yo + c[i, j]
-                acc = acc * xo + row
-            out[~inside] = acc
+            out[inside] = self._values(True, l1[inside], l2[inside], l3[inside])
+            out[~inside] = self._values(False, xs[~inside], ys[~inside])
         return float(out) if np.isscalar(x) and np.isscalar(y) else out
+
+    def _values(self, domain: bool, *points) -> np.ndarray:
+        """Values at 1-d arrays of barycentric coordinates (domain) or of x
+        and y.  A recorded product is scale * P_1 * P_2 * ..., exponents e
+        ascending, P_e its factors of exponent e multiplied in record order
+        to the power e, each factor valued as it would be by itself."""
+        if self._product is None:
+            return self._horner(*points) if domain else self._xy_horner(*points)
+        scale, factors = self._product
+        groups = {}
+        for factor, e in factors.items():
+            v = factor._affine(*points) if domain else factor._xy_horner(*points)
+            groups[e] = groups[e] * v if e in groups else v
+        return math.prod((_power(groups[e], e) for e in sorted(groups)), start=float(scale))
+
+    def _affine(self, l1, l2, l3) -> np.ndarray:
+        """A degree-1 polynomial's B[1, 0] l1 + (B[0, 1] l2 + B[0, 0] l3) over
+        B's nonzero entries: the terms and sums, so the bits, of _horner."""
+        B = self._domain_coeffs()
+        terms = [np.multiply(l, b) for b, l in ((B[0, 0], l3), (B[0, 1], l2), (B[1, 0], l1)) if b]
+        return sum(terms[1:], terms[0])
+
+    def _xy_horner(self, x, y) -> np.ndarray:
+        """Horner in x and y on the coefficients rounded to float64."""
+        c = self.coeffs.astype(np.float64)
+        acc = np.zeros_like(x)
+        for i in range(c.shape[0] - 1, -1, -1):
+            row = np.full_like(x, c[i, -1])
+            for j in range(c.shape[1] - 2, -1, -1):
+                row = row * y + c[i, j]
+            acc = acc * x + row
+        return acc
 
     def _horner(self, l1, l2, l3) -> np.ndarray:
         """The homogeneous Horner of B at 1-d arrays of barycentric
@@ -306,7 +337,30 @@ def _to_barycentric(coeffs: np.ndarray, n: int) -> np.ndarray:
     return np.array([[v / scale for v in row] for row in acc], dtype=np.float64)
 
 
+def _factored(p: Poly2):
+    """p's product record, or the record of p as one: p's value and no
+    factor for a constant, 1 and p itself at degree 1; None for any other p."""
+    if p._product is not None or p.degree > 1:
+        return p._product
+    if p.coeffs.size == 1:
+        return p.coeffs[0, 0], Counter()
+    return np.longdouble(1.0), Counter({p: 1})
+
+
+def _power(v, e: int):
+    """v^e for e >= 1: the product, lowest bit first, of v^(2^i) over the
+    set bits i of e, by repeated squaring."""
+    out = v if e & 1 else None
+    while e := e >> 1:
+        v = v * v
+        if e & 1:
+            out = v if out is None else out * v
+    return out
+
+
 def _check_exponents(i: int, j: int) -> None:
+    if not (_is_int(i) and _is_int(j)):
+        raise ValueError(f"monomial exponents must be integers, got x^{i} y^{j}")
     if i < 0 or j < 0:
         raise ValueError(f"monomial exponents must be non-negative, got x^{i} y^{j}")
 

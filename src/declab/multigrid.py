@@ -178,9 +178,9 @@ def multigrid_cycle(M: sp.csr_matrix, K: SimplicialComplex, k: int):
     grid (_grid) or a coarse k = 1 grid has a vertex star that is not
     positive.  It reads M and edits none of its arrays; the operators and
     transfers it builds are canonical CSR, and it restricts by P^T, a view
-    of P that sums each coarse entry over the fine ones in ascending order,
-    the bits of a CSR copy of P^T without the copy (4.7 MB at perturbed
-    k = 1, level 8; each restriction takes about 0.1 ms longer there)."""
+    of P, made once, that sums each coarse entry over the fine ones in
+    ascending order: the bits of a CSR copy of P^T without the copy (4.7 MB
+    at perturbed k = 1, level 8; a restriction takes 0.1 ms longer there)."""
     if (levels := _levels(M, K, k)) is None:
         return None
     A, Ps = levels
@@ -193,7 +193,7 @@ def multigrid_cycle(M: sp.csr_matrix, K: SimplicialComplex, k: int):
     coarse = A[-1].toarray()
     if k == 0:  # ker = the constants: M + c 11^T, c the mean diagonal over n
         coarse += coarse.diagonal().mean() / len(coarse)
-    levels = (A, Ps, smoothers, _inverse(coarse))
+    levels = (A, Ps, [P.T for P in Ps], smoothers, _inverse(coarse))
     if k == 0:  # M^+ maps into the range of M, the vectors that sum to zero
         return lambda r: (z := _visit(levels, 0, r)) - z.mean()
     return lambda r: _visit(levels, 0, r)
@@ -233,7 +233,7 @@ def _visit(levels, level: int, b: np.ndarray) -> np.ndarray:
     """V(2,2) from `level` down applied to b: two smoothing steps, one
     coarse visit, two smoothing steps; not a closure, which would call
     itself and keep the levels alive in a reference cycle."""
-    A, Ps, smoothers, coarse_inv = levels
+    A, Ps, Rs, smoothers, coarse_inv = levels
     if level == len(Ps):
         return np.einsum("ij,j->i", coarse_inv, b)
     Al, (inv_d, c0, c1) = A[level], smoothers[level]
@@ -244,7 +244,7 @@ def _visit(levels, level: int, b: np.ndarray) -> np.ndarray:
 
     x = smooth(b)
     x += smooth(b - Al @ x)
-    x += Ps[level] @ _visit(levels, level + 1, Ps[level].T @ (b - Al @ x))
+    x += Ps[level] @ _visit(levels, level + 1, Rs[level] @ (b - Al @ x))
     x += smooth(b - Al @ x)
     x += smooth(b - Al @ x)
     return x

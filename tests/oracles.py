@@ -4,6 +4,7 @@ code paths and are not part of the public API."""
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -12,6 +13,7 @@ import scipy.sparse as sp
 from declab import (
     DualComplex,
     MeshError,
+    Poly2,
     PolyForm,
     QuadratureRule,
     SimplicialComplex,
@@ -360,6 +362,85 @@ def dense_barycentric_horner(B: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.
         acc *= l1
         acc += row
     return acc
+
+
+def exact_barycentric(x: float, y: float) -> list[Fraction]:
+    """The domain's barycentric coordinates (l1, l2, l3) of the float64 point
+    (x, y), exactly: l3 = y / S, l2 = x - l3 / 2 and l1 = 1 - l2 - l3, with
+    S the float64 height of the domain that Poly2 divides by."""
+    l3 = Fraction(y) / Fraction(forms._S)
+    l2 = Fraction(x) - l3 / 2
+    return [1 - l2 - l3, l2, l3]
+
+
+def recorded_factors(p: Poly2) -> tuple[Fraction, list[tuple[list[Fraction], int]]]:
+    """p's recorded product as its evaluator reads it, exactly: the float64
+    scale, and each affine factor's float64 coefficients of l1, l2 and l3
+    (its own barycentric B) with its exponent."""
+    scale, factors = p._product
+    return Fraction(float(scale)), [
+        ([Fraction(float(f._domain_coeffs()[i])) for i in ((1, 0), (0, 1), (0, 0))], e)
+        for f, e in factors.items()
+    ]
+
+
+def recorded_product(p: Poly2, value) -> np.ndarray:
+    """Poly2's product path written out from value(factor), each factor's
+    values: scale * P_1 * P_2 * ... left to right, the scale rounded to
+    float64, over the exponents e in ascending order, P_e the product of the
+    factors of exponent e in record order raised to e as the product,
+    lowest bit first, of its repeated squares at the set bits of e."""
+    scale, factors = p._product
+    out = float(scale)
+    for e in sorted(set(factors.values())):
+        base = None
+        for factor, fe in factors.items():
+            if fe == e:
+                base = value(factor) if base is None else base * value(factor)
+        squares = [base]
+        while len(squares) < e.bit_length():
+            squares.append(squares[-1] * squares[-1])
+        power = None
+        for i, square in enumerate(squares):
+            if e >> i & 1:
+                power = square if power is None else power * square
+        out = out * power
+    return out
+
+
+def product_simplex_mean(p: Poly2, corners, pad: Fraction | None = None) -> Fraction:
+    """The mean over the simplex with float64 corners [(x, y), ...] of p's
+    recorded product s prod_i l_i^e_i (recorded_factors), exactly, with no
+    quadrature rule.  On the simplex each l_i is sum_a l_i(v_a) mu_a, with
+    mu its own barycentric coordinates, so the product is a polynomial in mu,
+    and the moments int mu^alpha = k! |sigma| alpha! / (|alpha| + k)! give
+    its integral.  With a pad, each l_i(v_a) is replaced by
+    |l_i(v_a)| + pad and s by |s|: the mean of a bound of
+    |s| prod_i (|l_i| + pad)^e_i.  Integers over one common denominator
+    per factor, for speed."""
+    scale, factors = recorded_factors(p)
+    lam = [exact_barycentric(x, y) for x, y in corners]
+    poly, den, n = {(0,) * len(corners): 1}, Fraction(1), 0
+    for b, e in factors:
+        values = [sum(bi * li for bi, li in zip(b, l)) for l in lam]
+        if pad is not None:
+            values = [abs(v) + pad for v in values]
+        common = math.lcm(*(v.denominator for v in values))
+        ints = [v.numerator * (common // v.denominator) for v in values]
+        for _ in range(e):
+            grown: dict[tuple[int, ...], int] = {}
+            for alpha, c in poly.items():
+                for a, v in enumerate(ints):
+                    if v:
+                        beta = alpha[:a] + (alpha[a] + 1,) + alpha[a + 1 :]
+                        grown[beta] = grown.get(beta, 0) + c * v
+            poly = grown
+        den *= common**e
+        n += e
+    k = len(corners) - 1
+    moments = sum(c * math.prod(map(math.factorial, alpha)) for alpha, c in poly.items())
+    mean = Fraction(moments * math.factorial(k), math.factorial(n + k)) / den
+    return (scale if pad is None else abs(scale)) * mean
 
 
 def integrate_over_simplex(

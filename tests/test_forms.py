@@ -58,8 +58,12 @@ from oracles import (
     _cross2,
     codifferential_by_stars,
     dense_barycentric_horner,
+    exact_barycentric,
     hodge_laplacian_by_composition,
     integrate_over_simplex,
+    product_simplex_mean,
+    recorded_factors,
+    recorded_product,
 )
 
 SQRT3 = np.sqrt(3.0)
@@ -116,6 +120,11 @@ def test_poly_monomial_rejects_negative_exponents(i, j):
         (lambda: Poly2(np.ones((2, 2, 2))), ValueError, "coefficients must form a 2-d array"),
         (lambda: Poly2.monomial(1, 0) ** -1, ValueError, "exponent must be a non-negative integer"),
         (lambda: Poly2.monomial(1, 0) ** 1.5, ValueError, "exponent must be a non-negative integer"),
+        (lambda: Poly2.monomial(1, 0) ** True, ValueError, "exponent must be a non-negative integer"),
+        (lambda: Poly2.monomial(True, 0), ValueError, r"exponents must be integers, got x\^True y\^0"),
+        (lambda: Poly2.monomial(1.0, 0), ValueError, r"exponents must be integers, got x\^1.0 y\^0"),
+        (lambda: Poly2.zero().coefficient(0.5, 0), ValueError, r"must be integers, got x\^0.5 y\^0"),
+        (lambda: Poly2.zero().coefficient(True, 0), ValueError, r"must be integers, got x\^True y\^0"),
         (lambda: Poly2.monomial(1, 0).deriv(2), ValueError, r"axis must be 0 \(x\) or 1 \(y\)"),
         (lambda: Poly2.monomial(1, 0) * "x", TypeError, "cannot interpret str as a polynomial"),
         (lambda: "2" * Poly2.monomial(1, 0), TypeError, "cannot interpret str as a polynomial"),
@@ -129,7 +138,8 @@ def test_poly_monomial_rejects_negative_exponents(i, j):
         (lambda: triangle_rule(-1), ValueError, "degree must be non-negative"),
     ],
     ids=[
-        "poly-3d", "pow-negative", "pow-float", "deriv-2", "times-str", "str-times",
+        "poly-3d", "pow-negative", "pow-float", "pow-bool", "monomial-bool", "monomial-float",
+        "coefficient-float", "coefficient-bool", "deriv-2", "times-str", "str-times",
         "form-degree-3", "form-degree-float", "form-degree-bool", "form-components",
         "manufactured-3", "manufactured-float", "gauss-0", "triangle-negative",
     ],
@@ -174,14 +184,16 @@ def _evaluated_polys(rng) -> list[Poly2]:
         c[rng.random(c.shape[0]) < 0.3] = 0.0
         c[0, -1] = 1.0 + trial  # keep the grid from being trimmed away
         polys += [Poly2(c), -Poly2(c)]
+    # recorded products besides p: factors of mixed sign and size, repeated
+    # and shared exponents, a negative scale
+    x, y = Poly2.monomial(1, 0), Poly2.monomial(0, 1)
+    polys += [
+        -3.5 * (x - 0.25 * y + 0.5) ** 3 * (2.0 * y - 1.0) ** 2 * (x + y),
+        (1e3 * x) * (x - y) ** 4 * (1.0 - 1e-3 * y) ** 4,
+        Poly2.monomial(1, 0) * Poly2.monomial(1, 0) * 0.125,
+        (x + y - 1.0) ** 7,
+    ]
     return polys
-
-
-def _barycentric_exact(x: float, y: float) -> list[Fraction]:
-    """The exact barycentric coordinates of the float64 point (x, y)."""
-    l3 = Fraction(y) / Fraction(S)
-    l2 = Fraction(x) - l3 / 2
-    return [1 - l2 - l3, l2, l3]
 
 
 def _domain_sums(B: np.ndarray, lam: list[Fraction]) -> tuple[Fraction, Fraction, Fraction]:
@@ -236,32 +248,74 @@ def _dyadic_domain_points() -> np.ndarray:
     return np.stack([lam[:, 1] + lam[:, 2] / 2, S * lam[:, 2]], axis=1)
 
 
+def _product_sums(p: Poly2, x: float, y: float, domain: bool) -> tuple[int, Fraction, ...]:
+    """For p's recorded product s prod_i v_i^e_i, with s its float64 scale
+    and v_i = sum_j b_ij t_j either over the domain coordinates t = l, b_ij
+    the factors' float64 barycentric coefficients (domain), or over
+    t = (1, x, y), b_ij their monomial coefficients rounded to float64: the
+    total degree n, and exactly the value, |s| prod_i T_i^e_i with
+    T_i = sum_j |b_ij t_j|, and
+    |s| sum_i e_i (sum_j |b_ij|) T_i^(e_i - 1) prod_(m != i) T_m^e_m."""
+    if domain:
+        scale, factors = recorded_factors(p)
+        t = exact_barycentric(x, y)
+    else:
+        scale = Fraction(float(p._product[0]))
+        factors = [
+            ([Fraction(f.coefficient(i, j)) for i, j in ((0, 0), (1, 0), (0, 1))], e)
+            for f, e in p._product[1].items()
+        ]
+        t = [Fraction(1), Fraction(x), Fraction(y)]
+    v = [sum(bj * tj for bj, tj in zip(b, t)) for b, _ in factors]
+    T = [sum(abs(bj * tj) for bj, tj in zip(b, t)) for b, _ in factors]
+    e = [ei for _, ei in factors]
+    value = scale * math.prod(vi**ei for vi, ei in zip(v, e))
+    terms = abs(scale) * math.prod(Ti**ei for Ti, ei in zip(T, e))
+    grad = abs(scale) * sum(
+        e[i] * sum(map(abs, b)) * T[i] ** (e[i] - 1)
+        * math.prod(T[m] ** e[m] for m in range(len(T)) if m != i)
+        for i, (b, _) in enumerate(factors)
+    )
+    return sum(e), value, terms, grad
+
+
 def test_poly_evaluation_on_the_domain_is_accurate():
     """In-domain points against exact evaluation of the same float64
     coefficients B: within 3 n eps sum |B| l^alpha where the evaluator's
     coordinates are exact, and within 5 eps sum |B| |grad l^alpha| more at
-    random points, whose coordinates it computes to 5 eps (|x|, |y| <= 1)."""
+    random points, whose coordinates it computes to 5 eps (|x|, |y| <= 1).
+    A recorded product is held to the same bounds against exact evaluation
+    of its float64 scale and factor coefficients, with |s| prod T_i^e_i and
+    its gradient bound (_product_sums) for the term sums."""
     rng = np.random.default_rng(11)
     exact = _dyadic_domain_points()
     lam = rng.dirichlet([1.0, 1.0, 1.0], 24)
     rand = np.stack([lam[:, 1] + lam[:, 2] / 2, S * lam[:, 2]], axis=1)
     points = np.concatenate([exact, rand])
+    products = 0
     for p in _evaluated_polys(rng):
-        B = p._domain_coeffs()
-        n = len(B) - 1
+        products += p._product is not None
         got = p(points[:, 0], points[:, 1])
         for q, ((x, y), value) in enumerate(zip(points, got)):
-            want, terms, grad = _domain_sums(B, _barycentric_exact(x, y))
+            if p._product is None:
+                B = p._domain_coeffs()
+                n = len(B) - 1
+                want, terms, grad = _domain_sums(B, exact_barycentric(x, y))
+            else:
+                n, want, terms, grad = _product_sums(p, x, y, domain=True)
             slack = 0 if q < len(exact) else 5 * grad
             assert abs(Fraction(float(value)) - want) <= EPS * (3 * n * terms + slack), (p, q)
+    assert products == 7
 
 
 def test_poly_evaluation_off_the_domain_is_accurate():
     """Points off the domain take Horner in x and y: within a few n eps of
-    the monomial term-magnitude sum of the exact longdouble coefficients."""
+    the monomial term-magnitude sum of the exact longdouble coefficients.
+    A recorded product takes it on each factor: within 3 n eps of
+    |s| prod T_i^e_i of its coefficients rounded to float64 (_product_sums)."""
     rng = np.random.default_rng(12)
     xy = rng.uniform(-2.0, 2.0, (400, 2))
-    lam = np.array([_barycentric_exact(x, y) for x, y in xy], dtype=float)
+    lam = np.array([exact_barycentric(x, y) for x, y in xy], dtype=float)
     xy = xy[lam.min(axis=1) < -0.01][:40]
     # and the unit right triangle's part off the domain (criterion 6)
     xy = np.concatenate([xy, [[0.0, 1.0], [0.05, 0.5], [0.0, 0.25], [0.1, 0.8]]])
@@ -269,8 +323,12 @@ def test_poly_evaluation_off_the_domain_is_accurate():
         nx, ny = p.coeffs.shape
         got = p(xy[:, 0], xy[:, 1])
         for q, ((x, y), value) in enumerate(zip(xy, got)):
-            want, terms = _monomial_sums(p.coeffs, x, y)
-            assert abs(Fraction(float(value)) - want) <= 2 * (nx + ny) * EPS * terms, (p, q)
+            if p._product is None:
+                want, terms = _monomial_sums(p.coeffs, x, y)
+                assert abs(Fraction(float(value)) - want) <= 2 * (nx + ny) * EPS * terms, (p, q)
+            else:
+                n, want, terms, _ = _product_sums(p, x, y, domain=False)
+                assert abs(Fraction(float(value)) - want) <= 3 * n * EPS * terms, (p, q)
 
 
 def test_poly_evaluation_shapes_and_points_in_and_off_the_domain():
@@ -281,7 +339,7 @@ def test_poly_evaluation_shapes_and_points_in_and_off_the_domain():
     xs = rng.uniform(-0.5, 1.5, 64)
     ys = rng.uniform(-0.5, 1.5, 64)
     xs[:3], ys[:3] = [0.0, 1.0, 0.5], [0.0, 0.0, S]  # the vertices
-    lam = np.array([_barycentric_exact(x, y) for x, y in zip(xs, ys)], dtype=float)
+    lam = np.array([exact_barycentric(x, y) for x, y in zip(xs, ys)], dtype=float)
     inside = lam.min(axis=1) >= 0
     assert 8 < inside.sum() < 56
     for p in _evaluated_polys(rng):
@@ -376,7 +434,10 @@ def test_domain_coefficients_round_the_exact_conversion_once(which):
 
 def _zero_pattern_polys() -> list[Poly2]:
     """The manufactured u, f and delta u; polynomials whose B has whole zero
-    rows and leading or trailing zeros in a row; and one dense random one."""
+    rows and leading or trailing zeros in a row; and one dense random one.
+    Products recorded as such (u and those built by * and **) are followed
+    by their twins Poly2(p.coeffs), which record none, so that each B keeps
+    its place on the Horner path."""
     polys = []
     for k in (0, 1, 2):
         u, f = manufactured_solution(k)
@@ -394,7 +455,7 @@ def _zero_pattern_polys() -> list[Poly2]:
     polys += [(2.0 * x - 1.0) ** 3, -((2.0 * x - 1.0) ** 2) * (1.0 - x), (2.0 * x - 1.0) * y]
     polys += [Poly2.constant(-2.5), Poly2.constant(3.0), Poly2.zero()]
     polys.append(Poly2(np.random.default_rng(15).normal(scale=1e3, size=(6, 6))))
-    return polys
+    return polys + [Poly2(p.coeffs) for p in polys if p._product is not None]
 
 
 def _zero_patterns(B: np.ndarray) -> set[str]:
@@ -437,21 +498,33 @@ def _same_value_and_nonzero_bits(got, want) -> bool:
     return bool((got == want).all()) and _same_bits(got[nonzero], want[nonzero])
 
 
+def _dense_values(p: Poly2, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+    """The dense homogeneous Horner of p's B, or for a recorded product its
+    scale times its factors' dense Horner values to their powers."""
+    if p._product is None:
+        return dense_barycentric_horner(p._domain_coeffs(), xs, ys)
+    return recorded_product(p, lambda f: dense_barycentric_horner(f._domain_coeffs(), xs, ys))
+
+
 def test_poly_evaluation_is_bit_identical_to_the_dense_horner():
     """Skipping B's exact zeros changes no value and no bit of a nonzero
     value: every value, batched, alone and batched with a point off the
     domain, equals the dense homogeneous Horner's, on every platform (the
-    oracle runs on the same float64 B); the sign of a zero is not pinned."""
+    oracle runs on the same float64 B); the sign of a zero is not pinned.  A
+    recorded product's value is the same check on each of its factors,
+    through recorded_product, and its twin's is the Horner of its B."""
     points = _edge_and_interior_points()
     xs, ys = points[:, 0], points[:, 1]
     l3 = ys / S
     l2 = xs - 0.5 * l3
     assert np.minimum(np.minimum(1.0 - l2 - l3, l2), l3).min() >= -1e-12  # all in the domain
-    zeros, patterns = 0, set()
+    zeros, patterns, products = 0, set(), 0
     for p in _zero_pattern_polys():
-        want = dense_barycentric_horner(p._domain_coeffs(), xs, ys)
-        zeros += np.count_nonzero(want == 0)
-        patterns |= _zero_patterns(p._domain_coeffs())
+        want = _dense_values(p, xs, ys)
+        if p._product is None:
+            zeros += np.count_nonzero(want == 0)
+            patterns |= _zero_patterns(p._domain_coeffs())
+        products += p._product is not None
         assert _same_value_and_nonzero_bits(p(xs, ys), want), p
         alone = np.array([p(x, y) for x, y in points])
         assert _same_value_and_nonzero_bits(alone, want), p
@@ -460,12 +533,15 @@ def test_poly_evaluation_is_bit_identical_to_the_dense_horner():
         assert _same_value_and_nonzero_bits(mixed[:-1], want), p
     assert patterns == {"zero row", "leading zeros", "trailing zeros"}
     assert zeros > 100  # zero values are checked, not just nonzero ones
+    assert products == 9
 
 
 def test_horner_plan_makes_one_multiply_add_per_nonzero_entry(monkeypatch):
     """The evaluator multiplies a power of l3 by a coefficient once for each
-    nonzero entry of B and for no other (p: 50 of 136), on the manufactured
-    forms and on B with zero rows and leading and trailing zeros."""
+    nonzero entry of B and for no other (p's twin: 50 of 136), on the
+    manufactured forms and on B with zero rows and leading and trailing
+    zeros; a recorded product multiplies by a coefficient once for each
+    nonzero entry of its factors' B and for no other (p: 5 times)."""
     points = _dyadic_domain_points()
     xs, ys = points[:, 0], points[:, 1]
     multiply, coefficients = np.multiply, []
@@ -476,14 +552,125 @@ def test_horner_plan_makes_one_multiply_add_per_nonzero_entry(monkeypatch):
         return multiply(a, b, *args, **kwargs)
 
     for p in _zero_pattern_polys():
-        B = p._domain_coeffs()
+        if p._product is None:
+            B = p._domain_coeffs()
+            want = list(B[B != 0])
+        else:
+            want = [b for f in p._product[1] for b in f._domain_coeffs().ravel() if b]
         coefficients.clear()
         with monkeypatch.context() as patch:
             patch.setattr(np, "multiply", counting)
             p(xs, ys)
-        assert sorted(coefficients) == sorted(B[B != 0]), p
-    B = manufactured_solution(0)[0].components[0]._domain_coeffs()
+        assert sorted(coefficients) == sorted(want), p
+    p = manufactured_solution(0)[0].components[0]
+    B = Poly2(p.coeffs)._domain_coeffs()
     assert (np.count_nonzero(B), len(B) * (len(B) + 1) // 2) == (50, 136)
+    assert sum(np.count_nonzero(f._domain_coeffs()) for f in p._product[1]) == 5
+
+
+def test_recorded_product_is_its_factors_values_bit_for_bit():
+    """A recorded product's value is its float64 scale times each factor's
+    own value (the factor evaluated as a polynomial by itself) to its
+    power, in recorded_product's order, to the bit, zeros' signs included:
+    batched, one point at a time, and with points off the domain, where
+    each factor takes Horner in x and y."""
+    off = [[2.0, 2.0], [-0.5, 0.3], [0.75, -1.25]]
+    points = np.concatenate([_edge_and_interior_points(), off])
+    xs, ys = points[:, 0], points[:, 1]
+    products = [p for p in _zero_pattern_polys() if p._product is not None]
+    assert len(products) == 9
+    for p in products:
+        want = recorded_product(p, lambda f: f(xs, ys))
+        assert _same_bits(p(xs, ys), want), p
+        assert _same_bits(np.array([p(x, y) for x, y in points]), want), p
+        assert _same_bits(p(xs[:-3], ys[:-3]), want[:-3]), p
+
+
+@pytest.mark.parametrize("k", [0, 1, 2])
+def test_manufactured_u_is_a_recorded_product_and_f_and_delta_u_are_not(k):
+    """u = 1e8 (l1 l2 l3)^5 records its scale and three factors to the
+    fifth power (l3 = (2 / sqrt 3) y takes its constant into the scale);
+    f = L u and delta u are sums of derivatives and record nothing."""
+    u, f = manufactured_solution(k)
+    for c in u.components:
+        scale, factors = c._product
+        assert list(factors.values()) == [5, 5, 5]
+        assert float(scale) == pytest.approx(1e8 * (2 / SQRT3) ** 5, rel=1e-15)
+    others = f.components + (codifferential(u).components if k else ())
+    assert all(c._product is None for c in others)
+
+
+def test_sums_and_derivatives_drop_the_record_negation_and_scaling_keep_it():
+    p = manufactured_solution(0)[0].components[0]
+    x, y = Poly2.monomial(1, 0), Poly2.monomial(0, 1)
+    for dropped in (p + 0.0, 0.0 + p, p - 0.5 * p, p + p, p.deriv(0), p.deriv(1),
+                    Poly2(p.coeffs), p * (x + y * y), x + y, 2.0 * Poly2.constant(3.0)):
+        assert dropped._product is None
+    scale, factors = p._product
+    points = _edge_and_interior_points()
+    xs, ys = points[:, 0], points[:, 1]
+    for kept, s, values in (
+        (-p, -scale, -p(xs, ys)),
+        (2.0 * p, 2.0 * scale, 2.0 * p(xs, ys)),
+        (p * -0.5, -0.5 * scale, -0.5 * p(xs, ys)),
+    ):
+        assert kept._product[0] == s and kept._product[1] == factors
+        assert _same_bits(kept(xs, ys), values)
+    # a factor met again adds to its exponent, in the order first met
+    assert list((x * y * x)._product[1].items()) == [(x, 2), (y, 1)]
+
+
+@pytest.mark.parametrize("mesh", [(6,), (6, 1)], ids=["symmetric", "perturbed"])
+@pytest.mark.parametrize("k", [0, 1, 2])
+def test_de_rham_of_u_is_within_its_exact_integrals(mesh, k):
+    """R(u) against E, the exact integral of u's recorded product over each
+    simplex by the moments of the simplex's own barycentric coordinates
+    (product_simplex_mean, no quadrature rule).
+
+    On six interior simplices, the three domain-corner triangles and six
+    triangles with an edge on the boundary, |R - E| <= 1e-13 |E| (measured
+    at most 1.6e-14).  On every boundary vertex (k = 0) and edge (k = 1) a
+    factor vanishes up to the rounding of the float64 vertices, so E is
+    about 1e-80 and a point's rounding, about eps in each factor, moves
+    R by as much: there |R - E| <= M_eps - M_0, M_d the integral of the
+    bound |s| prod (|l_i| + d)^e_i, what moving every factor by d = eps can
+    change (measured at most 0.03 of it).  The Horner over u's 50
+    barycentric coefficients, 49 of them the residue of the longdouble
+    expansion, missed both by far: on the top corner triangle here it gave
+    1.3e-15 against an exact 5.1e-19, and 8.7e-17 against 3.2273e-26 on
+    perturbed (8, 1)."""
+    K = symmetric_mesh(*mesh) if len(mesh) == 1 else perturbed_mesh(*mesh)
+    u, _ = manufactured_solution(k)
+    (p,) = set(u.components)
+    got = de_rham(K, u)
+    cells = K.simplices(k).reshape(len(got), k + 1)
+    rng = np.random.default_rng(17)
+    inner = list(rng.choice(np.flatnonzero(~K.is_boundary(k)), 6, replace=False))
+    boundary = list(np.flatnonzero(K.is_boundary(k)))
+    if k == 2:
+        on_boundary = K.is_boundary(0)[cells].sum(axis=1)
+        corners = [np.argmin(np.hypot(*(K.vertices - c).T)) for c in ((0, 0), (1, 0), (0.5, S))]
+        inner += [np.flatnonzero((cells == v).any(axis=1))[0] for v in corners]
+        inner += list(rng.choice(np.flatnonzero(on_boundary == 2), 6, replace=False))
+    for i in inner + boundary:
+        xy = K.vertices[cells[i]].tolist()
+        dx, dy = (Fraction(b) - Fraction(a) for a, b in zip(xy[0], xy[-1]))
+        if k == 0:
+            measure = magnitude = Fraction(1)
+        elif k == 1:  # u = p dx + p dy along the ascending tangent
+            measure, magnitude = dx + dy, abs(dx) + abs(dy)
+        else:  # the area, signed by the ascending vertex order
+            (ax, ay), (bx, by), (cx, cy) = (tuple(map(Fraction, v)) for v in xy)
+            measure = ((bx - ax) * (cy - ay) - (cx - ax) * (by - ay)) / 2
+            magnitude = abs(measure)
+        want = measure * product_simplex_mean(p, xy)
+        error = abs(Fraction(got[i]) - want)
+        if i in boundary:
+            moved = product_simplex_mean(p, xy, Fraction(EPS)) - product_simplex_mean(p, xy, Fraction(0))
+            bound = magnitude * moved
+        else:
+            bound = Fraction(1, 10**13) * abs(want)
+        assert error <= bound, (i, float(want), float(got[i]))
 
 
 # -- quadrature oracles -------------------------------------------------------
@@ -1006,24 +1193,27 @@ def test_k2_de_rham_holds_its_result_and_one_chunk_at_most():
 # line rules of d // 2 + 1 points (k = 1's f with g = L p shared by both
 # slots, as manufactured_solution builds it).  They pin the longdouble
 # coefficients of the forms (so 80-bit extended precision), the conversion,
-# the evaluator and the BLAS order of vals @ rule.weights.  The benchmark
-# compares its norms with reference values at rtol 1e-7; a change of
-# evaluator or rule shows up here first, and must re-record both.
+# the evaluator and the BLAS order of vals @ rule.weights.  The six u
+# digests were re-recorded when u began to evaluate as its recorded
+# product, scale * (l1 l2 y)^5 by its factors; the ten f and delta u
+# digests, sums that still take the Horner of B, stayed as they were.  The
+# benchmark compares its norms with reference values at rtol 1e-7; a
+# change of evaluator or rule shows up here first, and must re-record both.
 DE_RHAM_SHA256 = {
-    ("symmetric", 0, "u"): "e994a06e15d24b4ca876a12c85e015ca2d0a0caab41347d7e10f6f3954002712",
+    ("symmetric", 0, "u"): "dc8a2910d577e27c2c20cde907eedce3f163de23253a116806250d6b2f1dfdfc",
     ("symmetric", 0, "f"): "83b93258f1e990a54a6a113c6b335cda6ba45757b6c9d6e01cd5e1b89396684f",
-    ("symmetric", 1, "u"): "a116f7df83c883943733312462da2da69c1fbd2c7d81c2eab71575982c59fc7f",
+    ("symmetric", 1, "u"): "0399d907f3a6885edcbc32fb1f88a47f3abf17b6c527c7f80df963084c828cfe",
     ("symmetric", 1, "f"): "81fe113ef15382b758f3537074750d4e712a9b3d713917306cf178d6ed8fb647",
     ("symmetric", 1, "du"): "1cf899233d1d8f6c06609cd7d81da75c4a7c680856a77182733a023e79fc0f9c",
-    ("symmetric", 2, "u"): "6f49961ec746f066cab974ecd5554c1befe74dda8682623e9148d39b4859bf46",
+    ("symmetric", 2, "u"): "c3e3ee2ca21dbf64048049b7bdde4cf4e333af58868208604b677aacf4d5f43c",
     ("symmetric", 2, "f"): "387607ee7606e15353b2f2950c8f8ba3850428536b6b048829b993ff8988eaad",
     ("symmetric", 2, "du"): "d5b4c1e16b87fe97ad36e2851f611e1fcd61e750d9fd5c36e89f9f52e5b450e7",
-    ("perturbed", 0, "u"): "2d5afab767f18cda9e72b7139d59f9cb31d9c7cb9a6430d2f0c79b1670728ac5",
+    ("perturbed", 0, "u"): "860d8a1958dcb88cbf3a0c933788d8cf876efce73b03cdc88c4c58eb612bead7",
     ("perturbed", 0, "f"): "a4df6e2f580980d81a0e6bf32ba033ac39c963d5bbabf385d4520ebb49810212",
-    ("perturbed", 1, "u"): "66b12377ceba080bd3d39a68fde8a331c7800a912d877e5165d79d4d177005be",
+    ("perturbed", 1, "u"): "81f9a2ba29f2697ff9e7061886899ae5a888c77ffa6e0202055ef5df559bd4e4",
     ("perturbed", 1, "f"): "800ede2cba0b7208a546a36e414c4aa237462536f7d1e0795c3549032c5d6b34",
     ("perturbed", 1, "du"): "4c6374ad0405a0e26941bc35c4c536d84ffd74e525cc9da8ca625c85b79aaf6b",
-    ("perturbed", 2, "u"): "071f8c5043d0d0bc9060a0d94f9f8e23fb8931e088c59e7852502ec9832d44ab",
+    ("perturbed", 2, "u"): "c4bc6f972cf83d7996ccaa4ce6620e612d98e3d81b2dadeb576fd0defa1d3831",
     ("perturbed", 2, "f"): "8b34e43f08df2c9aad467382e1d6d2efeb6b2b74850703b34b24865de4aada66",
     ("perturbed", 2, "du"): "52a487ad107a6c08f04af3c6f091611eac21dd010323f11a615ba4681368e448",
 }

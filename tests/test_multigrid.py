@@ -447,9 +447,10 @@ def test_cycle_leaves_its_matrix_untouched(k):
 @pytest.mark.parametrize("k", [0, 1, 2])
 def test_cycle_matrices_are_canonical_csr(mesh, k, monkeypatch):
     """Every operator and transfer the cycle multiplies by is canonical CSR
-    as built: no one sorts them later.  It restricts by P^T, a view of P,
-    which sums each coarse entry over the fine ones in ascending order, so
-    its bits are those of P^T in CSR."""
+    as built: no one sorts them later.  It restricts by P^T, a view of P
+    formed once with the cycle (it shares P's arrays), which sums each
+    coarse entry over the fine ones in ascending order, so its bits are
+    those of P^T in CSR."""
     K = symmetric_mesh(*mesh) if len(mesh) == 1 else perturbed_mesh(*mesh)
     M = dec_system(K, build_dual(K).hodge_ratio_a, k)
     cycle = multigrid_cycle(M, K, k)
@@ -461,14 +462,16 @@ def test_cycle_matrices_are_canonical_csr(mesh, k, monkeypatch):
 
     monkeypatch.setattr("declab.multigrid._visit", record)
     cycle(np.zeros(M.shape[0]))
-    A, Ps, _, _ = seen[0]
-    assert len(A) == 4 and len(Ps) == 3
+    A, Ps, Rs, _, _ = seen[0]
+    assert len(A) == 4 and len(Ps) == len(Rs) == 3
     for S in A + Ps:
         assert is_canonical_csr(S)
     rng = np.random.default_rng(k)
-    for P in Ps:
+    for P, R in zip(Ps, Rs):
+        for view, array in ((R.data, P.data), (R.indices, P.indices), (R.indptr, P.indptr)):
+            assert np.shares_memory(view, array)
         r = rng.standard_normal(P.shape[0])
-        assert (P.T @ r).tobytes() == (P.T.tocsr() @ r).tobytes()
+        assert (R @ r).tobytes() == (P.T.tocsr() @ r).tobytes()
 
 
 def test_cycle_levels_die_with_the_cycle():
