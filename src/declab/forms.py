@@ -188,8 +188,8 @@ class Poly2:
 
     def deriv(self, axis: int) -> "Poly2":
         """Partial derivative: axis 0 -> d/dx, axis 1 -> d/dy."""
-        if axis not in (0, 1):
-            raise ValueError("axis must be 0 (x) or 1 (y)")
+        if not _is_int(axis) or axis not in (0, 1):
+            raise ValueError(f"axis must be 0 (x) or 1 (y), got {axis!r}")
         c = np.moveaxis(self.coeffs, axis, 0)
         if len(c) == 1:
             return Poly2.zero()
@@ -489,8 +489,8 @@ class QuadratureRule:
 
 def gauss_legendre_unit(n: int) -> QuadratureRule:
     """n-point Gauss-Legendre rule on [0, 1]; exact through degree 2n - 1."""
-    if n < 1:
-        raise ValueError("need at least one quadrature point")
+    if not _is_int(n) or n < 1:
+        raise ValueError(f"need at least one quadrature point, got {n!r}")
     x, w = np.polynomial.legendre.leggauss(n)
     return QuadratureRule(0.5 * (x + 1.0), 0.5 * w, 2 * n - 1)
 
@@ -503,8 +503,8 @@ def triangle_rule(degree: int) -> QuadratureRule:
     in u and <= degree + 1 in v, which fixes the two Gauss sizes.  Weights
     are positive and sum to 1/2.
     """
-    if degree < 0:
-        raise ValueError("degree must be non-negative")
+    if not _is_int(degree) or degree < 0:
+        raise ValueError(f"degree must be non-negative, got {degree!r}")
     nu = degree // 2 + 1
     nv = (degree + 1) // 2 + 1
     ru = gauss_legendre_unit(nu)
@@ -518,10 +518,8 @@ def triangle_rule(degree: int) -> QuadratureRule:
 
 # a chunk's table of powers of l3 holds 10 or 11 doubles per point on the
 # manufactured forms: chunks of 32768 points ran up to 8 % faster but raised
-# the benchmark's peak RSS by 6 %, 16384 left it flat.  Row blocks of a gemv
-# that start on a multiple of 4 rows have the whole product's bits (227 rows
-# of 72 values do not), so a chunk holds a multiple of _ROWS simplices
-_CHUNK_POINTS, _ROWS = 16384, 64
+# the benchmark's peak RSS by 6 %, 16384 left it flat
+_CHUNK_POINTS = 16384
 
 
 def _integrate_simplices(form: PolyForm, corners: np.ndarray) -> np.ndarray:
@@ -541,9 +539,8 @@ def _integrate_simplices(form: PolyForm, corners: np.ndarray) -> np.ndarray:
     likewise y, simplices innermost, and evaluated in chunks of about
     _CHUNK_POINTS, which bounds the table of powers of l3 that
     Poly2.__call__ builds per chunk.  Each value depends on its own simplex
-    only, and each chunk's values, a C-ordered (rows, P) block, are summed
-    at once by row blocks that keep one product's bits (_CHUNK_POINTS), so
-    the result is bit-identical to one pass.
+    only, and each simplex sums its P weighted values along one contiguous
+    row, so the result is bit-identical to one pass whatever the chunk size.
     """
     k = form.degree
     if k == 1:
@@ -552,7 +549,7 @@ def _integrate_simplices(form: PolyForm, corners: np.ndarray) -> np.ndarray:
         rule = triangle_rule(max(form.poly_degree, 2))
     # point values are a one-point evaluation
     xi = rule.points.reshape(len(rule.weights), k) if k else np.zeros((1, 0))
-    n, step = corners.shape[-1], max(_ROWS, _CHUNK_POINTS // len(xi) // _ROWS * _ROWS)
+    n, step = corners.shape[-1], max(1, _CHUNK_POINTS // len(xi))
     cx, cy = corners
     ex, ey = cx[1:] - cx[0], cy[1:] - cy[0]  # edge vectors from corner 0
     out = np.empty(n)
@@ -570,7 +567,7 @@ def _integrate_simplices(form: PolyForm, corners: np.ndarray) -> np.ndarray:
             out[s] = vals[0][0]
         else:
             block = vals[0] * ex[0, s] + vals[1] * ey[0, s] if k == 1 else vals[0]
-            out[s] = np.ascontiguousarray(block.T) @ rule.weights
+            out[s] = (np.ascontiguousarray(block.T) * rule.weights).sum(axis=1)
     return _cross(cx, cy) * out if k == 2 else out
 
 

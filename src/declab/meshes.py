@@ -312,6 +312,9 @@ def read_mesh(path) -> SimplicialComplex:
         raise MeshError(f"malformed mesh header: {exc}") from exc
     if n != 2:
         raise MeshError(f"only planar meshes are supported, file says n={n}")
+    for name, count in (("V", nv), ("C", nc)):
+        if count < 0:
+            raise MeshError(f"mesh header has a negative count {name}={count}")
     expected = 3 + 2 * nv + 3 * nc
     if len(tokens) != expected:
         raise MeshError(

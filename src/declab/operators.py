@@ -109,17 +109,15 @@ def dec_system(K: SimplicialComplex, stars, k: int) -> sp.csr_matrix:
     perturbed h = 2^-8 the assembly peaks at 27 MB of arrays, its 12.7 MB
     result included, where forming both products and adding them took 45 MB
     and kept the sum's 18.9 MB buffer.  An off-diagonal entry has at most
-    one term from each half, so it is their sum; a diagonal entry is set to
-    (g0 + g1) + (c1 + c2), each half's own sum in the product's order, in
-    place of the product's one run ((g0 + g1) + c1) + c2.  So every entry
-    has the bits of the two products added (tests/oracles.py keeps that
-    sum).  At k = 0 and 2 there is one term and one product.  The result is
-    canonical CSR (sorted rows, no duplicates), the order CG and the
-    smoother sum rows in, and compact: its arrays are the product's own,
-    which scipy sizes to the entries it counts first.  M and M^T differ by
-    at most 2 eps of an entry, the rounding of a_i / a_l * a_j in two
-    orders; the result is marked _symmetric_by_construction, and cg_solve
-    does not check it again."""
+    one term from each half, so it has the bits of the two products added
+    (tests/oracles.py keeps that sum); a diagonal entry is the product's one
+    run of its terms, within 2 eps of that sum.  At k = 0 and 2 there is one
+    term and one product.  The result is canonical CSR (sorted rows, no
+    duplicates), the order CG and the smoother sum rows in, and compact: its
+    arrays are the product's own, which scipy sizes to the entries it counts
+    first.  M and M^T differ by at most 2 eps of an entry, the rounding of
+    a_i / a_l * a_j in two orders; the result is marked
+    _symmetric_by_construction, and cg_solve does not check it again."""
     left, right = [], []  # the factors in CSR, which scipy stacks by concatenation
     if k >= 1:
         G = _scaled(K.coboundary_matrix(k - 1), row=stars[k])
@@ -129,15 +127,10 @@ def dec_system(K: SimplicialComplex, stars, k: int) -> sp.csr_matrix:
         D = K.coboundary_matrix(k)
         left.append(D.T.tocsr())
         right.append(_scaled(D, row=stars[k + 1]))
-    diagonal = None
     if len(left) == 2:
-        grad_div = np.add.reduceat(left[0].data * G.data, G.indptr[:-1])
-        diagonal = grad_div + np.bincount(D.indices, D.data * right[1].data, D.shape[1])
         left, right = [sp.hstack(left, format="csr")], [sp.vstack(right, format="csr")]
     M = left[0] @ right[0]
     M.sort_indices()
-    if diagonal is not None:
-        M.setdiag(diagonal)
     M._symmetric_by_construction = True
     return M
 

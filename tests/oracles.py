@@ -91,7 +91,8 @@ def dec_system_by_star_matrices(K: SimplicialComplex, stars, k: int) -> sp.csr_m
     G diag(1 / a_{k-1}) G^T + D_k^T diag(a_{k+1}) D_k, each added to an
     empty matrix, as the library assembled it before it scaled the
     coboundary entries itself.  Its rows come out in the products' order,
-    not sorted; the library must match its sorted form bit for bit."""
+    not sorted; the library must match its sorted form bit for bit, but
+    for the k = 1 diagonal, which dec_system sums in one run."""
     M = sp.csr_matrix((K.n_simplices(k),) * 2)
     if k >= 1:
         G = sp.diags(stars[k]) @ K.coboundary_matrix(k - 1)
@@ -107,7 +108,9 @@ def dec_system_product_sum(K: SimplicialComplex, stars, k: int) -> sp.csr_matrix
     product: the coboundaries' entries scaled by the stars, the two
     sparse products G S_{k-1}^-1 G^T and D_k^T S_{k+1} D_k formed apart and
     added by scipy, the sum sorted into canonical CSR.  Its arrays keep the
-    sum's buffer, one slot per entry of either product."""
+    sum's buffer, one slot per entry of either product.  At k = 1 its
+    diagonal entries add the two halves' sums, where dec_system's product
+    sums all four terms in one run."""
     products = []
     if k >= 1:
         G = _scaled(K.coboundary_matrix(k - 1), row=stars[k])

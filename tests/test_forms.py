@@ -126,6 +126,8 @@ def test_poly_monomial_rejects_negative_exponents(i, j):
         (lambda: Poly2.zero().coefficient(0.5, 0), ValueError, r"must be integers, got x\^0.5 y\^0"),
         (lambda: Poly2.zero().coefficient(True, 0), ValueError, r"must be integers, got x\^True y\^0"),
         (lambda: Poly2.monomial(1, 0).deriv(2), ValueError, r"axis must be 0 \(x\) or 1 \(y\)"),
+        (lambda: Poly2.monomial(1, 1).deriv(True), ValueError, r"or 1 \(y\), got True"),
+        (lambda: Poly2.monomial(1, 1).deriv(1.0), ValueError, r"or 1 \(y\), got 1.0"),
         (lambda: Poly2.monomial(1, 0) * "x", TypeError, "cannot interpret str as a polynomial"),
         (lambda: "2" * Poly2.monomial(1, 0), TypeError, "cannot interpret str as a polynomial"),
         (lambda: PolyForm(3, (Poly2.zero(),)), ValueError, "no 3-forms in the plane"),
@@ -136,12 +138,17 @@ def test_poly_monomial_rejects_negative_exponents(i, j):
         (lambda: manufactured_solution(1.0), ValueError, "no 1.0-forms in the plane"),
         (lambda: gauss_legendre_unit(0), ValueError, "need at least one quadrature point"),
         (lambda: triangle_rule(-1), ValueError, "degree must be non-negative"),
+        (lambda: gauss_legendre_unit(True), ValueError, "quadrature point, got True"),
+        (lambda: gauss_legendre_unit(2.0), ValueError, "quadrature point, got 2.0"),
+        (lambda: triangle_rule(True), ValueError, "non-negative, got True"),
+        (lambda: triangle_rule(2.5), ValueError, "non-negative, got 2.5"),
     ],
     ids=[
         "poly-3d", "pow-negative", "pow-float", "pow-bool", "monomial-bool", "monomial-float",
-        "coefficient-float", "coefficient-bool", "deriv-2", "times-str", "str-times",
-        "form-degree-3", "form-degree-float", "form-degree-bool", "form-components",
-        "manufactured-3", "manufactured-float", "gauss-0", "triangle-negative",
+        "coefficient-float", "coefficient-bool", "deriv-2", "deriv-bool", "deriv-float",
+        "times-str", "str-times", "form-degree-3", "form-degree-float", "form-degree-bool",
+        "form-components", "manufactured-3", "manufactured-float", "gauss-0",
+        "triangle-negative", "gauss-bool", "gauss-float", "triangle-bool", "triangle-float",
     ],
 )
 def test_form_constructors_reject_bad_arguments(call, error, match):
@@ -1086,9 +1093,8 @@ def test_kernel_values_follow_their_simplices_through_any_corner_layout(k):
 
 def test_kernel_evaluates_a_shared_component_once_per_chunk(monkeypatch):
     """u = p dx + p dy holds one Poly2 in both slots, so each chunk of the
-    8-point line rule evaluates p once, not once per slot.  A chunk holds a
-    multiple of 64 simplices: 1000 points give 1000 // 8 = 125 simplices,
-    rounded down to 64."""
+    8-point line rule evaluates p once, not once per slot.  1000 points
+    give a chunk of 1000 // 8 = 125 simplices."""
     calls = []
     evaluate = Poly2.__call__
     monkeypatch.setattr(Poly2, "__call__", lambda p, x, y: calls.append(p) or evaluate(p, x, y))
@@ -1096,7 +1102,7 @@ def test_kernel_evaluates_a_shared_component_once_per_chunk(monkeypatch):
     K = perturbed_mesh(4, seed=1)
     u, _ = manufactured_solution(1)
     forms_module._integrate_simplices(u, _planes(K.vertices, K.simplices(1)))
-    assert calls == [u.components[0]] * math.ceil(K.n_simplices(1) / 64)
+    assert calls == [u.components[0]] * math.ceil(K.n_simplices(1) / 125)
 
 
 @pytest.mark.parametrize("m", [0, 1, 2])
@@ -1193,29 +1199,31 @@ def test_k2_de_rham_holds_its_result_and_one_chunk_at_most():
 # line rules of d // 2 + 1 points (k = 1's f with g = L p shared by both
 # slots, as manufactured_solution builds it).  They pin the longdouble
 # coefficients of the forms (so 80-bit extended precision), the conversion,
-# the evaluator and the BLAS order of vals @ rule.weights.  The six u
-# digests were re-recorded when u began to evaluate as its recorded
-# product, scale * (l1 l2 y)^5 by its factors; the ten f and delta u
-# digests, sums that still take the Horner of B, stayed as they were.  The
+# the evaluator and numpy's sum of each simplex's weighted values along its
+# row.  The six u digests were re-recorded when u began to evaluate as its
+# recorded product, scale * (l1 l2 y)^5 by its factors.  The ten digests of
+# integrals (k = 1 u and f, k = 2 u, f and delta u) were re-recorded when
+# that sum replaced a BLAS matrix-vector product; the six point-value
+# digests (k = 0 u and f, k = 1 delta u) stayed as they were.  The
 # benchmark compares its norms with reference values at rtol 1e-7; a
 # change of evaluator or rule shows up here first, and must re-record both.
 DE_RHAM_SHA256 = {
     ("symmetric", 0, "u"): "dc8a2910d577e27c2c20cde907eedce3f163de23253a116806250d6b2f1dfdfc",
     ("symmetric", 0, "f"): "83b93258f1e990a54a6a113c6b335cda6ba45757b6c9d6e01cd5e1b89396684f",
-    ("symmetric", 1, "u"): "0399d907f3a6885edcbc32fb1f88a47f3abf17b6c527c7f80df963084c828cfe",
-    ("symmetric", 1, "f"): "81fe113ef15382b758f3537074750d4e712a9b3d713917306cf178d6ed8fb647",
+    ("symmetric", 1, "u"): "6114ecd9414f10c7c464246455af3e147b6cf018ea40f5e58e9e941dcd7edb79",
+    ("symmetric", 1, "f"): "ac5ae852f757b77d8772c93067687f6b31c1cdc773f1376b78bcf55cc3efb086",
     ("symmetric", 1, "du"): "1cf899233d1d8f6c06609cd7d81da75c4a7c680856a77182733a023e79fc0f9c",
-    ("symmetric", 2, "u"): "c3e3ee2ca21dbf64048049b7bdde4cf4e333af58868208604b677aacf4d5f43c",
-    ("symmetric", 2, "f"): "387607ee7606e15353b2f2950c8f8ba3850428536b6b048829b993ff8988eaad",
-    ("symmetric", 2, "du"): "d5b4c1e16b87fe97ad36e2851f611e1fcd61e750d9fd5c36e89f9f52e5b450e7",
+    ("symmetric", 2, "u"): "9d8d1edf1aa88ce072b63d2f147678229b4a67eb006342b30a36019b0bf053ad",
+    ("symmetric", 2, "f"): "d7ab1c2ea6a71b06b01edc1c3fcd68323bfa560861babd7c77501164664a76ee",
+    ("symmetric", 2, "du"): "27a9d0b5da87d578770f11161c27d48ae011b720d3b15e23613b20b7ccc8c2f5",
     ("perturbed", 0, "u"): "860d8a1958dcb88cbf3a0c933788d8cf876efce73b03cdc88c4c58eb612bead7",
     ("perturbed", 0, "f"): "a4df6e2f580980d81a0e6bf32ba033ac39c963d5bbabf385d4520ebb49810212",
-    ("perturbed", 1, "u"): "81f9a2ba29f2697ff9e7061886899ae5a888c77ffa6e0202055ef5df559bd4e4",
-    ("perturbed", 1, "f"): "800ede2cba0b7208a546a36e414c4aa237462536f7d1e0795c3549032c5d6b34",
+    ("perturbed", 1, "u"): "52e6c6c7d4e1c25e41afae7b1b1062c568272601172ed97aa0d75527c41009d5",
+    ("perturbed", 1, "f"): "0dea7d97486ca0eb203013fb1e304324b4f8efe445a3487108424a11310f53d7",
     ("perturbed", 1, "du"): "4c6374ad0405a0e26941bc35c4c536d84ffd74e525cc9da8ca625c85b79aaf6b",
-    ("perturbed", 2, "u"): "c4bc6f972cf83d7996ccaa4ce6620e612d98e3d81b2dadeb576fd0defa1d3831",
-    ("perturbed", 2, "f"): "8b34e43f08df2c9aad467382e1d6d2efeb6b2b74850703b34b24865de4aada66",
-    ("perturbed", 2, "du"): "52a487ad107a6c08f04af3c6f091611eac21dd010323f11a615ba4681368e448",
+    ("perturbed", 2, "u"): "0da04cbea4a84fee5abe94b8187f7978768066999e60ca7f8846719c8f97c28e",
+    ("perturbed", 2, "f"): "463a439b3f8e2e78ed45cbdecfd93441d936ab3ce69aa6780ffee903f033a24a",
+    ("perturbed", 2, "du"): "bc6384159badcfa0bdf6009fca014323a4a0abdf8b73b04d72befe72c0b098f1",
 }
 
 

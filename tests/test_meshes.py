@@ -335,6 +335,8 @@ def test_read_mesh_accepts_comments_and_whitespace(tmp_path):
         ("", "header"),
         ("2 x 3\n", "malformed mesh header: invalid literal for int"),
         ("3 3 1\n0 0\n1 0\n0.5 1\n0 1 2\n", "planar"),
+        ("2 -3 -1\n", "negative count V=-3"),
+        ("2 0 -1\n", "negative count C=-1"),
         ("2 3 1\n0 0\n1 0\n0.5 1\n0 1\n", "malformed|expected"),
         ("2 3 1\n0 0\n1 0\n0.5 1\n0 1 5\n", "outside"),
         ("2 3 1\n0 0\nane 0\n0.5 1\n0 1 2\n", "malformed"),

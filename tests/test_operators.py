@@ -274,23 +274,37 @@ def test_dec_system_is_the_whitney_stiffness_and_curl_curl(mesh):
     assert gap <= (0.0 if len(mesh) == 1 else 2.3e-16)
 
 
+def _assert_entries_match(got, want, k):
+    """got.data is want.data bit for bit, apart from the diagonal at k = 1:
+    there the stacked product sums its four terms in one run, where want
+    adds the two halves' sums, and each entry is within 2 eps of want's."""
+    if k != 1:
+        assert got.data.tobytes() == want.data.tobytes()
+        return
+    diagonal = got.indices == np.repeat(np.arange(got.shape[0]), np.diff(got.indptr))
+    assert diagonal.sum() == got.shape[0]
+    assert got.data[~diagonal].tobytes() == want.data[~diagonal].tobytes()
+    gap = np.abs(got.data[diagonal] - want.data[diagonal])
+    assert (gap <= 2 * np.finfo(float).eps * np.abs(want.data[diagonal])).all()
+
+
 @pytest.mark.parametrize(
     "mesh", [(4,), (5, 1), (5, 2, 0.45), (7, 3, 0.45)],
     ids=["symmetric", "seed1", "seed2-alpha-0.45", "seed3-alpha-0.45"],
 )
 @pytest.mark.parametrize("k", [0, 1, 2])
 def test_dec_system_is_the_sum_of_its_two_products_bit_for_bit(mesh, k):
-    """The one stacked product, with each half's diagonal put back, has the
-    pattern and the bits of the two products formed apart and added; and
-    its arrays hold its nnz entries and no more, where the sum kept a slot
-    for every entry of either product."""
+    """The one stacked product has the pattern and the bits of the two
+    products formed apart and added, with its own diagonal at k = 1 (see
+    _assert_entries_match); and its arrays hold its nnz entries and no
+    more, where the sum kept a slot for every entry of either product."""
     K = symmetric_mesh(*mesh) if len(mesh) == 1 else perturbed_mesh(*mesh)
     stars = build_dual(K).hodge_ratio_a
     M, want = dec_system(K, stars, k), dec_system_product_sum(K, stars, k)
     assert is_canonical_csr(M)
     assert M.indptr.tobytes() == want.indptr.tobytes()
     assert M.indices.tobytes() == want.indices.tobytes()
-    assert M.data.tobytes() == want.data.tobytes()
+    _assert_entries_match(M, want, k)
     for a in (M.data, M.indices):
         assert (a if a.base is None else a.base).size == M.nnz
 
@@ -300,21 +314,22 @@ def test_dec_system_is_the_sum_of_its_two_products_bit_for_bit(mesh, k):
 def test_star_scalings_match_the_diagonal_star_products_bit_for_bit(mesh, k):
     """dec_system and codifferential_matrix scale the coboundary entries by
     the stars: the entries, row pointers and column indices are those of the
-    products with diagonal star matrices once sorted, and the coboundaries,
-    whose index arrays they share, come out of the complex as before."""
+    products with diagonal star matrices once sorted (dec_system's own
+    diagonal at k = 1 within 2 eps), and the coboundaries, whose index
+    arrays they share, come out of the complex as before."""
     K = symmetric_mesh(*mesh) if len(mesh) == 1 else perturbed_mesh(*mesh)
     dual = build_dual(K)
     before = [K.coboundary_matrix(j).copy() for j in range(2)]
     pairs = [(dec_system(K, dual.hodge_ratio_a, k),
-              dec_system_by_star_matrices(K, dual.hodge_ratio_a, k))]
+              dec_system_by_star_matrices(K, dual.hodge_ratio_a, k), k)]
     if k >= 1:
-        pairs.append((codifferential_matrix(K, dual, k), codifferential_by_star_matrices(K, dual, k)))
-    for got, want in pairs:
+        pairs.append((codifferential_matrix(K, dual, k), codifferential_by_star_matrices(K, dual, k), None))
+    for got, want, system_k in pairs:
         want.sort_indices()
         assert got.shape == want.shape
         assert np.array_equal(got.indptr, want.indptr)
         assert np.array_equal(got.indices, want.indices)
-        assert got.data.tobytes() == want.data.tobytes()
+        _assert_entries_match(got, want, system_k)
     for j, D in enumerate(before):
         now = K.coboundary_matrix(j)
         assert (now != D).nnz == 0 and np.array_equal(now.indices, D.indices)
