@@ -24,15 +24,14 @@ quadrature of du or d delta u.
 
 On the contractible domain the only harmonic forms are the constants at
 k = 0, so the k = 0 problem is posed modulo constants.  solve_problem works
-from f alone: it removes the S-weighted mean of the source data, so that
-the right-hand side sums to zero and the singular system is consistent, and
-returns the solution with zero S-weighted mean.  compute_errors takes the k = 0
-error modulo constants, removing the S-weighted mean of R(u) - u_h.
+from the form f alone (k is its degree): it removes the S-weighted mean of
+R(f), so that the singular system is consistent, and returns u_h with zero
+S-weighted mean.  compute_errors works from u and delta u and takes the
+k = 0 error modulo constants, removing the S-weighted mean of R(u) - u_h.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 import time
 from dataclasses import dataclass, field
@@ -110,29 +109,25 @@ def _check_degree(k) -> None:
         raise ValueError(f"k must be 0, 1 or 2, got {k!r}")
 
 
-@functools.cache
-def _manufactured_forms(k: int) -> tuple[PolyForm, PolyForm, PolyForm | None]:
-    """(u, f, delta u) of the degree-k manufactured problem (delta u is None
-    at k = 0), built once per k, so every level evaluates the same forms."""
-    u, f = manufactured_solution(k)
-    return u, f, codifferential(u) if k >= 1 else None
+def _form_degree(name: str, form) -> int:
+    """The degree of a PolyForm argument; anything else is a ValueError."""
+    if not isinstance(form, PolyForm):
+        raise ValueError(f"{name} must be a PolyForm, got {type(form).__name__}")
+    return form.degree
 
 
 def solve_problem(
     K: SimplicialComplex,
     dual: DualComplex,
-    k: int,
+    f: PolyForm,
     tol: float = 1e-12,
     max_iterations: int | None = None,
 ) -> tuple[np.ndarray, np.ndarray | None, SolverResult]:
-    """Assemble and solve the degree-k manufactured problem on one mesh.
-
-    Returns (u_h, rho_h, solver result); rho_h is None for k = 0, where
-    u_h has zero S-weighted mean.
-    """
-    _check_degree(k)
+    """Assemble and solve L u = f on one mesh, k read from f's degree.
+    Returns (u_h, rho_h, solver result); rho_h is None for k = 0, where u_h
+    has zero S-weighted mean."""
+    k = _form_degree("f", f)
     _check_solver_args(tol, max_iterations)
-    _, f, _ = _manufactured_forms(k)
     M = dec_system(K, dual.hodge_ratio_a, k)
     rhs = dual.hodge_ratio_a[k] * de_rham(K, f)
 
@@ -150,16 +145,19 @@ def solve_problem(
 def compute_errors(
     K: SimplicialComplex,
     dual: DualComplex,
-    k: int,
+    u: PolyForm,
+    delta_u: PolyForm | None,
     u_h: np.ndarray,
     rho_h: np.ndarray | None,
 ) -> dict[str, float]:
-    """Cochain error norms (keyed as NORM_KEYS[k]) of a solved state against
-    the manufactured forms; at k = 0 the error is taken modulo constants.
-    u_h must be a finite k-cochain and, for k >= 1, rho_h a finite
-    (k-1)-cochain."""
-    _check_degree(k)
-    u, _, delta_u = _manufactured_forms(k)
+    """Cochain error norms (keyed as NORM_KEYS[k], k read from u's degree)
+    of a solved state against the exact u and delta u (None at k = 0); at
+    k = 0 the error is taken modulo constants.  u_h must be a finite
+    k-cochain and, for k >= 1, rho_h a finite (k-1)-cochain."""
+    k = _form_degree("u", u)
+    got = "None" if delta_u is None else f"a {_form_degree('delta_u', delta_u)}-form"
+    if got != (want := f"a {k - 1}-form" if k else "None"):
+        raise ValueError(f"delta_u must be {want} for a {k}-form u, got {got}")
     for name, x, j in (("u_h", u_h, k), ("rho_h", rho_h, k - 1)):
         n = K.n_simplices(max(j, 0))
         if j >= 0 and not (np.shape(x) == (n,) and np.isfinite(x).all()):
@@ -194,8 +192,9 @@ def run_convergence(
     tol: float = 1e-12,
     max_iterations: int | None = None,
 ) -> ConvergenceReport:
-    """One convergence study: a record per level plus observed rates.
-    k, every level and the solver arguments are checked before any mesh is built."""
+    """One study of the manufactured problem, its (u, f, delta u) built once: a
+    record per level plus observed rates.  k, every level and the solver
+    arguments are checked before any mesh is built."""
     _check_degree(k)
     _check_solver_args(tol, max_iterations)
     levels = list(levels)
@@ -204,11 +203,11 @@ def run_convergence(
     specs = [MeshFamilySpec(family=family, level=m, seed=seed, alpha=alpha) for m in levels]
     if any(a >= b for a, b in zip(levels, levels[1:])):
         raise ValueError("levels must be strictly ascending")
-    report = ConvergenceReport(
-        k=k, family=family, seed=seed, alpha=alpha, levels=levels
-    )
+    report = ConvergenceReport(k=k, family=family, seed=seed, alpha=alpha, levels=levels)
+    u, f = manufactured_solution(k)
+    delta_u = codifferential(u) if k >= 1 else None
     for spec in specs:
-        report.records.append(_record(spec, k, tol, max_iterations))
+        report.records.append(_record(spec, u, f, delta_u, tol, max_iterations))
     report.rates = {
         key: [
             _rate(report.records[i - 1].norms[key], report.records[i].norms[key])
@@ -219,7 +218,8 @@ def run_convergence(
     return report
 
 
-def _record(spec: MeshFamilySpec, k: int, tol: float, max_iterations: int | None) -> ErrorRecord:
+def _record(spec: MeshFamilySpec, u: PolyForm, f: PolyForm, delta_u: PolyForm | None,
+            tol: float, max_iterations: int | None) -> ErrorRecord:
     """One level of run_convergence, timed from the mesh build to the error
     norms.  Its mesh, dual and solution are freed when it returns, before
     the next level's mesh is built (at perturbed k = 1, level 7's 3.6 MB
@@ -227,8 +227,8 @@ def _record(spec: MeshFamilySpec, k: int, tol: float, max_iterations: int | None
     start = time.perf_counter()
     K = build_mesh(spec)
     dual = build_dual(K)
-    u_h, rho_h, result = solve_problem(K, dual, k, tol=tol, max_iterations=max_iterations)
-    norms = compute_errors(K, dual, k, u_h, rho_h)
+    u_h, rho_h, result = solve_problem(K, dual, f, tol=tol, max_iterations=max_iterations)
+    norms = compute_errors(K, dual, u, delta_u, u_h, rho_h)
     return ErrorRecord(spec.level, K.mesh_size(), norms, result.iterations, time.perf_counter() - start)
 
 

@@ -18,11 +18,13 @@ from declab import (
     QuadratureRule,
     SimplicialComplex,
     build_complex,
+    codifferential,
     codifferential_matrix,
     exterior_derivative,
     gauss_legendre_unit,
     hodge_star,
     is_well_centered,
+    manufactured_solution,
     symmetric_mesh,
     triangle_rule,
 )
@@ -511,6 +513,16 @@ def hodge_laplacian_by_composition(form: PolyForm) -> PolyForm:
         return d_delta
     delta_d = codifferential_by_stars(exterior_derivative(form))
     return PolyForm(1, tuple(a + b for a, b in zip(d_delta.components, delta_d.components)))
+
+
+# -- problems -------------------------------------------------------------------
+
+
+def manufactured_problem(k: int) -> tuple[PolyForm, PolyForm, PolyForm | None]:
+    """(u, f, delta u) of the library's degree-k manufactured problem, built
+    as run_convergence builds them; delta u is None at k = 0."""
+    u, f = manufactured_solution(k)
+    return u, f, codifferential(u) if k >= 1 else None
 
 
 # -- Whitney forms --------------------------------------------------------------

@@ -250,8 +250,8 @@ def test_criterion_6_cg_matches_dense_factorization():
     K = symmetric_mesh(2)
     dual = build_dual(K)
     assert K.n_simplices(0) <= 50
-    u_h, _, _ = solve_problem(K, dual, 0, tol=1e-13)
     _, f = manufactured_solution(0)
+    u_h, _, _ = solve_problem(K, dual, f, tol=1e-13)
     a = dual.hodge_ratio_a[0]
     M = (star_matrix(dual, 0) @ hodge_laplacian_matrix(K, dual, 0)).toarray()
     rhs = star_matrix(dual, 0) @ de_rham(K, f)
@@ -265,8 +265,8 @@ def test_criterion_6_cg_matches_dense_factorization():
     dual = build_dual(K)
     for k in (1, 2):
         assert K.n_simplices(k) <= 50
-        u_h, _, _ = solve_problem(K, dual, k, tol=1e-13)
         _, f = manufactured_solution(k)
+        u_h, _, _ = solve_problem(K, dual, f, tol=1e-13)
         M = (star_matrix(dual, k) @ hodge_laplacian_matrix(K, dual, k)).toarray()
         rhs = star_matrix(dual, k) @ de_rham(K, f)
         dense = np.linalg.solve(M, rhs)
@@ -300,7 +300,7 @@ def test_criterion_6_exact_solution_injection():
             rho = codifferential(u) if k >= 1 else None
             u_h = de_rham(K, u)
             rho_h = de_rham(K, rho) if k >= 1 else None
-            norms = compute_errors(K, dual, k, u_h, rho_h)
+            norms = compute_errors(K, dual, u, rho, u_h, rho_h)
 
             scales = {"e_u": discrete_norm(dual, k, u_h)}
             if k < 2:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import gc
 import math
+import re
 import time
 import tracemalloc
 import warnings
@@ -22,7 +23,6 @@ from declab import (
     NORM_KEYS,
     build_dual,
     build_mesh,
-    codifferential,
     codifferential_matrix,
     compute_errors,
     de_rham,
@@ -39,7 +39,7 @@ from declab import (
     well_centered_margin,
 )
 from declab.operators import dec_system
-from oracles import codifferential_matrix_stencil, hodge_laplacian_matrix
+from oracles import codifferential_matrix_stencil, hodge_laplacian_matrix, manufactured_problem
 
 
 def _mesh(family: str, level: int, seed: int = 1):
@@ -54,10 +54,10 @@ def _mesh(family: str, level: int, seed: int = 1):
 @pytest.mark.parametrize("k", [0, 1, 2])
 def test_injecting_exact_data_yields_rounding_level_errors(family, k):
     K, dual = _mesh(family, 3)
-    u, _ = manufactured_solution(k)
+    u, _, delta_u = manufactured_problem(k)
     u_h = de_rham(K, u)
-    rho_h = de_rham(K, codifferential(u)) if k >= 1 else None
-    norms = compute_errors(K, dual, k, u_h, rho_h)
+    rho_h = de_rham(K, delta_u) if k >= 1 else None
+    norms = compute_errors(K, dual, u, delta_u, u_h, rho_h)
 
     assert norms["e_u"] == 0.0
     if k >= 1:
@@ -66,7 +66,7 @@ def test_injecting_exact_data_yields_rounding_level_errors(family, k):
         scale = discrete_norm(dual, k + 1, de_rham(K, exterior_derivative(u)))
         assert norms["de_u"] <= 1e-10 * scale
     if k == 1:
-        drho = exterior_derivative(codifferential(u))
+        drho = exterior_derivative(delta_u)
         scale = discrete_norm(dual, k, de_rham(K, drho))
         assert norms["de_rho"] <= 1e-10 * scale
 
@@ -74,17 +74,19 @@ def test_injecting_exact_data_yields_rounding_level_errors(family, k):
 def test_error_record_keys_follow_degree():
     for k in (0, 1, 2):
         K, dual = _mesh("symmetric", 1)
-        u_h, rho_h, _ = solve_problem(K, dual, k)
-        assert tuple(compute_errors(K, dual, k, u_h, rho_h)) == NORM_KEYS[k]
+        u, f, delta_u = manufactured_problem(k)
+        u_h, rho_h, _ = solve_problem(K, dual, f)
+        assert tuple(compute_errors(K, dual, u, delta_u, u_h, rho_h)) == NORM_KEYS[k]
 
 
 @pytest.mark.parametrize("family", ["symmetric", "perturbed"])
 def test_k0_errors_are_unchanged_by_a_constant(family):
     # the k = 0 problem is posed modulo constants, and so is its error
     K, dual = _mesh(family, 3)
-    u_h, _, _ = solve_problem(K, dual, 0)
-    norms = compute_errors(K, dual, 0, u_h, None)
-    shifted = compute_errors(K, dual, 0, u_h + 0.37 * np.abs(u_h).max(), None)
+    u, f = manufactured_solution(0)
+    u_h, _, _ = solve_problem(K, dual, f)
+    norms = compute_errors(K, dual, u, None, u_h, None)
+    shifted = compute_errors(K, dual, u, None, u_h + 0.37 * np.abs(u_h).max(), None)
     for key in NORM_KEYS[0]:
         assert shifted[key] == pytest.approx(norms[key], rel=1e-12, abs=0), key
 
@@ -124,8 +126,9 @@ def test_compute_errors_rejects_wrong_shaped_cochains(k, u_h, rho_h, bad):
 
     u_h, rho_h = (cochain(x) if isinstance(x, str) else x for x in (u_h, rho_h))
     j = k if bad == "u_h" else k - 1
+    u, _, delta_u = manufactured_problem(k)
     with pytest.raises(ValueError, match=rf"{bad} must be .* \({K.n_simplices(j)},\)"):
-        compute_errors(K, dual, k, u_h, rho_h)
+        compute_errors(K, dual, u, delta_u, u_h, rho_h)
 
 
 # -- solve_problem ------------------------------------------------------------
@@ -133,7 +136,7 @@ def test_compute_errors_rejects_wrong_shaped_cochains(k, u_h, rho_h, bad):
 
 def test_density_is_the_discrete_codifferential_of_the_solution():
     K, dual = _mesh("symmetric", 2)
-    u_h, rho_h, _ = solve_problem(K, dual, 1)
+    u_h, rho_h, _ = solve_problem(K, dual, manufactured_solution(1)[1])
     assert np.array_equal(rho_h, codifferential_matrix(K, dual, 1) @ u_h)
     # and the stencil route gives the same vector bitwise
     assert np.array_equal(rho_h, codifferential_matrix_stencil(K, dual, 1) @ u_h)
@@ -147,13 +150,13 @@ def test_solve_problem_rejects_bad_solver_arguments_before_assembly(options, mon
     K, dual = _mesh("symmetric", 2)
     monkeypatch.setattr("declab.experiments.dec_system", no_assembly)
     with pytest.raises(ValueError, match="tolerance|max_iterations"):
-        solve_problem(K, dual, 1, **options)
+        solve_problem(K, dual, manufactured_solution(1)[1], **options)
 
 
 @pytest.mark.parametrize("family", ["symmetric", "perturbed"])
 def test_k0_solution_has_zero_weighted_mean(family):
     K, dual = _mesh(family, 3)
-    u_h, rho_h, _ = solve_problem(K, dual, 0)
+    u_h, rho_h, _ = solve_problem(K, dual, manufactured_solution(0)[1])
     assert rho_h is None
     a = dual.hodge_ratio_a[0]
     assert abs(a @ u_h) <= 1e-12 * a.sum() * np.abs(u_h).max()
@@ -162,9 +165,9 @@ def test_k0_solution_has_zero_weighted_mean(family):
 @pytest.mark.parametrize("k", [1, 2])
 def test_cg_matches_dense_solve_on_small_meshes(k):
     K, dual = _mesh("symmetric", 1)
-    u_h, _, _ = solve_problem(K, dual, k, tol=1e-13)
-    assert K.n_simplices(k) <= 50
     _, f = manufactured_solution(k)
+    u_h, _, _ = solve_problem(K, dual, f, tol=1e-13)
+    assert K.n_simplices(k) <= 50
     M = (star_matrix(dual, k) @ hodge_laplacian_matrix(K, dual, k)).toarray()
     rhs = star_matrix(dual, k) @ de_rham(K, f)
     want = np.linalg.solve(M, rhs)
@@ -174,8 +177,8 @@ def test_cg_matches_dense_solve_on_small_meshes(k):
 def test_cg_matches_dense_solve_for_k0_deflated():
     K, dual = _mesh("symmetric", 2)
     assert K.n_simplices(0) <= 50
-    u_h, _, _ = solve_problem(K, dual, 0, tol=1e-13)
     _, f = manufactured_solution(0)
+    u_h, _, _ = solve_problem(K, dual, f, tol=1e-13)
     a = dual.hodge_ratio_a[0]
     M = (star_matrix(dual, 0) @ hodge_laplacian_matrix(K, dual, 0)).toarray()
     rhs = star_matrix(dual, 0) @ de_rham(K, f)
@@ -195,14 +198,15 @@ def test_k1_solve_holds_a_few_copies_of_its_matrix_at_most():
     bound forms no nnz-sized |A| (2.6 times, the coboundaries built inside
     it, since the complex keeps none; a sum of two products, CSR copies of
     P^T and live transfer temporaries took it to 4.7)."""
-    solve_problem(*_mesh("perturbed", 3), 1)  # the forms, built once per process
+    _, f = manufactured_solution(1)
+    solve_problem(*_mesh("perturbed", 3), f)  # f's barycentric coefficients, made on first use
     K, dual = _mesh("perturbed", 7)
     M = dec_system(K, dual.hodge_ratio_a, 1)
     size = M.data.nbytes + M.indices.nbytes + M.indptr.nbytes
     del M
     tracemalloc.start()
     try:
-        solve_problem(K, dual, 1)
+        solve_problem(K, dual, f)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -282,16 +286,62 @@ def test_run_convergence_rejects_bad_input_before_any_mesh(k, family, levels, op
 @pytest.mark.parametrize("k", [True, 1.0, "1", 3, -1], ids=repr)
 def test_every_entry_rejects_a_bad_degree(k):
     K, dual = _mesh("symmetric", 2)
-    u_h = np.zeros(K.n_simplices(1))
     entries = {
-        "solve_problem": lambda: solve_problem(K, dual, k),
-        "compute_errors": lambda: compute_errors(K, dual, k, u_h, np.zeros(K.n_simplices(0))),
         "diagnostics": lambda: diagnostics(K, dual, k),
         "run_convergence": lambda: run_convergence(k, "symmetric", [2]),
     }
     for name, call in entries.items():
         with pytest.raises(ValueError, match="k must be 0, 1 or 2"):
             call()
+
+
+def test_solve_and_errors_reject_data_that_is_not_their_form(monkeypatch):
+    """The problem's forms are checked at the boundary, before any de Rham
+    map or assembly: f and u must be forms, and delta u a (k-1)-form of the
+    k-form u, or None at k = 0."""
+    K, dual = _mesh("symmetric", 2)
+    u, f, delta_u = manufactured_problem(1)
+    u0 = manufactured_solution(0)[0]
+    u_h, rho_h = np.zeros(K.n_simplices(1)), np.zeros(K.n_simplices(0))
+    calls = {
+        "f must be a PolyForm, got int": lambda: solve_problem(K, dual, 1),
+        "f must be a PolyForm, got Poly2": lambda: solve_problem(K, dual, f.components[0]),
+        "u must be a PolyForm, got int": lambda: compute_errors(K, dual, 1, delta_u, u_h, rho_h),
+        "delta_u must be a PolyForm, got Poly2":
+            lambda: compute_errors(K, dual, u, delta_u.components[0], u_h, rho_h),
+        "delta_u must be a 0-form for a 1-form u, got None":
+            lambda: compute_errors(K, dual, u, None, u_h, rho_h),
+        "delta_u must be a 0-form for a 1-form u, got a 1-form":
+            lambda: compute_errors(K, dual, u, u, u_h, rho_h),
+        "delta_u must be None for a 0-form u, got a 0-form":
+            lambda: compute_errors(K, dual, u0, delta_u, rho_h, None),
+    }
+
+    def refuse(*_):
+        raise AssertionError("computed before checking the forms")
+
+    for name in ("de_rham", "dec_system"):
+        monkeypatch.setattr(f"declab.experiments.{name}", refuse)
+    for message, call in calls.items():
+        with pytest.raises(ValueError, match=re.escape(message)):
+            call()
+
+
+def test_run_convergence_builds_the_forms_once_per_study(monkeypatch):
+    """One manufactured_solution call per study, and each level's norms are
+    those of solve_problem and compute_errors on its mesh, bit for bit."""
+    built = []
+
+    def counted(k):
+        built.append(k)
+        return manufactured_solution(k)
+
+    monkeypatch.setattr("declab.experiments.manufactured_solution", counted)
+    report = run_convergence(2, "symmetric", [1, 2, 3])
+    assert built == [2]
+    K, dual = _mesh("symmetric", 3)
+    u, f, delta_u = manufactured_problem(2)
+    assert compute_errors(K, dual, u, delta_u, *solve_problem(K, dual, f)[:2]) == report.records[-1].norms
 
 
 def test_wall_time_includes_the_error_norms(monkeypatch):
@@ -335,8 +385,8 @@ def test_render_csv_round_trips_full_precision():
 def test_zero_norm_gives_nan_rate_without_warning(monkeypatch):
     real = compute_errors
 
-    def zero_e_u_at_level_2(K, dual, k, u_h, rho_h):
-        norms = real(K, dual, k, u_h, rho_h)
+    def zero_e_u_at_level_2(K, dual, u, delta_u, u_h, rho_h):
+        norms = real(K, dual, u, delta_u, u_h, rho_h)
         if K.n_simplices(2) == 4 ** 2:  # level 2 of the symmetric family
             norms["e_u"] = 0.0
         return norms

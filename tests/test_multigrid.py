@@ -524,7 +524,7 @@ def test_cycle_solution_matches_jacobi(family, k):
 @pytest.mark.parametrize("k", [0, 1, 2])
 def test_solve_problem_runs_the_cycle_on_fine_perturbed_grids(k):
     K = perturbed_mesh(8, 1)
-    _, _, result = solve_problem(K, build_dual(K), k)
+    _, _, result = solve_problem(K, build_dual(K), manufactured_solution(k)[1])
     assert result.iterations < _MAX_ITERATIONS[k]
 
 
@@ -544,9 +544,10 @@ def test_solve_problem_runs_the_cycle_on_every_grid_level(family, k, monkeypatch
         return multigrid_cycle(M, K, degree)
 
     monkeypatch.setattr("declab.experiments.multigrid_cycle", counted)
+    _, f = manufactured_solution(k)
     for m in range(1, 7):
         K = symmetric_mesh(m) if family == "symmetric" else perturbed_mesh(m, 1)
-        _, _, result = solve_problem(K, build_dual(K), k)
+        _, _, result = solve_problem(K, build_dual(K), f)
         if m <= 3:
             assert result.iterations == 1
     assert calls == list(range(1, 7))
@@ -565,7 +566,7 @@ def test_solve_problem_keeps_jacobi_off_the_cycle(mesh, tmp_path):
     _, f = manufactured_solution(1)
     rhs = dual.hodge_ratio_a[1] * de_rham(K, f)
     want = cg_solve(dec_system(K, dual.hodge_ratio_a, 1), rhs)
-    u_h, _, got = solve_problem(K, dual, 1)
+    u_h, _, got = solve_problem(K, dual, f)
     assert np.array_equal(u_h, want.x)
     assert got.iterations == want.iterations
     assert got.residual_history == want.residual_history

@@ -1,10 +1,12 @@
-"""Package-level checks: the public surface and the runnable demos."""
+"""Package-level checks: the public surface, no process-global state, and
+the runnable demos and README examples."""
 
 from __future__ import annotations
 
 import ast
 import importlib
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -89,6 +91,62 @@ def test_every_public_function_has_a_production_caller():
     assert uncalled == []
 
 
+_MEMOIZERS = {"cache", "lru_cache", "cached_property"}
+
+
+def _global_state(source: str) -> list[str]:
+    """Line and text of each memoizing decorator (functools.cache, lru_cache,
+    cached_property, bare or called, plain or qualified) and each global
+    statement in a module's source."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Global):
+            found.append(f"{node.lineno}: global {', '.join(node.names)}")
+        for decorator in getattr(node, "decorator_list", ()):
+            target = decorator.func if isinstance(decorator, ast.Call) else decorator
+            name = target.attr if isinstance(target, ast.Attribute) else getattr(target, "id", "")
+            if name in _MEMOIZERS:
+                found.append(f"{decorator.lineno}: @{ast.unparse(decorator)}")
+    return found
+
+
+def test_global_state_guard_sees_each_form():
+    source = """
+import functools
+from functools import cached_property, lru_cache
+COUNT = 0
+
+@functools.cache
+def a(): pass
+
+@lru_cache(maxsize=None)
+def b(): pass
+
+class C:
+    @cached_property
+    def c(self): pass
+
+    @functools.lru_cache()
+    def d(self):
+        global COUNT
+"""
+    assert _global_state(source) == [
+        "6: @functools.cache", "9: @lru_cache(maxsize=None)", "13: @cached_property",
+        "16: @functools.lru_cache()", "18: global COUNT",
+    ]
+
+
+def test_library_keeps_no_process_global_state():
+    """No call leaves state behind for the next one: no memoizing decorator
+    and no global statement anywhere in src/declab."""
+    found = {
+        path.name: hits
+        for path in sorted((ROOT / "src" / "declab").rglob("*.py"))
+        if (hits := _global_state(path.read_text()))
+    }
+    assert found == {}
+
+
 @pytest.mark.parametrize(
     "option, marker, exit_code",
     [("filterwarnings", "@pytest.mark.slowww\n", 2), ("filterwarning", "", 4)],
@@ -124,3 +182,12 @@ def test_demo_runs(demo):
         timeout=300,
     )
     assert proc.returncode == 0, proc.stderr
+
+
+def test_readme_python_blocks_run():
+    """Every Python block of README.md runs as written, in order, so a
+    signature change cannot leave the quick start stale."""
+    blocks = re.findall(r"^```python\n(.*?)^```", (ROOT / "README.md").read_text(), re.S | re.M)
+    assert len(blocks) >= 2
+    for i, block in enumerate(blocks):
+        exec(compile(block, f"README.md python block {i + 1}", "exec"), {})

@@ -61,6 +61,7 @@ from declab import (
 )
 from declab.multigrid import multigrid_cycle
 from declab.operators import dec_system
+from oracles import manufactured_problem
 
 SQRT3 = np.sqrt(3.0)
 CORNERS = np.array([[0.0, 0.0], [1.0, 0.0], [0.5, SQRT3 / 2]])
@@ -239,8 +240,9 @@ def test_error_norms_do_not_depend_on_the_numbering(k):
     """K is a grid and solves under the multigrid cycle; the relabelled mesh
     is not recognised as one and solves by Jacobi-PCG."""
     K, dual, L, l_dual, _ = _relabelled()
-    norms = compute_errors(K, dual, k, *solve_problem(K, dual, k)[:2])
-    l_norms = compute_errors(L, l_dual, k, *solve_problem(L, l_dual, k)[:2])
+    u, f, delta_u = manufactured_problem(k)
+    norms = compute_errors(K, dual, u, delta_u, *solve_problem(K, dual, f)[:2])
+    l_norms = compute_errors(L, l_dual, u, delta_u, *solve_problem(L, l_dual, f)[:2])
     assert l_norms.keys() == norms.keys()
     for key, value in norms.items():
         assert l_norms[key] == pytest.approx(value, rel=1e-9), key
