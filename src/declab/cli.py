@@ -12,6 +12,8 @@ dump-operators  assembled sparse operators in coordinate text form
 Exit codes: 0 on success, 1 on bad arguments or an unwritable --out, 2 on
 solver failure, 3 on a mesh-generation or mesh-file failure (gen-mesh
 writes a mesh file, so an unwritable --out is a mesh-file failure there).
+An option that argparse itself rejects exits with argparse's own 2 after
+the usage line instead, until ROADMAP item 1a.
 """
 
 from __future__ import annotations
@@ -51,31 +53,8 @@ def _parse_levels(text: str) -> list[int]:
     return list(range(lo, hi + 1))
 
 
-def _add_mesh_args(
-    p: argparse.ArgumentParser,
-    with_level: bool = True,
-    level_required: bool = True,
-) -> None:
-    p.add_argument(
-        "--family",
-        choices=("symmetric", "perturbed"),
-        default="symmetric",
-        help="mesh family (default symmetric)",
-    )
-    if with_level:
-        p.add_argument(
-            "--level",
-            type=int,
-            required=level_required,
-            default=None,
-            help="refinement level m (h = 2^-m)",
-        )
-    p.add_argument("--seed", type=int, default=0, help="perturbation seed")
-    p.add_argument("--alpha", type=float, default=0.15, help="perturbation amplitude in [0, 0.5)")
-
-
 def _mesh_from_args(args: argparse.Namespace) -> SimplicialComplex:
-    if getattr(args, "mesh", None):
+    if args.mesh:
         if args.level is not None:
             raise ValueError("give --mesh or --level, not both")
         return read_mesh(args.mesh)
@@ -205,16 +184,27 @@ def _cmd_dump_operators(args: argparse.Namespace) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    family = argparse.ArgumentParser(add_help=False)
+    family.add_argument("--family", choices=("symmetric", "perturbed"), default="symmetric",
+                        help="mesh family (default symmetric)")
+    family.add_argument("--seed", type=int, default=0, help="perturbation seed")
+    family.add_argument("--alpha", type=float, default=0.15, help="perturbation amplitude in [0, 0.5)")
+
+    level_help = "refinement level m (h = 2^-m)"
+    mesh_source = argparse.ArgumentParser(add_help=False, parents=[family])
+    mesh_source.add_argument("--level", type=int, default=None, help=level_help)
+    mesh_source.add_argument("--mesh", default=None, help="read this mesh file instead of generating")
+    mesh_source.add_argument("--out", default=None)
+
+    degree = argparse.ArgumentParser(add_help=False)
+    degree.add_argument("--k", type=int, choices=(0, 1, 2), required=True, help="form degree")
+
     parser = argparse.ArgumentParser(
-        prog="declab",
-        description="discrete exterior calculus convergence laboratory",
-    )
+        prog="declab", description="discrete exterior calculus convergence laboratory")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("convergence", help="run a convergence study")
-    p.add_argument("--k", type=int, choices=(0, 1, 2), required=True, help="form degree")
+    p = sub.add_parser("convergence", parents=[degree, family], help="run a convergence study")
     p.add_argument("--levels", type=_parse_levels, required=True, metavar="a..b")
-    _add_mesh_args(p, with_level=False)
     p.add_argument("--format", choices=("markdown", "csv"), default="markdown")
     p.add_argument("--out", default=None, help="output path (default stdout)")
     p.add_argument("--solver-tol", type=float, default=1e-12,
@@ -223,30 +213,19 @@ def build_parser() -> argparse.ArgumentParser:
                    help="CG's iteration budget (default 50 sqrt(n) + 1000 for n unknowns)")
     p.set_defaults(func=_cmd_convergence)
 
-    p = sub.add_parser("diagnostics", help="superconvergence diagnostics for one mesh")
-    p.add_argument("--k", type=int, choices=(0, 1, 2), required=True)
-    _add_mesh_args(p, level_required=False)
-    p.add_argument("--mesh", default=None, help="read this mesh file instead of generating")
-    p.add_argument("--out", default=None)
-    p.set_defaults(func=_cmd_diagnostics)
+    sub.add_parser("diagnostics", parents=[degree, mesh_source],
+                   help="superconvergence diagnostics for one mesh").set_defaults(func=_cmd_diagnostics)
 
-    p = sub.add_parser("gen-mesh", help="generate a mesh file")
-    _add_mesh_args(p)
+    p = sub.add_parser("gen-mesh", parents=[family], help="generate a mesh file")
+    p.add_argument("--level", type=int, required=True, help=level_help)
     p.add_argument("--out", required=True, help="path of the mesh file to write")
-    p.set_defaults(func=_cmd_gen_mesh)
+    p.set_defaults(func=_cmd_gen_mesh, mesh=None)
 
-    p = sub.add_parser("dual-report", help="primal/dual volume table")
-    _add_mesh_args(p, level_required=False)
-    p.add_argument("--mesh", default=None, help="read this mesh file instead of generating")
-    p.add_argument("--out", default=None)
-    p.set_defaults(func=_cmd_dual_report)
+    sub.add_parser("dual-report", parents=[mesh_source],
+                   help="primal/dual volume table").set_defaults(func=_cmd_dual_report)
 
-    p = sub.add_parser("dump-operators", help="sparse operators in coordinate text")
-    p.add_argument("--k", type=int, choices=(0, 1, 2), required=True)
-    _add_mesh_args(p, level_required=False)
-    p.add_argument("--mesh", default=None, help="read this mesh file instead of generating")
-    p.add_argument("--out", default=None)
-    p.set_defaults(func=_cmd_dump_operators)
+    sub.add_parser("dump-operators", parents=[degree, mesh_source],
+                   help="sparse operators in coordinate text").set_defaults(func=_cmd_dump_operators)
 
     return parser
 

@@ -130,14 +130,6 @@ class Poly2:
             return 0
         return int((nz[0] + nz[1]).max())
 
-    def coefficient(self, i: int, j: int) -> float:
-        """The coefficient of x^i y^j (0 beyond the stored array)."""
-        _check_exponents(i, j)
-        n, m = self.coeffs.shape
-        if i >= n or j >= m:
-            return 0.0
-        return float(self.coeffs[i, j])
-
     def __add__(self, other) -> "Poly2":
         other = _as_poly(other)
         n = max(self.coeffs.shape[0], other.coeffs.shape[0])
@@ -388,11 +380,21 @@ class PolyForm:
         expected = {0: 1, 1: 2, 2: 1}
         if not _is_int(self.degree) or self.degree not in expected:
             raise ValueError(f"no {self.degree}-forms in the plane")
+        if not isinstance(self.components, tuple):
+            raise ValueError(
+                f"components must be a tuple of Poly2, got {type(self.components).__name__}"
+            )
         if len(self.components) != expected[self.degree]:
             raise ValueError(
                 f"a {self.degree}-form needs {expected[self.degree]} "
                 f"component(s), got {len(self.components)}"
             )
+        for slot, c in enumerate(self.components):
+            if not isinstance(c, Poly2):
+                raise ValueError(
+                    f"component {slot} of a {self.degree}-form must be a Poly2, "
+                    f"got {type(c).__name__}"
+                )
 
     @property
     def poly_degree(self) -> int:

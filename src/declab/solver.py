@@ -15,10 +15,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from numbers import Integral, Real
+from numbers import Real
 
 import numpy as np
 import scipy.sparse as sp
+
+from .complex import _is_int
 
 __all__ = ["SolverResult", "SolverError", "cg_solve"]
 
@@ -43,11 +45,11 @@ def _dot(x: np.ndarray, y: np.ndarray) -> float:
 
 def _check_solver_args(tol, max_iterations) -> None:
     """Reject a tol that is not a finite positive real (bools too) and a
-    max_iterations that is neither None nor an int (not bool) >= 1."""
+    max_iterations that is neither None nor an integer (`_is_int`) >= 1."""
     if not (isinstance(tol, Real) and not isinstance(tol, bool) and np.isfinite(tol) and tol > 0):
         raise ValueError(f"tolerance must be a finite positive number, got {tol!r}")
     n = max_iterations
-    if n is not None and not (isinstance(n, Integral) and not isinstance(n, bool) and n >= 1):
+    if n is not None and not (_is_int(n) and n >= 1):
         raise ValueError(f"max_iterations must be an integer of at least 1, got {n!r}")
 
 

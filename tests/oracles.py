@@ -346,6 +346,13 @@ def transfer_coo(fine: _Grid, coarse: _Grid, x: np.ndarray, k: int, area):
     return P, area
 
 
+def coefficient(p: Poly2, i: int, j: int) -> float:
+    """The monomial coefficient of x^i y^j in p, i, j >= 0: 0 beyond the
+    stored array."""
+    n, m = p.coeffs.shape
+    return float(p.coeffs[i, j]) if i < n and j < m else 0.0
+
+
 def dense_barycentric_horner(B: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """The dense homogeneous Horner of B[a, b] l1^a l2^b l3^(n-a-b) at 1-d
     float64 points of the domain, four operations for every entry of B,

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -127,6 +128,33 @@ def test_help_exits_0(capsys):
     text = " ".join(out.split())  # argparse wraps the help to the terminal's width
     assert "--solver-tol SOLVER_TOL CG's relative residual target (default 1e-12)" in text
     assert "--solver-maxit SOLVER_MAXIT CG's iteration budget (default 50 sqrt(n) + 1000" in text
+
+
+_MESH_SOURCE = {"--family", "--seed", "--alpha", "--level", "--mesh", "--out"}
+_OPTIONS = {  # each subcommand's options and the ones it requires
+    "convergence": ({"--k", "--levels", "--family", "--seed", "--alpha", "--format", "--out",
+                     "--solver-tol", "--solver-maxit"}, {"--k", "--levels"}),
+    "diagnostics": ({"--k", *_MESH_SOURCE}, {"--k"}),
+    "gen-mesh": ({"--family", "--seed", "--alpha", "--level", "--out"}, {"--level", "--out"}),
+    "dual-report": (_MESH_SOURCE, set()),
+    "dump-operators": ({"--k", *_MESH_SOURCE}, {"--k"}),
+}
+
+
+@pytest.mark.parametrize("command", list(_OPTIONS))
+def test_each_subcommand_takes_its_options(command, capsys):
+    """The option strings each --help lists, and the ones its usage line
+    requires (those outside brackets): an option group shared between
+    subcommands must give none of them an option it lacks, or drop one."""
+    options, required = _OPTIONS[command]
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--help"])
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    usage, listed = out.split("\n\n", 1)
+    listed = re.findall(r"^  (-[\w-]+)(?:, (--[\w-]+))?", listed, re.M)
+    assert {name for pair in listed for name in pair if name} == {"-h", "--help", *options}
+    assert set(re.findall(r"--[\w-]+", re.sub(r"\[[^]]*\]", "", usage))) == required
 
 
 # -- gen-mesh -----------------------------------------------------------------
