@@ -12,8 +12,8 @@ dump-operators  assembled sparse operators in coordinate text form
 Exit codes: 0 on success, 1 on bad arguments or an unwritable --out, 2 on
 solver failure, 3 on a mesh-generation or mesh-file failure (gen-mesh
 writes a mesh file, so an unwritable --out is a mesh-file failure there).
-An option that argparse itself rejects exits with argparse's own 2 after
-the usage line instead, until ROADMAP item 1a.
+An option that argparse rejects, an abbreviated one (`--lev`) included, exits
+with argparse's own 2 after the usage line instead, until ROADMAP item 1a.
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ import argparse
 import errno
 import os
 import sys
+from functools import partial
 
 import numpy as np
 
@@ -199,9 +200,9 @@ def build_parser() -> argparse.ArgumentParser:
     degree = argparse.ArgumentParser(add_help=False)
     degree.add_argument("--k", type=int, choices=(0, 1, 2), required=True, help="form degree")
 
-    parser = argparse.ArgumentParser(
-        prog="declab", description="discrete exterior calculus convergence laboratory")
-    sub = parser.add_subparsers(dest="command", required=True)
+    strict = partial(argparse.ArgumentParser, allow_abbrev=False)  # for every command parser
+    parser = strict(prog="declab", description="discrete exterior calculus convergence laboratory")
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=strict)
 
     p = sub.add_parser("convergence", parents=[degree, family], help="run a convergence study")
     p.add_argument("--levels", type=_parse_levels, required=True, metavar="a..b")

@@ -328,8 +328,6 @@ def read_mesh(path) -> SimplicialComplex:
         ).reshape(nc, 3)
     except ValueError as exc:
         raise MeshError(f"malformed mesh data: {exc}") from exc
-    if cells.size and (cells.min() < 0 or cells.max() >= nv):
-        raise MeshError("cell references a vertex id outside 0..V-1")
     try:
         return build_complex(flat.reshape(nv, 2), cells)
     except ValueError as exc:

@@ -2,7 +2,7 @@
 
 Each `test_criterion_<n>_*` outcome in test_acceptance.py is aggregated
 per criterion number, and one PASS/FAIL line per criterion is printed in
-a dedicated terminal section after the run.
+a dedicated terminal section after the run, described by `criteria.py`.
 """
 
 from __future__ import annotations
@@ -13,22 +13,7 @@ import time
 import pytest
 
 from declab import run_convergence
-
-CRITERIA = {
-    1: "symmetric mesh, k=0: error values at h=2^-5, derivative-error rate "
-       "over levels 6..8, and the levels-2..8 runtime budget",
-    2: "symmetric mesh, k=1: error values at h=2^-6 and finest-step rates "
-       "(second order for e_u, fourth order for the density errors)",
-    3: "symmetric mesh, k=2: error values at h=2^-5 and finest-step rates",
-    4: "perturbed meshes, seeds 1..3 (and seed 1 at alpha 0.45 for k=1, 2): "
-       "first-order rate windows at the finest step (second order for the "
-       "k=1 density error)",
-    5: "structural suite: d o d, delta o delta, adjointness, stencil vs "
-       "transpose assembly, commuting interpolant, constant-form kernel, "
-       "centroid condition",
-    6: "oracle equivalence: dense vs CG solves, quadrature monomials to "
-       "degree 20, exact-solution injection",
-}
+from criteria import DESCRIPTIONS
 
 _results: dict[int, bool] = {}
 _NAME = re.compile(r"test_criterion_(\d+)")
@@ -53,7 +38,7 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
     terminalreporter.section("acceptance criteria")
     for n in sorted(_results):
         status = "PASS" if _results[n] else "FAIL"
-        terminalreporter.write_line(f"criterion {n} {status} — {CRITERIA.get(n, '')}")
+        terminalreporter.write_line(f"criterion {n} {status} — {DESCRIPTIONS.get(n, '')}")
 
 
 @pytest.fixture(scope="session")

@@ -4,8 +4,10 @@ Each criterion is covered by the `test_criterion_<n>_*` functions below;
 the conftest hook prints one PASS/FAIL line per criterion at the end of
 the run.  Criteria 1-3 pin error values and observed convergence rates
 of the manufactured-solution study on the symmetric mesh family; 4 pins
-the rate windows on randomly perturbed meshes; 5 is the structural
-property suite; 6 checks the independent small-scale oracles.
+the rate windows on randomly perturbed meshes.  Their studies, values and
+windows are the table of `criteria.py`, which one checker asserts here.
+5 is the structural property suite; 6 checks the independent small-scale
+oracles.
 """
 
 from __future__ import annotations
@@ -35,6 +37,7 @@ from declab import (
     symmetric_mesh,
     triangle_rule,
 )
+from criteria import BUDGET_S, STUDIES, outside
 from oracles import (
     codifferential_matrix_stencil,
     discrete_inner,
@@ -42,102 +45,59 @@ from oracles import (
     integrate_over_simplex,
 )
 
-SQRT3 = np.sqrt(3.0)
 
-
-def _within(got: float, want: float, rel: float, label: str) -> None:
-    assert abs(got - want) <= rel * want, (
-        f"{label}: {got:.6e} is not within {100 * rel:.0f}% of {want:.3e}"
-    )
-
-
-def _in_window(got: float, center: float, width: float, label: str) -> None:
-    assert abs(got - center) <= width, (
-        f"{label}: rate {got:.4f} outside {center} +/- {width}"
-    )
-
-
-# -- criterion 1: symmetric mesh, k = 0 ---------------------------------------
+def _check(runner, n: int, k: int, mesh: tuple[int, float] | None = None) -> float:
+    """Assert criterion n's pinned rows and rate windows at degree k on one
+    (seed, alpha) mesh, by default its only one; return the first run's time."""
+    s = STUDIES[n, k]
+    ((seed, alpha),) = [mesh] if mesh else s.meshes
+    report, elapsed = runner(k, s.family, s.levels, seed=seed, alpha=alpha)
+    norms = {rec.level: rec.norms for rec in report.records}
+    misses = {
+        f"{key} at level {level}": norms[level][key]
+        for level, key, value, rel in s.pinned
+        if not abs(norms[level][key] - value) <= rel * value
+    }
+    for step in range(-s.steps, 0):
+        rates = outside({key: r[step] for key, r in report.rates.items()}, s.windows)
+        halving = f"{s.levels[step - 1]}->{s.levels[step]}"
+        misses.update({f"{key} rate at {halving}": rate for key, rate in rates.items()})
+    assert misses == {}, f"criterion {n}, k={k}, seed {seed}, alpha {alpha}"
+    return elapsed
 
 
 def test_criterion_1_symmetric_k0_values_rates_and_runtime(convergence_runner):
-    report, elapsed = convergence_runner(0, "symmetric", range(2, 9))
-    by_level = {rec.level: rec for rec in report.records}
-    _within(by_level[5].norms["de_u"], 2.22e-1, 0.02, "k=0 de_u at h=2^-5")
-    _within(by_level[5].norms["e_u"], 1.24e-2, 0.03, "k=0 e_u at h=2^-5")
-    for step, rate in zip(("6->7", "7->8"), report.rates["de_u"][-2:]):
-        _in_window(rate, 2.00, 0.05, f"k=0 de_u rate at {step}")
-    assert elapsed < 300.0, f"levels 2..8 took {elapsed:.1f}s (budget 300s)"
+    elapsed = _check(convergence_runner, 1, 0)
+    assert elapsed < BUDGET_S, f"levels 2..8 took {elapsed:.1f}s (budget {BUDGET_S:.0f}s)"
 
 
-# -- criterion 2: symmetric mesh, k = 1 ---------------------------------------
-
-
-def test_criterion_2_symmetric_k1_values_and_superconvergent_rates(
-    convergence_runner,
-):
-    report, _ = convergence_runner(1, "symmetric", (6, 7, 8))
-    at6 = report.records[0].norms
-    _within(at6["de_u"], 1.85e-2, 0.03, "k=1 de_u at h=2^-6")
-    _within(at6["e_rho"], 3.14e-4, 0.05, "k=1 e_rho at h=2^-6")
-    _within(at6["de_rho"], 1.73e-3, 0.05, "k=1 de_rho at h=2^-6")
-    _in_window(report.rates["e_u"][-1], 2.0, 0.10, "k=1 e_u finest rate")
-    _in_window(report.rates["e_rho"][-1], 4.0, 0.15, "k=1 e_rho finest rate")
-    _in_window(report.rates["de_rho"][-1], 4.0, 0.15, "k=1 de_rho finest rate")
-
-
-# -- criterion 3: symmetric mesh, k = 2 ---------------------------------------
+def test_criterion_2_symmetric_k1_values_and_superconvergent_rates(convergence_runner):
+    _check(convergence_runner, 2, 1)
 
 
 def test_criterion_3_symmetric_k2_values_and_rates(convergence_runner):
-    report, _ = convergence_runner(2, "symmetric", (5, 6, 7, 8))
-    at5 = report.records[0].norms
-    _within(at5["e_u"], 4.00e-3, 0.03, "k=2 e_u at h=2^-5")
-    _within(at5["e_rho"], 2.83e-4, 0.05, "k=2 e_rho at h=2^-5")
-    _in_window(report.rates["e_u"][-1], 2.0, 0.10, "k=2 e_u finest rate")
-    _in_window(report.rates["e_rho"][-1], 4.0, 0.20, "k=2 e_rho finest rate")
+    _check(convergence_runner, 3, 2)
 
 
-# -- criterion 4: perturbed meshes, rate windows ------------------------------
+def _each_mesh(k: int):
+    """Criterion 4 at degree k once per mesh; an id names an alpha off 0.15."""
+    ids = [f"{s}" if a == 0.15 else f"{s}-alpha-{a}" for s, a in STUDIES[4, k].meshes]
+    return pytest.mark.parametrize("mesh", STUDIES[4, k].meshes, ids=ids)
 
 
-@pytest.mark.parametrize("seed", [1, 2, 3])
-def test_criterion_4_perturbed_k0_first_order(convergence_runner, seed):
-    """The scalar derivative error approaches first order from above: at
-    the 7->8 halving the observed rate is still descending through ~1.2,
-    and it lands in the 1.0 +/- 0.2 window one halving later, so the
-    window is asserted at the 8->9 step."""
-    report, _ = convergence_runner(0, "perturbed", (8, 9), seed=seed)
-    _in_window(
-        report.rates["de_u"][-1], 1.0, 0.2, f"k=0 de_u rate, seed {seed}"
-    )
+@_each_mesh(0)
+def test_criterion_4_perturbed_k0_first_order(convergence_runner, mesh):
+    _check(convergence_runner, 4, 0, mesh)
 
 
-# seeds 1..3 at the pinned alpha = 0.15, and seed 1 off it at alpha = 0.45,
-# where the well-centered margin at h = 2^-8 is 1.3e-5 (0.039 at 0.15) and
-# k = 2 takes twice the CG iterations, so a change tuned to the pinned
-# amplitude shows; k = 0 on levels 8..9 at 0.45 takes 9-13 s and is left out
-_K12_MESHES = pytest.mark.parametrize(
-    "seed, alpha", [(1, 0.15), (2, 0.15), (3, 0.15), (1, 0.45)],
-    ids=["1", "2", "3", "1-alpha-0.45"],
-)
+@_each_mesh(1)
+def test_criterion_4_perturbed_k1_rate_windows(convergence_runner, mesh):
+    _check(convergence_runner, 4, 1, mesh)
 
 
-@_K12_MESHES
-def test_criterion_4_perturbed_k1_rate_windows(convergence_runner, seed, alpha):
-    report, _ = convergence_runner(1, "perturbed", (7, 8), seed=seed, alpha=alpha)
-    label = f"seed {seed}, alpha {alpha}"
-    _in_window(report.rates["de_u"][-1], 1.0, 0.2, f"k=1 de_u rate, {label}")
-    _in_window(report.rates["de_rho"][-1], 1.0, 0.2, f"k=1 de_rho rate, {label}")
-    _in_window(report.rates["e_rho"][-1], 2.0, 0.3, f"k=1 e_rho rate, {label}")
-
-
-@_K12_MESHES
-def test_criterion_4_perturbed_k2_rate_windows(convergence_runner, seed, alpha):
-    report, _ = convergence_runner(2, "perturbed", (7, 8), seed=seed, alpha=alpha)
-    label = f"seed {seed}, alpha {alpha}"
-    _in_window(report.rates["e_u"][-1], 1.0, 0.2, f"k=2 e_u rate, {label}")
-    _in_window(report.rates["e_rho"][-1], 1.0, 0.2, f"k=2 e_rho rate, {label}")
+@_each_mesh(2)
+def test_criterion_4_perturbed_k2_rate_windows(convergence_runner, mesh):
+    _check(convergence_runner, 4, 2, mesh)
 
 
 # -- criterion 5: structural property suite -----------------------------------

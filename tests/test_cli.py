@@ -119,6 +119,21 @@ def test_convergence_rejects_bad_argument_values_with_usage(option, name, capsys
     assert err.splitlines()[-1].startswith(f"declab convergence: error: argument {name}")
 
 
+# every parser takes options in full: no prefix, nor another subcommand's --level, stands in
+@pytest.mark.parametrize("argv", [
+    "convergence --k 0 --levels 2 --level 3", "convergence --k 0 --lev 2", "--he",
+    "convergence --k 0 --levels 2 --solver-m 1", "diagnostics --k 0 --lev 2",
+    "gen-mesh --lev 2 --out mesh.txt", "dual-report --lev 2", "dump-operators --k 0 --lev 2",
+])
+def test_abbreviated_options_exit_2_with_usage(argv, capsys, monkeypatch, tmp_path):
+    monkeypatch.chdir(tmp_path)  # where gen-mesh would write, were --lev read as --level
+    with pytest.raises(SystemExit) as exc:
+        main(argv.split())
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("usage: declab")
+
+
 def test_help_exits_0(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["convergence", "--help"])

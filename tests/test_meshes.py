@@ -338,7 +338,7 @@ def test_read_mesh_accepts_comments_and_whitespace(tmp_path):
         ("2 -3 -1\n", "negative count V=-3"),
         ("2 0 -1\n", "negative count C=-1"),
         ("2 3 1\n0 0\n1 0\n0.5 1\n0 1\n", "malformed|expected"),
-        ("2 3 1\n0 0\n1 0\n0.5 1\n0 1 5\n", "outside"),
+        ("2 3 1\n0 0\n1 0\n0.5 1\n0 1 5\n", "out of range"),
         ("2 3 1\n0 0\nane 0\n0.5 1\n0 1 2\n", "malformed"),
         ("2 4 1\n0 0\n1 0\n0.5 1\n2 2\n0 1 2\n", "complex"),
     ],

@@ -11,33 +11,23 @@ P/Q swap in the line integrals that the manufactured problem cannot see.
 
 from __future__ import annotations
 
-import math
-
 import pytest
 
 from declab import (
     MeshFamilySpec,
     Poly2,
     PolyForm,
-    build_dual,
-    build_mesh,
     codifferential,
-    compute_errors,
+    experiments,
     forms,
     hodge_laplacian,
     manufactured_solution,
-    solve_problem,
 )
+from criteria import STUDIES, outside
 from oracles import manufactured_problem
 
-# (k, family): {norm: (center, half-width)}, the finest-step rate windows of
-# acceptance criteria 2 and 3 (symmetric, k = 1 and 2) and 4 (perturbed)
-WINDOWS = {
-    (1, "symmetric"): {"e_u": (2.0, 0.10), "e_rho": (4.0, 0.15), "de_rho": (4.0, 0.15)},
-    (2, "symmetric"): {"e_u": (2.0, 0.10), "e_rho": (4.0, 0.20)},
-    (1, "perturbed"): {"de_u": (1.0, 0.2), "de_rho": (1.0, 0.2), "e_rho": (2.0, 0.3)},
-    (2, "perturbed"): {"e_u": (1.0, 0.2), "e_rho": (1.0, 0.2)},
-}
+# (k, family): the finest-step rate windows of acceptance criteria 2-4 at k = 1, 2
+WINDOWS = {(k, s.family): s.windows for (_, k), s in STUDIES.items() if k}
 LEVELS = {"symmetric": (6, 7), "perturbed": (7, 8)}
 
 
@@ -52,30 +42,20 @@ def asymmetric_problem(k: int) -> tuple[PolyForm, PolyForm, PolyForm]:
 
 def _finest_step(problem, family: str, seed: int = 1) -> tuple[dict, dict]:
     """(rates, norms) at the finest step of LEVELS[family] for the problem
-    (u, f, delta u), each level solved and measured as run_convergence does."""
-    u, f, delta_u = problem
-    norms = []
-    for level in LEVELS[family]:
-        K = build_mesh(MeshFamilySpec(family=family, level=level, seed=seed))
-        dual = build_dual(K)
-        norms.append(compute_errors(K, dual, u, delta_u, *solve_problem(K, dual, f)[:2]))
-    coarse, fine = norms
-    return {key: math.log2(coarse[key] / fine[key]) for key in fine}, fine
-
-
-def _outside(rates: dict, windows: dict) -> dict:
-    return {
-        key: round(rates[key], 4)
-        for key, (center, width) in windows.items()
-        if not abs(rates[key] - center) <= width
-    }
+    (u, f, delta u), each level measured by run_convergence's own `_record`
+    and `_rate` at its default solver arguments."""
+    coarse, fine = (
+        experiments._record(MeshFamilySpec(family, level, seed), *problem, 1e-12, None).norms
+        for level in LEVELS[family]
+    )
+    return {key: experiments._rate(coarse[key], fine[key]) for key in fine}, fine
 
 
 @pytest.mark.parametrize("family", ["symmetric", "perturbed"])
 @pytest.mark.parametrize("k", [1, 2])
 def test_asymmetric_field_rates_fall_in_the_acceptance_windows(k, family):
     rates, _ = _finest_step(asymmetric_problem(k), family)
-    assert _outside(rates, WINDOWS[k, family]) == {}
+    assert outside(rates, WINDOWS[k, family]) == {}
 
 
 # -- mutants --------------------------------------------------------------------
@@ -101,4 +81,4 @@ def test_a_pq_swap_is_caught_by_the_asymmetric_field_alone(monkeypatch):
     rates, norms = _finest_step(asymmetric_problem(1), "symmetric")
     assert abs(rates["e_rho"]) <= 0.05 and norms["e_rho"] > 1.0
     rates, _ = _finest_step(manufactured_problem(1), "symmetric")
-    assert _outside(rates, WINDOWS[1, "symmetric"]) == {}
+    assert outside(rates, WINDOWS[1, "symmetric"]) == {}
