@@ -34,11 +34,12 @@ from declab import (
     render_report,
     run_convergence,
     solve_problem,
+    star_matrix,
     symmetric_mesh,
     well_centered_margin,
 )
 from declab.operators import dec_system
-from oracles import codifferential_matrix_stencil, manufactured_problem
+from oracles import codifferential_matrix_stencil, hodge_laplacian_matrix, manufactured_problem
 
 
 def _mesh(family: str, level: int, seed: int = 1):
@@ -159,6 +160,34 @@ def test_k0_solution_has_zero_weighted_mean(family):
     assert rho_h is None
     a = dual.hodge_ratio_a[0]
     assert abs(a @ u_h) <= 1e-12 * a.sum() * np.abs(u_h).max()
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_cg_matches_dense_solve_on_small_meshes(k):
+    K, dual = _mesh("symmetric", 1)
+    _, f = manufactured_solution(k)
+    u_h, _, _ = solve_problem(K, dual, f, tol=1e-13)
+    assert K.n_simplices(k) <= 50
+    M = (star_matrix(dual, k) @ hodge_laplacian_matrix(K, dual, k)).toarray()
+    rhs = star_matrix(dual, k) @ de_rham(K, f)
+    want = np.linalg.solve(M, rhs)
+    assert np.linalg.norm(u_h - want) <= 1e-10 * max(np.linalg.norm(want), 1.0)
+
+
+def test_cg_matches_dense_solve_for_k0_deflated():
+    K, dual = _mesh("symmetric", 2)
+    assert K.n_simplices(0) <= 50
+    _, f = manufactured_solution(0)
+    u_h, _, _ = solve_problem(K, dual, f, tol=1e-13)
+    a = dual.hodge_ratio_a[0]
+    M = (star_matrix(dual, 0) @ hodge_laplacian_matrix(K, dual, 0)).toarray()
+    rhs = star_matrix(dual, 0) @ de_rham(K, f)
+    # replicate the deflation, solve the singular system by least squares,
+    # then apply the same zero-mean gauge as solve_problem
+    rhs = rhs - (rhs.sum() / a.sum()) * a
+    want = np.linalg.lstsq(M, rhs, rcond=None)[0]
+    want -= (a @ want) / a.sum()
+    assert np.linalg.norm(u_h - want) <= 1e-10 * np.linalg.norm(want)
 
 
 def test_k1_solve_holds_a_few_copies_of_its_matrix_at_most():
