@@ -39,7 +39,7 @@ class SimplicialComplex:
         so that vertices.T is the contiguous (2, V) x and y planes that every
         corner gather (`_planes`) reads.
     dim : topological dimension (always 2).
-    cell_edges : (T, 3) int array; row t holds the Delta_1 indices of the
+    cell_edges : (T, 3) int32 array; row t holds the Delta_1 indices of the
         edges of triangle t in local pair order [(0,1), (0,2), (1,2)]
         relative to the ascending triangle tuple.
     """
@@ -51,7 +51,7 @@ class SimplicialComplex:
     ):
         self.vertices = vertices
         self._tables = [
-            np.arange(len(vertices), dtype=np.int64).reshape(-1, 1),
+            np.arange(len(vertices), dtype=np.int32).reshape(-1, 1),
             edges,
             triangles,
         ]
@@ -64,7 +64,7 @@ class SimplicialComplex:
         return len(self._table(k))
 
     def simplices(self, k: int) -> np.ndarray:
-        """(N_k, k+1) int array of ascending vertex tuples, lex-sorted."""
+        """(N_k, k+1) int32 array of ascending vertex tuples, lex-sorted."""
         return self._table(k)
 
     def is_boundary(self, k: int) -> np.ndarray:
@@ -160,12 +160,15 @@ def build_complex(vertices: np.ndarray, cells: np.ndarray) -> SimplicialComplex:
     vertices : array-like, shape (V, 2)
         Vertex coordinates.
     cells : array-like, shape (T, 3)
-        Vertex indices of each triangle, any order; stored ascending.
+        Vertex indices of each triangle, any order; stored ascending.  Each
+        is an integer, of an integer dtype or a float with no fraction.
+        The tables are checked in int64 and stored in int32.
 
     Raises
     ------
     ValueError
-        On non-finite coordinates, out-of-range or repeated vertex indices,
+        On non-finite coordinates, vertex indices that are not integers,
+        out-of-range or repeated vertex indices,
         duplicate cells, zero-area or overflowing cells, unreferenced
         vertices, or a non-manifold edge (more than two cofaces).
     """
@@ -175,14 +178,25 @@ def build_complex(vertices: np.ndarray, cells: np.ndarray) -> SimplicialComplex:
     finite = np.isfinite(vertices).all(axis=1)
     if not finite.all():
         raise ValueError(f"vertex {int(np.argmin(finite))} has a non-finite coordinate")
-    cells = np.asarray(cells, dtype=np.int64)
-    if cells.ndim != 2 or cells.shape[1] != 3:
+    table = np.asarray(cells)
+    if table.ndim != 2 or table.shape[1] != 3:
         raise ValueError("cells must have shape (T, 3)")
+    # an index is an integer: of an integer dtype, or a float with no
+    # fraction (NaN fails)
+    kind = table.dtype.kind
+    integral = kind in "iu" or kind == "f" and (table == np.trunc(table)).all()
+    if integral and not isinstance(cells, np.ndarray):
+        # numpy reads True among numbers as 1: a sequence's entries are looked at
+        entries = np.asarray(cells, dtype=object).flat
+        integral = not any(isinstance(v, (bool, np.bool_)) for v in entries)
+    if not integral:
+        raise ValueError("cell vertex indices must be integers")
     nv = len(vertices)
-    if len(cells) == 0:
+    if len(table) == 0:
         raise ValueError("complex needs at least one cell")
-    if cells.min() < 0 or cells.max() >= nv:
+    if table.min() < 0 or table.max() >= nv:
         raise ValueError("cell references a vertex index out of range")
+    cells = table.astype(np.int64)
 
     tris = np.sort(cells, axis=1)
     if np.any(np.diff(tris, axis=1) <= 0):
@@ -215,8 +229,8 @@ def build_complex(vertices: np.ndarray, cells: np.ndarray) -> SimplicialComplex:
     pair_local = [(0, 1), (0, 2), (1, 2)]
     pairs = tris[:, pair_local]
     keys, inverse = np.unique(pairs[..., 0] * nv + pairs[..., 1], return_inverse=True)
-    edges = np.stack([keys // nv, keys % nv], axis=1)
-    cell_edges = inverse.reshape(-1, 3).astype(np.int64)
+    edges = np.stack([keys // nv, keys % nv], axis=1).astype(np.int32)
+    cell_edges = inverse.reshape(-1, 3).astype(np.int32)
 
     coface_count = np.bincount(cell_edges.ravel(), minlength=len(edges))
     if coface_count.max() > 2:
@@ -226,4 +240,4 @@ def build_complex(vertices: np.ndarray, cells: np.ndarray) -> SimplicialComplex:
             f"{int(coface_count[bad])} cofaces"
         )
 
-    return SimplicialComplex(vertices, edges, tris, cell_edges)
+    return SimplicialComplex(vertices, edges, tris.astype(np.int32), cell_edges)

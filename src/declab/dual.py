@@ -44,7 +44,7 @@ WELL_CENTERED_TOL = 1e-10
 # largest deviation of a dual centroid from its primal one that
 # check_centroid_condition counts as coincidence
 CENTROID_TOL = 1e-12
-_BLOCK = 8192  # triangles per block of is_well_centered
+_BLOCK = 8192  # triangles per block of the per-triangle geometry (_blocks)
 
 
 def _triangle_circum_bary(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -84,15 +84,23 @@ def is_well_centered(K: SimplicialComplex) -> tuple[bool, np.ndarray]:
     Returns (ok, offenders); offenders holds the indices of the triangles
     whose circumcenter barycentric coordinates are not all above
     WELL_CENTERED_TOL (so a NaN from overflow counts as offending).  Blocks
-    of triangles, each gathered through `_planes`, keep its temporaries
-    small (whole, 11 MB at level 8).
+    of triangles (`_blocks`) keep its temporaries small (whole, 11 MB at
+    level 8).
     """
-    tris = K.simplices(2)
     bad = np.concatenate([
-        lo + _offenders(_triangle_circum_bary(*_planes(K.vertices, tris[lo : lo + _BLOCK])))
-        for lo in range(0, len(tris), _BLOCK)
+        rows.start + _offenders(_triangle_circum_bary(x, y)) for rows, x, y in _blocks(K)
     ])
     return len(bad) == 0, bad
+
+
+def _blocks(K: SimplicialComplex):
+    """Each block of _BLOCK triangles of K as (rows, x, y): its slice of the
+    triangle table and its corners as x and y planes (3, m), gathered
+    through `_planes`.  The whole-level kernels walk these, so that their
+    temporaries are a block's, not a level's."""
+    for lo in range(0, K.n_simplices(2), _BLOCK):
+        rows = slice(lo, lo + _BLOCK)
+        yield rows, *_planes(K.vertices, K.simplices(2)[rows])
 
 
 def _offenders(bary: np.ndarray) -> np.ndarray:
@@ -140,14 +148,18 @@ def build_dual(K: SimplicialComplex) -> DualComplex:
     ValueError
         If the complex is not well-centered.
     """
-    x, y = _planes(K.vertices, K.simplices(2))
-    # one evaluation of the circumcenter barycentrics: the check and the centers
-    bary = _triangle_circum_bary(x, y)
-    offenders = _offenders(bary)
+    # one evaluation of the circumcenter barycentrics per block: the check and the centers
+    centers, offenders = np.empty((K.n_simplices(2), 2)), []
+    for rows, x, y in _blocks(K):
+        bary = _triangle_circum_bary(x, y)
+        offenders.append(rows.start + _offenders(bary))
+        for c, out in zip((x, y), centers[rows].T):
+            out[:] = bary[0] * c[0] + bary[1] * c[1] + bary[2] * c[2]
+    offenders = np.concatenate(offenders)
     if len(offenders):
         t = offenders[0]
         vertices = K.simplices(2)[t]
-        if np.isfinite(bary[:, t]).all():
+        if np.isfinite(_triangle_circum_bary(*_planes(K.vertices, vertices[None]))).all():
             why = "does not contain its circumcenter"
         else:
             why = "has circumcenter weights that overflow"
@@ -156,7 +168,6 @@ def build_dual(K: SimplicialComplex) -> DualComplex:
             f"fail, first triangle {t} with vertices {vertices.tolist()} {why}"
         )
 
-    centers = np.stack([bary[0] * c[0] + bary[1] * c[1] + bary[2] * c[2] for c in (x, y)], 1)
     return DualComplex(circumcenters=centers, hodge_ratio_a=list(_cotangent_stars(K)))
 
 
@@ -164,15 +175,19 @@ def _cotangent_stars(K: SimplicialComplex):
     """Circumcentric star ratios a_0, a_1, a_2 of K's simplices by the signed
     (cotangent) formulas: |*v| = sum_T (|e1|^2 cot t1 + |e2|^2 cot t2) / 8
     over T's edges e1, e2 at v, |*e| / |e| = sum_T cot(t_opp) / 2, 1 / |T|.
-    They are build_dual's on a well-centered mesh, exist on any."""
-    px, py = _planes(K.vertices, K.simplices(2))
-    ex, ey = _opposite(px, py)
-    twice_area = np.abs(_cross(px, py))
-    cot = -(ex[[1, 2, 0]] * ex[[2, 0, 1]] + ey[[1, 2, 0]] * ey[[2, 0, 1]]) / twice_area
-    w = (ex**2 + ey**2) * cot / 8  # what each edge gives both its ends
-    # bincount adds in input order, which stays triangle-major
-    s0 = np.bincount(K.simplices(2).ravel(), ((w[0] + w[1] + w[2]) - w).T.ravel())
-    s1 = np.bincount(K.cell_edges.ravel(), (cot[::-1] / 2).T.ravel())
+    They are build_dual's on a well-centered mesh, exist on any.  Formed a
+    block of triangles at a time (`_blocks`); add.at adds in index order,
+    so the sums run triangle-major, block after block, as over the whole."""
+    s0, s1 = np.zeros(K.n_simplices(0)), np.zeros(K.n_simplices(1))
+    twice_area = np.empty(K.n_simplices(2))
+    for rows, px, py in _blocks(K):
+        ex, ey = _opposite(px, py)
+        twice_area[rows] = np.abs(_cross(px, py))
+        cot = -(ex[[1, 2, 0]] * ex[[2, 0, 1]] + ey[[1, 2, 0]] * ey[[2, 0, 1]]) / twice_area[rows]
+        w = (ex**2 + ey**2) * cot / 8  # what each edge gives both its ends
+        # flat indices and contiguous values take add.at's fast loop (3.5x)
+        np.add.at(s0, K.simplices(2)[rows].ravel(), ((w[0] + w[1] + w[2]) - w).T.ravel())
+        np.add.at(s1, K.cell_edges[rows].ravel(), (cot[::-1] / 2).T.ravel())
     return s0, s1, 2.0 / twice_area
 
 

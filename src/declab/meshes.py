@@ -70,8 +70,9 @@ SQRT3 = np.sqrt(3.0)
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 # batch size of perturbed_mesh, in vertices: doubled after a batch that
-# passes whole, halved after a failure; the cap keeps a batch near 1 MB
-_BATCH_MIN, _BATCH_MAX = 8, 4096
+# passes whole, halved after a failure; the cap keeps a batch's corner
+# planes near 0.6 MB (at 4096 its temporaries set perturbed_mesh's peak)
+_BATCH_MIN, _BATCH_MAX = 8, 2048
 
 
 class MeshError(Exception):
@@ -174,15 +175,19 @@ class _Grid:
         """The grid's complex at column-major vertex coordinates x (V, 2), the
         transpose of (2, V) planes, with the tables build_complex would
         derive: each vertex's edges in edge_rank's slots."""
-        # the slots edge_rank counts, from (r, j) to (r, j+1), (r+1, j-1), (r+1, j)
-        tail, slot = np.divmod(np.flatnonzero(np.diff(self.edge_rank, prepend=-1)), 3)
-        e = np.stack([tail, tail + np.where(slot == 0, 1, self.n - self.r[tail] + slot - 1)], 1)
+        # the slots edge_rank counts, from (r, j) to (r, j+1), (r+1, j-1), (r+1, j),
+        # all int32: a boolean mask picks the tails and heads of the edges in order
+        tail = np.arange(len(self.r), dtype=np.int32)[:, None]
+        below = tail + (self.n - self.r)[:, None]  # (r+1, j-1)
+        has = (np.diff(self.edge_rank, prepend=np.int32(-1)) > 0).reshape(-1, 3)
+        e = np.empty((self.counts[1], 2), dtype=np.int32)
+        e[:, 0] = np.broadcast_to(tail, has.shape)[has]
+        e[:, 1] = np.concatenate([tail + 1, below, below + 1], axis=1)[has]
         # (a, b), (a, c), (b, c) of cell [a, b, c] take slots 0, 2, 1 of a, a, b
         # in an up cell (b = a + 1), slots 1, 2, 0 in a down cell
         a, b = self.tri[:, :2].T
         slots = np.stack([3 * a + (b != a + 1), 3 * a + 2, 3 * b + (b == a + 1)], 1)
-        cell_edges = self.edge_rank[slots].astype(np.int64)
-        return SimplicialComplex(x, e, self.tri.astype(np.int64), cell_edges)
+        return SimplicialComplex(x, e, self.tri, self.edge_rank[slots])
 
 
 def _lattice(m: int) -> tuple[_Grid, np.ndarray]:

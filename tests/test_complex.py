@@ -23,6 +23,7 @@ import numpy as np
 import pytest
 
 from declab import build_complex, perturbed_mesh, read_mesh, symmetric_mesh, write_mesh
+from declab.cli import main
 
 TWO_TRI_VERTS = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
 TWO_TRI_CELLS = np.array([[0, 1, 2], [1, 2, 3]])
@@ -173,12 +174,33 @@ def test_simplex_tables_reject_a_bad_degree(two_tri, k):
         (TWO_TRI_VERTS, [[0, 1, 2, 3]], r"cells must have shape \(T, 3\)"),
         (TWO_TRI_VERTS, [0, 1, 2], r"cells must have shape \(T, 3\)"),
         (TWO_TRI_VERTS, np.zeros((0, 3), dtype=int), "complex needs at least one cell"),
+        (TWO_TRI_VERTS, [[0, 1.7, 2], [1, 2, 3]], "cell vertex indices must be integers"),
+        (TWO_TRI_VERTS, [[0, 1, 2], [1, 2, np.nan]], "cell vertex indices must be integers"),
+        (TWO_TRI_VERTS, [[False, True, 2], [1, 2, 3]], "cell vertex indices must be integers"),
+        (TWO_TRI_VERTS, np.ones((2, 3), dtype=bool), "cell vertex indices must be integers"),
+        (TWO_TRI_VERTS, [["0", "1", "2"], ["1", "2", "3"]], "cell vertex indices must be integers"),
     ],
-    ids=["vertices-3d", "vertices-flat", "cells-4", "cells-flat", "no-cells"],
+    ids=[
+        "vertices-3d", "vertices-flat", "cells-4", "cells-flat", "no-cells",
+        "cells-fraction", "cells-nan", "cells-bool-among-ints", "cells-bool", "cells-string",
+    ],
 )
 def test_build_complex_rejects_tables_of_the_wrong_shape(vertices, cells, match):
     with pytest.raises(ValueError, match=match):
         build_complex(vertices, cells)
+
+
+def test_every_table_is_int32(tmp_path):
+    """The vertex ids, edges, triangles and cell edges are int32 on both
+    generated families, a complex built from integral float indices (which
+    build_complex takes) and a gen-mesh file read back."""
+    path = tmp_path / "mesh.txt"
+    main(["gen-mesh", "--family", "perturbed", "--level", "3", "--seed", "1", "--out", str(path)])
+    from_floats = build_complex(TWO_TRI_VERTS, TWO_TRI_CELLS.astype(float))
+    assert np.array_equal(from_floats.simplices(2), TWO_TRI_CELLS)
+    for K in (symmetric_mesh(3), perturbed_mesh(3, 1), from_floats, read_mesh(path)):
+        tables = [K.simplices(k) for k in range(3)] + [K.cell_edges]
+        assert [t.dtype for t in tables] == [np.dtype(np.int32)] * 4
 
 
 def test_rejects_duplicate_cell():

@@ -256,10 +256,13 @@ def test_perturbed_moves_only_interior_vertices_within_alpha_h():
 
 def test_perturbed_mesh_holds_a_few_copies_of_its_tables_at_most():
     """The traced peak of perturbed_mesh(8, 1) stays within 2.3 times the
-    bytes of the tables it returns: 2.0 times, at `_Grid.complex`, plus 0.28
-    (1.5 MB) of margin.  Eager boundary flags and a copy of the vertex
-    table took it to 2.2 times, cell edges looked up through `_Grid.edge`
-    on int64 corner pairs and a whole-mesh final check to 3.8, and sorting
+    bytes of the tables it returns (3.0 MB, all int32): 2.16 times (6.5 MB),
+    at the final blocked check, plus 0.14 (0.4 MB) of margin.  Batches of
+    4096 vertices took it to 2.7 times against int32 tables (8.2 MB, at the
+    perturbation loop).  Against int64 tables (5.5 MB) int64 temporaries in
+    `_Grid.complex` took it to 2.0 times, eager boundary flags and a copy of
+    the vertex table to 2.2, cell edges looked up through `_Grid.edge` on
+    int64 corner pairs and a whole-mesh final check to 3.8, and sorting
     every corner to find the cells around each vertex to 5.5."""
     K = perturbed_mesh(8, 1)
     size = K.vertices.nbytes + K.cell_edges.nbytes + sum(K.simplices(k).nbytes for k in range(3))

@@ -28,7 +28,6 @@ from declab import (
     commuting_j_check,
     de_rham,
     discrete_norm,
-    exterior_derivative,
     gauss_legendre_unit,
     hodge_laplacian_matrix,
     j_interpolant,
