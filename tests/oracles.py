@@ -36,6 +36,13 @@ from declab.operators import _scaled
 _MASK64 = (1 << 64) - 1
 
 
+def same_bits(got, want) -> bool:
+    """Equal to the last bit: the same dtype, shape and bytes (so 0.0 and
+    -0.0 differ)."""
+    got, want = np.asarray(got), np.asarray(want)
+    return got.dtype == want.dtype and got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
 def _cross2(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """z-component of the cross product of stacked planar vectors (..., 2)."""
     return a[..., 0] * b[..., 1] - a[..., 1] * b[..., 0]

@@ -33,7 +33,7 @@ from declab import (
     perturbed_mesh,
     well_centered_margin,
 )
-from declab.dual import _cotangent_stars, _flags, _triangle_circum_bary
+from declab.dual import CENTROID_TOL, _cotangent_stars, _flags, _triangle_circum_bary
 from declab.forms import _integrate_simplices
 from oracles import (
     _cross2,
@@ -42,6 +42,7 @@ from oracles import (
     diamond_volumes,
     exact_stars,
     flags_stacked,
+    same_bits,
 )
 
 SQRT3 = np.sqrt(3.0)
@@ -168,22 +169,18 @@ STACKED = pytest.mark.parametrize(
 )
 
 
-def _same_bits(got, want) -> bool:
-    return got.shape == want.shape and np.ascontiguousarray(got).tobytes() == want.tobytes()
-
-
 @STACKED
 def test_circumcenter_kernels_on_planes_match_the_stacked_formula_bit_for_bit(K):
     pts = K.vertices[K.simplices(2)]
     want = circum_bary_stacked(pts)
-    assert _same_bits(_triangle_circum_bary(*pts.T).T, want)
-    assert _same_bits(build_dual(K).circumcenters, np.einsum("mi,min->mn", want, pts))
+    assert same_bits(_triangle_circum_bary(*pts.T).T, want)
+    assert same_bits(build_dual(K).circumcenters, np.einsum("mi,min->mn", want, pts))
 
 
 @STACKED
 def test_cotangent_stars_on_planes_match_the_stacked_formula_bit_for_bit(K):
     for got, want in zip(_cotangent_stars(K), cotangent_stars_stacked(K.vertices, K)):
-        assert _same_bits(got, want)
+        assert same_bits(got, want)
 
 
 @pytest.mark.parametrize(
@@ -193,19 +190,41 @@ def test_flag_planes_match_the_stacked_formula_bit_for_bit(K):
     dual = build_dual(K)
     vertex, edge, corners, area = _flags(K, dual.circumcenters)
     want_vertex, want_edge, rows, want_area = flags_stacked(K, dual.circumcenters)
-    assert _same_bits(vertex, want_vertex) and _same_bits(edge, want_edge)
-    assert _same_bits(corners.T, rows)
-    assert _same_bits(area, want_area)
+    assert same_bits(vertex, want_vertex) and same_bits(edge, want_edge)
+    assert same_bits(corners.T, rows)
+    assert same_bits(area, want_area)
     # the m = 1 dual de Rham map runs each segment [c(e), c(T)] along the
     # +90-degree rotation of the tangent of e, and gives the stacked sums
     owner, segments = want_edge[::2], rows[::2, 1:]
     tangent = np.diff(K.vertices[K.simplices(1)[owner]], axis=1)[:, 0]
     sign = np.sign(_cross2(tangent, segments[:, 1] - segments[:, 0]))
     assert (sign == np.sign(area[::2])).all() and (sign != 0).all()
-    u, _ = manufactured_solution(1)
-    want = np.zeros(K.n_simplices(1))
-    np.add.at(want, owner, sign * _integrate_simplices(u, segments.T))
-    assert _same_bits(de_rham_dual(K, dual, u), want)
+    # the dual cell of each k-simplex from the stacked flags, as its
+    # pieces' owners, rows and signed measures: the 6T flags at k = 0, their
+    # 3T segments [c(e), c(T)] at k = 1, the circumcenters signed by T's
+    # ascending orientation at k = 2
+    length = np.linalg.norm(segments[:, 1] - segments[:, 0], axis=1)
+    tri = K.vertices[K.simplices(2)]
+    orientation = np.where(_cross2(tri[:, 1] - tri[:, 0], tri[:, 2] - tri[:, 0]) > 0.0, 1.0, -1.0)
+    cells = [
+        (want_vertex, rows, want_area),
+        (owner, segments, sign * length),
+        (np.arange(K.n_simplices(2)), dual.circumcenters[:, None], orientation),
+    ]
+    for k, (owner, pieces, measure) in enumerate(cells):
+        nk, interior = K.n_simplices(k), ~K.is_boundary(k)
+        for form in manufactured_solution(2 - k):
+            want = np.zeros(nk)
+            np.add.at(want, owner, np.sign(measure) * _integrate_simplices(form, pieces.T))
+            assert same_bits(de_rham_dual(K, dual, form), want), (k, form.poly_degree)
+        # the dual centroid weighs each piece's centroid by its |measure|
+        weight = np.abs(measure)
+        moments = [np.bincount(owner, weight * c, nk) for c in pieces.mean(axis=1).T]
+        centroid = np.stack(moments, axis=1) / np.bincount(owner, weight, nk)[:, None]
+        primal = K.vertices[K.simplices(k)].mean(axis=1)
+        dev = np.linalg.norm(primal - centroid, axis=1)[interior].max()
+        ok, got = check_centroid_condition(K, dual, k)
+        assert ok == (dev <= CENTROID_TOL) and same_bits(np.float64(got), dev), k
 
 
 def test_dual_complex_keeps_only_the_arrays_that_define_the_dual():

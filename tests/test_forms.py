@@ -65,6 +65,7 @@ from oracles import (
     product_simplex_mean,
     recorded_factors,
     recorded_product,
+    same_bits,
 )
 
 SQRT3 = np.sqrt(3.0)
@@ -160,15 +161,6 @@ def test_poly_vectorized_evaluation():
     xs = np.array([0.0, 1.0, 2.0])
     ys = np.array([1.0, 1.0, 0.5])
     np.testing.assert_allclose(p(xs, ys), 3.0 * xs**2 * ys - 1.0)
-
-
-def _same_bits(got, want) -> bool:
-    got, want = np.asarray(got), np.asarray(want)
-    return (
-        got.dtype == want.dtype
-        and got.shape == want.shape
-        and got.tobytes() == want.tobytes()
-    )
 
 
 EPS = np.finfo(np.float64).eps
@@ -351,14 +343,14 @@ def test_poly_evaluation_shapes_and_points_in_and_off_the_domain():
     for p in _evaluated_polys(rng):
         batch = p(xs, ys)
         alone = np.array([p(x, y) for x, y in zip(xs, ys)])
-        assert _same_bits(batch, alone)
-        assert _same_bits(p(xs.reshape(8, 8), ys.reshape(8, 8)), batch.reshape(8, 8))
+        assert same_bits(batch, alone)
+        assert same_bits(p(xs.reshape(8, 8), ys.reshape(8, 8)), batch.reshape(8, 8))
         got = p(0.75, -1.25)
         assert type(got) is float
-        assert _same_bits(got, p(np.array([0.75]), np.array([-1.25]))[0])
-        assert _same_bits(p(0.5, ys), p(np.full_like(ys, 0.5), ys))
+        assert same_bits(got, p(np.array([0.75]), np.array([-1.25]))[0])
+        assert same_bits(p(0.5, ys), p(np.full_like(ys, 0.5), ys))
         empty = np.empty((0, 3))
-        assert _same_bits(p(empty, empty), empty)
+        assert same_bits(p(empty, empty), empty)
 
 
 def _times_linear(P: np.ndarray, c0, cx, cy) -> np.ndarray:
@@ -428,7 +420,7 @@ def test_domain_coefficients_round_the_exact_conversion_once(which):
     n = len(B) - 1
     exact = _from_monomials(poly.coeffs, n)
     for (a, b), value in np.ndenumerate(B):
-        assert _same_bits(value, np.float64(float(exact.get((a, b), 0)))), (a, b)
+        assert same_bits(value, np.float64(float(exact.get((a, b), 0)))), (a, b)
     got = _to_monomials(B, absolute=False)
     bound = _to_monomials(B, absolute=True)
     want = np.zeros(got.shape, dtype=object)
@@ -501,7 +493,7 @@ def _same_value_and_nonzero_bits(got, want) -> bool:
     """Equal values everywhere (0.0 == -0.0) and equal bits at every
     nonzero value."""
     nonzero = want != 0
-    return bool((got == want).all()) and _same_bits(got[nonzero], want[nonzero])
+    return bool((got == want).all()) and same_bits(got[nonzero], want[nonzero])
 
 
 def _dense_values(p: Poly2, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
@@ -587,9 +579,9 @@ def test_recorded_product_is_its_factors_values_bit_for_bit():
     assert len(products) == 9
     for p in products:
         want = recorded_product(p, lambda f: f(xs, ys))
-        assert _same_bits(p(xs, ys), want), p
-        assert _same_bits(np.array([p(x, y) for x, y in points]), want), p
-        assert _same_bits(p(xs[:-3], ys[:-3]), want[:-3]), p
+        assert same_bits(p(xs, ys), want), p
+        assert same_bits(np.array([p(x, y) for x, y in points]), want), p
+        assert same_bits(p(xs[:-3], ys[:-3]), want[:-3]), p
 
 
 @pytest.mark.parametrize("k", [0, 1, 2])
@@ -621,7 +613,7 @@ def test_sums_and_derivatives_drop_the_record_negation_and_scaling_keep_it():
         (p * -0.5, -0.5 * scale, -0.5 * p(xs, ys)),
     ):
         assert kept._product[0] == s and kept._product[1] == factors
-        assert _same_bits(kept(xs, ys), values)
+        assert same_bits(kept(xs, ys), values)
     # a factor met again adds to its exponent, in the order first met
     assert list((x * y * x)._product[1].items()) == [(x, 2), (y, 1)]
 
