@@ -17,11 +17,12 @@ cot(t_opp) / 2 over the triangles at e, the cotangent weight of the Whitney
 so these equal the unsigned sums over the flag pieces; they exist on any
 mesh, and the coarse multigrid grids take them too.  ``DualComplex`` holds
 the circumcenters c(T) and the ratios a; |sigma| is ``K.volumes(k)``, and
-the one private helper ``_flags`` forms the flag pieces, with K's vertices
-and edge midpoints, for the integrals over dual cells.  Every kernel holds
-its corners as x and y planes with the simplices innermost, (3, T) for the
-triangles and (2, 3, 6T) for the flags, and writes each sum over the three
-corners out as (a + b) + c, numpy's order over a stacked axis.
+the one private helper ``_dual_cells`` forms the pieces of the dual cells,
+with K's vertices and edge midpoints, for the integrals over them and the
+centroid check.  Every kernel holds its corners as x and y planes with the
+simplices innermost, (3, T) for the triangles and (2, 3, 6T) for the flags,
+and writes each sum over the three corners out as (a + b) + c, numpy's order
+over a stacked axis.
 """
 
 from __future__ import annotations
@@ -115,29 +116,40 @@ class DualComplex:
     by primal simplex index.  S_k = diag(hodge_ratio_a[k]), and S^-1 reads
     it as 1 / a; the dual volumes are a * K.volumes(k), and |*T| = 1.  The
     other flag corners, vertices and edge midpoints, are K's: the integrals
-    over dual cells form the flags when they need them.
+    over dual cells form their pieces by ``_dual_cells`` when they need them.
     """
 
     circumcenters: np.ndarray  # (T, 2)
     hodge_ratio_a: list[np.ndarray]  # a = |*sigma| / |sigma|
 
 
-def _flags(K: SimplicialComplex, circumcenters: np.ndarray) -> tuple[np.ndarray, ...]:
-    """The 6T flag triangles [v, c(e), c(T)] over the chains v < e < T.
+def _dual_cells(K: SimplicialComplex, circumcenters: np.ndarray, k: int) -> tuple[np.ndarray, ...]:
+    """The pieces of the dual cells of K's k-simplices: each piece's owner
+    k-simplex, its corners as x and y planes (2, 3 - k, N) and its measure,
+    signed by its orientation in the cell; c(e) is the midpoint of e.
 
-    Per triangle, 3 edges x 2 endpoints, so the (e, T) pairs are the even
-    flags ([::2]), whose vertex is the tail of the edge; c(e) is the
-    midpoint 0.5 * (a + b) of e = [a, b].  Returns the vertex and edge
-    index of each flag (6T,), its corners [v, c(e), c(T)] as x and y planes
-    (2, 3, 6T) and its area (6T,), signed by the orientation of the corners.
+      * k = 2: the circumcenters c(T), of measure 1 signed by T's orientation;
+      * k = 1: the 3T segments [c(e), c(T)], in cell_edges order, their
+        lengths signed by the flags [a, c(e), c(T)] at the tail a of e: a
+        segment runs along the +90-degree rotation of e's ascending tangent
+        where its flag turns counterclockwise;
+      * k = 0: the 6T flags [v, c(e), c(T)], each edge's tail then head, with
+        their signed areas.
     """
-    edge = np.repeat(K.cell_edges.reshape(-1), 2)
-    vertex = K.simplices(1)[K.cell_edges.reshape(-1)].reshape(-1)
+    if k == 2:
+        sign = np.where(_cross(*_planes(K.vertices, K.simplices(2))) > 0.0, 1.0, -1.0)
+        return np.arange(K.n_simplices(2)), circumcenters.T[:, None], sign
+    # a flag at each of the 2 - k first ends of each edge of each triangle
+    edge = np.repeat(K.cell_edges.reshape(-1), 2 - k)
+    vertex = K.simplices(1)[K.cell_edges.reshape(-1), : 2 - k].reshape(-1)
     ends = _planes(K.vertices, K.simplices(1))
     midpoint = (0.5 * (ends[:, 0] + ends[:, 1])).take(edge, axis=1)
-    center = np.repeat(circumcenters.T, 6, axis=1)  # six flags per triangle
-    corners = np.stack([_planes(K.vertices, vertex), midpoint, center], 1)
-    return vertex, edge, corners, 0.5 * _cross(*corners)
+    center = np.repeat(circumcenters.T, 3 * (2 - k), axis=1)
+    flags = np.stack([_planes(K.vertices, vertex), midpoint, center], 1)
+    area = 0.5 * _cross(*flags)
+    if k == 0:
+        return vertex, flags, area
+    return edge, flags[:, 1:], np.sign(area) * np.linalg.norm(center - midpoint, axis=0)
 
 
 def build_dual(K: SimplicialComplex) -> DualComplex:
@@ -211,20 +223,12 @@ def check_centroid_condition(
     """
     if not _is_int(k) or not 0 <= k <= 2:
         raise ValueError(f"no {k}-simplices in the plane")
-    if k == 2:
-        dual_centroid = dual.circumcenters.T
-    else:
-        vertex, edge, corners, area = _flags(K, dual.circumcenters)
-        if k == 1:
-            a, b = corners[:, 1, ::2], corners[:, 2, ::2]
-            index, weight, centroid = edge[::2], np.linalg.norm(b - a, axis=0), 0.5 * (a + b)
-        else:
-            index, weight, centroid = vertex, np.abs(area), corners.mean(axis=1)
-        # each piece adds weight * (centroid, 1), in order: the centroid is
-        # divided by the total weight of the pieces, not by the star's volume
-        nk = K.n_simplices(k)
-        total = np.bincount(index, weight, nk)
-        dual_centroid = np.stack([np.bincount(index, weight * c, nk) for c in centroid]) / total
+    owner, pieces, measure = _dual_cells(K, dual.circumcenters, k)
+    # each piece adds |measure| * (centroid, 1), in order: the centroid is
+    # divided by the total weight of the pieces, not by the star's volume
+    nk, weight = K.n_simplices(k), np.abs(measure)
+    moments = [np.bincount(owner, weight * c, nk) for c in pieces.mean(axis=1)]
+    dual_centroid = np.stack(moments) / np.bincount(owner, weight, nk)
 
     interior = ~K.is_boundary(k)
     if not interior.any():

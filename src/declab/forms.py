@@ -55,7 +55,7 @@ from numbers import Real
 import numpy as np
 
 from .complex import SimplicialComplex, _cross, _is_int, _planes
-from .dual import DualComplex, _flags
+from .dual import DualComplex, _dual_cells
 
 __all__ = [
     "Poly2",
@@ -594,30 +594,17 @@ def de_rham_dual(
 ) -> np.ndarray:
     """Integrate an m-form over the dual cells of the (2 - m)-simplices.
 
-    Orientation conventions (the ones under which constant forms make the
-    dual-averaging and primal de Rham maps agree exactly):
-
-      * dual 0-cells (m = 0): the circumcenter of T carries the sign of
-        T's ascending vertex orientation;
-      * dual 1-cells (m = 1): each piece [c(e), c(T)] is run in the
-        direction that is the +90-degree rotation of e's ascending
-        tangent;
-      * dual 2-cells (m = 2): positively oriented (plain area integrals
-        over the flag triangles).
+    The cells are ``dual._dual_cells``', oriented so that constant forms make
+    the dual-averaging and primal de Rham maps agree exactly: the
+    circumcenter of T carries the sign of T's ascending vertex orientation
+    (m = 0), each segment [c(e), c(T)] runs along the +90-degree rotation of
+    e's ascending tangent (m = 1), and the flag triangles are positively
+    oriented (m = 2).
     """
-    m = form.degree
-    if m == 0:
-        sign = np.where(_cross(*_planes(K.vertices, K.simplices(2))) > 0.0, 1.0, -1.0)
-        return sign * _integrate_simplices(form, dual.circumcenters.T[:, None])
-    vertex, edge, corners, area = _flags(K, dual.circumcenters)
-    if m == 1:
-        # the segment [c(e), c(T)] runs along the +90-degree rotation of
-        # e = [a, b] where the flag [a, c(e), c(T)] turns counterclockwise
-        owner, cells, sign = edge[::2], corners[:, 1:, ::2], np.sign(area[::2])
-    else:
-        # the kernel signs each flag integral by its vertex order; multiply
-        # that sign back out (|integral| would also drop the form's sign)
-        owner, cells, sign = vertex, corners, np.sign(area)
-    out = np.zeros(K.n_simplices(2 - m))
-    np.add.at(out, owner, sign * _integrate_simplices(form, cells))
+    k = 2 - form.degree
+    owner, pieces, measure = _dual_cells(K, dual.circumcenters, k)
+    # the kernel orients each piece by its corner order (and signs a flag's
+    # area by it); the sign of its measure turns that into the dual cell's
+    out = np.zeros(K.n_simplices(k))
+    np.add.at(out, owner, np.sign(measure) * _integrate_simplices(form, pieces))
     return out

@@ -117,9 +117,12 @@ def _transfer(fine: _Grid, coarse: _Grid, x: np.ndarray, k: int, area):
     vertices are x; area holds the fine triangles' measures at k = 2 (the
     coarse ones, the sums of their children's, come back for the next step)
     and is None, and stays None, at k = 0 and 1.  P_k is compact canonical
-    CSR from each fine simplex's slots in turn; an entry sums one value, or
-    two on a fine edge of two coarse triangles, with the same bits in any
-    order (tests/oracles.py keeps the COO build it replaced)."""
+    CSR from each fine simplex's slots in turn (tests/oracles.py keeps the
+    COO build it replaced).  Each parent triangle gives a fine simplex its
+    weights over the number of parents; an entry sums two on a fine edge of
+    two coarse triangles, and at k = 0 up to six equal ones on the fine copy
+    of a coarse vertex, whose sum need not round to 1 (1 - 2^-53 at 465 of
+    the 561 coarse vertices of symmetric level 6); the same bits in any order."""
     r, j = coarse.r[coarse.tri], coarse.j[coarse.tri]
     point = _vid(fine.n, r[:, _A] + r[:, _B], j[:, _A] + j[:, _B])
     # child ids (T, c), and for each child its coarse ids and weights (T, c, w)

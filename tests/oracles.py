@@ -253,9 +253,10 @@ def circum_bary_stacked(pts: np.ndarray) -> np.ndarray:
 
 
 def flags_stacked(K: SimplicialComplex, circumcenters: np.ndarray):
-    """The 6T flag triangles [v, c(e), c(T)] of `dual._flags` as (6T, 3, 2)
-    stacks, c(e) the midpoint of e: the vertex and edge index of each flag,
-    its rows and its area, signed by the orientation of the rows."""
+    """The 6T flag triangles [v, c(e), c(T)] as (6T, 3, 2) stacks, c(e) the
+    midpoint of e: the vertex and edge index of each flag, its rows and its
+    area, signed by the orientation of the rows.  `dual._dual_cells` gives
+    them at k = 0, and the even flags' segments [c(e), c(T)] at k = 1."""
     edge = np.repeat(K.cell_edges.reshape(-1), 2)
     vertex = K.simplices(1)[K.cell_edges.reshape(-1)].reshape(-1)
     coords = np.empty((len(edge), 3, 2))

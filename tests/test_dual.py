@@ -33,7 +33,7 @@ from declab import (
     perturbed_mesh,
     well_centered_margin,
 )
-from declab.dual import CENTROID_TOL, _cotangent_stars, _flags, _triangle_circum_bary
+from declab.dual import CENTROID_TOL, _cotangent_stars, _dual_cells, _triangle_circum_bary
 from declab.forms import _integrate_simplices
 from oracles import (
     _cross2,
@@ -51,10 +51,10 @@ EQ_TRI = np.array([[0.0, 0.0], [1.0, 0.0], [0.5, SQRT3 / 2]])
 
 def test_circumcenter_of_edge_is_midpoint():
     K = build_complex(EQ_TRI, [[0, 1, 2]])
-    _, edge, corners, _ = _flags(K, build_dual(K).circumcenters)
-    # the c(e) corner of each flag, edges (0,1), (0,2), (1,2)
+    edge, segments, _ = _dual_cells(K, build_dual(K).circumcenters, 1)
+    # the c(e) end of each segment [c(e), c(T)], edges (0,1), (0,2), (1,2)
     midpoints = np.array([[0.5, 0.0], [0.25, SQRT3 / 4], [0.75, SQRT3 / 4]])
-    np.testing.assert_allclose(corners[:, 1].T, midpoints[edge], atol=1e-15)
+    np.testing.assert_allclose(segments[:, 0].T, midpoints[edge], atol=1e-15)
 
 
 def test_circumcenter_of_equilateral_triangle():
@@ -188,14 +188,10 @@ def test_cotangent_stars_on_planes_match_the_stacked_formula_bit_for_bit(K):
 )
 def test_flag_planes_match_the_stacked_formula_bit_for_bit(K):
     dual = build_dual(K)
-    vertex, edge, corners, area = _flags(K, dual.circumcenters)
-    want_vertex, want_edge, rows, want_area = flags_stacked(K, dual.circumcenters)
-    assert same_bits(vertex, want_vertex) and same_bits(edge, want_edge)
-    assert same_bits(corners.T, rows)
-    assert same_bits(area, want_area)
+    vertex, edge, rows, area = flags_stacked(K, dual.circumcenters)
     # the m = 1 dual de Rham map runs each segment [c(e), c(T)] along the
-    # +90-degree rotation of the tangent of e, and gives the stacked sums
-    owner, segments = want_edge[::2], rows[::2, 1:]
+    # +90-degree rotation of the tangent of e
+    owner, segments = edge[::2], rows[::2, 1:]
     tangent = np.diff(K.vertices[K.simplices(1)[owner]], axis=1)[:, 0]
     sign = np.sign(_cross2(tangent, segments[:, 1] - segments[:, 0]))
     assert (sign == np.sign(area[::2])).all() and (sign != 0).all()
@@ -207,11 +203,13 @@ def test_flag_planes_match_the_stacked_formula_bit_for_bit(K):
     tri = K.vertices[K.simplices(2)]
     orientation = np.where(_cross2(tri[:, 1] - tri[:, 0], tri[:, 2] - tri[:, 0]) > 0.0, 1.0, -1.0)
     cells = [
-        (want_vertex, rows, want_area),
+        (vertex, rows, area),
         (owner, segments, sign * length),
         (np.arange(K.n_simplices(2)), dual.circumcenters[:, None], orientation),
     ]
     for k, (owner, pieces, measure) in enumerate(cells):
+        got = _dual_cells(K, dual.circumcenters, k)
+        assert all(map(same_bits, got, (owner, pieces.T, measure))), k
         nk, interior = K.n_simplices(k), ~K.is_boundary(k)
         for form in manufactured_solution(2 - k):
             want = np.zeros(nk)
@@ -281,12 +279,12 @@ def test_dual_volumes_match_the_diamond_oracle(K):
 def test_dual_cell_pieces_shapes(sym3):
     K, dual = sym3
     # an interior vertex dual is a hexagon of 12 flag triangles, an interior
-    # edge dual two segments [c(e), c(T)] (each flag pair visits one twice)
-    vertex, edge, _, _ = _flags(K, dual.circumcenters)
-    v_flags = np.bincount(vertex, minlength=K.n_simplices(0))
-    assert (v_flags[~K.is_boundary(0)] == 12).all()
-    e_flags = np.bincount(edge[::2], minlength=K.n_simplices(1))
-    assert (e_flags[~K.is_boundary(1)] == 2).all()
+    # edge dual two segments [c(e), c(T)], a triangle's dual one point
+    for k, pieces in enumerate([12, 2, 1]):
+        owner, corners, _ = _dual_cells(K, dual.circumcenters, k)
+        assert corners.shape == (2, 3 - k, len(owner))
+        count = np.bincount(owner, minlength=K.n_simplices(k))
+        assert (count[~K.is_boundary(k)] == pieces).all()
     assert dual.circumcenters.shape == (K.n_simplices(2), 2)
 
 
