@@ -42,7 +42,6 @@ from declab.operators import dec_system
 from oracles import (
     _triangle_frames,
     codifferential_by_star_matrices,
-    codifferential_matrix_stencil,
     dec_system_by_star_matrices,
     dec_system_product_sum,
     discrete_inner,
@@ -113,54 +112,6 @@ def test_codifferential_and_centroid_check_reject_bools_and_floats(k):
         codifferential_matrix(K, dual, k)
     with pytest.raises(ValueError, match="-simplices in the plane"):
         check_centroid_condition(K, dual, k)
-
-
-# -- codifferential: two routes, adjointness ----------------------------------
-
-
-@pytest.mark.parametrize("family,seed", [("symmetric", 0), ("perturbed", 1), ("perturbed", 2)])
-def test_stencil_matches_transpose_exactly(family, seed):
-    K = symmetric_mesh(3) if family == "symmetric" else perturbed_mesh(3, seed=seed)
-    dual = build_dual(K)
-    for k in (1, 2):
-        a = codifferential_matrix(K, dual, k)
-        b = codifferential_matrix_stencil(K, dual, k)
-        diff = (a - b).tocoo()
-        assert diff.nnz == 0 or np.abs(diff.data).max() <= 1e-14
-
-
-def test_adjointness_of_d_and_delta():
-    """[[d a, b]]_k == [[a, delta b]]_{k-1} across levels and degrees."""
-    polys = {
-        1: Poly2.monomial(1, 0) + Poly2.monomial(0, 1, -2.0),
-        2: Poly2.monomial(2, 0) + Poly2.monomial(1, 1, 0.5),
-        3: Poly2.monomial(3, 0, 0.25) + Poly2.monomial(0, 3),
-    }
-    for level in (1, 2, 3):
-        K, dual = _with_dual(symmetric_mesh(level))
-        for deg, p in polys.items():
-            for k in (1, 2):
-                lower = PolyForm(k - 1, (p,) * (1 if k == 1 else 2))
-                upper = PolyForm(k, (p,) * (2 if k == 1 else 1))
-                a = de_rham(K, lower)
-                b = de_rham(K, upper)
-                lhs = discrete_inner(dual, k, K.coboundary_matrix(k - 1) @ a, b)
-                rhs = discrete_inner(
-                    dual, k - 1, a, codifferential_matrix_stencil(K, dual, k) @ b
-                )
-                scale = max(abs(lhs), abs(rhs), 1.0)
-                assert abs(lhs - rhs) <= 1e-12 * scale, (level, deg, k)
-
-
-@pytest.mark.parametrize("family,seed", [("symmetric", 0), ("perturbed", 3)])
-def test_delta_delta_is_zero_scaled(family, seed):
-    K = symmetric_mesh(3) if family == "symmetric" else perturbed_mesh(3, seed=seed)
-    dual = build_dual(K)
-    A = codifferential_matrix(K, dual, 1)
-    B = codifferential_matrix(K, dual, 2)
-    got = np.abs((A @ B).toarray())
-    bound = 1e-13 * (abs(A) @ abs(B)).toarray()
-    assert (got <= bound).all()
 
 
 # -- Laplacians ---------------------------------------------------------------
@@ -405,21 +356,6 @@ def test_j_interpolant_of_volume_form():
     form = PolyForm(2, (Poly2.constant(3.0),))
     got = j_interpolant(K, dual, form)
     np.testing.assert_allclose(got, de_rham(K, form), rtol=1e-13)
-
-
-@pytest.mark.parametrize("family,seed", [("symmetric", 0), ("perturbed", 2)])
-def test_commuting_interpolant_residual(family, seed):
-    K = symmetric_mesh(3) if family == "symmetric" else perturbed_mesh(3, seed=seed)
-    dual = build_dual(K)
-    form = PolyForm(
-        1,
-        (
-            Poly2.monomial(3, 0) + Poly2.monomial(1, 1, -0.5),
-            Poly2.monomial(0, 3, 0.25) + Poly2.monomial(2, 1),
-        ),
-    )
-    scale = max(discrete_norm(dual, 0, j_interpolant(K, dual, codifferential(form))), 1.0)
-    assert commuting_j_check(K, dual, form) <= 1e-10 * scale
 
 
 def test_commuting_interpolant_residual_for_manufactured_density():
