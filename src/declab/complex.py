@@ -61,17 +61,19 @@ class SimplicialComplex:
 
     def n_simplices(self, k: int) -> int:
         """Number of k-simplices."""
-        return len(self._table(k))
+        return len(self.simplices(k))
 
     def simplices(self, k: int) -> np.ndarray:
         """(N_k, k+1) int32 array of ascending vertex tuples, lex-sorted."""
-        return self._table(k)
+        if not _is_int(k) or not 0 <= k <= self.dim:
+            raise ValueError(f"no {k}-simplices in a {self.dim}-complex")
+        return self._tables[k]
 
     def is_boundary(self, k: int) -> np.ndarray:
         """Boolean mask over Delta_k: True where the simplex lies in the
         geometric boundary, an edge with one coface and that edge's
         vertices; no triangle.  Derived from cell_edges on each call."""
-        flags = np.zeros(len(self._table(k)), dtype=bool)
+        flags = np.zeros(self.n_simplices(k), dtype=bool)
         if k < 2:
             edges = np.bincount(self.cell_edges.ravel(), minlength=len(self._tables[1])) == 1
             if k == 1:
@@ -82,7 +84,7 @@ class SimplicialComplex:
     def volumes(self, k: int) -> np.ndarray:
         """|sigma| for every k-simplex: 1 for a vertex, an edge's length,
         a triangle's area."""
-        table = self._table(k)
+        table = self.simplices(k)
         if k == 0:
             return np.ones(len(table))
         x, y = _planes(self.vertices, table)
@@ -93,11 +95,6 @@ class SimplicialComplex:
     def mesh_size(self) -> float:
         """Mesh parameter h: the largest simplex diameter (longest edge)."""
         return float(self.volumes(1).max())
-
-    def _table(self, k: int) -> np.ndarray:
-        if not _is_int(k) or not 0 <= k <= self.dim:
-            raise ValueError(f"no {k}-simplices in a {self.dim}-complex")
-        return self._tables[k]
 
     # -- incidence ----------------------------------------------------------
 
@@ -112,7 +109,7 @@ class SimplicialComplex:
         if not _is_int(k) or not 0 <= k < self.dim:
             raise ValueError(f"coboundary_matrix: k must be in [0, {self.dim}), got {k}")
         if k == 0:
-            faces = self._table(1)
+            faces = self.simplices(1)
             # boundary [a, b] = [b] - [a]
             signs = [-1.0, 1.0]
         else:  # k == 1

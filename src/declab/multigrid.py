@@ -117,8 +117,8 @@ def _transfer(fine: _Grid, coarse: _Grid, x: np.ndarray, k: int, area):
     vertices are x; area holds the fine triangles' measures at k = 2 (the
     coarse ones, the sums of their children's, come back for the next step)
     and is None, and stays None, at k = 0 and 1.  P_k is compact canonical
-    CSR from each fine simplex's slots in turn (tests/oracles.py keeps the
-    COO build it replaced).  Each parent triangle gives a fine simplex its
+    CSR from each fine simplex's slots in turn (tests/oracles.py forms the
+    same bits on stacks).  Each parent triangle gives a fine simplex its
     weights over the number of parents; an entry sums two on a fine edge of
     two coarse triangles, and at k = 0 up to six equal ones on the fine copy
     of a coarse vertex, whose sum need not round to 1 (1 - 2^-53 at 465 of

@@ -30,7 +30,7 @@ from declab import (
 )
 from declab import forms, meshes
 from declab.meshes import _Grid, _vid
-from declab.multigrid import _A, _B, _EDGES, _LAM, _PAIRS, _TRIANGLES, _edge_weights, _grid
+from declab.multigrid import _A, _B, _EDGES, _LAM, _PAIRS, _TRIANGLES, _grid
 from declab.operators import _scaled
 
 _MASK64 = (1 << 64) - 1
@@ -95,23 +95,6 @@ def hodge_laplacian_matrix(
     return L.tocsr()
 
 
-def dec_system_by_star_matrices(K: SimplicialComplex, stars, k: int) -> sp.csr_matrix:
-    """S_k L_k as products with diagonal star matrices: G = diag(a_k) D_{k-1},
-    G diag(1 / a_{k-1}) G^T + D_k^T diag(a_{k+1}) D_k, each added to an
-    empty matrix, as the library assembled it before it scaled the
-    coboundary entries itself.  Its rows come out in the products' order,
-    not sorted; the library must match its sorted form bit for bit, but
-    for the k = 1 diagonal, which dec_system sums in one run."""
-    M = sp.csr_matrix((K.n_simplices(k),) * 2)
-    if k >= 1:
-        G = sp.diags(stars[k]) @ K.coboundary_matrix(k - 1)
-        M = M + G @ sp.diags(1.0 / stars[k - 1]) @ G.T
-    if k <= K.dim - 1:
-        D = K.coboundary_matrix(k)
-        M = M + D.T @ sp.diags(stars[k + 1]) @ D
-    return M.tocsr()
-
-
 def dec_system_product_sum(K: SimplicialComplex, stars, k: int) -> sp.csr_matrix:
     """S_k L_k as the library assembled it before it formed both terms in one
     product: the coboundaries' entries scaled by the stars, the two
@@ -140,15 +123,6 @@ def is_canonical_csr(A) -> bool:
     row_start = np.zeros(A.nnz + 1, dtype=bool)
     row_start[A.indptr] = True
     return bool((np.diff(A.indices) > 0)[~row_start[1:-1]].all())
-
-
-def codifferential_by_star_matrices(
-    K: SimplicialComplex, dual: DualComplex, k: int
-) -> sp.csr_matrix:
-    """delta_k = diag(1 / a_{k-1}) (D_{k-1}^T diag(a_k)) by sparse products."""
-    a = dual.hodge_ratio_a
-    Dt = K.coboundary_matrix(k - 1).T.tocsr()
-    return (sp.diags(1.0 / a[k - 1], format="csr") @ (Dt @ sp.diags(a[k], format="csr"))).tocsr()
 
 
 def grid_level(K: SimplicialComplex) -> int | None:
@@ -281,11 +255,13 @@ def cotangent_stars_stacked(x: np.ndarray, K: SimplicialComplex):
     return s0, s1, 2.0 / twice_area
 
 
-def transfers_stacked(vertices: np.ndarray, m: int, k: int) -> list[sp.csr_matrix]:
+def transfers_stacked(vertices: np.ndarray, m: int, k: int):
     """The transfers of multigrid._levels with their weights formed on
-    (T, c, 2) stacks: the k = 1 weight of fine edge [a, b] in coarse edge
-    (i, j) is (lam_i grad lam_j - lam_j grad lam_i) . (b - a), with
-    grad . (b - a) by einsum; k = 0 takes lam and k = 2 the area fractions."""
+    (T, c, 2) stacks, finest first, each with the coarse areas it carries
+    down at k = 2 (None at k = 0 and 1): the k = 1 weight of fine edge
+    [a, b] in coarse edge (i, j) is (lam_i grad lam_j - lam_j grad lam_i) .
+    (b - a), with grad . (b - a) by einsum; k = 0 takes lam and k = 2 the
+    area fractions, their sums the coarse areas."""
     fine, x = _Grid(2**m), vertices
     d = x[fine.tri[:, 1:]] - x[fine.tri[:, :1]]
     area = np.abs(_cross2(d[:, 0], d[:, 1])) / 2
@@ -321,37 +297,9 @@ def transfers_stacked(vertices: np.ndarray, m: int, k: int) -> list[sp.csr_matri
         )
         P.data[np.abs(P.data) < 1e-13] = 0.0
         P.eliminate_zeros()
-        Ps.append(P)
+        Ps.append((P, area if k == 2 else None))
         fine, x = coarse, x[_vid(2 * coarse.n, 2 * coarse.r, 2 * coarse.j)]
     return Ps
-
-
-def transfer_coo(fine: _Grid, coarse: _Grid, x: np.ndarray, k: int, area):
-    """multigrid._transfer as the library built it before it wrote P_k
-    straight into CSR: every child's (row, column, weight) triplets, k = 0
-    with lam at all 18 entries of a coarse triangle, its zeros included,
-    through scipy's COO conversion, which sums the duplicates; then the
-    roundoff of exact zeros cleared and every zero eliminated."""
-    corner = np.stack([coarse.r[coarse.tri], coarse.j[coarse.tri]], axis=-1)
-    point = _vid(fine.n, *np.moveaxis(corner[:, _A] + corner[:, _B], -1, 0))
-    if k == 0:
-        child, cols, vals = point, coarse.tri[:, None, :], _LAM[None]
-    elif k == 1:
-        child, cols, vals = _edge_weights(fine, coarse, x, point)
-    else:
-        child = fine.triangle(point[:, _TRIANGLES])
-        parent = area[child].sum(axis=1)
-        vals = (area[child] / parent[:, None] * [1, 1, 1, -1])[..., None]
-        cols = np.arange(len(point))[:, None, None]
-        area = parent
-    share = np.bincount(child.ravel(), minlength=fine.counts[k])
-    vals = vals / share[child][..., None]
-    rows = np.broadcast_to(child[..., None].astype(np.int32), vals.shape).ravel()
-    cols = np.broadcast_to(cols.astype(np.int32), vals.shape).ravel()
-    P = sp.csr_matrix((vals.ravel(), (rows, cols)), (fine.counts[k], coarse.counts[k]))
-    P.data[(P.data < 1e-13) & (P.data > -1e-13)] = 0.0
-    P.eliminate_zeros()
-    return P, area
 
 
 def coefficient(p: Poly2, i: int, j: int) -> float:

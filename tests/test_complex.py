@@ -70,20 +70,6 @@ def test_coboundary_matrices_match_hand_oracle(two_tri):
     np.testing.assert_array_equal(two_tri.coboundary_matrix(1).toarray(), D1_ORACLE)
 
 
-def test_d_after_d_is_zero(two_tri):
-    prod = (two_tri.coboundary_matrix(1) @ two_tri.coboundary_matrix(0)).tocsr()
-    prod.eliminate_zeros()
-    assert prod.nnz == 0
-
-
-def test_faces_of_triangle_signs(two_tri):
-    # boundary [0,1,2] = [1,2] - [0,2] + [0,1], read from row 0 of D1
-    row = two_tri.coboundary_matrix(1).getrow(0).tocoo()
-    edges = two_tri.simplices(1)
-    got = {tuple(edges[e].tolist()): s for e, s in zip(row.col, row.data)}
-    assert got == {(1, 2): 1.0, (0, 2): -1.0, (0, 1): 1.0}
-
-
 def test_interior_edge_cofaces_cancel_with_orientation(two_tri):
     """The two cofaces of an interior edge induce opposite orientations on
     it once the triangles' geometric (CCW/CW) signs are taken into account:
@@ -103,14 +89,6 @@ def test_interior_edge_cofaces_cancel_with_orientation(two_tri):
     # boundary edges have exactly one coface
     counts = np.diff(cofaces.indptr)
     assert (np.delete(counts, interior) == 1).all()
-
-
-def test_vertex_coboundary_is_difference(two_tri):
-    w = np.array([3.0, 5.0, 11.0, 2.0])
-    dw = two_tri.coboundary_matrix(0) @ w
-    # edge (a,b) carries w_b - w_a
-    for i, (a, b) in enumerate(two_tri.simplices(1)):
-        assert dw[i] == w[b] - w[a]
 
 
 def test_stokes_pairing_against_transpose(two_tri):

@@ -39,7 +39,7 @@ from oracles import (
     grid_level,
     hodge_laplacian_matrix,
     is_canonical_csr,
-    transfer_coo,
+    same_bits,
     transfers_stacked,
     whitney_evaluate,
 )
@@ -214,37 +214,26 @@ def test_transfers_are_fine_de_rham_maps_of_coarse_whitney_forms(k):
 
 @pytest.mark.parametrize("k", [0, 1, 2])
 @pytest.mark.parametrize(
-    "K",
-    [symmetric_mesh(6), perturbed_mesh(6, 1), perturbed_mesh(6, 2)],
-    ids=["symmetric-6", "perturbed-6-1", "perturbed-6-2"],
+    "mesh", [(5,), (6,), (5, 2, 0.3), (6, 1), (6, 2)],
+    ids=["symmetric-5", "symmetric-6", "perturbed-5-2-alpha-0.3", "perturbed-6-1", "perturbed-6-2"],
 )
-def test_transfers_match_the_stacked_formula_bit_for_bit(K, k):
+def test_transfers_match_the_stacked_formula_bit_for_bit(mesh, k):
     """The weights, formed on x and y planes, against the same formulas on
     (T, c, 2) stacks: the superconvergent k = 1 norms sit near their gate,
-    so no transfer may move by an ulp."""
-    Ps, stacked = _transfers(K, k), transfers_stacked(K.vertices, 6, k)
-    for P, want in zip(Ps, stacked, strict=True):
-        assert np.array_equal(P.indptr, want.indptr) and np.array_equal(P.indices, want.indices)
-        assert P.data.tobytes() == want.data.tobytes()
-
-
-@pytest.mark.parametrize("mesh", [(5,), (5, 2, 0.3)], ids=["symmetric", "perturbed"])
-@pytest.mark.parametrize("k", [0, 1, 2])
-def test_transfers_are_the_coo_build_byte_for_byte(mesh, k):
-    """Each P_k, built straight into CSR, has the index arrays and entries of
-    the COO build it replaced, byte for byte, in arrays of its nnz, and the
-    same coarse areas at k = 2."""
+    so no transfer may move by an ulp.  Each P_k, built straight into CSR,
+    has int32 index arrays of its nnz, no spare slots, and carries the
+    stacks' coarse areas down at k = 2."""
     K = symmetric_mesh(*mesh) if len(mesh) == 1 else perturbed_mesh(*mesh)
-    fine, x = _grid(K), K.vertices
-    area = want_area = K.volumes(2) if k == 2 else None
-    for level in (4, 3):
+    m, fine, x = mesh[0], _grid(K), K.vertices
+    area = K.volumes(2) if k == 2 else None
+    for level, (want, want_area) in zip(range(m - 1, 2, -1), transfers_stacked(x, m, k), strict=True):
         coarse = _Grid(2**level)
-        (P, area), (want, want_area) = (_transfer(fine, coarse, x, k, area),
-                                        transfer_coo(fine, coarse, x, k, want_area))
+        P, area = _transfer(fine, coarse, x, k, area)
+        assert P.indptr.dtype == P.indices.dtype == np.int32
         for got, expected in zip((P.indptr, P.indices, P.data), (want.indptr, want.indices, want.data)):
-            assert got.dtype == expected.dtype and got.tobytes() == expected.tobytes()
+            assert same_bits(got, expected)
             assert (got if got.base is None else got.base).nbytes == got.nbytes  # no spare slots
-        assert (area is None and want_area is None) or area.tobytes() == want_area.tobytes()
+        assert same_bits(area, want_area) if k == 2 else area is None
         fine, x = coarse, x[_vid(fine.n, 2 * coarse.r, 2 * coarse.j)]
 
 

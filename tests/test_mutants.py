@@ -1,9 +1,11 @@
 """The mutant matrix: each row breaks one function of the pipeline, and the
 existing test it names, the cheapest that shows the fault, must fail.  A row
 replaces the function wherever a module binds it, the test modules included,
-as a fault in its source would, and first asserts that the mutant moves the
-output it targets, so a renamed or uncalled target fails its row."""
+or a method on its class, as a fault in its source would, and first asserts
+that the mutant moves the output it targets, so a renamed or uncalled target
+fails its row."""
 
+import copy
 import dataclasses
 import sys
 
@@ -15,9 +17,10 @@ import test_experiments
 import test_multigrid
 import test_symmetry
 from criteria import STUDIES, outside
-from declab import (Poly2, PolyForm, build_dual, cg_solve, codifferential_matrix, de_rham,
-                    de_rham_dual, manufactured_solution, run_convergence, solve_problem,
-                    symmetric_mesh, triangle_rule)
+from declab import (Poly2, PolyForm, SimplicialComplex, build_dual, cg_solve,
+                    check_centroid_condition, codifferential_matrix, de_rham, de_rham_dual,
+                    manufactured_solution, run_convergence, solve_problem, symmetric_mesh,
+                    triangle_rule)
 from declab.dual import _cotangent_stars, _dual_cells
 from declab.multigrid import _edge_weights
 from declab.operators import _scaled
@@ -46,6 +49,22 @@ def _first_edge_negated(*args, real=_edge_weights):
 def _first_piece_negated(K, circumcenters, k, real=_dual_cells):
     owner, pieces, measure = real(K, circumcenters, k)
     return owner, pieces, np.r_[-measure[:1], measure[1:]]
+
+
+def _unsigned_faces(self, k, real=SimplicialComplex.coboundary_matrix):
+    """D_1 with the signs (+1, +1, +1) in place of (+1, -1, +1)."""
+    D = real(self, k)
+    if k == 1:
+        D.data = np.abs(D.data)
+    return D
+
+
+def _boundary_counted(K, dual, k, real=check_centroid_condition):
+    """The centroid check on a copy of K that flags no simplex as boundary, so
+    that the truncated boundary cells count."""
+    K = copy.copy(K)
+    K.is_boundary = lambda j: np.zeros(K.n_simplices(j), dtype=bool)
+    return real(K, dual, k)
 
 
 def _edges_by_position(K, form, real=de_rham):
@@ -104,15 +123,26 @@ MUTANTS = {
         de_rham, _edges_by_position,
         lambda: de_rham(test_symmetry._relabelled()[2], test_symmetry.FORMS[1]),
         lambda: test_symmetry.test_cochains_and_system_follow_a_relabelling(1)),
+    "coboundary-signs": (
+        SimplicialComplex.coboundary_matrix, _unsigned_faces,
+        lambda: symmetric_mesh(2).coboundary_matrix(1).toarray(),
+        test_acceptance.test_criterion_5_d_after_d_is_zero_exactly),
+    "centroid-boundary-counted": (
+        check_centroid_condition, _boundary_counted,
+        lambda: check_centroid_condition(*_mesh("symmetric", 3), 1),
+        test_acceptance.test_criterion_5_centroid_condition_separates_families),
 }
 
 
 @pytest.mark.parametrize("function, mutant, output, check", MUTANTS.values(), ids=MUTANTS)
 def test_mutant_is_caught(function, mutant, output, check, monkeypatch):
     before = output()
+    owner, _, name = function.__qualname__.rpartition(".")  # a method's owner is its class
     for module in list(sys.modules.values()):
-        if getattr(module, "__dict__", {}).get(function.__name__) is function:
-            monkeypatch.setattr(module, function.__name__, mutant)
+        scope = getattr(module, "__dict__", {})
+        target = scope.get(owner) if owner else module
+        if getattr(target, "__dict__", {}).get(name) is function:
+            monkeypatch.setattr(target, name, mutant)
     assert not np.array_equal(output(), before), f"{function.__name__}'s mutant changes nothing"
     with pytest.raises(AssertionError):
         check()

@@ -13,6 +13,8 @@ Oracles
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -41,13 +43,13 @@ from declab import (
 from declab.operators import dec_system
 from oracles import (
     _triangle_frames,
-    codifferential_by_star_matrices,
-    dec_system_by_star_matrices,
+    codifferential_matrix_stencil,
     dec_system_product_sum,
     discrete_inner,
     hodge_laplacian_matrix as composed_laplacian,
     is_canonical_csr,
     l2_norm_whitney,
+    same_bits,
     whitney_evaluate,
 )
 
@@ -60,6 +62,13 @@ REF_TRI = build_complex(
 
 def _with_dual(K):
     return K, build_dual(K)
+
+
+@functools.cache
+def _mesh(mesh: tuple):
+    """The symmetric mesh (m,) or the perturbed mesh (m, seed[, alpha]), built
+    once for the module's tests, which only read it."""
+    return symmetric_mesh(*mesh) if len(mesh) == 1 else perturbed_mesh(*mesh)
 
 
 # -- diagonal stars -----------------------------------------------------------
@@ -168,7 +177,7 @@ def test_dec_system_is_the_weighted_laplacian_assembled_symmetric(mesh, k):
     """dec_system, built as canonical CSR, against S_k times the composition
     D delta + delta D: the same entries to rounding, the same stored
     pattern, and symmetric to rounding of its own products."""
-    K = symmetric_mesh(*mesh) if len(mesh) == 1 else perturbed_mesh(*mesh)
+    K = _mesh(mesh)
     dual = build_dual(K)
     M = dec_system(K, dual.hodge_ratio_a, k)
     want = (star_matrix(dual, k) @ composed_laplacian(K, dual, k)).tocsr()
@@ -189,7 +198,7 @@ def test_dec_system_is_symmetric_to_one_rounding_per_entry(mesh, k):
     G S^-1 G^T is a_i / a_l * a_j rounded in one order and its mirror in
     the other, so the two differ by at most 2 eps of their size.  Far
     inside cg_solve's symmetry check, which allows 1e-12 of max |M|."""
-    K = symmetric_mesh(*mesh) if len(mesh) == 1 else perturbed_mesh(*mesh)
+    K = _mesh(mesh)
     M = dec_system(K, build_dual(K).hodge_ratio_a, k)
     T = M.T.tocsr()
     assert np.array_equal(M.indptr, T.indptr)
@@ -201,7 +210,7 @@ def test_dec_system_is_symmetric_to_one_rounding_per_entry(mesh, k):
 
 
 @pytest.mark.parametrize(
-    "mesh", [(4,), (5, 1, 0.15), (5, 2, 0.45), (7, 3, 0.45)],
+    "mesh", [(4,), (5, 1), (5, 2, 0.45), (7, 3, 0.45)],
     ids=["symmetric", "seed1", "seed2-alpha-0.45", "seed3-alpha-0.45"],
 )
 def test_dec_system_is_the_whitney_stiffness_and_curl_curl(mesh):
@@ -210,7 +219,7 @@ def test_dec_system_is_the_whitney_stiffness_and_curl_curl(mesh):
     oracle's own barycentric gradients.  S_2 is 1 / |T|, the Whitney
     2-form mass matrix (exactly on the symmetric grid), so D_1^T S_2 D_1
     is the Whitney curl-curl matrix."""
-    K = symmetric_mesh(*mesh) if len(mesh) == 1 else perturbed_mesh(*mesh)
+    K = _mesh(mesh)
     dual = build_dual(K)
     _, grads, det = _triangle_frames(K, np.arange(K.n_simplices(2)))
     local = np.abs(det)[:, None, None] / 2 * np.einsum("tid,tjd->tij", grads, grads)
@@ -239,47 +248,33 @@ def _assert_entries_match(got, want, k):
 
 
 @pytest.mark.parametrize(
-    "mesh", [(4,), (5, 1), (5, 2, 0.45), (7, 3, 0.45)],
-    ids=["symmetric", "seed1", "seed2-alpha-0.45", "seed3-alpha-0.45"],
+    "mesh", [(4,), (5, 1), (6,), (6, 1), (5, 2, 0.45), (7, 3, 0.45)],
+    ids=["symmetric", "seed1", "symmetric-6", "seed1-6", "seed2-alpha-0.45", "seed3-alpha-0.45"],
 )
 @pytest.mark.parametrize("k", [0, 1, 2])
 def test_dec_system_is_the_sum_of_its_two_products_bit_for_bit(mesh, k):
     """The one stacked product has the pattern and the bits of the two
     products formed apart and added, with its own diagonal at k = 1 (see
     _assert_entries_match); and its arrays hold its nnz entries and no
-    more, where the sum kept a slot for every entry of either product."""
-    K = symmetric_mesh(*mesh) if len(mesh) == 1 else perturbed_mesh(*mesh)
-    stars = build_dual(K).hodge_ratio_a
+    more, where the sum kept a slot for every entry of either product.
+    codifferential_matrix has the bytes of the stencil assembly, and the
+    coboundaries, whose index arrays both scalings share, come out of the
+    complex as before."""
+    K = _mesh(mesh)
+    dual = build_dual(K)
+    before = [K.coboundary_matrix(j).copy() for j in range(2)]
+    stars = dual.hodge_ratio_a
     M, want = dec_system(K, stars, k), dec_system_product_sum(K, stars, k)
-    assert is_canonical_csr(M)
+    assert is_canonical_csr(M) and M.shape == want.shape
     assert M.indptr.tobytes() == want.indptr.tobytes()
     assert M.indices.tobytes() == want.indices.tobytes()
     _assert_entries_match(M, want, k)
     for a in (M.data, M.indices):
         assert (a if a.base is None else a.base).size == M.nnz
-
-
-@pytest.mark.parametrize("mesh", [(6,), (6, 1)], ids=["symmetric", "perturbed"])
-@pytest.mark.parametrize("k", [0, 1, 2])
-def test_star_scalings_match_the_diagonal_star_products_bit_for_bit(mesh, k):
-    """dec_system and codifferential_matrix scale the coboundary entries by
-    the stars: the entries, row pointers and column indices are those of the
-    products with diagonal star matrices once sorted (dec_system's own
-    diagonal at k = 1 within 2 eps), and the coboundaries, whose index
-    arrays they share, come out of the complex as before."""
-    K = symmetric_mesh(*mesh) if len(mesh) == 1 else perturbed_mesh(*mesh)
-    dual = build_dual(K)
-    before = [K.coboundary_matrix(j).copy() for j in range(2)]
-    pairs = [(dec_system(K, dual.hodge_ratio_a, k),
-              dec_system_by_star_matrices(K, dual.hodge_ratio_a, k), k)]
     if k >= 1:
-        pairs.append((codifferential_matrix(K, dual, k), codifferential_by_star_matrices(K, dual, k), None))
-    for got, want, system_k in pairs:
-        want.sort_indices()
+        got, want = codifferential_matrix(K, dual, k), codifferential_matrix_stencil(K, dual, k)
         assert got.shape == want.shape
-        assert np.array_equal(got.indptr, want.indptr)
-        assert np.array_equal(got.indices, want.indices)
-        _assert_entries_match(got, want, system_k)
+        assert all(same_bits(getattr(got, a), getattr(want, a)) for a in ("indptr", "indices", "data"))
     for j, D in enumerate(before):
         now = K.coboundary_matrix(j)
         assert (now != D).nnz == 0 and np.array_equal(now.indices, D.indices)
